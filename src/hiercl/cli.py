@@ -4,7 +4,6 @@ sections; flags override file values."""
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import typing
 from pathlib import Path
@@ -62,7 +61,9 @@ def _read_section(name: str, section, cls) -> dict:
     hints = typing.get_type_hints(cls)
     out = {}
     for key, value in section.items():
-        hint = hints.get(key)
+        if key not in hints:
+            raise click.ClickException(f"config {name}.{key}: unknown key")
+        hint = hints[key]
         kind = _numeric_kind(hint)
         if kind is not None and not (value is None and type(None) in typing.get_args(hint)):
             value = _read_number(kind, value, f"{name}.{key}")
@@ -71,7 +72,8 @@ def _read_section(name: str, section, cls) -> dict:
 
 
 def _load_config(path: str | None) -> dict:
-    """Read a YAML config; numeric fields of each section hold numbers."""
+    """Read a YAML config; each section holds only its dataclass's fields,
+    and numeric fields hold numbers."""
     if path is None:
         return {}
     with open(path) as fh:
@@ -99,15 +101,18 @@ def _load_congestion_trace(path: str | None) -> tuple[tuple[float, float], ...]:
 
 
 def _build_spec(cfg: dict, **overrides) -> StreamSpec:
-    fields = {f.name for f in dataclasses.fields(StreamSpec)}
-    merged = {k: v for k, v in cfg.get("stream", {}).items() if k in fields}
+    merged = dict(cfg.get("stream", {}))
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return StreamSpec(**merged)
 
 
-def _build_run_config(cfg: dict, **overrides) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    merged = {k: v for k, v in cfg.get("run", {}).items() if k in fields}
+def _build_run_config(cfg: dict, spec: StreamSpec, **overrides) -> RunConfig:
+    """The run section over the defaults; the stream decides whether class
+    overlap between tasks is valid."""
+    merged = dict(cfg.get("run", {}))
+    if "domain_incremental" in merged:
+        raise click.ClickException("config run.domain_incremental: set stream.domain_incremental")
+    merged["domain_incremental"] = spec.domain_incremental
     cost_cfg = cfg.get("cost", {})
     if cost_cfg:
         merged["cost"] = CostModel(**cost_cfg)
@@ -170,6 +175,7 @@ def run(config_path, strategy, budget, cutline, mode, epochs, seed, fixed_ratio,
     )
     config = _build_run_config(
         cfg,
+        spec,
         budget_samples=budget,
         cutline=cutline,
         selection_mode=mode,
@@ -188,6 +194,8 @@ def run(config_path, strategy, budget, cutline, mode, epochs, seed, fixed_ratio,
                f"(profiling {report.ledger.profiling:.2f} J)")
     for name, path in paths.items():
         click.echo(f"  {name}: {path}")
+    if report.aborted:
+        raise click.ClickException(f"learner diverged: {report.abort_reason}")
 
 
 @main.command("sweep")
@@ -211,7 +219,7 @@ def sweep_cmd(config_path, strategies, budgets, seeds, outdir, n_tasks,
         separation=separation,
         seed=stream_seed,
     )
-    config = _build_run_config(cfg)
+    config = _build_run_config(cfg, spec)
     points = sweep(
         spec,
         config,

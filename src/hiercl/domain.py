@@ -100,11 +100,6 @@ class MemoryBudget:
     """User-specified cap on SB + EM, adjustable while a run is live."""
 
     max_samples: int
-    epoch_of_last_change: int = 0
-
-    def update(self, new_max: int, epoch: int) -> None:
-        self.max_samples = new_max
-        self.epoch_of_last_change = epoch
 
 
 class IoState(Enum):

@@ -435,7 +435,12 @@ def sweep(
     for budget in budgets:
         for seed in seeds:
             stream = generate_stream(replace(spec, seed=spec.seed + seed))
-            config = replace(base_config, budget_samples=budget, seed=seed)
+            config = replace(
+                base_config,
+                budget_samples=budget,
+                seed=seed,
+                domain_incremental=spec.domain_incremental,
+            )
             for strategy in strategies:
                 policy = make_policy(strategy, stream, config)
                 report = run_stream(stream.tasks, stream.probe_sets, config, policy)

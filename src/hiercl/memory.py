@@ -1,6 +1,10 @@
 """The two-level sample store: stream buffer (SB) and episodic memory (EM)
 in fast memory, backed by a storage archive holding everything seen so far.
 
+SB is a prefix of the current task: its first ``capacity`` samples in
+arrival order. The rest of the task is overflow, kept for the archive and
+for replay; resizing SB only moves the cut between the two.
+
 EM is kept class-balanced: capacity is split into per-class quotas
 (floor of capacity / classes, remainders to the lowest class ids) and every
 admission, eviction, and refill preserves a per-class spread of at most one
@@ -9,14 +13,11 @@ among classes whose archive can actually fill their quota.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import Sample, Task
+from .domain import Sample
 
 
 def class_quotas(capacity: int, class_ids: Sequence[int]) -> dict[int, int]:
@@ -29,68 +30,53 @@ def class_quotas(capacity: int, class_ids: Sequence[int]) -> dict[int, int]:
 
 
 class StreamBuffer:
-    """Staging area for the current task's samples, in arrival order.
+    """The current task's samples in arrival order, cut at ``capacity``.
 
-    Samples past capacity are not dropped: they are routed to the overflow
-    list, destined for the archive at flush time and available for replay.
+    Samples past capacity are not dropped: they are the overflow, destined
+    for the archive at flush time and available for replay.
     """
 
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self._contents: list[Sample] = []
-        self._overflow: list[Sample] = []
+        self._samples: tuple[Sample, ...] = ()
 
     @property
     def contents(self) -> tuple[Sample, ...]:
-        return tuple(self._contents)
+        return self._samples[: self.capacity]
 
     @property
     def overflow(self) -> tuple[Sample, ...]:
-        return tuple(self._overflow)
+        return self._samples[self.capacity :]
 
     def __len__(self) -> int:
-        return len(self._contents)
+        return min(self.capacity, len(self._samples))
 
     def fill(self, samples: Sequence[Sample]) -> None:
-        if self._contents or self._overflow:
+        if self._samples:
             raise RuntimeError("stream buffer must be empty at task start")
-        self._contents = list(samples[: self.capacity])
-        self._overflow = list(samples[self.capacity :])
+        self._samples = tuple(samples)
 
     def resize(self, new_capacity: int) -> None:
         """Shrink moves the arrival-order tail to overflow; grow pulls it back."""
         if new_capacity < 0:
             raise ValueError("capacity must be non-negative")
-        if new_capacity < len(self._contents):
-            self._overflow = self._contents[new_capacity:] + self._overflow
-            self._contents = self._contents[:new_capacity]
-        elif new_capacity > self.capacity and self._overflow:
-            room = new_capacity - len(self._contents)
-            self._contents.extend(self._overflow[:room])
-            self._overflow = self._overflow[room:]
         self.capacity = new_capacity
 
     def all_task_samples(self) -> list[Sample]:
-        return self._contents + self._overflow
+        return list(self._samples)
 
     def clear(self) -> None:
-        self._contents = []
-        self._overflow = []
+        self._samples = ()
 
 
 class StorageArchive:
-    """Slow-tier store of every sample seen, grouped per class.
+    """Slow-tier store of every sample seen, grouped per class."""
 
-    Uncapped by default; with a cap it is rebalanced to per-class quotas on
-    every append, evicting uniformly at random from over-quota classes.
-    """
-
-    def __init__(self, capacity_samples: int | None = None):
+    def __init__(self):
         self._per_class: dict[int, list[Sample]] = {}
         self._ids: set[int] = set()
-        self.capacity_samples = capacity_samples
 
     def classes(self) -> list[int]:
         return sorted(self._per_class)
@@ -108,7 +94,7 @@ class StorageArchive:
     def __contains__(self, sample_id: int) -> bool:
         return sample_id in self._ids
 
-    def append(self, samples: Iterable[Sample], rng: np.random.Generator | None = None) -> int:
+    def append(self, samples: Iterable[Sample]) -> int:
         added = 0
         for s in samples:
             if s.id in self._ids:
@@ -116,21 +102,7 @@ class StorageArchive:
             self._per_class.setdefault(s.class_label, []).append(s)
             self._ids.add(s.id)
             added += 1
-        if self.capacity_samples is not None and self.total > self.capacity_samples:
-            if rng is None:
-                raise ValueError("capped archive needs an rng for balanced eviction")
-            self._evict_to_cap(rng)
         return added
-
-    def _evict_to_cap(self, rng: np.random.Generator) -> None:
-        quotas = class_quotas(self.capacity_samples, self.classes())
-        for c in self.classes():
-            pool = self._per_class[c]
-            q = quotas[c]
-            while len(pool) > q:
-                idx = int(rng.integers(len(pool)))
-                victim = pool.pop(idx)
-                self._ids.discard(victim.id)
 
     def candidates(self, class_id: int, exclude_ids: set[int]) -> list[Sample]:
         return [s for s in self._per_class.get(class_id, ()) if s.id not in exclude_ids]
@@ -189,13 +161,6 @@ class EpisodicMemory:
             out.extend(self._slots[c])
         return out
 
-    def class_of(self, sample_id: int) -> int | None:
-        for c, pool in self._slots.items():
-            for s in pool:
-                if s.id == sample_id:
-                    return c
-        return None
-
     def replace(self, old_id: int, new_sample: Sample) -> bool:
         """Swap one held sample for a same-class replacement, in place."""
         if new_sample.id in self._ids:
@@ -245,12 +210,6 @@ class EpisodicMemory:
                         s = cands[i]
                         pool.append(s)
                         self._ids.add(s.id)
-        # classes that vanished from the archive (capped archive) lose slots
-        for c in list(self._slots):
-            if c not in quotas and self._slots[c]:
-                for s in self._slots[c]:
-                    self._ids.discard(s.id)
-                self._slots[c] = []
 
     def resize(self, new_capacity: int, archive: StorageArchive, rng: np.random.Generator) -> None:
         if new_capacity < 0:
@@ -274,45 +233,21 @@ class EpisodicMemory:
         return max(counts) - min(counts) <= 1
 
 
-@dataclass(frozen=True)
-class FlushReport:
-    task_id: int
-    archived: int
-    em_counts: dict[int, int]
-    evicted_from_em: int
-
-
-def buffer_stream(task: Task, sb: StreamBuffer, archive: StorageArchive) -> None:
-    """Stage a new task: the first ``capacity`` samples land in SB, the rest
-    overflow toward storage (kept for replay, not an error)."""
-    sb.fill(task.samples)
-
-
 def flush(
-    task: Task,
     sb: StreamBuffer,
     em: EpisodicMemory,
     archive: StorageArchive,
     rng: np.random.Generator,
-) -> FlushReport:
+) -> None:
     """End-of-task reorganization.
 
     Appends every task sample (SB contents plus overflow) to the archive,
     rebalances EM so the new classes get their quota share, and clears SB
     for the next task.
     """
-    task_samples = sb.all_task_samples()
-    before = em.ids()
-    archived = archive.append(task_samples, rng)
+    archive.append(sb.all_task_samples())
     em.rebalance(archive, rng)
-    evicted = len(before - em.ids())
     sb.clear()
-    return FlushReport(
-        task_id=task.task_id,
-        archived=archived,
-        em_counts=em.counts(),
-        evicted_from_em=evicted,
-    )
 
 
 def compose_epoch_batches(
@@ -320,68 +255,16 @@ def compose_epoch_batches(
     em: EpisodicMemory,
     batch_size: int,
     rng: np.random.Generator,
-) -> tuple[list[list[Sample]], list[Sample]]:
+) -> list[list[Sample]]:
     """One epoch's mini-batches: a random permutation of SB union EM, chunked.
 
-    Every in-memory sample appears exactly once. Also returns the EM samples
-    drawn this epoch (all of them, by construction), which is the pool
-    eligible for swapping.
+    Every in-memory sample appears exactly once.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    drawn = em.contents()
-    union = list(sb.contents) + drawn
+    union = list(sb.contents) + em.contents()
     if not union:
         raise ValueError("cannot compose batches from empty SB and EM")
     order = rng.permutation(len(union))
     shuffled = [union[i] for i in order]
-    batches = [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
-    return batches, drawn
-
-
-# --- optional archive persistence -------------------------------------------
-#
-# One binary file per class. Records are little-endian framed:
-#   id: 8 bytes (signed), label: 4 bytes (signed),
-#   payload length: 4 bytes (float count), then that many float32 values.
-
-_HEADER = struct.Struct("<qii")
-
-
-def save_archive(archive: StorageArchive, directory: str | Path) -> list[Path]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for c in archive.classes():
-        path = directory / f"class_{c:06d}.bin"
-        with open(path, "wb") as fh:
-            for s in archive.class_samples(c):
-                payload = np.asarray(s.features, dtype="<f4")
-                fh.write(_HEADER.pack(s.id, s.class_label, payload.size))
-                fh.write(payload.tobytes())
-        written.append(path)
-    return written
-
-
-def load_archive(directory: str | Path, size_bytes: int) -> StorageArchive:
-    """Rebuild an archive from per-class record files.
-
-    ``size_bytes`` is the stream's uniform logical sample size; it is not part
-    of the record framing.
-    """
-    directory = Path(directory)
-    archive = StorageArchive()
-    for path in sorted(directory.glob("class_*.bin")):
-        raw = path.read_bytes()
-        off = 0
-        samples = []
-        while off < len(raw):
-            sid, label, count = _HEADER.unpack_from(raw, off)
-            off += _HEADER.size
-            feats = np.frombuffer(raw, dtype="<f4", count=count, offset=off).copy()
-            off += 4 * count
-            samples.append(
-                Sample(id=sid, class_label=label, features=feats, size_bytes=size_bytes)
-            )
-        archive.append(samples)
-    return archive
+    return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]

@@ -31,13 +31,16 @@ from .learner import (
 )
 
 
+# Redraws of a profiling subsample before missing classes are topped up.
+COVERAGE_ATTEMPTS = 50
+
+
 @dataclass(frozen=True)
 class ProfilerConfig:
     conf_sample_size: int = 14
     warmup_epochs: int = 10
     profile_epochs: int = 5
     subsample: float = 0.05
-    coverage_attempts: int = 50
 
     def __post_init__(self):
         if self.conf_sample_size < 1:
@@ -113,10 +116,7 @@ def _draw(pool: Sequence[Sample], n: int, rng: np.random.Generator) -> list[Samp
 
 
 def draw_covered_subsample(
-    pool: Sequence[Sample],
-    n: int,
-    rng: np.random.Generator,
-    attempts: int = 50,
+    pool: Sequence[Sample], n: int, rng: np.random.Generator
 ) -> list[Sample]:
     """Random subsample re-drawn until every class in the pool is represented.
 
@@ -126,7 +126,7 @@ def draw_covered_subsample(
     """
     classes = {s.class_label for s in pool}
     picked = _draw(pool, n, rng)
-    for _ in range(attempts):
+    for _ in range(COVERAGE_ATTEMPTS):
         if {s.class_label for s in picked} == classes:
             return picked
         picked = _draw(pool, n, rng)
@@ -159,9 +159,7 @@ def _balanced_take(
 @dataclass
 class ProfileOutcome:
     records: list[ProfileRecord]
-    reference_conf: Conf
     space_size: int
-    sampled_confs: list[Conf]
     # simulated compute units (sample-epochs) spent per phase
     warmup_units: int = 0
     evaluation_units: int = 0
@@ -214,11 +212,11 @@ def evaluate_conf(
     if sb_inuse > 0:
         sb_view = list(task_samples[:sb_inuse])
         n_sb = max(1, round(cfg.subsample * sb_inuse))
-        data.extend(draw_covered_subsample(sb_view, n_sb, rng, cfg.coverage_attempts))
+        data.extend(draw_covered_subsample(sb_view, n_sb, rng))
     if em_inuse > 0:
         em_view = _balanced_take(em_pool_by_class, em_inuse, rng)
         n_em = max(1, round(cfg.subsample * em_inuse))
-        data.extend(draw_covered_subsample(em_view, n_em, rng, cfg.coverage_attempts))
+        data.extend(draw_covered_subsample(em_view, n_em, rng))
     if not data:
         raise ValueError(f"conf {conf} yields no profiling data")
 
@@ -308,9 +306,7 @@ def profile_task(
 
     return ProfileOutcome(
         records=records,
-        reference_conf=reference,
         space_size=len(space),
-        sampled_confs=confs,
         warmup_units=warmup_units,
         evaluation_units=eval_units,
     )

@@ -42,7 +42,6 @@ from .memory import (
     EpisodicMemory,
     StorageArchive,
     StreamBuffer,
-    buffer_stream,
     compose_epoch_batches,
     flush,
 )
@@ -80,10 +79,8 @@ class RunConfig:
     completion_window_epochs: int = 5
     # (effective_global_epoch, new_budget_samples) records, the control channel
     budget_schedule: tuple[tuple[int, int], ...] = ()
-    archive_capacity_samples: int | None = None
     seed: int = 0
     domain_incremental: bool = False
-    validate: bool = True
 
 
 @dataclass
@@ -158,7 +155,7 @@ class Runtime:
         self._learner_seed = learner_seed
 
         self.ledger = EnergyLedger()
-        self.archive = StorageArchive(config.archive_capacity_samples)
+        self.archive = StorageArchive()
         self.sb = StreamBuffer(0)
         self.em = EpisodicMemory(0)
         self.channel = IoChannel(
@@ -223,7 +220,6 @@ class Runtime:
         em_pool = {
             c: list(self.archive.class_samples(c)) for c in self.archive.classes()
         }
-        reference = self._chosen if self._chosen is not None else None
         outcome = profile_task(
             live_state=self.state,
             task_samples=task.samples,
@@ -231,7 +227,7 @@ class Runtime:
             probe_samples=probe_union,
             budget_samples=self.budget.max_samples,
             step=cfg.step,
-            reference_target=reference,
+            reference_target=self._chosen,
             cfg=cfg.profiler,
             cost=cfg.cost,
             full_epochs=cfg.epochs_per_task,
@@ -275,7 +271,7 @@ class Runtime:
             self._schedule_pos += 1
             if new_budget != self.budget.max_samples:
                 changed = (self.budget.max_samples, new_budget)
-                self.budget.update(new_budget, self._global_epoch)
+                self.budget.max_samples = new_budget
         return changed
 
     def probe(self, task: Task, epoch: int) -> list[tuple]:
@@ -360,10 +356,9 @@ class Runtime:
         n_tasks: int | None = None,
     ) -> RunReport:
         cfg = self.config
-        if cfg.validate:
-            report = validate_stream(tasks, cfg.domain_incremental)
-            if not report.ok:
-                raise ValueError(f"invalid stream: {report.issues[:3]}")
+        report = validate_stream(tasks, cfg.domain_incremental)
+        if not report.ok:
+            raise ValueError(f"invalid stream: {report.issues[:3]}")
         n_tasks = n_tasks or len(tasks)
         dim = len(tasks[0].samples[0].features)
         self.state = init_learner(dim, cfg.hidden_width, self._learner_seed)
@@ -382,7 +377,7 @@ class Runtime:
                     task, task_index, n_tasks, probe_union, len(classes_seen)
                 )
                 self._apply_conf(conf)
-                buffer_stream(task, self.sb, self.archive)
+                self.sb.fill(task.samples)
                 self.engine.reset_history()
                 self._empty_epochs = 0
                 self._epochs_since_firing = 0
@@ -392,7 +387,7 @@ class Runtime:
                 abort_reason = str(exc)
 
             self.engine.drop_pending(self.ledger.wall_time_seconds)
-            flush(task, self.sb, self.em, self.archive, self._em_rng)
+            flush(self.sb, self.em, self.archive, self._em_rng)
 
             row = {}
             if self.state.class_order:
@@ -440,7 +435,7 @@ class Runtime:
         cfg = self.config
         for epoch in range(1, cfg.epochs_per_task + 1):
             self._global_epoch += 1
-            batches, _ = compose_epoch_batches(
+            batches = compose_epoch_batches(
                 self.sb, self.em, cfg.batch_size, self._batch_rng
             )
             n_inuse = len(self.sb) + self.em.total

@@ -34,17 +34,6 @@ class Transfer:
     completes_at: float
 
 
-@dataclass(frozen=True)
-class SwapRequest:
-    slot_ids: tuple[int, ...]
-    class_ids: tuple[int, ...]
-    issue_time: float
-
-    def __post_init__(self):
-        if len(set(self.slot_ids)) != len(self.slot_ids):
-            raise ValueError("a slot may be referenced at most once per request")
-
-
 class IoChannel:
     """Single-server FIFO channel with optional stepwise external load.
 
@@ -139,8 +128,6 @@ class EpochSwapStats:
     applied: int = 0
     # delivered by the channel but not applicable (slot gone, class exhausted)
     dropped_delivered: int = 0
-    # cancelled while still queued (task boundary)
-    dropped_cancelled: int = 0
 
     @property
     def settled(self) -> int:
@@ -170,10 +157,11 @@ class SwapEngine:
         percent: float,
         now: float,
         rng: np.random.Generator,
-    ) -> SwapRequest | None:
-        """Pick ceil(percent * |drawn|) drawn slots uniformly and enqueue them."""
+    ) -> int:
+        """Pick ceil(percent * |drawn|) distinct drawn slots uniformly and
+        enqueue them; returns how many were enqueued."""
         if not drawn or percent <= 0.0:
-            return None
+            return 0
         if percent > 1.0:
             raise ValueError("percent must be in (0, 1]")
         n = math.ceil(percent * len(drawn))
@@ -183,11 +171,7 @@ class SwapEngine:
             self.channel.submit(s.id, s.class_label, SWAP_BYTES_FACTOR * s.size_bytes, now)
         self.issued_total += n
         self._epoch.issued += n
-        return SwapRequest(
-            slot_ids=tuple(s.id for s in picked),
-            class_ids=tuple(s.class_label for s in picked),
-            issue_time=now,
-        )
+        return n
 
     def apply_completions(
         self, em: EpisodicMemory, now: float, rng: np.random.Generator
@@ -224,7 +208,6 @@ class SwapEngine:
         reorganization makes them stale)."""
         n = self.channel.clear_pending(now)
         self.dropped_total += n
-        self._epoch.dropped_cancelled += n
         return n
 
     def end_epoch(self) -> EpochSwapStats:

@@ -29,7 +29,6 @@ from hiercl.memory import (
     EpisodicMemory,
     StorageArchive,
     StreamBuffer,
-    buffer_stream,
     flush,
 )
 from hiercl.profiler import ProfilerConfig, build_search_space, profile_task
@@ -158,8 +157,8 @@ def test_criterion_5_class_balance_property():
                         samples.append(make_sample(sid, c))
                         sid += 1
                 task = Task.from_samples(task_id, samples)
-                buffer_stream(task, sb, archive)
-                flush(task, sb, em, archive, rng)
+                sb.fill(task.samples)
+                flush(sb, em, archive, rng)
             else:
                 em.resize(int(rng.integers(0, 30)) * 10, archive, rng)
             ops += 1

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -168,3 +169,60 @@ def test_config_non_numeric_value_names_the_key(tmp_path):
         assert isinstance(result.exception, SystemExit)
         assert "run.io_bandwidth_bytes_per_s" in result.output
         assert "Traceback" not in result.output
+
+
+def test_domain_incremental_config_runs_and_sweeps(tmp_path):
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["stream"].update(domain_incremental=True, drift=0.2)
+    path = tmp_path / "di.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    for command in (["run", "--strategy", "static"],
+                    ["sweep", "--strategies", "static", "--budgets", "500", "--seeds", "0"]):
+        result = CliRunner().invoke(
+            main, [*command, "--config", str(path), "--outdir", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 0, result.output
+
+    cfg["run"]["domain_incremental"] = True
+    path.write_text(yaml.safe_dump(cfg))
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code != 0
+    assert "run.domain_incremental" in result.output
+
+
+def test_run_exits_nonzero_when_learner_diverges(tmp_path):
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["run"]["learning_rate"] = 1.0e6
+    path = tmp_path / "diverge.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(path), "--strategy", "static",
+               "--outdir", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1
+    assert "learner diverged: " in result.output
+    assert "Traceback" not in result.output
+    summary = json.loads((tmp_path / "out" / "static_summary.json").read_text())
+    assert summary["aborted"] is True
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("stream", "n_taks", 3),
+        ("run", "budget_samles", 800),
+        ("run", "archive_capacity_samples", 1000),
+        ("run", "validate", False),
+        ("cost", "gpu_watts", 7.0),
+    ],
+)
+def test_config_unknown_key_names_the_key(tmp_path, section, key, value):
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg[section][key] = value
+    path = tmp_path / "typo.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    result = CliRunner().invoke(main, ["run", "--config", str(path), "--outdir", str(tmp_path)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    assert f"config {section}.{key}: unknown key" in result.output
+    assert "Traceback" not in result.output

@@ -3,17 +3,14 @@ import collections
 import numpy as np
 import pytest
 
-from hiercl.domain import Sample, Task
+from hiercl.domain import Task
 from hiercl.memory import (
     EpisodicMemory,
     StorageArchive,
     StreamBuffer,
-    buffer_stream,
     class_quotas,
     compose_epoch_batches,
     flush,
-    load_archive,
-    save_archive,
 )
 from conftest import make_sample, make_task
 
@@ -40,13 +37,13 @@ class TestStreamBuffer:
     def test_exact_fit(self):
         sb = StreamBuffer(5000)
         task = make_task(1, range(10), per_class=500)
-        buffer_stream(task, sb, StorageArchive())
+        sb.fill(task.samples)
         assert len(sb) == 5000 and len(sb.overflow) == 0
 
     def test_overflow_routed_past_buffer(self):
         sb = StreamBuffer(1000)
         task = make_task(1, range(10), per_class=500)
-        buffer_stream(task, sb, StorageArchive())
+        sb.fill(task.samples)
         assert len(sb) == 1000
         assert len(sb.overflow) == 4000
         assert sb.all_task_samples() == list(task.samples)
@@ -54,7 +51,7 @@ class TestStreamBuffer:
     def test_underfill(self):
         sb = StreamBuffer(1000)
         task = make_task(1, [0], per_class=100)
-        buffer_stream(task, sb, StorageArchive())
+        sb.fill(task.samples)
         assert len(sb) == 100 and len(sb.overflow) == 0
 
     def test_must_be_empty_at_task_start(self):
@@ -81,13 +78,13 @@ class TestFlush:
         rng = np.random.default_rng(0)
         sb.resize(10_000)
         t1 = make_task(1, range(10), per_class=20, start_id=0)
-        buffer_stream(t1, sb, archive)
-        flush(t1, sb, em, archive, rng)
+        sb.fill(t1.samples)
+        flush(sb, em, archive, rng)
         assert em.counts() == {c: 10 for c in range(10)}
 
         t2 = make_task(2, range(10, 20), per_class=20, start_id=10_000)
-        buffer_stream(t2, sb, archive)
-        flush(t2, sb, em, archive, rng)
+        sb.fill(t2.samples)
+        flush(sb, em, archive, rng)
         assert em.counts() == {c: 5 for c in range(20)}
 
     def test_uneven_quota_spread_at_most_one(self):
@@ -96,8 +93,8 @@ class TestFlush:
         sb.resize(10_000)
         for t in range(1, 4):
             task = make_task(t, range((t - 1) * 10, t * 10), per_class=20, start_id=t * 10_000)
-            buffer_stream(task, sb, archive)
-            flush(task, sb, em, archive, rng)
+            sb.fill(task.samples)
+            flush(sb, em, archive, rng)
         counts = em.counts()
         assert len(counts) == 30
         # brute count: every class holds 3 or 4 and the tens place is exact
@@ -109,8 +106,8 @@ class TestFlush:
         rng = np.random.default_rng(2)
         sb.resize(100)
         task = make_task(1, range(5), per_class=10)
-        buffer_stream(task, sb, archive)
-        flush(task, sb, em, archive, rng)
+        sb.fill(task.samples)
+        flush(sb, em, archive, rng)
         assert em.total == 0
         assert archive.total == 50
 
@@ -119,9 +116,9 @@ class TestFlush:
         rng = np.random.default_rng(3)
         sb.resize(10)
         task = make_task(1, range(5), per_class=10)
-        buffer_stream(task, sb, archive)
+        sb.fill(task.samples)
         assert len(sb.overflow) == 40
-        flush(task, sb, em, archive, rng)
+        flush(sb, em, archive, rng)
         assert archive.total == 50
         assert len(sb) == 0 and len(sb.overflow) == 0
 
@@ -130,12 +127,12 @@ class TestFlush:
         rng = np.random.default_rng(4)
         sb.resize(1000)
         t1 = make_task(1, range(3), per_class=5, start_id=0)
-        buffer_stream(t1, sb, archive)
-        flush(t1, sb, em, archive, rng)
+        sb.fill(t1.samples)
+        flush(sb, em, archive, rng)
         ids_after_t1 = {s.id for c in archive.classes() for s in archive.class_samples(c)}
         t2 = make_task(2, range(3, 6), per_class=5, start_id=100)
-        buffer_stream(t2, sb, archive)
-        flush(t2, sb, em, archive, rng)
+        sb.fill(t2.samples)
+        flush(sb, em, archive, rng)
         ids_after_t2 = {s.id for c in archive.classes() for s in archive.class_samples(c)}
         assert ids_after_t1 <= ids_after_t2
 
@@ -224,66 +221,33 @@ class TestComposeBatches:
 
     def test_even_split(self):
         sb, em, rng = self._filled(10, 10, 4)
-        batches, drawn = compose_epoch_batches(sb, em, 4, rng)
+        batches = compose_epoch_batches(sb, em, 4, rng)
         assert [len(b) for b in batches] == [4, 4, 4, 4, 4]
-        assert len(drawn) == 10
 
     def test_ragged_tail_from_em_only(self):
         sb, em, rng = self._filled(0, 8, 3)
-        batches, drawn = compose_epoch_batches(sb, em, 3, rng)
+        batches = compose_epoch_batches(sb, em, 3, rng)
         assert [len(b) for b in batches] == [3, 3, 2]
         assert all(s.class_label == 1 for b in batches for s in b)
 
     def test_fixed_seed_reproduces_batches(self):
         sb1, em1, _ = self._filled(10, 10, 4)
         sb2, em2, _ = self._filled(10, 10, 4)
-        b1, _ = compose_epoch_batches(sb1, em1, 4, np.random.default_rng(42))
-        b2, _ = compose_epoch_batches(sb2, em2, 4, np.random.default_rng(42))
+        b1 = compose_epoch_batches(sb1, em1, 4, np.random.default_rng(42))
+        b2 = compose_epoch_batches(sb2, em2, 4, np.random.default_rng(42))
         assert [[s.id for s in b] for b in b1] == [[s.id for s in b] for b in b2]
 
     def test_emits_exact_multiset(self):
         sb, em, rng = self._filled(17, 23, 5)
-        batches, drawn = compose_epoch_batches(sb, em, 5, rng)
+        batches = compose_epoch_batches(sb, em, 5, rng)
         emitted = sorted(s.id for b in batches for s in b)
         expected = sorted(s.id for s in list(sb.contents) + em.contents())
         assert emitted == expected
-        assert sorted(s.id for s in drawn) == sorted(s.id for s in em.contents())
 
     def test_empty_union_rejected(self):
         sb, em, rng = self._filled(0, 0, 4)
         with pytest.raises(ValueError):
             compose_epoch_batches(sb, em, 4, rng)
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        archive = StorageArchive()
-        rng = np.random.default_rng(0)
-        for c in range(3):
-            archive.append([make_sample(c * 10 + i, c, dim=6, size_bytes=24) for i in range(4)])
-        save_archive(archive, tmp_path)
-        loaded = load_archive(tmp_path, size_bytes=24)
-        assert loaded.classes() == archive.classes()
-        for c in archive.classes():
-            orig = archive.class_samples(c)
-            back = loaded.class_samples(c)
-            assert [s.id for s in back] == [s.id for s in orig]
-            assert [s.class_label for s in back] == [s.class_label for s in orig]
-            for a, b in zip(orig, back):
-                np.testing.assert_array_equal(
-                    np.asarray(a.features, np.float32), b.features
-                )
-
-    def test_record_framing_is_little_endian(self, tmp_path):
-        archive = StorageArchive()
-        feats = np.array([1.5, -2.0], dtype=np.float32)
-        archive.append([Sample(id=7, class_label=3, features=feats, size_bytes=8)])
-        (path,) = save_archive(archive, tmp_path)
-        raw = path.read_bytes()
-        assert raw[:8] == (7).to_bytes(8, "little")
-        assert raw[8:12] == (3).to_bytes(4, "little")
-        assert raw[12:16] == (2).to_bytes(4, "little")
-        assert raw[16:24] == feats.astype("<f4").tobytes()
 
 
 def test_randomized_balance_survives_operations():
@@ -303,8 +267,8 @@ def test_randomized_balance_survives_operations():
                 samples.append(make_sample(sid, c))
                 sid += 1
         task = Task.from_samples(t, samples)
-        buffer_stream(task, sb, archive)
-        flush(task, sb, em, archive, rng)
+        sb.fill(task.samples)
+        flush(sb, em, archive, rng)
         assert em.spread_ok(archive)
         if t % 3 == 0:
             em.resize(int(rng.integers(0, 40)) * 10, archive, rng)

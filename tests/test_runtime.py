@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from hiercl.domain import Conf
-from hiercl.harness import StaticConfPolicy, StreamSpec, generate_stream
+from hiercl.harness import StaticConfPolicy, StreamSpec, generate_stream, make_policy
 from hiercl.learner import CostModel
 from hiercl.profiler import ProfilerConfig
 from hiercl.runtime import RunConfig, Runtime, run_stream
@@ -302,8 +304,48 @@ class TestAbort:
         from hiercl.domain import Task
 
         tasks = [Task.from_samples(1, dup + [clash]), stream.tasks[1]]
-        cfg = tiny_config(learning_rate=1e30, validate=False)
+        cfg = tiny_config(learning_rate=1e30)
         report = run_stream(tasks, stream.probe_sets, cfg)
         assert report.aborted
         assert report.abort_reason
         assert len(report.accuracy_matrix) <= 1
+
+
+class TestMemorySwapPath:
+    def test_congested_edge_stream_pinned(self):
+        """Three tasks of 3 KiB samples under a mid-run external I/O load.
+        The swap totals, I/O joules, device time, controller moves and the
+        final EM are pinned exactly, so a refactor of the memory or swap
+        layers that moves any of them fails here. None of them depends on
+        the learner."""
+        stream = generate_stream(
+            StreamSpec(
+                n_tasks=3,
+                classes_per_task=10,
+                samples_per_class=200,
+                feature_dim=32,
+                separation=0.8,
+                size_bytes=3072,
+                seed=0,
+            )
+        )
+        cfg = RunConfig(
+            hidden_width=16,
+            learning_rate=0.05,
+            budget_samples=5000,
+            io_bandwidth_bytes_per_s=1.0e8,
+            external_io_load=((60.0, 9.6e7), (140.0, 0.0)),
+            cost=CostModel(seconds_per_sample_step=4.6e-4),
+        )
+        runtime = Runtime(cfg, make_policy("static", stream, cfg))
+        report = runtime.run(stream.tasks, stream.probe_sets)
+        assert report.swap_totals == {
+            "issued": 55000, "applied": 15000, "dropped": 40000, "pending": 0
+        }
+        assert report.ledger.io == 1.8001920000102696
+        assert report.ledger.wall_time_seconds == 96.59999999999994
+        assert len(report.controller_decisions) == 9
+        em_ids = ",".join(str(s.id) for s in runtime.em.contents())
+        assert hashlib.sha256(em_ids.encode()).hexdigest() == (
+            "004abb3fdbec7c512627669f4f0a6f3d46983646bd3b60837aa14d0e972bede9"
+        )

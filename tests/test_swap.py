@@ -6,7 +6,6 @@ from hiercl.memory import EpisodicMemory, StorageArchive
 from hiercl.swap import (
     IoChannel,
     SwapEngine,
-    SwapRequest,
     required_bandwidth_bytes_per_s,
 )
 from conftest import make_sample
@@ -29,31 +28,30 @@ class TestIssue:
     def test_full_percent_covers_all_drawn(self):
         engine, em, rng = setup_engine()
         drawn = em.contents()[:100]
-        req = engine.issue(drawn, 1.0, now=0.0, rng=rng)
-        assert len(req.slot_ids) == len(drawn)
+        assert engine.issue(drawn, 1.0, now=0.0, rng=rng) == len(drawn)
 
     def test_quarter_percent(self):
         engine, em, rng = setup_engine(per_class=100, em_capacity=100)
         drawn = em.contents()
         assert len(drawn) == 100
-        req = engine.issue(drawn, 0.25, now=0.0, rng=rng)
-        assert len(req.slot_ids) == 25
+        assert engine.issue(drawn, 0.25, now=0.0, rng=rng) == 25
 
     def test_ceiling_rule(self):
         # ceil(0.5 * 3) = 2, checked by enumeration of the tiny case
         engine, em, rng = setup_engine()
         drawn = em.contents()[:3]
-        req = engine.issue(drawn, 0.5, now=0.0, rng=rng)
-        assert len(req.slot_ids) == 2
+        assert engine.issue(drawn, 0.5, now=0.0, rng=rng) == 2
 
     def test_empty_drawn_is_noop(self):
         engine, _, rng = setup_engine()
-        assert engine.issue([], 0.5, now=0.0, rng=rng) is None
+        assert engine.issue([], 0.5, now=0.0, rng=rng) == 0
         assert engine.issued_total == 0
 
     def test_request_slots_unique(self):
-        with pytest.raises(ValueError):
-            SwapRequest(slot_ids=(1, 1), class_ids=(0, 0), issue_time=0.0)
+        engine, em, rng = setup_engine()
+        engine.issue(em.contents(), 0.5, now=0.0, rng=rng)
+        slot_ids = [tr.sample_id for tr in engine.channel._queue]
+        assert len(slot_ids) == len(set(slot_ids)) == 20
 
     def test_transfer_bytes_double_sample_size(self):
         engine, em, rng = setup_engine()
