@@ -4,6 +4,7 @@ sections; flags override file values."""
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import typing
 from pathlib import Path
@@ -26,6 +27,12 @@ from .runtime import RunConfig, run_stream
 
 
 _SECTIONS = {"stream": StreamSpec, "run": RunConfig, "cost": CostModel}
+
+# keys another section sets, so each setting has one source
+_SET_ELSEWHERE = {
+    "run.cost": "set the cost section",
+    "run.domain_incremental": "set stream.domain_incremental",
+}
 
 
 def _numeric_kind(hint) -> type | None:
@@ -55,20 +62,70 @@ def _read_number(kind: type, value, where: str):
     raise click.ClickException(f"config {where}: expected {kind.__name__}, got {value!r}")
 
 
+def _build(where: str, cls, fields: dict):
+    """The section's dataclass; a value its own checks reject is a config error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise click.ClickException(f"config {where}: {exc}") from None
+
+
 def _read_section(name: str, section, cls) -> dict:
     if not isinstance(section, dict):
         raise click.ClickException(f"config section '{name}' must hold a mapping")
     hints = typing.get_type_hints(cls)
     out = {}
     for key, value in section.items():
+        where = f"{name}.{key}"
         if key not in hints:
-            raise click.ClickException(f"config {name}.{key}: unknown key")
+            raise click.ClickException(f"config {where}: unknown key")
+        if where in _SET_ELSEWHERE:
+            raise click.ClickException(f"config {where}: {_SET_ELSEWHERE[where]}")
         hint = hints[key]
         kind = _numeric_kind(hint)
-        if kind is not None and not (value is None and type(None) in typing.get_args(hint)):
-            value = _read_number(kind, value, f"{name}.{key}")
+        if dataclasses.is_dataclass(hint):
+            value = _build(where, hint, _read_section(where, value or {}, hint))
+        elif kind is not None and not (value is None and type(None) in typing.get_args(hint)):
+            value = _read_number(kind, value, where)
         out[key] = value
     return out
+
+
+def _read_pairs(value, where: str, kind: type) -> list[tuple]:
+    if not isinstance(value, list):
+        raise click.ClickException(f"config {where}: expected a list of pairs, got {value!r}")
+    pairs = []
+    for i, entry in enumerate(value):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise click.ClickException(f"config {where}[{i}]: expected a pair, got {entry!r}")
+        pairs.append(tuple(_read_number(kind, v, f"{where}[{i}]") for v in entry))
+    return pairs
+
+
+def _read_external_load(value) -> tuple[tuple[float, float], ...]:
+    """`[[time_seconds, bytes_per_second], ...]`, both non-negative."""
+    where = "run.external_io_load"
+    steps = _read_pairs(value, where, float)
+    for i, (t, load) in enumerate(steps):
+        if not (t >= 0 and load >= 0):
+            raise click.ClickException(
+                f"config {where}[{i}]: time and load must be >= 0, got [{t}, {load}]"
+            )
+    return tuple(steps)
+
+
+def _read_budget_schedule(value, step: int) -> tuple[tuple[int, int], ...]:
+    """`[[global_epoch, budget_samples], ...]`: integer epochs >= 0, and
+    integer budgets that hold at least one grid step."""
+    where = "run.budget_schedule"
+    records = _read_pairs(value, where, int)
+    for i, (epoch, budget) in enumerate(records):
+        if not (isinstance(epoch, int) and isinstance(budget, int)) or epoch < 0 or budget < step:
+            raise click.ClickException(
+                f"config {where}[{i}]: expected an integer epoch >= 0 and an integer "
+                f"budget >= run.step ({step}), got [{epoch!r}, {budget!r}]"
+            )
+    return tuple(records)
 
 
 def _load_config(path: str | None) -> dict:
@@ -83,6 +140,13 @@ def _load_config(path: str | None) -> dict:
     for name, cls in _SECTIONS.items():
         if name in data:
             data[name] = _read_section(name, data[name] or {}, cls)
+    run = data.get("run", {})
+    if "external_io_load" in run:
+        run["external_io_load"] = _read_external_load(run["external_io_load"])
+    if "budget_schedule" in run:
+        run["budget_schedule"] = _read_budget_schedule(
+            run["budget_schedule"], run.get("step", RunConfig.step)
+        )
     return data
 
 
@@ -103,21 +167,19 @@ def _load_congestion_trace(path: str | None) -> tuple[tuple[float, float], ...]:
 def _build_spec(cfg: dict, **overrides) -> StreamSpec:
     merged = dict(cfg.get("stream", {}))
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    return StreamSpec(**merged)
+    return _build("stream", StreamSpec, merged)
 
 
 def _build_run_config(cfg: dict, spec: StreamSpec, **overrides) -> RunConfig:
     """The run section over the defaults; the stream decides whether class
     overlap between tasks is valid."""
     merged = dict(cfg.get("run", {}))
-    if "domain_incremental" in merged:
-        raise click.ClickException("config run.domain_incremental: set stream.domain_incremental")
     merged["domain_incremental"] = spec.domain_incremental
     cost_cfg = cfg.get("cost", {})
     if cost_cfg:
-        merged["cost"] = CostModel(**cost_cfg)
+        merged["cost"] = _build("cost", CostModel, cost_cfg)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig(**merged)
+    return _build("run", RunConfig, merged)
 
 
 @click.group()

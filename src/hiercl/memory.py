@@ -13,11 +13,15 @@ among classes whose archive can actually fill their quota.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
 from .domain import Sample
+
+# draws of the rejection sampler in StorageArchive.random_candidate before it
+# falls back to filtering the pool
+REJECTION_DRAWS = 8
 
 
 def class_quotas(capacity: int, class_ids: Sequence[int]) -> dict[int, int]:
@@ -104,11 +108,11 @@ class StorageArchive:
             added += 1
         return added
 
-    def candidates(self, class_id: int, exclude_ids: set[int]) -> list[Sample]:
+    def candidates(self, class_id: int, exclude_ids: Container[int]) -> list[Sample]:
         return [s for s in self._per_class.get(class_id, ()) if s.id not in exclude_ids]
 
     def random_candidate(
-        self, class_id: int, exclude_ids: set[int], rng: np.random.Generator
+        self, class_id: int, exclude_ids: Container[int], rng: np.random.Generator
     ) -> Sample | None:
         """Uniform draw from the class pool minus ``exclude_ids``.
 
@@ -118,7 +122,7 @@ class StorageArchive:
         pool = self._per_class.get(class_id)
         if not pool:
             return None
-        for _ in range(8):
+        for _ in range(REJECTION_DRAWS):
             s = pool[int(rng.integers(len(pool)))]
             if s.id not in exclude_ids:
                 return s
@@ -129,18 +133,23 @@ class StorageArchive:
 
 
 class EpisodicMemory:
-    """Bounded in-memory store of old samples, class-balanced by quota."""
+    """Bounded in-memory store of old samples, class-balanced by quota.
+
+    ``_slot_of`` maps every held sample id to its position in its class's
+    slot list, so a replacement is an O(1) write; it is the one record of
+    which ids are held.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
         self._slots: dict[int, list[Sample]] = {}
-        self._ids: set[int] = set()
+        self._slot_of: dict[int, int] = {}
 
     @property
     def total(self) -> int:
-        return len(self._ids)
+        return len(self._slot_of)
 
     def classes(self) -> list[int]:
         return sorted(c for c, pool in self._slots.items() if pool)
@@ -148,11 +157,14 @@ class EpisodicMemory:
     def counts(self) -> dict[int, int]:
         return {c: len(pool) for c, pool in sorted(self._slots.items()) if pool}
 
+    def class_count(self, class_id: int) -> int:
+        return len(self._slots.get(class_id, ()))
+
     def ids(self) -> set[int]:
-        return set(self._ids)
+        return set(self._slot_of)
 
     def __contains__(self, sample_id: int) -> bool:
-        return sample_id in self._ids
+        return sample_id in self._slot_of
 
     def contents(self) -> list[Sample]:
         """All held samples, ordered by class id then slot position."""
@@ -163,28 +175,25 @@ class EpisodicMemory:
 
     def replace(self, old_id: int, new_sample: Sample) -> bool:
         """Swap one held sample for a same-class replacement, in place."""
-        if new_sample.id in self._ids:
+        if new_sample.id in self._slot_of:
             return False
         pool = self._slots.get(new_sample.class_label)
-        if not pool:
+        i = self._slot_of.get(old_id)
+        if not pool or i is None or i >= len(pool) or pool[i].id != old_id:
             return False
-        for i, s in enumerate(pool):
-            if s.id == old_id:
-                pool[i] = new_sample
-                self._ids.discard(old_id)
-                self._ids.add(new_sample.id)
-                return True
-        return False
+        pool[i] = new_sample
+        del self._slot_of[old_id]
+        self._slot_of[new_sample.id] = i
+        return True
 
-    def _evict_random(self, class_id: int, n: int, rng: np.random.Generator) -> list[Sample]:
+    def _evict_random(self, class_id: int, n: int, rng: np.random.Generator) -> None:
         pool = self._slots[class_id]
-        take = rng.choice(len(pool), size=n, replace=False)
-        victims = [pool[i] for i in sorted(take, reverse=True)]
-        for i in sorted(take, reverse=True):
-            del pool[i]
-        for v in victims:
-            self._ids.discard(v.id)
-        return victims
+        gone = set(rng.choice(len(pool), size=n, replace=False).tolist())
+        for i in gone:
+            del self._slot_of[pool[i].id]
+        pool[:] = [s for i, s in enumerate(pool) if i not in gone]
+        for i, s in enumerate(pool):
+            self._slot_of[s.id] = i
 
     def rebalance(self, archive: StorageArchive, rng: np.random.Generator) -> None:
         """Re-split capacity across all archive classes and refill to quota.
@@ -202,14 +211,14 @@ class EpisodicMemory:
             if len(pool) > q:
                 self._evict_random(c, len(pool) - q, rng)
             elif len(pool) < q:
-                cands = archive.candidates(c, self._ids)
+                cands = archive.candidates(c, self._slot_of)
                 want = min(q - len(pool), len(cands))
                 if want > 0:
                     take = rng.choice(len(cands), size=want, replace=False)
                     for i in take:
                         s = cands[i]
+                        self._slot_of[s.id] = len(pool)
                         pool.append(s)
-                        self._ids.add(s.id)
 
     def resize(self, new_capacity: int, archive: StorageArchive, rng: np.random.Generator) -> None:
         if new_capacity < 0:

@@ -5,19 +5,26 @@ All latencies derive from bytes / effective bandwidth on a simulated clock;
 training never waits on the channel. Each swapped slot moves twice its
 sample size (replacement read plus write-back accounting), so ratio changes
 translate linearly into channel load.
+
+A swap batch is arithmetic, not one object per transfer: the channel queues
+each batch as arrays of sample ids, class ids and completion times, and
+computes those times in closed form (a running sum of durations per stretch
+of constant external load).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .domain import Sample
-from .memory import EpisodicMemory, StorageArchive
+from .memory import REJECTION_DRAWS, EpisodicMemory, StorageArchive
 
 # Effective bandwidth never drops below this, however large the external load.
 MIN_EFFECTIVE_BANDWIDTH = 1.0  # bytes/s
@@ -25,22 +32,22 @@ MIN_EFFECTIVE_BANDWIDTH = 1.0  # bytes/s
 SWAP_BYTES_FACTOR = 2  # read replacement + write-back per slot
 
 
-@dataclass
-class Transfer:
-    sample_id: int
-    class_id: int
-    nbytes: int
-    issue_time: float
-    completes_at: float
-
-
 class IoChannel:
     """Single-server FIFO channel with optional stepwise external load.
 
-    Completion times are fixed at enqueue using the effective bandwidth at
-    service start; a later load change only affects transfers enqueued after
-    it. Busy intervals are tracked so energy accounting can bill I/O-active
-    seconds per epoch.
+    Completion times are fixed at enqueue: each transfer takes its bytes over
+    the effective bandwidth at its own service start, read from the known
+    load schedule. Busy intervals are tracked so energy accounting can bill
+    I/O-active seconds per epoch.
+
+    The queue is a FIFO of batches, each three parallel arrays (sample ids,
+    class ids, completion times). Transfer k of a batch starts when transfer
+    k-1 completes, so within a stretch of constant external load its
+    completion time is ``start + d_0 + ... + d_k``; ``np.cumsum`` adds left to
+    right, which makes the times bit-identical to serving the transfers one
+    at a time. A stretch ends at the first transfer that starts at or after
+    the next load step, where the bandwidth is read again. Completion times
+    never decrease along the queue, so ``pop_completed`` is a binary search.
     """
 
     def __init__(
@@ -53,8 +60,13 @@ class IoChannel:
         self.bandwidth_bytes_per_s = float(bandwidth_bytes_per_s)
         # (time, bytes_per_s) steps, sorted; load holds from its time onward
         self.external_load = sorted((float(t), float(b)) for t, b in external_load)
+        self._step_times = [t for t, _ in self.external_load]
         self.busy_until = 0.0
-        self._queue: deque[Transfer] = deque()
+        self.pending_count = 0
+        # (sample_ids, class_ids, completes_at) per batch; the head batch is
+        # served from index _head on
+        self._queue: deque[tuple[np.ndarray, np.ndarray, np.ndarray]] = deque()
+        self._head = 0
         self._busy_segments: list[tuple[float, float]] = []
 
     def load_at(self, t: float) -> float:
@@ -69,39 +81,72 @@ class IoChannel:
     def effective_bandwidth(self, t: float) -> float:
         return max(self.bandwidth_bytes_per_s - self.load_at(t), MIN_EFFECTIVE_BANDWIDTH)
 
-    def submit(self, sample_id: int, class_id: int, nbytes: int, now: float) -> Transfer:
-        start = max(now, self.busy_until)
-        duration = nbytes / self.effective_bandwidth(start)
-        tr = Transfer(
-            sample_id=sample_id,
-            class_id=class_id,
-            nbytes=nbytes,
-            issue_time=now,
-            completes_at=start + duration,
-        )
-        self.busy_until = tr.completes_at
-        if self._busy_segments and self._busy_segments[-1][1] >= start:
-            s0, _ = self._busy_segments[-1]
-            self._busy_segments[-1] = (s0, tr.completes_at)
+    def _next_step_after(self, t: float) -> float:
+        i = bisect.bisect_right(self._step_times, t)
+        return self._step_times[i] if i < len(self._step_times) else math.inf
+
+    def submit_batch(
+        self,
+        sample_ids: ArrayLike,
+        class_ids: ArrayLike,
+        nbytes: ArrayLike,
+        now: float,
+    ) -> np.ndarray:
+        """Enqueue transfers in order, served back to back from
+        ``max(now, busy_until)``; ``nbytes`` is one size for all or one per
+        transfer. Returns their completion times."""
+        sample_ids = np.asarray(sample_ids, dtype=np.int64)
+        n = len(sample_ids)
+        sizes = np.broadcast_to(np.asarray(nbytes, dtype=np.float64), (n,))
+        completes_at = np.empty(n)
+        if n == 0:
+            return completes_at
+        first_start = start = max(now, self.busy_until)
+        done = 0
+        while done < n:
+            durations = sizes[done:] / self.effective_bandwidth(start)
+            clock = np.cumsum(np.concatenate(([start], durations)))
+            # transfers starting before the next load step share this bandwidth
+            k = int(np.searchsorted(clock[:-1], self._next_step_after(start)))
+            completes_at[done : done + k] = clock[1 : k + 1]
+            start = float(clock[k])
+            done += k
+        self.busy_until = start
+        if self._busy_segments and self._busy_segments[-1][1] >= first_start:
+            self._busy_segments[-1] = (self._busy_segments[-1][0], start)
         else:
-            self._busy_segments.append((start, tr.completes_at))
-        self._queue.append(tr)
-        return tr
+            self._busy_segments.append((first_start, start))
+        self._queue.append((sample_ids, np.asarray(class_ids, dtype=np.int64), completes_at))
+        self.pending_count += n
+        return completes_at
 
-    def pop_completed(self, now: float) -> list[Transfer]:
-        done = []
-        while self._queue and self._queue[0].completes_at <= now:
-            done.append(self._queue.popleft())
-        return done
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._queue)
+    def pop_completed(self, now: float) -> tuple[np.ndarray, np.ndarray]:
+        """Dequeue the transfers completed by ``now`` (a FIFO prefix); returns
+        their sample ids and class ids."""
+        ids: list[np.ndarray] = []
+        classes: list[np.ndarray] = []
+        while self._queue:
+            batch_ids, batch_classes, completes_at = self._queue[0]
+            end = int(np.searchsorted(completes_at, now, side="right"))
+            if end > self._head:
+                ids.append(batch_ids[self._head : end])
+                classes.append(batch_classes[self._head : end])
+                self.pending_count -= end - self._head
+            if end < len(completes_at):
+                self._head = max(self._head, end)
+                break
+            self._queue.popleft()
+            self._head = 0
+        if not ids:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.concatenate(ids), np.concatenate(classes)
 
     def clear_pending(self, now: float) -> int:
         """Cancel queued transfers; the channel goes idle from ``now`` on."""
-        n = len(self._queue)
+        n = self.pending_count
         self._queue.clear()
+        self._head = 0
+        self.pending_count = 0
         if self.busy_until > now:
             self.busy_until = now
             self._busy_segments = [
@@ -167,8 +212,12 @@ class SwapEngine:
         n = math.ceil(percent * len(drawn))
         picked_idx = rng.choice(len(drawn), size=n, replace=False)
         picked = [drawn[i] for i in sorted(picked_idx)]
-        for s in picked:
-            self.channel.submit(s.id, s.class_label, SWAP_BYTES_FACTOR * s.size_bytes, now)
+        self.channel.submit_batch(
+            np.array([s.id for s in picked], dtype=np.int64),
+            np.array([s.class_label for s in picked], dtype=np.int64),
+            np.array([SWAP_BYTES_FACTOR * s.size_bytes for s in picked], dtype=np.float64),
+            now,
+        )
         self.issued_total += n
         self._epoch.issued += n
         return n
@@ -178,30 +227,57 @@ class SwapEngine:
     ) -> int:
         """Replace each completed slot with a random same-class archive sample
         not currently in EM. Slots that vanished or classes with no fresh
-        candidates are dropped (counted, not fatal)."""
-        applied = 0
+        candidates are dropped (counted, not fatal).
+
+        A class whose whole archive pool is in EM stays that way for the
+        whole call (each replacement is one-for-one within its class), so its
+        transfers are dropped without a search. The generator still advances
+        exactly as the rejection sampler would have for each of them:
+        ``REJECTION_DRAWS`` bounded draws over the pool, consecutive ones
+        pooled into a single vector draw.
+        """
+        applied = dropped = 0
         held = em.ids()  # kept in sync incrementally; copying per slot is O(n^2)
-        for tr in self.channel.pop_completed(now):
-            if tr.sample_id not in held:
-                self._drop_delivered(1)
+        exhausted_pool: dict[int, int] = {}
+        owed_pool, owed = 0, 0  # exhausted transfers whose draws are not yet made
+        sample_ids, class_ids = self.channel.pop_completed(now)
+        for sample_id, class_id in zip(sample_ids.tolist(), class_ids.tolist()):
+            if sample_id not in held:
+                dropped += 1
                 continue
-            pick = self.archive.random_candidate(tr.class_id, held, rng)
-            if pick is None:
-                self._drop_delivered(1)
+            pool = exhausted_pool.get(class_id)
+            if pool is None:
+                pool = exhausted_pool[class_id] = self._exhausted_pool(em, class_id, held)
+            if pool:
+                if pool != owed_pool:
+                    _skip_draws(rng, owed_pool, owed)
+                    owed_pool, owed = pool, 0
+                owed += 1
+                dropped += 1
                 continue
-            if em.replace(tr.sample_id, pick):
-                held.discard(tr.sample_id)
+            if owed:
+                _skip_draws(rng, owed_pool, owed)
+                owed = 0
+            pick = self.archive.random_candidate(class_id, held, rng)
+            if pick is not None and em.replace(sample_id, pick):
+                held.discard(sample_id)
                 held.add(pick.id)
                 applied += 1
             else:
-                self._drop_delivered(1)
+                dropped += 1
+        _skip_draws(rng, owed_pool, owed)
         self.applied_total += applied
         self._epoch.applied += applied
+        self.dropped_total += dropped
+        self._epoch.dropped_delivered += dropped
         return applied
 
-    def _drop_delivered(self, n: int) -> None:
-        self.dropped_total += n
-        self._epoch.dropped_delivered += n
+    def _exhausted_pool(self, em: EpisodicMemory, class_id: int, held: set[int]) -> int:
+        """The size of the class's archive pool if EM holds all of it, else 0."""
+        pool = self.archive.class_count(class_id)
+        if em.class_count(class_id) >= pool and not self.archive.candidates(class_id, held):
+            return pool
+        return 0
 
     def drop_pending(self, now: float) -> int:
         """Discard queued transfers (e.g. at a task boundary, where the EM
@@ -249,6 +325,14 @@ class SwapEngine:
 
     def conserved(self) -> bool:
         return self.issued_total == self.applied_total + self.dropped_total + self.pending_count
+
+
+def _skip_draws(rng: np.random.Generator, pool: int, transfers: int) -> None:
+    """Advance ``rng`` as the rejection sampler does for ``transfers`` misses
+    on a pool of ``pool`` samples (a vector draw consumes the generator like
+    the same count of scalar draws with that bound)."""
+    if transfers:
+        rng.integers(pool, size=REJECTION_DRAWS * transfers)
 
 
 def required_bandwidth_bytes_per_s(

@@ -6,6 +6,8 @@ import yaml
 from click.testing import CliRunner
 
 from hiercl.cli import _load_config, main
+from hiercl.control import ControllerConfig
+from hiercl.profiler import ProfilerConfig
 
 
 MICRO = [
@@ -226,3 +228,84 @@ def test_config_unknown_key_names_the_key(tmp_path, section, key, value):
     assert isinstance(result.exception, SystemExit)
     assert f"config {section}.{key}: unknown key" in result.output
     assert "Traceback" not in result.output
+
+
+def invoke_run(tmp_path, cfg, *args):
+    path = tmp_path / "exp_edit.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(path), "--outdir", str(tmp_path / "out"), *args]
+    )
+    return path, result
+
+
+def assert_config_error(result, message):
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {message}" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_nested_run_sections_are_read_as_their_dataclasses(tmp_path):
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["run"]["profiler"] = {"conf_sample_size": 3, "warmup_epochs": "2"}
+    cfg["run"]["controller"] = {"decrease_factor": 0.25}
+    path, result = invoke_run(tmp_path, cfg, "--strategy", "adaptive")
+    assert result.exit_code == 0, result.output
+    run = _load_config(str(path))["run"]
+    assert run["profiler"] == ProfilerConfig(conf_sample_size=3, warmup_epochs=2)
+    assert run["controller"] == ControllerConfig(decrease_factor=0.25)
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"controller": {"decrease_factr": 0.5}}, "controller.decrease_factr: unknown key"),
+        ({"profiler": {"subsample": "most"}}, "profiler.subsample: expected float, got 'most'"),
+        ({"profiler": {"subsample": 2.0}}, "profiler: subsample must be a fraction in (0, 1]"),
+        ({"cost": {"static_watts": 2.5}}, "cost: set the cost section"),
+    ],
+)
+def test_nested_run_section_errors_name_the_key(tmp_path, section, message):
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["run"].update(section)
+    assert_config_error(invoke_run(tmp_path, cfg)[1], f"config run.{message}")
+
+
+def test_value_a_section_rejects_exits_with_one_line(tmp_path):
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["cost"]["gpu_dynamic_watts"] = 0.01
+    _, result = invoke_run(tmp_path, cfg, "--strategy", "static")
+    assert_config_error(result, "config cost: gpu_dynamic_watts must be the largest dynamic term")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("external_io_load", [[1.0, "fast"]], "[0]: expected float, got 'fast'"),
+        ("external_io_load", [[0.0, 1.0], [-1.0, 5.0]], "[1]: time and load must be >= 0"),
+        ("external_io_load", [[1.0, -5.0]], "[0]: time and load must be >= 0"),
+        ("external_io_load", [[1.0]], "[0]: expected a pair"),
+        ("external_io_load", 5.0, ": expected a list of pairs"),
+        ("budget_schedule", [[3, -5]], "[0]: expected an integer epoch >= 0"),
+        ("budget_schedule", [[1.5, 400]], "[0]: expected an integer epoch >= 0"),
+        ("budget_schedule", [[-1, 400]], "[0]: expected an integer epoch >= 0"),
+        ("budget_schedule", [[2, 400], [4, 50]],
+         "[1]: expected an integer epoch >= 0 and an integer budget >= run.step (100), got [4, 50]"),
+        ("budget_schedule", [[2, "big"]], "[0]: expected int, got 'big'"),
+    ],
+)
+def test_bad_load_or_schedule_entry_names_it(tmp_path, key, value, message):
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["run"][key] = value
+    assert_config_error(invoke_run(tmp_path, cfg)[1], f"config run.{key}{message}")
+
+
+def test_load_and_schedule_are_read_as_number_pairs(tmp_path):
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["run"].update(external_io_load=[[0.5, "1.0e3"]], budget_schedule=[[2, "4.0e2"]])
+    path, result = invoke_run(tmp_path, cfg, "--strategy", "static")
+    assert result.exit_code == 0, result.output
+    run = _load_config(str(path))["run"]
+    assert run["external_io_load"] == ((0.5, 1000.0),)
+    assert run["budget_schedule"] == ((2, 400),)

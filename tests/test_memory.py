@@ -2,6 +2,7 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hiercl.domain import Task
 from hiercl.memory import (
@@ -276,3 +277,53 @@ def test_randomized_balance_survives_operations():
         ids = [s.id for s in em.contents()]
         assert len(ids) == len(set(ids))
         assert em.total <= em.capacity
+
+
+def assert_slot_map_exact(em: EpisodicMemory) -> None:
+    """The id->slot map names every held sample at its position, and nothing else."""
+    held = {s.id: i for pool in em._slots.values() for i, s in enumerate(pool)}
+    assert em._slot_of == held
+    assert em.total == len(held) == len(em.contents())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("task"), st.integers(1, 30)),
+            st.tuples(st.just("resize"), st.integers(0, 120)),
+            st.tuples(st.just("rebalance"), st.just(0)),
+            st.tuples(st.just("replace"), st.integers(0, 10**6)),
+        ),
+        max_size=30,
+    ),
+)
+def test_slot_map_tracks_churn(seed, ops):
+    rng = np.random.default_rng(seed)
+    archive = StorageArchive()
+    em = EpisodicMemory(40)
+    sid, next_class = 0, 0
+    for op, arg in ops:
+        if op == "task":
+            labels = [c for c in (next_class, next_class + 1) for _ in range(arg)]
+            archive.append([make_sample(sid + k, c) for k, c in enumerate(labels)])
+            sid += len(labels)
+            next_class += 2
+            em.rebalance(archive, rng)
+        elif op == "resize":
+            em.resize(arg, archive, rng)
+        elif op == "rebalance":
+            em.rebalance(archive, rng)
+        elif em.total:
+            victim = em.contents()[arg % em.total]
+            fresh = archive.candidates(victim.class_label, em.ids())
+            others = [s for s in em.contents() if s.class_label != victim.class_label]
+            # refused: a held replacement, or one from another class
+            assert not em.replace(victim.id, em.contents()[(arg + 1) % em.total])
+            if others:
+                assert not em.replace(others[0].id, fresh[0] if fresh else victim)
+            if fresh:
+                assert em.replace(victim.id, fresh[arg % len(fresh)])
+                assert victim.id not in em
+        assert_slot_map_exact(em)

@@ -349,3 +349,37 @@ class TestMemorySwapPath:
         assert hashlib.sha256(em_ids.encode()).hexdigest() == (
             "004abb3fdbec7c512627669f4f0a6f3d46983646bd3b60837aa14d0e972bede9"
         )
+
+    def test_idle_desk_stream_pinned(self):
+        """Three desk tasks with a static SB 1500 / EM 1000 split and full
+        swapping on an idle 100 MB/s channel. EM holds part of each class's
+        archive pool, so every applied swap goes through the rejection
+        sampler. Values recorded before the swap path became batch
+        arithmetic; none of them depends on the learner."""
+        stream = generate_stream(
+            StreamSpec(
+                n_tasks=3,
+                classes_per_task=10,
+                samples_per_class=200,
+                feature_dim=32,
+                separation=0.8,
+                seed=0,
+            )
+        )
+        cfg = RunConfig(
+            hidden_width=16,
+            budget_samples=2500,
+            io_bandwidth_bytes_per_s=1.0e8,
+            cost=CostModel(seconds_per_sample_step=1.0e-4),
+        )
+        runtime = Runtime(cfg, make_policy("static", stream, cfg))
+        report = runtime.run(stream.tasks, stream.probe_sets)
+        assert report.chosen_confs[0][1] == Conf(sb_size=1500, em_size=1000)
+        assert report.swap_totals == {
+            "issued": 40000, "applied": 38000, "dropped": 2000, "pending": 0
+        }
+        assert report.ledger.io == 0.00972800000149654
+        em_ids = ",".join(str(s.id) for s in runtime.em.contents())
+        assert hashlib.sha256(em_ids.encode()).hexdigest() == (
+            "846a0e727a34bd92fb0688a0b4b0ae18bcc1472262391b6549eb7824980f5f11"
+        )

@@ -1,5 +1,9 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hiercl.learner import CostModel
 from hiercl.memory import EpisodicMemory, StorageArchive
@@ -50,14 +54,14 @@ class TestIssue:
     def test_request_slots_unique(self):
         engine, em, rng = setup_engine()
         engine.issue(em.contents(), 0.5, now=0.0, rng=rng)
-        slot_ids = [tr.sample_id for tr in engine.channel._queue]
-        assert len(slot_ids) == len(set(slot_ids)) == 20
+        slot_ids, _ = engine.channel.pop_completed(math.inf)
+        assert len(slot_ids) == len(set(slot_ids.tolist())) == 20
 
     def test_transfer_bytes_double_sample_size(self):
         engine, em, rng = setup_engine()
         engine.issue(em.contents()[:1], 1.0, now=0.0, rng=rng)
-        tr = engine.channel._queue[0]
-        assert tr.nbytes == 2 * 64
+        # the one transfer's service time is its byte count over the bandwidth
+        assert engine.channel.busy_until == 2 * 64 / engine.channel.bandwidth_bytes_per_s
 
 
 class TestApply:
@@ -154,18 +158,17 @@ class TestConservation:
 class TestChannel:
     def test_fifo_single_server_timing(self):
         ch = IoChannel(bandwidth_bytes_per_s=100.0)
-        a = ch.submit(1, 0, 50, now=0.0)
-        b = ch.submit(2, 0, 50, now=0.0)
-        assert a.completes_at == pytest.approx(0.5)
-        assert b.completes_at == pytest.approx(1.0)
-        assert [t.sample_id for t in ch.pop_completed(0.6)] == [1]
+        a, b = ch.submit_batch([1, 2], [0, 0], 50, now=0.0)
+        assert a == pytest.approx(0.5)
+        assert b == pytest.approx(1.0)
+        assert ch.pop_completed(0.6)[0].tolist() == [1]
 
     def test_external_load_squeezes_bandwidth(self):
         ch = IoChannel(100.0, external_load=[(10.0, 90.0)])
-        early = ch.submit(1, 0, 100, now=0.0)
-        assert early.completes_at == pytest.approx(1.0)
-        late = ch.submit(2, 0, 100, now=20.0)
-        assert late.completes_at == pytest.approx(30.0)  # 10 B/s effective
+        (early,) = ch.submit_batch([1], [0], 100, now=0.0)
+        assert early == pytest.approx(1.0)
+        (late,) = ch.submit_batch([2], [0], 100, now=20.0)
+        assert late == pytest.approx(30.0)  # 10 B/s effective
 
     def test_effective_bandwidth_floor(self):
         ch = IoChannel(100.0, external_load=[(0.0, 1e9)])
@@ -173,18 +176,136 @@ class TestChannel:
 
     def test_busy_seconds_accounting(self):
         ch = IoChannel(100.0)
-        ch.submit(1, 0, 100, now=0.0)  # busy [0, 1]
+        ch.submit_batch([1], [0], 100, now=0.0)  # busy [0, 1]
         assert ch.busy_seconds(0.0, 2.0) == pytest.approx(1.0)
-        ch.submit(2, 0, 100, now=3.0)  # busy [3, 4]
+        ch.submit_batch([2], [0], 100, now=3.0)  # busy [3, 4]
         assert ch.busy_seconds(2.0, 3.5) == pytest.approx(0.5)
         assert ch.busy_seconds(3.5, 10.0) == pytest.approx(0.5)
 
     def test_clear_pending_truncates_busy_timeline(self):
         ch = IoChannel(1.0)
-        ch.submit(1, 0, 1000, now=0.0)  # would be busy until t=1000
+        ch.submit_batch([1], [0], 1000, now=0.0)  # would be busy until t=1000
         ch.clear_pending(now=2.0)
         assert ch.busy_until == 2.0
         assert ch.busy_seconds(0.0, 10.0) == pytest.approx(2.0)
+
+
+class ReferenceChannel:
+    """The per-transfer channel the batch arithmetic must reproduce: each
+    transfer starts at max(now, busy_until) and takes its bytes over the
+    effective bandwidth read at its start."""
+
+    def __init__(self, channel: IoChannel):
+        self.effective_bandwidth = channel.effective_bandwidth
+        self.busy_until = 0.0
+        self.busy_segments: list[tuple[float, float]] = []
+        self.queue: deque[tuple[int, float]] = deque()
+
+    def submit(self, sample_id: int, nbytes: int, now: float) -> float:
+        start = max(now, self.busy_until)
+        completes_at = start + nbytes / self.effective_bandwidth(start)
+        self.busy_until = completes_at
+        if self.busy_segments and self.busy_segments[-1][1] >= start:
+            self.busy_segments[-1] = (self.busy_segments[-1][0], completes_at)
+        else:
+            self.busy_segments.append((start, completes_at))
+        self.queue.append((sample_id, completes_at))
+        return completes_at
+
+    def pop_completed(self, now: float) -> list[int]:
+        done = []
+        while self.queue and self.queue[0][1] <= now:
+            done.append(self.queue.popleft()[0])
+        return done
+
+
+load_steps = st.lists(
+    st.tuples(
+        st.floats(0.0, 40.0, allow_nan=False), st.floats(0.0, 1500.0, allow_nan=False)
+    ),
+    max_size=4,
+)
+batches = st.lists(
+    st.tuples(
+        st.lists(st.integers(1, 600), max_size=30),  # bytes per transfer
+        st.floats(0.0, 10.0, allow_nan=False),  # gap since the previous batch
+        st.floats(0.0, 12.0, allow_nan=False),  # how far past its issue to pop
+    ),
+    max_size=8,
+)
+
+
+class TestBatchChannel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bandwidth=st.floats(1.0, 1000.0, allow_nan=False),
+        load=load_steps,
+        batches=batches,
+    )
+    def test_batch_matches_per_transfer_reference(self, bandwidth, load, batches):
+        ch = IoChannel(bandwidth, external_load=load)
+        ref = ReferenceChannel(ch)
+        now, sid = 0.0, 0
+        for sizes, gap, pop_after in batches:
+            now += gap
+            ids = list(range(sid, sid + len(sizes)))
+            sid += len(sizes)
+            got = ch.submit_batch(ids, [0] * len(ids), np.array(sizes), now)
+            want = [ref.submit(i, b, now) for i, b in zip(ids, sizes)]
+            assert got.tolist() == want  # bitwise: the same additions in the same order
+            assert ch.busy_until == ref.busy_until
+            assert ch._busy_segments == ref.busy_segments
+            popped, _ = ch.pop_completed(now + pop_after)
+            assert popped.tolist() == ref.pop_completed(now + pop_after)
+            assert ch.pending_count == len(ref.queue)
+
+    @given(
+        sizes=st.lists(st.integers(1, 100), min_size=1, max_size=40),
+        pops=st.lists(st.floats(0.0, 50.0, allow_nan=False), max_size=6),
+    )
+    def test_pop_completed_is_a_fifo_prefix(self, sizes, pops):
+        ch = IoChannel(10.0)
+        completes = []
+        for i, chunk in enumerate((sizes[: len(sizes) // 2], sizes[len(sizes) // 2 :])):
+            ids = [100 * i + k for k in range(len(chunk))]
+            completes += list(zip(ids, ch.submit_batch(ids, ids, np.array(chunk), 0.0).tolist()))
+        served = []
+        for t in sorted(pops):
+            ids, classes = ch.pop_completed(t)
+            assert ids.tolist() == classes.tolist()
+            served += ids.tolist()
+            assert served == [i for i, done in completes if done <= t]
+            assert ch.pending_count == len(completes) - len(served)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("issue"), st.floats(0.01, 1.0)),
+                st.tuples(st.just("apply"), st.floats(0.0, 3.0, allow_nan=False)),
+                st.tuples(st.just("drop"), st.just(0.0)),
+                st.tuples(st.just("resize"), st.integers(0, 60)),
+            ),
+            max_size=25,
+        ),
+        per_class=st.integers(5, 30),
+    )
+    def test_conserved_under_random_operations(self, ops, per_class):
+        engine, em, rng = setup_engine(bandwidth=3000.0, per_class=per_class)
+        now = 0.0
+        for op, arg in ops:
+            if op == "issue":
+                engine.issue(em.contents(), arg, now, rng)
+            elif op == "apply":
+                now += arg
+                engine.apply_completions(em, now, rng)
+            elif op == "drop":
+                engine.drop_pending(now)
+            else:
+                em.resize(arg, engine.archive, rng)
+            assert engine.conserved()
+            ids = [s.id for s in em.contents()]
+            assert len(ids) == len(set(ids))
 
 
 class TestRequiredBandwidth:
