@@ -7,7 +7,6 @@ from .domain import (
     Conf,
     EnergyLedger,
     IoState,
-    MemoryBudget,
     ProfileRecord,
     Sample,
     SwapPlan,

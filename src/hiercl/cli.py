@@ -59,7 +59,7 @@ def _read_number(kind: type, value, where: str):
                 return number
             if number.is_integer():
                 return int(number)
-    raise click.ClickException(f"config {where}: expected {kind.__name__}, got {value!r}")
+    raise click.ClickException(f"{where}: expected {kind.__name__}, got {value!r}")
 
 
 def _build(where: str, cls, fields: dict):
@@ -86,32 +86,36 @@ def _read_section(name: str, section, cls) -> dict:
         if dataclasses.is_dataclass(hint):
             value = _build(where, hint, _read_section(where, value or {}, hint))
         elif kind is not None and not (value is None and type(None) in typing.get_args(hint)):
-            value = _read_number(kind, value, where)
+            value = _read_number(kind, value, f"config {where}")
         out[key] = value
     return out
+
+
+def _read_pair(entry, kind: type, where: str) -> tuple:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise click.ClickException(f"{where}: expected a pair, got {entry!r}")
+    return tuple(_read_number(kind, v, where) for v in entry)
 
 
 def _read_pairs(value, where: str, kind: type) -> list[tuple]:
     if not isinstance(value, list):
         raise click.ClickException(f"config {where}: expected a list of pairs, got {value!r}")
-    pairs = []
-    for i, entry in enumerate(value):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise click.ClickException(f"config {where}[{i}]: expected a pair, got {entry!r}")
-        pairs.append(tuple(_read_number(kind, v, f"{where}[{i}]") for v in entry))
-    return pairs
+    return [_read_pair(entry, kind, f"config {where}[{i}]") for i, entry in enumerate(value)]
+
+
+def _check_load_step(step: tuple[float, float], where: str) -> tuple[float, float]:
+    """An external load step `(time_seconds, bytes_per_second)`, both >= 0."""
+    t, load = step
+    if not (t >= 0 and load >= 0):
+        raise click.ClickException(f"{where}: time and load must be >= 0, got [{t}, {load}]")
+    return step
 
 
 def _read_external_load(value) -> tuple[tuple[float, float], ...]:
     """`[[time_seconds, bytes_per_second], ...]`, both non-negative."""
     where = "run.external_io_load"
     steps = _read_pairs(value, where, float)
-    for i, (t, load) in enumerate(steps):
-        if not (t >= 0 and load >= 0):
-            raise click.ClickException(
-                f"config {where}[{i}]: time and load must be >= 0, got [{t}, {load}]"
-            )
-    return tuple(steps)
+    return tuple(_check_load_step(step, f"config {where}[{i}]") for i, step in enumerate(steps))
 
 
 def _read_budget_schedule(value, step: int) -> tuple[tuple[int, int], ...]:
@@ -151,16 +155,17 @@ def _load_config(path: str | None) -> dict:
 
 
 def _load_congestion_trace(path: str | None) -> tuple[tuple[float, float], ...]:
-    """CSV of time_seconds,bytes_per_second load steps."""
+    """CSV of time_seconds,bytes_per_second load steps, checked like
+    `run.external_io_load`; a bad row is an error naming its line."""
     if path is None:
         return ()
     steps = []
-    for line in Path(path).read_text().splitlines():
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("time"):
             continue
-        t, b = line.split(",")
-        steps.append((float(t), float(b)))
+        where = f"congestion trace {path}, line {n}"
+        steps.append(_check_load_step(_read_pair(line.split(","), float, where), where))
     return tuple(steps)
 
 

@@ -95,13 +95,6 @@ class Conf:
         return self.sb_size % step == 0 and self.em_size % step == 0
 
 
-@dataclass
-class MemoryBudget:
-    """User-specified cap on SB + EM, adjustable while a run is live."""
-
-    max_samples: int
-
-
 class IoState(Enum):
     CONGESTED = "congested"
     IDLE = "idle"

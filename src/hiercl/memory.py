@@ -13,15 +13,11 @@ among classes whose archive can actually fill their quota.
 
 from __future__ import annotations
 
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, KeysView, Sequence
 
 import numpy as np
 
 from .domain import Sample
-
-# draws of the rejection sampler in StorageArchive.random_candidate before it
-# falls back to filtering the pool
-REJECTION_DRAWS = 8
 
 
 def class_quotas(capacity: int, class_ids: Sequence[int]) -> dict[int, int]:
@@ -95,9 +91,6 @@ class StorageArchive:
     def total(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, sample_id: int) -> bool:
-        return sample_id in self._ids
-
     def append(self, samples: Iterable[Sample]) -> int:
         added = 0
         for s in samples:
@@ -109,27 +102,10 @@ class StorageArchive:
         return added
 
     def candidates(self, class_id: int, exclude_ids: Container[int]) -> list[Sample]:
+        """The class's archived samples outside ``exclude_ids``, in archive
+        order: what EM can admit for that class (a refill, or a swap's
+        replacement)."""
         return [s for s in self._per_class.get(class_id, ()) if s.id not in exclude_ids]
-
-    def random_candidate(
-        self, class_id: int, exclude_ids: Container[int], rng: np.random.Generator
-    ) -> Sample | None:
-        """Uniform draw from the class pool minus ``exclude_ids``.
-
-        Rejection sampling keeps the common case O(1); the filtered fallback
-        preserves uniformity when the pool is mostly excluded.
-        """
-        pool = self._per_class.get(class_id)
-        if not pool:
-            return None
-        for _ in range(REJECTION_DRAWS):
-            s = pool[int(rng.integers(len(pool)))]
-            if s.id not in exclude_ids:
-                return s
-        cands = self.candidates(class_id, exclude_ids)
-        if not cands:
-            return None
-        return cands[int(rng.integers(len(cands)))]
 
 
 class EpisodicMemory:
@@ -137,7 +113,7 @@ class EpisodicMemory:
 
     ``_slot_of`` maps every held sample id to its position in its class's
     slot list, so a replacement is an O(1) write; it is the one record of
-    which ids are held.
+    which ids are held, and ``held_ids`` is a live view of its keys.
     """
 
     def __init__(self, capacity: int):
@@ -157,14 +133,10 @@ class EpisodicMemory:
     def counts(self) -> dict[int, int]:
         return {c: len(pool) for c, pool in sorted(self._slots.items()) if pool}
 
-    def class_count(self, class_id: int) -> int:
-        return len(self._slots.get(class_id, ()))
-
-    def ids(self) -> set[int]:
-        return set(self._slot_of)
-
-    def __contains__(self, sample_id: int) -> bool:
-        return sample_id in self._slot_of
+    @property
+    def held_ids(self) -> KeysView[int]:
+        """A live view of the held sample ids."""
+        return self._slot_of.keys()
 
     def contents(self) -> list[Sample]:
         """All held samples, ordered by class id then slot position."""

@@ -7,7 +7,8 @@ channel, any estimate/adapt runs, and only then does the swap plan fire.
 Firing after the stats roll keeps a swap batch and its completions in the
 same accounting bucket, and firing draws on the post-completion EM view so
 requests never target slots that were just replaced. Since every in-memory
-sample is drawn once per epoch, that view is exactly the drawn set.
+sample is drawn once per epoch, that view is exactly the drawn set. The
+task's last epoch fires nothing: the task boundary would cancel the batch.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .domain import (
     Conf,
     EnergyLedger,
     IoState,
-    MemoryBudget,
     ProfileRecord,
     Sample,
     Task,
@@ -170,7 +170,7 @@ class Runtime:
             ),
             cfg=config.controller,
         )
-        self.budget = MemoryBudget(config.budget_samples)
+        self.budget_samples = config.budget_samples
         self.state: LearnerState | None = None
         self.deferred_profiling = False
         self._schedule = sorted(config.budget_schedule)
@@ -208,11 +208,11 @@ class Runtime:
 
         if self.policy is not None:
             conf = self.policy.conf_for_task(
-                task_index, n_tasks, len(task), self.budget.max_samples, cfg.step
+                task_index, n_tasks, len(task), self.budget_samples, cfg.step
             )
-            if conf.total > self.budget.max_samples:
+            if conf.total > self.budget_samples:
                 raise ValueError(
-                    f"policy conf {conf} exceeds budget {self.budget.max_samples}"
+                    f"policy conf {conf} exceeds budget {self.budget_samples}"
                 )
             self.chosen_confs.append((task.task_id, conf))
             return conf
@@ -225,7 +225,7 @@ class Runtime:
             task_samples=task.samples,
             em_pool_by_class=em_pool,
             probe_samples=probe_union,
-            budget_samples=self.budget.max_samples,
+            budget_samples=self.budget_samples,
             step=cfg.step,
             reference_target=self._chosen,
             cfg=cfg.profiler,
@@ -269,9 +269,9 @@ class Runtime:
         ):
             _, new_budget = self._schedule[self._schedule_pos]
             self._schedule_pos += 1
-            if new_budget != self.budget.max_samples:
-                changed = (self.budget.max_samples, new_budget)
-                self.budget.max_samples = new_budget
+            if new_budget != self.budget_samples:
+                changed = (self.budget_samples, new_budget)
+                self.budget_samples = new_budget
         return changed
 
     def probe(self, task: Task, epoch: int) -> list[tuple]:
@@ -452,16 +452,14 @@ class Runtime:
             if changes:
                 self.estimate_and_adapt(task, epoch, changes)
 
-            if self.sb.capacity + self.em.capacity > self.budget.max_samples:
+            if self.sb.capacity + self.em.capacity > self.budget_samples:
                 raise RuntimeError("memory invariant violated: conf exceeds budget")
 
             plan = self.controller.plan
-            if plan.enabled and self.em.total > 0:
+            if plan.enabled and self.em.total > 0 and epoch < cfg.epochs_per_task:
                 self._epochs_since_firing += 1
                 if self._epochs_since_firing >= plan.interval_epochs:
-                    self.engine.issue(
-                        self.em.contents(), plan.percent_per_firing, t1, self._swap_rng
-                    )
+                    self.engine.issue(self.em, plan.percent_per_firing, t1, self._swap_rng)
                     self._epochs_since_firing = 0
 
             self.epoch_rows.append(

@@ -10,6 +10,10 @@ A swap batch is arithmetic, not one object per transfer: the channel queues
 each batch as arrays of sample ids, class ids and completion times, and
 computes those times in closed form (a running sum of durations per stretch
 of constant external load).
+
+The engine sends transfers only for classes that still have an archive
+sample outside EM, and applies landed transfers with one draw per class over
+those fresh samples (Carousel Memory's EM-storage swap on a simulated clock).
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .domain import Sample
-from .memory import REJECTION_DRAWS, EpisodicMemory, StorageArchive
+from .memory import EpisodicMemory, StorageArchive
 
 # Effective bandwidth never drops below this, however large the external load.
 MIN_EFFECTIVE_BANDWIDTH = 1.0  # bytes/s
@@ -171,7 +174,8 @@ class IoChannel:
 class EpochSwapStats:
     issued: int = 0
     applied: int = 0
-    # delivered by the channel but not applicable (slot gone, class exhausted)
+    # delivered by the channel but not applicable (slot gone, id repeated, or
+    # no fresh sample left in its class)
     dropped_delivered: int = 0
 
     @property
@@ -198,17 +202,27 @@ class SwapEngine:
 
     def issue(
         self,
-        drawn: Sequence[Sample],
+        em: EpisodicMemory,
         percent: float,
         now: float,
         rng: np.random.Generator,
     ) -> int:
-        """Pick ceil(percent * |drawn|) distinct drawn slots uniformly and
-        enqueue them; returns how many were enqueued."""
-        if not drawn or percent <= 0.0:
+        """Pick ceil(percent * n) distinct EM slots uniformly and enqueue
+        them, where n counts the held samples of classes that still have a
+        fresh archive sample; returns how many were enqueued.
+
+        EM holds a subset of the archive, so a class whose EM count reaches
+        its archive count has no replacement to fetch; a transfer for it
+        could never apply, and none is sent.
+        """
+        if percent <= 0.0:
             return 0
         if percent > 1.0:
             raise ValueError("percent must be in (0, 1]")
+        exhausted = {c for c, n in em.counts().items() if n >= self.archive.class_count(c)}
+        drawn = [s for s in em.contents() if s.class_label not in exhausted]
+        if not drawn:
+            return 0
         n = math.ceil(percent * len(drawn))
         picked_idx = rng.choice(len(drawn), size=n, replace=False)
         picked = [drawn[i] for i in sorted(picked_idx)]
@@ -225,59 +239,40 @@ class SwapEngine:
     def apply_completions(
         self, em: EpisodicMemory, now: float, rng: np.random.Generator
     ) -> int:
-        """Replace each completed slot with a random same-class archive sample
-        not currently in EM. Slots that vanished or classes with no fresh
-        candidates are dropped (counted, not fatal).
+        """Apply the transfers that landed by ``now``; returns how many.
 
-        A class whose whole archive pool is in EM stays that way for the
-        whole call (each replacement is one-for-one within its class), so its
-        transfers are dropped without a search. The generator still advances
-        exactly as the rejection sampler would have for each of them:
-        ``REJECTION_DRAWS`` bounded draws over the pool, consecutive ones
-        pooled into a single vector draw.
+        Landed transfers are grouped by class, keeping only slots EM still
+        holds, each once. In ascending class order, one ``rng.choice``
+        without replacement picks ``k = min(slots, fresh)`` of the class's
+        archive samples that EM did not hold when the batch landed, and the
+        first ``k`` slots in landing order take them. So every replacement
+        is a distinct sample new to EM, and the rest of the landed transfers
+        (vanished slots, repeated ids, and slots beyond the class's fresh
+        samples) are dropped: counted, not fatal.
         """
-        applied = dropped = 0
-        held = em.ids()  # kept in sync incrementally; copying per slot is O(n^2)
-        exhausted_pool: dict[int, int] = {}
-        owed_pool, owed = 0, 0  # exhausted transfers whose draws are not yet made
+        landed: dict[int, dict[int, None]] = {}
+        held = em.held_ids
         sample_ids, class_ids = self.channel.pop_completed(now)
         for sample_id, class_id in zip(sample_ids.tolist(), class_ids.tolist()):
-            if sample_id not in held:
-                dropped += 1
+            if sample_id in held:
+                landed.setdefault(class_id, {})[sample_id] = None
+        applied = 0
+        for class_id in sorted(landed):
+            slots = list(landed[class_id])
+            cands = self.archive.candidates(class_id, held)
+            k = min(len(slots), len(cands))
+            if k == 0:
                 continue
-            pool = exhausted_pool.get(class_id)
-            if pool is None:
-                pool = exhausted_pool[class_id] = self._exhausted_pool(em, class_id, held)
-            if pool:
-                if pool != owed_pool:
-                    _skip_draws(rng, owed_pool, owed)
-                    owed_pool, owed = pool, 0
-                owed += 1
-                dropped += 1
-                continue
-            if owed:
-                _skip_draws(rng, owed_pool, owed)
-                owed = 0
-            pick = self.archive.random_candidate(class_id, held, rng)
-            if pick is not None and em.replace(sample_id, pick):
-                held.discard(sample_id)
-                held.add(pick.id)
-                applied += 1
-            else:
-                dropped += 1
-        _skip_draws(rng, owed_pool, owed)
+            picks = rng.choice(len(cands), size=k, replace=False)
+            for old_id, i in zip(slots, picks.tolist()):
+                em.replace(old_id, cands[i])
+            applied += k
+        dropped = len(sample_ids) - applied
         self.applied_total += applied
         self._epoch.applied += applied
         self.dropped_total += dropped
         self._epoch.dropped_delivered += dropped
         return applied
-
-    def _exhausted_pool(self, em: EpisodicMemory, class_id: int, held: set[int]) -> int:
-        """The size of the class's archive pool if EM holds all of it, else 0."""
-        pool = self.archive.class_count(class_id)
-        if em.class_count(class_id) >= pool and not self.archive.candidates(class_id, held):
-            return pool
-        return 0
 
     def drop_pending(self, now: float) -> int:
         """Discard queued transfers (e.g. at a task boundary, where the EM
@@ -325,14 +320,6 @@ class SwapEngine:
 
     def conserved(self) -> bool:
         return self.issued_total == self.applied_total + self.dropped_total + self.pending_count
-
-
-def _skip_draws(rng: np.random.Generator, pool: int, transfers: int) -> None:
-    """Advance ``rng`` as the rejection sampler does for ``transfers`` misses
-    on a pool of ``pool`` samples (a vector draw consumes the generator like
-    the same count of scalar draws with that bound)."""
-    if transfers:
-        rng.integers(pool, size=REJECTION_DRAWS * transfers)
 
 
 def required_bandwidth_bytes_per_s(

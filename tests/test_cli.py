@@ -72,9 +72,12 @@ def test_run_with_congestion_trace(tmp_path):
     trace = tmp_path / "load.csv"
     trace.write_text("time,bytes_per_s\n0.0,99990000\n")
     runner = CliRunner()
+    # 200 samples per class, so EM holds part of each class's archive and
+    # swaps are sent at all
     result = runner.invoke(
         main,
-        ["run", *MICRO, "--strategy", "static", "--budget", "1000",
+        ["run", "--tasks", "2", "--classes-per-task", "3", "--samples-per-class", "200",
+         "--dim", "8", "--strategy", "static", "--budget", "1000",
          "--epochs", "4", "--congestion-trace", str(trace),
          "--outdir", str(tmp_path / "out")],
     )
@@ -82,6 +85,26 @@ def test_run_with_congestion_trace(tmp_path):
     rows = (tmp_path / "out" / "static_trace.csv").read_text().splitlines()[1:]
     states = {line.split(",")[4] for line in rows}
     assert "congested" in states
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1.0,fast", "line 3: expected float, got 'fast'"),
+        ("1.0,5.0,7.0", "line 3: expected a pair, got ['1.0', '5.0', '7.0']"),
+        ("1.0,-5.0", "line 3: time and load must be >= 0, got [1.0, -5.0]"),
+    ],
+    ids=["non-number", "field-count", "negative"],
+)
+def test_bad_congestion_trace_row_names_its_line(tmp_path, row, message):
+    trace = tmp_path / "load.csv"
+    trace.write_text(f"time,bytes_per_s\n0.0,1000.0\n{row}\n")
+    result = CliRunner().invoke(
+        main,
+        ["run", *MICRO, "--strategy", "static", "--congestion-trace", str(trace),
+         "--outdir", str(tmp_path / "out")],
+    )
+    assert_config_error(result, f"congestion trace {trace}, {message}")
 
 
 def test_sweep_command(tmp_path):

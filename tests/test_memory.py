@@ -195,10 +195,10 @@ class TestReplace:
             [1, 2], {1: 10, 2: 10}, capacity=10
         )
         victim = em.contents()[0]
-        fresh_sample = archive.candidates(victim.class_label, em.ids())[0]
+        fresh_sample = archive.candidates(victim.class_label, em.held_ids)[0]
         assert em.replace(victim.id, fresh_sample)
-        assert victim.id not in em
-        assert fresh_sample.id in em
+        assert victim.id not in em.held_ids
+        assert fresh_sample.id in em.held_ids
         assert em.total == 10
 
     def test_replace_refuses_duplicates(self):
@@ -317,7 +317,7 @@ def test_slot_map_tracks_churn(seed, ops):
             em.rebalance(archive, rng)
         elif em.total:
             victim = em.contents()[arg % em.total]
-            fresh = archive.candidates(victim.class_label, em.ids())
+            fresh = archive.candidates(victim.class_label, em.held_ids)
             others = [s for s in em.contents() if s.class_label != victim.class_label]
             # refused: a held replacement, or one from another class
             assert not em.replace(victim.id, em.contents()[(arg + 1) % em.total])
@@ -325,5 +325,5 @@ def test_slot_map_tracks_churn(seed, ops):
                 assert not em.replace(others[0].id, fresh[0] if fresh else victim)
             if fresh:
                 assert em.replace(victim.id, fresh[arg % len(fresh)])
-                assert victim.id not in em
+                assert victim.id not in em.held_ids
         assert_slot_map_exact(em)

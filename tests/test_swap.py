@@ -1,3 +1,4 @@
+import copy
 import math
 from collections import deque
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hiercl.learner import CostModel
 from hiercl.memory import EpisodicMemory, StorageArchive
 from hiercl.swap import (
+    EpochSwapStats,
     IoChannel,
     SwapEngine,
     required_bandwidth_bytes_per_s,
@@ -31,35 +33,33 @@ def setup_engine(bandwidth=1e9, n_classes=4, per_class=50, em_capacity=40, seed=
 class TestIssue:
     def test_full_percent_covers_all_drawn(self):
         engine, em, rng = setup_engine()
-        drawn = em.contents()[:100]
-        assert engine.issue(drawn, 1.0, now=0.0, rng=rng) == len(drawn)
+        assert engine.issue(em, 1.0, now=0.0, rng=rng) == em.total == 40
 
     def test_quarter_percent(self):
         engine, em, rng = setup_engine(per_class=100, em_capacity=100)
-        drawn = em.contents()
-        assert len(drawn) == 100
-        assert engine.issue(drawn, 0.25, now=0.0, rng=rng) == 25
+        assert em.total == 100
+        assert engine.issue(em, 0.25, now=0.0, rng=rng) == 25
 
     def test_ceiling_rule(self):
         # ceil(0.5 * 3) = 2, checked by enumeration of the tiny case
-        engine, em, rng = setup_engine()
-        drawn = em.contents()[:3]
-        assert engine.issue(drawn, 0.5, now=0.0, rng=rng) == 2
+        engine, em, rng = setup_engine(em_capacity=3)
+        assert em.total == 3
+        assert engine.issue(em, 0.5, now=0.0, rng=rng) == 2
 
     def test_empty_drawn_is_noop(self):
-        engine, _, rng = setup_engine()
-        assert engine.issue([], 0.5, now=0.0, rng=rng) == 0
+        engine, em, rng = setup_engine(em_capacity=0)
+        assert engine.issue(em, 0.5, now=0.0, rng=rng) == 0
         assert engine.issued_total == 0
 
     def test_request_slots_unique(self):
         engine, em, rng = setup_engine()
-        engine.issue(em.contents(), 0.5, now=0.0, rng=rng)
+        engine.issue(em, 0.5, now=0.0, rng=rng)
         slot_ids, _ = engine.channel.pop_completed(math.inf)
         assert len(slot_ids) == len(set(slot_ids.tolist())) == 20
 
     def test_transfer_bytes_double_sample_size(self):
-        engine, em, rng = setup_engine()
-        engine.issue(em.contents()[:1], 1.0, now=0.0, rng=rng)
+        engine, em, rng = setup_engine(em_capacity=1)
+        engine.issue(em, 1.0, now=0.0, rng=rng)
         # the one transfer's service time is its byte count over the bandwidth
         assert engine.channel.busy_until == 2 * 64 / engine.channel.bandwidth_bytes_per_s
 
@@ -67,55 +67,99 @@ class TestIssue:
 class TestApply:
     def test_fast_channel_applies_everything(self):
         engine, em, rng = setup_engine(bandwidth=1e9)
-        drawn = em.contents()
-        engine.issue(drawn, 1.0, now=0.0, rng=rng)
+        engine.issue(em, 1.0, now=0.0, rng=rng)
         applied = engine.apply_completions(em, now=1.0, rng=rng)
-        assert applied == len(drawn)
-        assert em.total == len(drawn)
+        assert applied == 40
+        assert em.total == 40
         ids = [s.id for s in em.contents()]
         assert len(ids) == len(set(ids))
 
     def test_trickle_channel_applies_nothing(self):
         engine, em, rng = setup_engine(bandwidth=1e-3)
-        drawn = em.contents()
-        engine.issue(drawn, 1.0, now=0.0, rng=rng)
+        engine.issue(em, 1.0, now=0.0, rng=rng)
         assert engine.apply_completions(em, now=1.0, rng=rng) == 0
-        assert engine.pending_count == len(drawn)
+        assert engine.pending_count == em.total
 
     def test_replacement_is_never_the_evicted_sample(self):
         # single-slot swaps make the no-self-swap contract directly observable
-        engine, em, rng = setup_engine()
+        engine, em, rng = setup_engine(em_capacity=1)
         for _ in range(20):
             victim = em.contents()[0]
-            engine.issue([victim], 1.0, now=0.0, rng=rng)
+            engine.issue(em, 1.0, now=0.0, rng=rng)
             assert engine.apply_completions(em, now=100.0, rng=rng) == 1
-            assert victim.id not in em
+            assert victim.id not in em.held_ids
             ids = [s.id for s in em.contents()]
             assert len(ids) == len(set(ids))
 
-    def test_exhausted_class_drops_not_fatal(self):
+    def test_exhausted_class_gets_no_transfer(self):
         # archive exactly equals EM: no fresh candidates anywhere
         engine, em, rng = setup_engine(per_class=10, em_capacity=40)
-        drawn = em.contents()
-        engine.issue(drawn, 1.0, now=0.0, rng=rng)
-        applied = engine.apply_completions(em, now=100.0, rng=rng)
-        assert applied == 0
-        assert engine.dropped_total == len(drawn)
-        assert em.total == 40
+        assert engine.issue(em, 1.0, now=0.0, rng=rng) == 0
+        assert engine.issued_total == engine.pending_count == 0
+        # one fresh class-0 sample: only class 0's ten slots are sent
+        engine.archive.append([make_sample(1000, 0, size_bytes=64)])
+        assert engine.issue(em, 1.0, now=0.0, rng=rng) == 10
+        _, classes = engine.channel.pop_completed(math.inf)
+        assert classes.tolist() == [0] * 10
 
     def test_vanished_slot_dropped(self):
-        engine, em, rng = setup_engine()
-        victim = em.contents()[0]
-        engine.issue([victim], 1.0, now=0.0, rng=rng)
+        engine, em, rng = setup_engine(em_capacity=1)
+        engine.issue(em, 1.0, now=0.0, rng=rng)
         em.resize(0, engine.archive, rng)  # slot disappears before completion
         assert engine.apply_completions(em, now=100.0, rng=rng) == 0
         assert engine.dropped_total == 1
 
 
+class TestApplyOneDrawPerClass:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pools=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        capacity=st.integers(0, 40),
+        percents=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+        resize_to=st.one_of(st.none(), st.integers(0, 40)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_landed_slots_take_distinct_fresh_samples(
+        self, pools, capacity, percents, resize_to, seed
+    ):
+        rng = np.random.default_rng(seed)
+        archive = StorageArchive()
+        class_of = {}
+        for c, n in enumerate(pools):
+            samples = [make_sample(len(class_of) + i, c, size_bytes=64) for i in range(n)]
+            archive.append(samples)
+            class_of.update((s.id, c) for s in samples)
+        em = EpisodicMemory(capacity)
+        em.rebalance(archive, rng)
+        engine = SwapEngine(IoChannel(1e9), archive)
+        for percent in percents:  # batches overlap, so ids get queued twice
+            engine.issue(em, percent, now=0.0, rng=rng)
+        if resize_to is not None:  # slots vanish before the batches land
+            em.resize(resize_to, archive, rng)
+        landed, _ = copy.deepcopy(engine.channel).pop_completed(math.inf)
+        before = {s.id for s in em.contents()}
+        counts = em.counts()
+
+        applied = engine.apply_completions(em, now=math.inf, rng=rng)
+
+        after = [s.id for s in em.contents()]
+        assert len(after) == len(set(after))
+        added, removed = set(after) - before, before - set(after)
+        assert applied == len(added) == len(removed)
+        live = list(dict.fromkeys(i for i in landed.tolist() if i in before))
+        for c, held in counts.items():
+            live_c = [i for i in live if class_of[i] == c]
+            k = min(len(live_c), archive.class_count(c) - held)
+            assert removed & {i for i in before if class_of[i] == c} == set(live_c[:k])
+            assert len([i for i in added if class_of[i] == c]) == k
+        assert em.counts() == counts
+        assert engine.conserved()
+
+
 class TestCompletionRate:
     def test_all_applied_is_one(self):
         engine, em, rng = setup_engine()
-        engine.issue(em.contents(), 1.0, now=0.0, rng=rng)
+        engine.issue(em, 1.0, now=0.0, rng=rng)
         engine.apply_completions(em, now=10.0, rng=rng)
         engine.end_epoch()
         assert engine.completion_rate(window=1) == 1.0
@@ -123,9 +167,8 @@ class TestCompletionRate:
     def test_half_queued_is_half(self):
         # per-transfer time 2^-4 s keeps the arithmetic exact: 16 of 32 land
         engine, em, rng = setup_engine(bandwidth=2048.0, em_capacity=32)
-        drawn = em.contents()
-        assert len(drawn) == 32
-        engine.issue(drawn, 1.0, now=0.0, rng=rng)
+        assert em.total == 32
+        engine.issue(em, 1.0, now=0.0, rng=rng)
         engine.apply_completions(em, now=1.0, rng=rng)
         engine.end_epoch()
         assert engine.completion_rate(window=1) == 0.5
@@ -140,13 +183,38 @@ class TestCompletionRate:
         with pytest.raises(ValueError):
             engine.completion_rate(window=1)
 
+    @given(
+        history=st.lists(
+            st.tuples(
+                st.one_of(st.just(0), st.integers(0, 40)),  # issued
+                st.integers(0, 40),  # applied
+                st.integers(0, 40),  # dropped on delivery
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        window=st.integers(1, 40),
+    )
+    def test_rate_is_settled_over_issued_in_window(self, history, window):
+        engine = SwapEngine(IoChannel(1.0), StorageArchive())
+        for issued, applied, dropped in history:
+            engine._epoch = EpochSwapStats(issued, applied, dropped)
+            engine.end_epoch()
+        recent = history[-window:]
+        issued = sum(i for i, _, _ in recent)
+        settled = sum(a + d for _, a, d in recent)
+        rate = engine.completion_rate(window)
+        if issued == 0:
+            assert rate is None
+        else:
+            assert rate == min(settled / issued, 1.0)
+
 
 class TestConservation:
     def test_issued_equals_applied_plus_pending_plus_dropped(self):
         engine, em, rng = setup_engine(bandwidth=2000.0)
         for epoch in range(8):
-            drawn = em.contents()
-            engine.issue(drawn, 0.5, now=float(epoch), rng=rng)
+            engine.issue(em, 0.5, now=float(epoch), rng=rng)
             engine.apply_completions(em, now=float(epoch + 1), rng=rng)
             engine.end_epoch()
             assert engine.conserved()
@@ -295,7 +363,7 @@ class TestBatchChannel:
         now = 0.0
         for op, arg in ops:
             if op == "issue":
-                engine.issue(em.contents(), arg, now, rng)
+                engine.issue(em, arg, now, rng)
             elif op == "apply":
                 now += arg
                 engine.apply_completions(em, now, rng)
