@@ -1,8 +1,10 @@
-"""Shared domain types: samples, tasks, memory configurations, swap plans,
-I/O states, profiling records, and the energy ledger.
+"""Shared domain types: samples, the sample table, tasks, memory
+configurations, swap plans, I/O states, profiling records, and the energy
+ledger.
 
-Everything here is an immutable value safe to share between modules; all
-mutation happens inside the owning module (buffers, engine, runtime).
+Everything here except the table is an immutable value safe to share between
+modules; all mutation happens inside the owning module (buffers, engine,
+runtime). The table only ever gains rows.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 # Sizing granularity for SB/EM capacities, in samples.
 DEFAULT_STEP = 500
@@ -24,7 +27,7 @@ RATIO_KNEE = 0.20
 MAX_INTERVAL_EPOCHS = 5
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Sample:
     """One labeled example; the unit moved between buffers and storage.
 
@@ -43,6 +46,61 @@ class Sample:
             raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
         if np.ndim(self.features) != 1:
             raise ValueError("features must be a 1-D vector")
+
+
+class SampleTable:
+    """Every training sample of a run, one row each: the layers above hold
+    row indices into it, never ``Sample`` objects.
+
+    ``features`` keeps the samples' own dtype (callers cast at use): the
+    reserved dtype, promoted when a growth brings a wider one. A sample
+    whose features that dtype cannot hold exactly is rejected rather than
+    rounded. ``samples[row]`` is the original object, for reports and tests.
+    ``size_bytes`` is the stream's one transfer size (``validate_stream``
+    rejects a stream that mixes sizes). Storage is allocated once by
+    :meth:`reserve`; :meth:`add` fills the next rows and grows the storage
+    only when a caller did not reserve enough.
+    """
+
+    def __init__(self) -> None:
+        self.features = np.empty((0, 0), np.float32)
+        self.labels = np.empty(0, np.intp)
+        self.samples: list[Sample] = []
+        self.size_bytes = 0
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def reserve(self, n_rows: int, dim: int, dtype: DTypeLike) -> None:
+        """Make room for ``n_rows`` rows of ``dim`` features in a dtype that
+        holds both ``dtype`` and the rows already filled."""
+        n = len(self)
+        if n:
+            dtype = np.result_type(self.features, dtype)
+        if n_rows <= len(self.labels) and dtype == self.features.dtype:
+            return
+        features = np.empty((max(n_rows, len(self.labels)), dim), dtype)
+        labels = np.empty(len(features), np.intp)
+        if n:
+            features[:n] = self.features[:n]
+            labels[:n] = self.labels[:n]
+        self.features, self.labels = features, labels
+
+    def add(self, samples: Sequence[Sample]) -> np.ndarray:
+        """Append samples in order; returns their rows."""
+        start, end = len(self), len(self) + len(samples)
+        if not samples:
+            return np.arange(start, end)
+        if end > len(self.labels):
+            dtype = np.result_type(*{s.features.dtype for s in samples})
+            self.reserve(max(end, 2 * len(self.labels)), len(samples[0].features), dtype)
+        # one task at a time keeps np.stack's per-sample temporaries small
+        np.stack([s.features for s in samples], out=self.features[start:end], casting="safe")
+        self.labels[start:end] = [s.class_label for s in samples]
+        self.samples.extend(samples)
+        if not self.size_bytes:
+            self.size_bytes = samples[0].size_bytes
+        return np.arange(start, end)
 
 
 @dataclass(frozen=True)
@@ -90,9 +148,6 @@ class Conf:
     @property
     def total(self) -> int:
         return self.sb_size + self.em_size
-
-    def on_grid(self, step: int) -> bool:
-        return self.sb_size % step == 0 and self.em_size % step == 0
 
 
 class IoState(Enum):
@@ -238,8 +293,9 @@ def validate_stream(
     """Check a task stream for structural defects before running it.
 
     Flags empty tasks, class overlap between tasks (unless the stream is
-    declared domain-incremental), feature-dimension mismatches, and
-    non-uniform sample byte sizes.
+    declared domain-incremental), feature-dimension mismatches,
+    non-uniform sample byte sizes, and a sample id seen twice (the archive
+    holds each sample once).
     """
     if not tasks:
         raise ValueError("stream must contain at least one task")
@@ -248,12 +304,16 @@ def validate_stream(
     dim: int | None = None
     size_bytes: int | None = None
     seen_classes: dict[int, int] = {}
+    seen_ids: set[int] = set()
 
     for task in tasks:
         if len(task.samples) == 0:
             report.add("empty_task", task.task_id, "task has zero samples")
             continue
         for s in task.samples:
+            if s.id in seen_ids:
+                report.add("duplicate_id", task.task_id, f"sample {s.id} appears twice")
+            seen_ids.add(s.id)
             if dim is None:
                 dim = len(s.features)
             elif len(s.features) != dim:

@@ -5,8 +5,12 @@ head, trained by mini-batch gradient descent in float64. It is deliberately
 small: cheap enough to verify against finite differences, expressive enough
 to exhibit catastrophic forgetting on disjoint-class streams.
 
-Any object honoring train_epoch / evaluate / checkpoint semantics can be
-substituted; the runtime only moves samples and charges costs.
+Training reads batches as row-index arrays into the run's ``SampleTable``
+and gathers each batch's features, cast to float64, from the table.
+Evaluation reads probes as per-class feature blocks (``probe_blocks``),
+built once, and runs one forward pass per class block. Any object honoring
+train_epoch / evaluate / checkpoint semantics can be substituted; the
+runtime only moves rows and charges costs.
 
 The cost model converts training work into ledger joules: time is
 samples-processed times seconds-per-sample, energy is power times time per
@@ -24,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import EnergyLedger, Sample
+from .domain import EnergyLedger, Sample, SampleTable
 
 
 class LearnerDiverged(RuntimeError):
@@ -39,10 +43,6 @@ class LearnerState:
     b2: np.ndarray
     class_order: list[int]
     rng: np.random.Generator
-
-    @property
-    def classes_seen(self) -> frozenset[int]:
-        return frozenset(self.class_order)
 
     @property
     def hidden_width(self) -> int:
@@ -123,33 +123,32 @@ def loss_and_grads(
     return loss, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
-def batch_arrays(
-    state: LearnerState,
-    batch: Sequence[Sample],
-    index: dict[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([s.features for s in batch]).astype(np.float64)
-    if index is None:
-        index = {c: i for i, c in enumerate(state.class_order)}
-    y = np.array([index[s.class_label] for s in batch], dtype=np.intp)
-    return x, y
-
-
 def train_epoch(
     state: LearnerState,
-    batches: Sequence[Sequence[Sample]],
+    batches: Sequence[np.ndarray],
     learning_rate: float,
+    table: SampleTable,
 ) -> tuple[LearnerState, float]:
-    """One gradient pass over all batches; returns the sample-weighted mean loss."""
+    """One gradient pass over all batches of table rows; returns the
+    sample-weighted mean loss.
+
+    New classes grow the head batch by batch, in batch order, before any
+    step: one draw per batch, so the new columns' values do not depend on
+    how batches are grouped into calls.
+    """
     if not batches:
         raise ValueError("train_epoch needs at least one batch")
-    for batch in batches:
-        ensure_classes(state, (s.class_label for s in batch))
-    index = {c: i for i, c in enumerate(state.class_order)}
+    labels = [table.labels[batch] for batch in batches]
+    for batch_labels in labels:
+        ensure_classes(state, batch_labels.tolist())
+    # head column of a label: its rank among the sorted classes, mapped back
+    by_rank = np.argsort(state.class_order)
+    ranked = np.asarray(state.class_order)[by_rank]
     total = 0.0
     count = 0
-    for batch in batches:
-        x, y = batch_arrays(state, batch, index)
+    for batch, batch_labels in zip(batches, labels):
+        x = table.features[batch].astype(np.float64)
+        y = by_rank[np.searchsorted(ranked, batch_labels)]
         loss, grads = loss_and_grads(state, x, y)
         if not np.isfinite(loss):
             raise LearnerDiverged(f"non-finite loss {loss}")
@@ -168,35 +167,41 @@ class EvalResult:
     average: float
 
 
+def probe_blocks(samples: Iterable[Sample]) -> dict[int, np.ndarray]:
+    """Test samples as one feature block per class, rows in sample order,
+    in the samples' own dtype."""
+    by_class: dict[int, list[np.ndarray]] = {}
+    for s in samples:
+        by_class.setdefault(s.class_label, []).append(s.features)
+    return {c: np.stack(rows) for c, rows in by_class.items()}
+
+
 def evaluate(
     state: LearnerState,
-    test_samples: Sequence[Sample],
+    blocks: dict[int, np.ndarray],
     classes: Iterable[int] | None = None,
 ) -> EvalResult:
     """Per-class accuracies and their macro average over seen classes.
 
+    ``blocks`` maps a class to its test features (see ``probe_blocks``).
     ``classes`` restricts the average to a subset (e.g. one task's classes);
     by default every seen class is expected, and seen classes with no test
     samples are excluded with a warning rather than dragging the average to
-    zero. Prediction always runs over the full seen-class head.
+    zero. Prediction always runs over the full seen-class head, one forward
+    pass per class block.
     """
     if not state.class_order:
         raise ValueError("learner has not seen any classes")
-    expected = state.classes_seen if classes is None else frozenset(classes)
-    by_class: dict[int, list[Sample]] = {}
-    for s in test_samples:
-        if s.class_label in state.classes_seen and s.class_label in expected:
-            by_class.setdefault(s.class_label, []).append(s)
-    missing = sorted(expected & state.classes_seen - set(by_class))
+    column = {c: i for i, c in enumerate(state.class_order)}
+    expected = column.keys() if classes is None else column.keys() & set(classes)
+    scored = sorted(c for c in blocks if c in expected and len(blocks[c]))
+    missing = sorted(expected - set(scored))
     if missing:
         warnings.warn(f"no test samples for classes {missing}; excluded from average")
     per_class: dict[int, float] = {}
-    for c in sorted(by_class):
-        x, _ = batch_arrays(state, by_class[c])
-        _, logits = _forward(state, x)
-        pred_cols = logits.argmax(axis=1)
-        preds = np.array([state.class_order[i] for i in pred_cols])
-        per_class[c] = float(np.mean(preds == c))
+    for c in scored:
+        _, logits = _forward(state, blocks[c].astype(np.float64))
+        per_class[c] = float(np.mean(logits.argmax(axis=1) == column[c]))
     if not per_class:
         raise ValueError("test set covers none of the seen classes")
     return EvalResult(per_class=per_class, average=float(np.mean(list(per_class.values()))))
@@ -224,26 +229,6 @@ def restore(cp: Checkpoint) -> LearnerState:
         class_order=list(cp.class_order),
         rng=rng,
     )
-
-
-def params_equal(a: LearnerState, b: LearnerState) -> bool:
-    return (
-        a.class_order == b.class_order
-        and a.w1.tobytes() == b.w1.tobytes()
-        and a.b1.tobytes() == b.b1.tobytes()
-        and a.w2.tobytes() == b.w2.tobytes()
-        and a.b2.tobytes() == b.b2.tobytes()
-    )
-
-
-def state_digest(state: LearnerState) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    for arr in (state.w1, state.b1, state.w2, state.b2):
-        h.update(arr.tobytes())
-    h.update(repr(state.class_order).encode())
-    return h.hexdigest()
 
 
 # --- cost model ---------------------------------------------------------------

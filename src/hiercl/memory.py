@@ -1,9 +1,12 @@
 """The two-level sample store: stream buffer (SB) and episodic memory (EM)
 in fast memory, backed by a storage archive holding everything seen so far.
 
-SB is a prefix of the current task: its first ``capacity`` samples in
-arrival order. The rest of the task is overflow, kept for the archive and
-for replay; resizing SB only moves the cut between the two.
+Every layer holds row indices into the run's one ``SampleTable``. SB is the
+current task's rows in arrival order, cut at ``capacity``: the rest of the
+task is overflow, kept for the archive and for replay, and resizing SB only
+moves the cut. The archive keeps one row array per class. EM keeps one row
+array per class (its slots) and a row-indexed slot array, so membership and
+replacement are array lookups rather than scans.
 
 EM is kept class-balanced: capacity is split into per-class quotas
 (floor of capacity / classes, remainders to the lowest class ids) and every
@@ -13,11 +16,15 @@ among classes whose archive can actually fill their quota.
 
 from __future__ import annotations
 
-from typing import Container, Iterable, KeysView, Sequence
+from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .domain import Sample
+from .domain import Sample, SampleTable
+
+NO_ROWS = np.empty(0, np.intp)
+NO_ROWS.flags.writeable = False
 
 
 def class_quotas(capacity: int, class_ids: Sequence[int]) -> dict[int, int]:
@@ -30,33 +37,33 @@ def class_quotas(capacity: int, class_ids: Sequence[int]) -> dict[int, int]:
 
 
 class StreamBuffer:
-    """The current task's samples in arrival order, cut at ``capacity``.
+    """The current task's rows in arrival order, cut at ``capacity``.
 
-    Samples past capacity are not dropped: they are the overflow, destined
-    for the archive at flush time and available for replay.
+    Rows past capacity are not dropped: they are the overflow, destined for
+    the archive at flush time and available for replay.
     """
 
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self._samples: tuple[Sample, ...] = ()
+        self.rows = NO_ROWS
 
     @property
-    def contents(self) -> tuple[Sample, ...]:
-        return self._samples[: self.capacity]
+    def contents(self) -> np.ndarray:
+        return self.rows[: self.capacity]
 
     @property
-    def overflow(self) -> tuple[Sample, ...]:
-        return self._samples[self.capacity :]
+    def overflow(self) -> np.ndarray:
+        return self.rows[self.capacity :]
 
     def __len__(self) -> int:
-        return min(self.capacity, len(self._samples))
+        return min(self.capacity, len(self.rows))
 
-    def fill(self, samples: Sequence[Sample]) -> None:
-        if self._samples:
+    def fill(self, rows: ArrayLike) -> None:
+        if len(self.rows):
             raise RuntimeError("stream buffer must be empty at task start")
-        self._samples = tuple(samples)
+        self.rows = np.asarray(rows, dtype=np.intp)
 
     def resize(self, new_capacity: int) -> None:
         """Shrink moves the arrival-order tail to overflow; grow pulls it back."""
@@ -64,108 +71,119 @@ class StreamBuffer:
             raise ValueError("capacity must be non-negative")
         self.capacity = new_capacity
 
-    def all_task_samples(self) -> list[Sample]:
-        return list(self._samples)
-
     def clear(self) -> None:
-        self._samples = ()
+        self.rows = NO_ROWS
 
 
 class StorageArchive:
-    """Slow-tier store of every sample seen, grouped per class."""
+    """Slow-tier store of every row seen, one row array per class in
+    arrival order."""
 
-    def __init__(self):
-        self._per_class: dict[int, list[Sample]] = {}
-        self._ids: set[int] = set()
+    def __init__(self, table: SampleTable):
+        self.table = table
+        self._pools: dict[int, np.ndarray] = {}
 
     def classes(self) -> list[int]:
-        return sorted(self._per_class)
+        return sorted(self._pools)
 
-    def class_samples(self, class_id: int) -> tuple[Sample, ...]:
-        return tuple(self._per_class.get(class_id, ()))
+    def class_rows(self, class_id: int) -> np.ndarray:
+        return self._pools.get(class_id, NO_ROWS)
 
     def class_count(self, class_id: int) -> int:
-        return len(self._per_class.get(class_id, ()))
+        return len(self._pools.get(class_id, ()))
 
     @property
     def total(self) -> int:
-        return len(self._ids)
+        return sum(len(pool) for pool in self._pools.values())
 
-    def append(self, samples: Iterable[Sample]) -> int:
-        added = 0
-        for s in samples:
-            if s.id in self._ids:
-                raise ValueError(f"duplicate sample id {s.id} in archive")
-            self._per_class.setdefault(s.class_label, []).append(s)
-            self._ids.add(s.id)
-            added += 1
-        return added
+    def append(self, rows: ArrayLike) -> int:
+        rows = np.asarray(rows, dtype=np.intp)
+        labels = self.table.labels[rows]
+        for c in np.unique(labels).tolist():
+            self._pools[c] = np.concatenate([self.class_rows(c), rows[labels == c]])
+        return len(rows)
 
-    def candidates(self, class_id: int, exclude_ids: Container[int]) -> list[Sample]:
-        """The class's archived samples outside ``exclude_ids``, in archive
-        order: what EM can admit for that class (a refill, or a swap's
-        replacement)."""
-        return [s for s in self._per_class.get(class_id, ()) if s.id not in exclude_ids]
+    def candidates(self, class_id: int, em: EpisodicMemory) -> np.ndarray:
+        """The class's archived rows EM does not hold, in archive order: what
+        EM can admit for that class (a refill, or a swap's replacement)."""
+        pool = self.class_rows(class_id)
+        return pool[~em.holds(pool)]
 
 
 class EpisodicMemory:
     """Bounded in-memory store of old samples, class-balanced by quota.
 
-    ``_slot_of`` maps every held sample id to its position in its class's
-    slot list, so a replacement is an O(1) write; it is the one record of
-    which ids are held, and ``held_ids`` is a live view of its keys.
+    ``_pools[c]`` is class ``c``'s slots, a row array. ``_slot[row]`` is the
+    row's position in its class's slots, or -1 when EM does not hold it; it
+    is the one record of which rows are held, so a membership test or a
+    replacement is an array lookup. It grows with the table.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, table: SampleTable):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self._slots: dict[int, list[Sample]] = {}
-        self._slot_of: dict[int, int] = {}
+        self.table = table
+        self._pools: dict[int, np.ndarray] = {}
+        self._slot = np.full(len(table.labels), -1, np.intp)
 
     @property
     def total(self) -> int:
-        return len(self._slot_of)
+        return sum(len(pool) for pool in self._pools.values())
 
     def classes(self) -> list[int]:
-        return sorted(c for c, pool in self._slots.items() if pool)
+        return sorted(c for c, pool in self._pools.items() if len(pool))
 
     def counts(self) -> dict[int, int]:
-        return {c: len(pool) for c, pool in sorted(self._slots.items()) if pool}
+        return {c: len(pool) for c, pool in sorted(self._pools.items()) if len(pool)}
 
-    @property
-    def held_ids(self) -> KeysView[int]:
-        """A live view of the held sample ids."""
-        return self._slot_of.keys()
+    def holds(self, rows: ArrayLike) -> np.ndarray:
+        """Whether EM holds each row."""
+        if len(self._slot) < len(self.table.labels):
+            grown = np.full(len(self.table.labels), -1, np.intp)
+            grown[: len(self._slot)] = self._slot
+            self._slot = grown
+        return self._slot[rows] >= 0
+
+    def class_rows(self, class_id: int) -> np.ndarray:
+        """The class's held rows in slot order."""
+        return self._pools.get(class_id, NO_ROWS)
+
+    def rows(self) -> np.ndarray:
+        """All held rows, ordered by class id then slot position."""
+        pools = [self._pools[c] for c in sorted(self._pools)]
+        return np.concatenate(pools) if pools else NO_ROWS
 
     def contents(self) -> list[Sample]:
         """All held samples, ordered by class id then slot position."""
-        out: list[Sample] = []
-        for c in sorted(self._slots):
-            out.extend(self._slots[c])
-        return out
+        samples = self.table.samples
+        return [samples[r] for r in self.rows().tolist()]
 
-    def replace(self, old_id: int, new_sample: Sample) -> bool:
-        """Swap one held sample for a same-class replacement, in place."""
-        if new_sample.id in self._slot_of:
-            return False
-        pool = self._slots.get(new_sample.class_label)
-        i = self._slot_of.get(old_id)
-        if not pool or i is None or i >= len(pool) or pool[i].id != old_id:
-            return False
-        pool[i] = new_sample
-        del self._slot_of[old_id]
-        self._slot_of[new_sample.id] = i
-        return True
+    def replace(self, old_rows: ArrayLike, new_rows: ArrayLike) -> int:
+        """Swap held rows for same-class rows EM does not hold, pairwise and
+        in place; returns how many pairs were applied. A pair whose old row
+        is not held, whose new row is held, or whose rows differ in class is
+        refused. The rows of a call must be distinct."""
+        old = np.atleast_1d(np.asarray(old_rows, dtype=np.intp))
+        new = np.atleast_1d(np.asarray(new_rows, dtype=np.intp))
+        labels = self.table.labels
+        ok = self.holds(old) & ~self.holds(new) & (labels[old] == labels[new])
+        old, new = old[ok], new[ok]
+        pos = self._slot[old]
+        for c in set(labels[old].tolist()):
+            mine = labels[old] == c
+            self._pools[c][pos[mine]] = new[mine]
+        self._slot[old] = -1
+        self._slot[new] = pos
+        return len(old)
 
     def _evict_random(self, class_id: int, n: int, rng: np.random.Generator) -> None:
-        pool = self._slots[class_id]
-        gone = set(rng.choice(len(pool), size=n, replace=False).tolist())
-        for i in gone:
-            del self._slot_of[pool[i].id]
-        pool[:] = [s for i, s in enumerate(pool) if i not in gone]
-        for i, s in enumerate(pool):
-            self._slot_of[s.id] = i
+        pool = self._pools[class_id]
+        gone = np.zeros(len(pool), dtype=bool)
+        gone[rng.choice(len(pool), size=n, replace=False)] = True
+        self._slot[pool[gone]] = -1
+        pool = self._pools[class_id] = pool[~gone]
+        self._slot[pool] = np.arange(len(pool))
 
     def rebalance(self, archive: StorageArchive, rng: np.random.Generator) -> None:
         """Re-split capacity across all archive classes and refill to quota.
@@ -178,19 +196,17 @@ class EpisodicMemory:
         classes = archive.classes()
         quotas = class_quotas(self.capacity, classes)
         for c in classes:
-            pool = self._slots.setdefault(c, [])
+            pool = self._pools.setdefault(c, NO_ROWS)
             q = quotas.get(c, 0)
             if len(pool) > q:
                 self._evict_random(c, len(pool) - q, rng)
             elif len(pool) < q:
-                cands = archive.candidates(c, self._slot_of)
+                cands = archive.candidates(c, self)
                 want = min(q - len(pool), len(cands))
                 if want > 0:
-                    take = rng.choice(len(cands), size=want, replace=False)
-                    for i in take:
-                        s = cands[i]
-                        self._slot_of[s.id] = len(pool)
-                        pool.append(s)
+                    take = cands[rng.choice(len(cands), size=want, replace=False)]
+                    self._slot[take] = np.arange(len(pool), len(pool) + want)
+                    self._pools[c] = np.concatenate([pool, take])
 
     def resize(self, new_capacity: int, archive: StorageArchive, rng: np.random.Generator) -> None:
         if new_capacity < 0:
@@ -205,7 +221,7 @@ class EpisodicMemory:
             return True
         quotas = class_quotas(self.capacity, classes)
         counts = [
-            len(self._slots.get(c, []))
+            len(self._pools.get(c, ()))
             for c in classes
             if archive.class_count(c) >= quotas[c]
         ]
@@ -222,11 +238,11 @@ def flush(
 ) -> None:
     """End-of-task reorganization.
 
-    Appends every task sample (SB contents plus overflow) to the archive,
+    Appends every task row (SB contents plus overflow) to the archive,
     rebalances EM so the new classes get their quota share, and clears SB
     for the next task.
     """
-    archive.append(sb.all_task_samples())
+    archive.append(sb.rows)
     em.rebalance(archive, rng)
     sb.clear()
 
@@ -236,16 +252,16 @@ def compose_epoch_batches(
     em: EpisodicMemory,
     batch_size: int,
     rng: np.random.Generator,
-) -> list[list[Sample]]:
-    """One epoch's mini-batches: a random permutation of SB union EM, chunked.
+) -> list[np.ndarray]:
+    """One epoch's mini-batches of rows: a random permutation of SB contents
+    then EM (by class and slot), chunked.
 
-    Every in-memory sample appears exactly once.
+    Every in-memory row appears exactly once.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    union = list(sb.contents) + em.contents()
-    if not union:
+    union = np.concatenate([sb.contents, em.rows()])
+    if not len(union):
         raise ValueError("cannot compose batches from empty SB and EM")
-    order = rng.permutation(len(union))
-    shuffled = [union[i] for i in order]
+    shuffled = union[rng.permutation(len(union))]
     return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]

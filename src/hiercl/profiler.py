@@ -7,8 +7,11 @@ warmup checkpoint so nobody re-pays the noisy early epochs. The recorded
 accuracy is the raw short-horizon value, not an extrapolation; the energy
 estimate is the cost model's projection of a full-length run at that conf.
 
-Profiling works entirely on copies and masked index views: the live model
-and the live buffers are never touched.
+Profiling works entirely on copies and row arrays: every subsample is a
+row-index array into the run's ``SampleTable``, drawn with the same
+generator calls as a draw over sample lists, and the probes are per-class
+feature blocks scored one block at a time. The live model and the live
+buffers are never touched.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import Conf, EnergyLedger, ProfileRecord, Sample, round_up_to_step, round_down_to_step
+from .domain import Conf, EnergyLedger, ProfileRecord, SampleTable, round_up_to_step, round_down_to_step
 from .learner import (
     Checkpoint,
     CostModel,
@@ -108,52 +111,49 @@ def nearest_conf(space: Sequence[Conf], target: Conf) -> Conf:
     )
 
 
-def _draw(pool: Sequence[Sample], n: int, rng: np.random.Generator) -> list[Sample]:
+def _draw(pool: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     if n >= len(pool):
-        return list(pool)
-    idx = rng.choice(len(pool), size=n, replace=False)
-    return [pool[i] for i in sorted(idx)]
+        return pool
+    return pool[np.sort(rng.choice(len(pool), size=n, replace=False))]
 
 
 def draw_covered_subsample(
-    pool: Sequence[Sample], n: int, rng: np.random.Generator
-) -> list[Sample]:
-    """Random subsample re-drawn until every class in the pool is represented.
+    pool: np.ndarray, n: int, rng: np.random.Generator, labels: np.ndarray
+) -> np.ndarray:
+    """Random subsample of distinct rows, re-drawn until every class in the
+    pool is represented (``labels[row]`` is a row's class).
 
     If the draw count cannot cover all classes (or luck runs out), the draw
-    is topped up with one random sample per missing class so no class
-    silently reports zero accuracy.
+    is topped up with one random row per missing class so no class silently
+    reports zero accuracy.
     """
-    classes = {s.class_label for s in pool}
+    classes = np.unique(labels[pool])
     picked = _draw(pool, n, rng)
     for _ in range(COVERAGE_ATTEMPTS):
-        if {s.class_label for s in picked} == classes:
+        if len(np.unique(labels[picked])) == len(classes):
             return picked
         picked = _draw(pool, n, rng)
-    missing = classes - {s.class_label for s in picked}
-    picked_ids = {s.id for s in picked}
-    for c in sorted(missing):
-        cands = [s for s in pool if s.class_label == c and s.id not in picked_ids]
-        if cands:
-            extra = cands[int(rng.integers(len(cands)))]
-            picked.append(extra)
-            picked_ids.add(extra.id)
-    return picked
+    extras = []
+    for c in np.setdiff1d(classes, labels[picked]).tolist():
+        cands = pool[labels[pool] == c]
+        if len(cands):
+            extras.append(cands[int(rng.integers(len(cands)))])
+    return np.concatenate([picked, np.asarray(extras, dtype=np.intp)])
 
 
 def _balanced_take(
-    by_class: dict[int, list[Sample]], total: int, rng: np.random.Generator
-) -> list[Sample]:
+    by_class: dict[int, np.ndarray], total: int, rng: np.random.Generator
+) -> np.ndarray:
     """Class-balanced random selection mirroring how EM fills to quota."""
-    classes = sorted(c for c, pool in by_class.items() if pool)
+    classes = sorted(c for c, pool in by_class.items() if len(pool))
     if not classes or total <= 0:
-        return []
+        return np.empty(0, np.intp)
     base, rem = divmod(total, len(classes))
-    out: list[Sample] = []
+    out = []
     for i, c in enumerate(classes):
         want = min(base + (1 if i < rem else 0), len(by_class[c]))
-        out.extend(_draw(by_class[c], want, rng))
-    return out
+        out.append(_draw(by_class[c], want, rng))
+    return np.concatenate(out)
 
 
 @dataclass
@@ -175,19 +175,18 @@ class ProfileOutcome:
 
 
 def _shuffled_batches(
-    data: list[Sample], batch_size: int, rng: np.random.Generator
-) -> list[list[Sample]]:
-    order = rng.permutation(len(data))
-    shuffled = [data[i] for i in order]
+    data: np.ndarray, batch_size: int, rng: np.random.Generator
+) -> list[np.ndarray]:
+    shuffled = data[rng.permutation(len(data))]
     return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
 
 
 def evaluate_conf(
     cp: Checkpoint,
     conf: Conf,
-    task_samples: Sequence[Sample],
-    em_pool_by_class: dict[int, list[Sample]],
-    probe_samples: Sequence[Sample],
+    task_rows: np.ndarray,
+    em_pool_by_class: dict[int, np.ndarray],
+    probes: dict[int, np.ndarray],
     cfg: ProfilerConfig,
     cost: CostModel,
     full_epochs: int,
@@ -195,37 +194,39 @@ def evaluate_conf(
     batch_size: int,
     rng: np.random.Generator,
     ledger: EnergyLedger,
+    table: SampleTable,
 ) -> tuple[ProfileRecord, int]:
     """Short training of one conf from the shared checkpoint.
 
     Returns the record plus the compute units (sample-epochs) it consumed.
-    The data is a masked view: the first min(sb, task) stream samples and a
-    balanced old-sample selection capped at the conf's EM size, both
-    subsampled and coverage-checked.
+    The data is a masked view: the first min(sb, task) stream rows and a
+    balanced old-row selection capped at the conf's EM size, both
+    subsampled and coverage-checked. ``probes`` are per-class feature
+    blocks.
     """
     state = restore(cp)
     em_available = sum(len(v) for v in em_pool_by_class.values())
-    sb_inuse = min(conf.sb_size, len(task_samples))
+    sb_inuse = min(conf.sb_size, len(task_rows))
     em_inuse = min(conf.em_size, em_available)
 
-    data: list[Sample] = []
+    parts = []
     if sb_inuse > 0:
-        sb_view = list(task_samples[:sb_inuse])
         n_sb = max(1, round(cfg.subsample * sb_inuse))
-        data.extend(draw_covered_subsample(sb_view, n_sb, rng))
+        parts.append(draw_covered_subsample(task_rows[:sb_inuse], n_sb, rng, table.labels))
     if em_inuse > 0:
         em_view = _balanced_take(em_pool_by_class, em_inuse, rng)
         n_em = max(1, round(cfg.subsample * em_inuse))
-        data.extend(draw_covered_subsample(em_view, n_em, rng))
-    if not data:
+        parts.append(draw_covered_subsample(em_view, n_em, rng, table.labels))
+    if not parts:
         raise ValueError(f"conf {conf} yields no profiling data")
+    data = np.concatenate(parts)
 
     mean_loss = float("nan")
     for _ in range(cfg.profile_epochs):
         batches = _shuffled_batches(data, batch_size, rng)
-        state, mean_loss = train_epoch(state, batches, learning_rate)
+        state, mean_loss = train_epoch(state, batches, learning_rate, table)
 
-    acc = evaluate(state, probe_samples).average
+    acc = evaluate(state, probes).average
     energy = cost.train_joules(sb_inuse + em_inuse, epochs=full_epochs)
     units = len(data) * cfg.profile_epochs
     charge_profiling(cost, len(data), cfg.profile_epochs, ledger)
@@ -240,9 +241,9 @@ def evaluate_conf(
 
 def profile_task(
     live_state: LearnerState,
-    task_samples: Sequence[Sample],
-    em_pool_by_class: dict[int, list[Sample]],
-    probe_samples: Sequence[Sample],
+    task_rows: np.ndarray,
+    em_pool_by_class: dict[int, np.ndarray],
+    probes: dict[int, np.ndarray],
     budget_samples: int,
     step: int,
     reference_target: Conf | None,
@@ -253,13 +254,16 @@ def profile_task(
     batch_size: int,
     rng: np.random.Generator,
     ledger: EnergyLedger,
+    table: SampleTable,
 ) -> ProfileOutcome:
     """Profile one incoming task and return records for every sampled conf.
 
-    The live model is copied for the warmup checkpoint and for every conf
-    evaluation; the caller's state is never mutated.
+    ``task_rows`` and the per-class ``em_pool_by_class`` are rows of
+    ``table``; ``probes`` are per-class feature blocks. The live model is
+    copied for the warmup checkpoint and for every conf evaluation; the
+    caller's state is never mutated.
     """
-    task_size = len(task_samples)
+    task_size = len(task_rows)
     space = build_search_space(budget_samples, task_size, step)
     if reference_target is None:
         reference_target = first_task_reference(task_size, budget_samples, step)
@@ -268,18 +272,18 @@ def profile_task(
 
     # shared warmup checkpoint at the reference conf, trained on full views
     warm = restore(checkpoint(live_state))
-    ref_data: list[Sample] = list(task_samples[: min(reference.sb_size, task_size)])
+    ref_data = task_rows[: min(reference.sb_size, task_size)]
     em_avail = sum(len(v) for v in em_pool_by_class.values())
     ref_em = min(reference.em_size, em_avail)
     if ref_em > 0:
-        ref_data.extend(_balanced_take(em_pool_by_class, ref_em, rng))
+        ref_data = np.concatenate([ref_data, _balanced_take(em_pool_by_class, ref_em, rng)])
     # warmup_epochs == 0 is ablation mode: confs ride on the raw live weights
     # and inherit the noisy early-epoch loss landscape
     warmup_units = 0
     if cfg.warmup_epochs > 0:
         for _ in range(cfg.warmup_epochs):
             batches = _shuffled_batches(ref_data, batch_size, rng)
-            warm, _ = train_epoch(warm, batches, learning_rate)
+            warm, _ = train_epoch(warm, batches, learning_rate, table)
         warmup_units = len(ref_data) * cfg.warmup_epochs
         charge_profiling(cost, len(ref_data), cfg.warmup_epochs, ledger)
     cp = checkpoint(warm)
@@ -290,9 +294,9 @@ def profile_task(
         record, units = evaluate_conf(
             cp,
             conf,
-            task_samples,
+            task_rows,
             em_pool_by_class,
-            probe_samples,
+            probes,
             cfg,
             cost,
             full_epochs,
@@ -300,6 +304,7 @@ def profile_task(
             batch_size,
             rng,
             ledger,
+            table,
         )
         records.append(record)
         eval_units += units

@@ -9,6 +9,12 @@ same accounting bucket, and firing draws on the post-completion EM view so
 requests never target slots that were just replaced. Since every in-memory
 sample is drawn once per epoch, that view is exactly the drawn set. The
 task's last epoch fires nothing: the task boundary would cancel the batch.
+
+A run packs the stream's training samples into one ``SampleTable``,
+allocated at its final size when the run starts and filled task by task on
+arrival; from then on SB, EM, the archive, the swap channel, the batches and
+the profiler all hold rows of it. Probe sets become per-class feature blocks
+once per task.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .domain import (
     IoState,
     ProfileRecord,
     Sample,
+    SampleTable,
     Task,
     validate_stream,
 )
@@ -36,6 +43,7 @@ from .learner import (
     charge_epoch,
     evaluate,
     init_learner,
+    probe_blocks,
     train_epoch,
 )
 from .memory import (
@@ -155,9 +163,10 @@ class Runtime:
         self._learner_seed = learner_seed
 
         self.ledger = EnergyLedger()
-        self.archive = StorageArchive()
+        self.table = SampleTable()
+        self.archive = StorageArchive(self.table)
         self.sb = StreamBuffer(0)
-        self.em = EpisodicMemory(0)
+        self.em = EpisodicMemory(0, self.table)
         self.channel = IoChannel(
             config.io_bandwidth_bytes_per_s, config.external_io_load
         )
@@ -196,9 +205,12 @@ class Runtime:
 
     # --- conf decision ---------------------------------------------------
 
-    def on_new_task(self, task: Task, task_index: int, n_tasks: int,
-                    probe_union: list[Sample], classes_seen: int) -> Conf:
-        """Decide this task's conf: profile-and-select, or ask the policy."""
+    def on_new_task(self, task: Task, rows: np.ndarray, task_index: int, n_tasks: int,
+                    probes: dict[int, np.ndarray], classes_seen: int) -> Conf:
+        """Decide this task's conf: profile-and-select, or ask the policy.
+
+        ``rows`` are the task's table rows and ``probes`` the per-class probe
+        blocks of every task so far."""
         cfg = self.config
         self._task_size = len(task)
         self._records_this_task = []
@@ -217,14 +229,12 @@ class Runtime:
             self.chosen_confs.append((task.task_id, conf))
             return conf
 
-        em_pool = {
-            c: list(self.archive.class_samples(c)) for c in self.archive.classes()
-        }
+        em_pool = {c: self.archive.class_rows(c) for c in self.archive.classes()}
         outcome = profile_task(
             live_state=self.state,
-            task_samples=task.samples,
+            task_rows=rows,
             em_pool_by_class=em_pool,
-            probe_samples=probe_union,
+            probes=probes,
             budget_samples=self.budget_samples,
             step=cfg.step,
             reference_target=self._chosen,
@@ -235,6 +245,7 @@ class Runtime:
             batch_size=cfg.batch_size,
             rng=np.random.default_rng(self._profile_root.spawn(1)[0]),
             ledger=self.ledger,
+            table=self.table,
         )
         self._records_this_task = outcome.records
         self.profile_trace.extend((task.task_id, r) for r in outcome.records)
@@ -356,28 +367,37 @@ class Runtime:
         n_tasks: int | None = None,
     ) -> RunReport:
         cfg = self.config
+        if len(self.table):
+            raise RuntimeError("a Runtime runs one stream; create a new one")
         report = validate_stream(tasks, cfg.domain_incremental)
         if not report.ok:
             raise ValueError(f"invalid stream: {report.issues[:3]}")
         n_tasks = n_tasks or len(tasks)
         dim = len(tasks[0].samples[0].features)
+        dtype = np.result_type(*{s.features.dtype for task in tasks for s in task.samples})
+        self.table.reserve(sum(len(task) for task in tasks), dim, dtype)
         self.state = init_learner(dim, cfg.hidden_width, self._learner_seed)
 
-        probe_union: list[Sample] = []
+        # per-class probe blocks: of each task, and of every task so far
+        task_probes: dict[int, dict[int, np.ndarray]] = {}
+        probes: dict[int, np.ndarray] = {}
         classes_seen: set[int] = set()
         aborted = False
         abort_reason = None
 
         for task_index, task in enumerate(tasks, start=1):
-            probe_union = probe_union + list(probe_sets.get(task.task_id, ()))
+            rows = self.table.add(task.samples)
+            blocks = task_probes[task.task_id] = probe_blocks(probe_sets.get(task.task_id, ()))
+            for c, block in blocks.items():
+                probes[c] = np.concatenate([probes[c], block]) if c in probes else block
             classes_seen |= task.class_set
 
             try:
                 conf = self.on_new_task(
-                    task, task_index, n_tasks, probe_union, len(classes_seen)
+                    task, rows, task_index, n_tasks, probes, len(classes_seen)
                 )
                 self._apply_conf(conf)
-                self.sb.fill(task.samples)
+                self.sb.fill(rows)
                 self.engine.reset_history()
                 self._empty_epochs = 0
                 self._epochs_since_firing = 0
@@ -392,17 +412,17 @@ class Runtime:
             row = {}
             if self.state.class_order:
                 for seen in tasks[:task_index]:
-                    probes = probe_sets.get(seen.task_id, ())
-                    if probes and (seen.class_set & self.state.classes_seen):
+                    blocks = task_probes[seen.task_id]
+                    if blocks and not seen.class_set.isdisjoint(self.state.class_order):
                         row[seen.task_id] = evaluate(
-                            self.state, probes, classes=seen.class_set
+                            self.state, blocks, classes=seen.class_set
                         ).average
             self.accuracy_matrix[task.task_id] = row
             if aborted:
                 break
 
         if self.state.class_order:
-            final = evaluate(self.state, probe_union)
+            final = evaluate(self.state, probes)
         else:
             from .learner import EvalResult
 
@@ -439,7 +459,7 @@ class Runtime:
                 self.sb, self.em, cfg.batch_size, self._batch_rng
             )
             n_inuse = len(self.sb) + self.em.total
-            self.state, loss = train_epoch(self.state, batches, cfg.learning_rate)
+            self.state, loss = train_epoch(self.state, batches, cfg.learning_rate, self.table)
 
             t0 = self.ledger.wall_time_seconds
             t1 = t0 + cfg.cost.epoch_seconds(n_inuse)

@@ -7,13 +7,15 @@ sample size (replacement read plus write-back accounting), so ratio changes
 translate linearly into channel load.
 
 A swap batch is arithmetic, not one object per transfer: the channel queues
-each batch as arrays of sample ids, class ids and completion times, and
+each batch as arrays of table rows, class ids and completion times, and
 computes those times in closed form (a running sum of durations per stretch
 of constant external load).
 
 The engine sends transfers only for classes that still have an archive
-sample outside EM, and applies landed transfers with one draw per class over
-those fresh samples (Carousel Memory's EM-storage swap on a simulated clock).
+row outside EM, and applies landed transfers with one draw per class over
+those fresh rows (Carousel Memory's EM-storage swap on a simulated clock).
+Every transfer moves the stream's one sample size, so a batch's byte count
+is a scalar.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class IoChannel:
     load schedule. Busy intervals are tracked so energy accounting can bill
     I/O-active seconds per epoch.
 
-    The queue is a FIFO of batches, each three parallel arrays (sample ids,
-    class ids, completion times). Transfer k of a batch starts when transfer
+    The queue is a FIFO of batches, each three parallel arrays (rows, class
+    ids, completion times). Transfer k of a batch starts when transfer
     k-1 completes, so within a stretch of constant external load its
     completion time is ``start + d_0 + ... + d_k``; ``np.cumsum`` adds left to
     right, which makes the times bit-identical to serving the transfers one
@@ -66,8 +68,8 @@ class IoChannel:
         self._step_times = [t for t, _ in self.external_load]
         self.busy_until = 0.0
         self.pending_count = 0
-        # (sample_ids, class_ids, completes_at) per batch; the head batch is
-        # served from index _head on
+        # (rows, class_ids, completes_at) per batch; the head batch is served
+        # from index _head on
         self._queue: deque[tuple[np.ndarray, np.ndarray, np.ndarray]] = deque()
         self._head = 0
         self._busy_segments: list[tuple[float, float]] = []
@@ -90,7 +92,7 @@ class IoChannel:
 
     def submit_batch(
         self,
-        sample_ids: ArrayLike,
+        rows: ArrayLike,
         class_ids: ArrayLike,
         nbytes: ArrayLike,
         now: float,
@@ -98,8 +100,8 @@ class IoChannel:
         """Enqueue transfers in order, served back to back from
         ``max(now, busy_until)``; ``nbytes`` is one size for all or one per
         transfer. Returns their completion times."""
-        sample_ids = np.asarray(sample_ids, dtype=np.int64)
-        n = len(sample_ids)
+        rows = np.asarray(rows, dtype=np.intp)
+        n = len(rows)
         sizes = np.broadcast_to(np.asarray(nbytes, dtype=np.float64), (n,))
         completes_at = np.empty(n)
         if n == 0:
@@ -119,20 +121,20 @@ class IoChannel:
             self._busy_segments[-1] = (self._busy_segments[-1][0], start)
         else:
             self._busy_segments.append((first_start, start))
-        self._queue.append((sample_ids, np.asarray(class_ids, dtype=np.int64), completes_at))
+        self._queue.append((rows, np.asarray(class_ids, dtype=np.intp), completes_at))
         self.pending_count += n
         return completes_at
 
     def pop_completed(self, now: float) -> tuple[np.ndarray, np.ndarray]:
         """Dequeue the transfers completed by ``now`` (a FIFO prefix); returns
-        their sample ids and class ids."""
-        ids: list[np.ndarray] = []
+        their rows and class ids."""
+        rows: list[np.ndarray] = []
         classes: list[np.ndarray] = []
         while self._queue:
-            batch_ids, batch_classes, completes_at = self._queue[0]
+            batch_rows, batch_classes, completes_at = self._queue[0]
             end = int(np.searchsorted(completes_at, now, side="right"))
             if end > self._head:
-                ids.append(batch_ids[self._head : end])
+                rows.append(batch_rows[self._head : end])
                 classes.append(batch_classes[self._head : end])
                 self.pending_count -= end - self._head
             if end < len(completes_at):
@@ -140,9 +142,9 @@ class IoChannel:
                 break
             self._queue.popleft()
             self._head = 0
-        if not ids:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(ids), np.concatenate(classes)
+        if not rows:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        return np.concatenate(rows), np.concatenate(classes)
 
     def clear_pending(self, now: float) -> int:
         """Cancel queued transfers; the channel goes idle from ``now`` on."""
@@ -208,8 +210,8 @@ class SwapEngine:
         rng: np.random.Generator,
     ) -> int:
         """Pick ceil(percent * n) distinct EM slots uniformly and enqueue
-        them, where n counts the held samples of classes that still have a
-        fresh archive sample; returns how many were enqueued.
+        them, where n counts the held rows of classes that still have a
+        fresh archive row; returns how many were enqueued.
 
         EM holds a subset of the archive, so a class whose EM count reaches
         its archive count has no replacement to fetch; a transfer for it
@@ -219,18 +221,19 @@ class SwapEngine:
             return 0
         if percent > 1.0:
             raise ValueError("percent must be in (0, 1]")
-        exhausted = {c for c, n in em.counts().items() if n >= self.archive.class_count(c)}
-        drawn = [s for s in em.contents() if s.class_label not in exhausted]
+        drawn = [
+            em.class_rows(c)
+            for c, n in em.counts().items()
+            if n < self.archive.class_count(c)
+        ]
         if not drawn:
             return 0
+        drawn = np.concatenate(drawn)
         n = math.ceil(percent * len(drawn))
-        picked_idx = rng.choice(len(drawn), size=n, replace=False)
-        picked = [drawn[i] for i in sorted(picked_idx)]
+        picked = drawn[np.sort(rng.choice(len(drawn), size=n, replace=False))]
+        table = self.archive.table
         self.channel.submit_batch(
-            np.array([s.id for s in picked], dtype=np.int64),
-            np.array([s.class_label for s in picked], dtype=np.int64),
-            np.array([SWAP_BYTES_FACTOR * s.size_bytes for s in picked], dtype=np.float64),
-            now,
+            picked, table.labels[picked], SWAP_BYTES_FACTOR * table.size_bytes, now
         )
         self.issued_total += n
         self._epoch.issued += n
@@ -244,30 +247,32 @@ class SwapEngine:
         Landed transfers are grouped by class, keeping only slots EM still
         holds, each once. In ascending class order, one ``rng.choice``
         without replacement picks ``k = min(slots, fresh)`` of the class's
-        archive samples that EM did not hold when the batch landed, and the
+        archive rows that EM did not hold when the batch landed, and the
         first ``k`` slots in landing order take them. So every replacement
-        is a distinct sample new to EM, and the rest of the landed transfers
-        (vanished slots, repeated ids, and slots beyond the class's fresh
-        samples) are dropped: counted, not fatal.
+        is a distinct row new to EM, and the rest of the landed transfers
+        (vanished slots, repeated rows, and slots beyond the class's fresh
+        rows) are dropped: counted, not fatal.
         """
-        landed: dict[int, dict[int, None]] = {}
-        held = em.held_ids
-        sample_ids, class_ids = self.channel.pop_completed(now)
-        for sample_id, class_id in zip(sample_ids.tolist(), class_ids.tolist()):
-            if sample_id in held:
-                landed.setdefault(class_id, {})[sample_id] = None
-        applied = 0
-        for class_id in sorted(landed):
-            slots = list(landed[class_id])
-            cands = self.archive.candidates(class_id, held)
+        rows, class_ids = self.channel.pop_completed(now)
+        landed = len(rows)
+        live = em.holds(rows)
+        rows, class_ids = rows[live], class_ids[live]
+        # first landing of each row, in landing order
+        first = np.sort(np.unique(rows, return_index=True)[1])
+        rows, class_ids = rows[first], class_ids[first]
+        old, new = [], []
+        for class_id in np.unique(class_ids).tolist():
+            slots = rows[class_ids == class_id]
+            cands = self.archive.candidates(class_id, em)
             k = min(len(slots), len(cands))
             if k == 0:
                 continue
-            picks = rng.choice(len(cands), size=k, replace=False)
-            for old_id, i in zip(slots, picks.tolist()):
-                em.replace(old_id, cands[i])
-            applied += k
-        dropped = len(sample_ids) - applied
+            old.append(slots[:k])
+            new.append(cands[rng.choice(len(cands), size=k, replace=False)])
+        # classes share no rows, so every class's candidates can be read
+        # before any replacement is written
+        applied = em.replace(np.concatenate(old), np.concatenate(new)) if old else 0
+        dropped = landed - applied
         self.applied_total += applied
         self._epoch.applied += applied
         self.dropped_total += dropped
@@ -320,12 +325,3 @@ class SwapEngine:
 
     def conserved(self) -> bool:
         return self.issued_total == self.applied_total + self.dropped_total + self.pending_count
-
-
-def required_bandwidth_bytes_per_s(
-    drawn_per_epoch: int, size_bytes: int, epoch_seconds: float
-) -> float:
-    """Steady bandwidth needed to complete full swapping within one epoch."""
-    if epoch_seconds <= 0:
-        raise ValueError("epoch duration must be positive")
-    return drawn_per_epoch * SWAP_BYTES_FACTOR * size_bytes / epoch_seconds

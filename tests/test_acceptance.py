@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hiercl.control import SwapController, plan_from_ratio
-from hiercl.domain import Conf, ProfileRecord, Task
+from hiercl.domain import Conf, ProfileRecord, SampleTable, Task
 from hiercl.harness import (
     HeuristicPolicy,
     StaticConfPolicy,
@@ -24,7 +24,7 @@ from hiercl.harness import (
     generate_stream,
     run_utility,
 )
-from hiercl.learner import CostModel, init_learner
+from hiercl.learner import CostModel, init_learner, probe_blocks
 from hiercl.memory import (
     EpisodicMemory,
     StorageArchive,
@@ -140,8 +140,9 @@ def test_criterion_5_class_balance_property():
     with criterion(5, "10,000 random flush/resize ops keep per-class spread <= 1"):
         start = time.perf_counter()
         rng = np.random.default_rng(5150)
-        archive = StorageArchive()
-        em = EpisodicMemory(120)
+        table = SampleTable()
+        archive = StorageArchive(table)
+        em = EpisodicMemory(120, table)
         sb = StreamBuffer(100_000)
         sid = 0
         task_id = 0
@@ -157,7 +158,7 @@ def test_criterion_5_class_balance_property():
                         samples.append(make_sample(sid, c))
                         sid += 1
                 task = Task.from_samples(task_id, samples)
-                sb.fill(task.samples)
+                sb.fill(table.add(task.samples))
                 flush(sb, em, archive, rng)
             else:
                 em.resize(int(rng.integers(0, 30)) * 10, archive, rng)
@@ -251,15 +252,17 @@ def test_criterion_9_profiler_cost_ratio():
             for c in range(10, 20):
                 task_samples.append(make_sample(sid, c, dim=16))
                 sid += 1
+        table = SampleTable()
+        task_rows = table.add(task_samples)
         em_pool = {
-            c: [make_sample(100_000 + c * 1000 + i, c, dim=16) for i in range(200)]
+            c: table.add([make_sample(100_000 + c * 1000 + i, c, dim=16) for i in range(200)])
             for c in range(10)
         }
         probe = [make_sample(500_000 + i, i % 20, dim=16) for i in range(400)]
         state = init_learner(16, hidden_width=16, seed=0)
         from hiercl.learner import train_epoch
 
-        train_epoch(state, [[s for ss in em_pool.values() for s in ss[:2]]], 0.1)
+        train_epoch(state, [np.concatenate([rows[:2] for rows in em_pool.values()])], 0.1, table)
 
         cfg = ProfilerConfig()  # 14 confs, 5 epochs, 5% subsample
         full_epochs = 20
@@ -267,9 +270,9 @@ def test_criterion_9_profiler_cost_ratio():
 
         outcome = profile_task(
             live_state=state,
-            task_samples=task_samples,
+            task_rows=task_rows,
             em_pool_by_class=em_pool,
-            probe_samples=probe,
+            probes=probe_blocks(probe),
             budget_samples=5000,
             step=500,
             reference_target=None,
@@ -280,6 +283,7 @@ def test_criterion_9_profiler_cost_ratio():
             batch_size=32,
             rng=rng,
             ledger=EnergyLedger(),
+            table=table,
         )
         space = build_search_space(5000, len(task_samples), 500)
         em_available = sum(len(v) for v in em_pool.values())

@@ -6,6 +6,7 @@ from hiercl.domain import (
     Conf,
     EnergyLedger,
     Sample,
+    SampleTable,
     SwapPlan,
     Task,
     validate_stream,
@@ -34,14 +35,18 @@ def test_task_ordinal_starts_at_one():
         Task(task_id=0, samples=(), class_set=frozenset())
 
 
+def on_grid(conf: Conf, step: int) -> bool:
+    return conf.sb_size % step == 0 and conf.em_size % step == 0
+
+
 def test_conf_validation():
     with pytest.raises(ValueError):
         Conf(sb_size=-1, em_size=10)
     with pytest.raises(ValueError):
         Conf(sb_size=0, em_size=0)
     assert Conf(500, 1000).total == 1500
-    assert Conf(500, 1000).on_grid(500)
-    assert not Conf(500, 1200).on_grid(500)
+    assert on_grid(Conf(500, 1000), 500)
+    assert not on_grid(Conf(500, 1200), 500)
 
 
 class TestSwapPlan:
@@ -142,3 +147,44 @@ class TestValidateStream:
         kinds = {i.kind for i in report.issues}
         assert "dim_mismatch" in kinds
         assert "size_bytes_mismatch" in kinds
+
+
+class TestSampleTable:
+    def test_rows_follow_arrival_and_keep_the_samples(self):
+        table = SampleTable()
+        first = [make_sample(10 + i, i % 2) for i in range(3)]
+        second = [make_sample(20 + i, 5) for i in range(4)]
+        assert table.add(first).tolist() == [0, 1, 2]
+        assert table.add(second).tolist() == [3, 4, 5, 6]
+        assert table.samples == first + second
+        assert table.labels[:7].tolist() == [0, 1, 0, 5, 5, 5, 5]
+        for row, s in enumerate(first + second):
+            assert table.features[row].tobytes() == s.features.tobytes()
+        assert table.features.dtype == np.float32
+        assert table.size_bytes == 64
+
+    def test_reserved_storage_is_filled_in_place(self):
+        table = SampleTable()
+        table.reserve(10, 4, np.float32)
+        storage = table.features
+        table.add([make_sample(i, 0) for i in range(10)])
+        assert table.features is storage and len(table) == 10
+
+    def test_growth_promotes_and_reserve_rejects_rounding(self):
+        table = SampleTable()
+        table.add([make_sample(0, 0)])
+        wide = Sample(1, 0, np.linspace(0.0, 1.0, 4), 64)  # float64
+        table.add([wide])
+        assert table.features.dtype == np.float64
+        assert table.features[1].tolist() == wide.features.tolist()
+        narrow = SampleTable()
+        narrow.reserve(2, 4, np.float32)
+        with pytest.raises(TypeError):
+            narrow.add([wide])
+
+
+def test_validate_flags_a_sample_seen_twice():
+    t1 = make_task(1, [0, 1], per_class=3)
+    repeat = Task.from_samples(2, [make_sample(100, 2), t1.samples[0]])
+    report = validate_stream([t1, repeat], domain_incremental=True)
+    assert [(i.kind, i.task_id) for i in report.issues] == [("duplicate_id", 2)]

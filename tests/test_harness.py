@@ -19,9 +19,10 @@ from hiercl.harness import (
     sweep,
     write_sweep,
 )
-from hiercl.learner import evaluate, init_learner, train_epoch
+from hiercl.learner import evaluate, init_learner, probe_blocks
 from hiercl.profiler import ProfilerConfig
 from hiercl.runtime import RunConfig, run_stream
+from conftest import train_on
 
 
 def small_config(**over):
@@ -77,8 +78,8 @@ class TestGenerateStream:
             batches = [
                 [data[i] for i in order[k : k + 16]] for k in range(0, len(data), 16)
             ]
-            train_epoch(state, batches, 0.2)
-        assert evaluate(state, stream.probe_sets[1]).average > 0.95
+            train_on(state, batches, 0.2)
+        assert evaluate(state, probe_blocks(stream.probe_sets[1])).average > 0.95
 
     def test_zero_separation_is_chance(self):
         stream = generate_stream(
@@ -94,8 +95,8 @@ class TestGenerateStream:
             batches = [
                 [data[i] for i in order[k : k + 16]] for k in range(0, len(data), 16)
             ]
-            train_epoch(state, batches, 0.1)
-        acc = evaluate(state, stream.probe_sets[1]).average
+            train_on(state, batches, 0.1)
+        acc = evaluate(state, probe_blocks(stream.probe_sets[1])).average
         assert abs(acc - 0.25) < 0.15
 
     def test_domain_incremental_mode_shares_classes(self):

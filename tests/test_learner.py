@@ -13,11 +13,10 @@ from hiercl.learner import (
     evaluate,
     init_learner,
     loss_and_grads,
-    params_equal,
+    probe_blocks,
     restore,
-    train_epoch,
 )
-from conftest import make_sample
+from conftest import make_sample, params_equal, train_on
 
 
 def toy_batches(n_per_class=8, dim=4, seed=0):
@@ -40,8 +39,8 @@ class TestTrainEpoch:
     def test_loss_decreases_on_separable_data(self):
         state = init_learner(4, hidden_width=8, seed=0)
         batches = toy_batches()
-        _, loss1 = train_epoch(state, batches, 0.5)
-        _, loss2 = train_epoch(state, batches, 0.5)
+        _, loss1 = train_on(state, batches, 0.5)
+        _, loss2 = train_on(state, batches, 0.5)
         assert loss2 < loss1
 
     def test_zero_learning_rate_is_identity(self):
@@ -49,7 +48,7 @@ class TestTrainEpoch:
         batches = toy_batches()
         ensure_classes(state, [0, 1])
         before = checkpoint(state)
-        train_epoch(state, batches, 0.0)
+        train_on(state, batches, 0.0)
         assert params_equal(state, restore(before))
 
     def test_divergence_raises(self):
@@ -61,14 +60,14 @@ class TestTrainEpoch:
         batches = [[mk(0, 0), mk(1, 1)], [mk(2, 0), mk(3, 1)]]
         with pytest.raises(LearnerDiverged):
             for _ in range(5):
-                train_epoch(state, batches, 1e30)
+                train_on(state, batches, 1e30)
 
     def test_deterministic_under_seed(self):
         runs = []
         for _ in range(2):
             state = init_learner(4, hidden_width=8, seed=123)
             for _ in range(3):
-                _, loss = train_epoch(state, toy_batches(), 0.3)
+                _, loss = train_on(state, toy_batches(), 0.3)
             runs.append((loss, state.w1.tobytes()))
         assert runs[0] == runs[1]
 
@@ -105,12 +104,12 @@ class TestEvaluate:
     def _trained(self):
         state = init_learner(4, hidden_width=8, seed=0)
         for _ in range(60):
-            train_epoch(state, toy_batches(), 0.5)
+            train_on(state, toy_batches(), 0.5)
         return state
 
     def test_perfect_classifier_scores_one(self):
         state = self._trained()
-        result = evaluate(state, [s for b in toy_batches(seed=5) for s in b])
+        result = evaluate(state, probe_blocks([s for b in toy_batches(seed=5) for s in b]))
         assert result.average == 1.0
 
     def test_uniform_random_is_chance(self):
@@ -122,7 +121,7 @@ class TestEvaluate:
         samples = [
             make_sample(i, int(rng.integers(C)), dim=dim) for i in range(4000)
         ]
-        result = evaluate(state, samples)
+        result = evaluate(state, probe_blocks(samples))
         assert abs(result.average - 1.0 / C) < 0.05
 
     def test_macro_average_of_known_per_class(self):
@@ -144,7 +143,7 @@ class TestEvaluate:
             mk(2, 1, -1, +1),
             mk(3, 1, +1, +0.99),  # first hidden unit edges it out: predicted 0
         ]
-        result = evaluate(state, tests)
+        result = evaluate(state, probe_blocks(tests))
         assert result.per_class[0] == 1.0
         assert result.per_class[1] == 0.5
         assert result.average == 0.75
@@ -153,20 +152,20 @@ class TestEvaluate:
         state = self._trained()
         only_zero = [s for b in toy_batches(seed=5) for s in b if s.class_label == 0]
         with pytest.warns(UserWarning):
-            result = evaluate(state, only_zero)
+            result = evaluate(state, probe_blocks(only_zero))
         assert set(result.per_class) == {0}
 
     def test_class_restriction_skips_warning(self):
         state = self._trained()
         only_zero = [s for b in toy_batches(seed=5) for s in b if s.class_label == 0]
-        result = evaluate(state, only_zero, classes={0})
+        result = evaluate(state, probe_blocks(only_zero), classes={0})
         assert set(result.per_class) == {0}
 
 
 class TestCheckpoint:
     def test_round_trip_is_byte_identical(self):
         state = init_learner(4, hidden_width=8, seed=0)
-        train_epoch(state, toy_batches(), 0.3)
+        train_on(state, toy_batches(), 0.3)
         cp = checkpoint(state)
         back = restore(cp)
         assert params_equal(state, back)
@@ -174,19 +173,19 @@ class TestCheckpoint:
 
     def test_training_after_restore_is_deterministic(self):
         state = init_learner(4, hidden_width=8, seed=0)
-        train_epoch(state, toy_batches(), 0.3)
+        train_on(state, toy_batches(), 0.3)
         cp = checkpoint(state)
         a = restore(cp)
         b = restore(cp)
-        _, la = train_epoch(a, toy_batches(seed=9), 0.3)
-        _, lb = train_epoch(b, toy_batches(seed=9), 0.3)
+        _, la = train_on(a, toy_batches(seed=9), 0.3)
+        _, lb = train_on(b, toy_batches(seed=9), 0.3)
         assert la == lb and params_equal(a, b)
 
     def test_checkpoints_at_different_epochs_differ(self):
         state = init_learner(4, hidden_width=8, seed=0)
-        train_epoch(state, toy_batches(), 0.3)
+        train_on(state, toy_batches(), 0.3)
         cp1 = checkpoint(state)
-        train_epoch(state, toy_batches(), 0.3)
+        train_on(state, toy_batches(), 0.3)
         cp2 = checkpoint(state)
         assert cp1.w1.tobytes() == cp1.w1.tobytes()
         assert cp2.w2.tobytes() != cp1.w2.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercl.domain import Task
+from hiercl.domain import SampleTable, Task
 from hiercl.memory import (
     EpisodicMemory,
     StorageArchive,
@@ -17,7 +17,16 @@ from conftest import make_sample, make_task
 
 
 def fresh(capacity_em=100):
-    return StreamBuffer(0), EpisodicMemory(capacity_em), StorageArchive()
+    table = SampleTable()
+    return StreamBuffer(0), EpisodicMemory(capacity_em, table), StorageArchive(table)
+
+
+def ids(table, rows):
+    return [table.samples[r].id for r in rows]
+
+
+def as_samples(table, batches):
+    return [[table.samples[r] for r in batch] for batch in batches]
 
 
 class TestQuotas:
@@ -38,39 +47,42 @@ class TestStreamBuffer:
     def test_exact_fit(self):
         sb = StreamBuffer(5000)
         task = make_task(1, range(10), per_class=500)
-        sb.fill(task.samples)
+        sb.fill(SampleTable().add(task.samples))
         assert len(sb) == 5000 and len(sb.overflow) == 0
 
     def test_overflow_routed_past_buffer(self):
         sb = StreamBuffer(1000)
         task = make_task(1, range(10), per_class=500)
-        sb.fill(task.samples)
+        table = SampleTable()
+        sb.fill(table.add(task.samples))
         assert len(sb) == 1000
         assert len(sb.overflow) == 4000
-        assert sb.all_task_samples() == list(task.samples)
+        assert [table.samples[r] for r in sb.rows] == list(task.samples)
 
     def test_underfill(self):
         sb = StreamBuffer(1000)
         task = make_task(1, [0], per_class=100)
-        sb.fill(task.samples)
+        sb.fill(SampleTable().add(task.samples))
         assert len(sb) == 100 and len(sb.overflow) == 0
 
     def test_must_be_empty_at_task_start(self):
         sb = StreamBuffer(10)
-        sb.fill([make_sample(0, 0)])
+        table = SampleTable()
+        sb.fill(table.add([make_sample(0, 0)]))
         with pytest.raises(RuntimeError):
-            sb.fill([make_sample(1, 0)])
+            sb.fill(table.add([make_sample(1, 0)]))
 
     def test_resize_round_trip(self):
         sb = StreamBuffer(6)
         samples = [make_sample(i, 0) for i in range(6)]
-        sb.fill(samples)
+        table = SampleTable()
+        sb.fill(table.add(samples))
         sb.resize(2)
-        assert [s.id for s in sb.contents] == [0, 1]
-        assert [s.id for s in sb.overflow] == [2, 3, 4, 5]
+        assert ids(table, sb.contents) == [0, 1]
+        assert ids(table, sb.overflow) == [2, 3, 4, 5]
         sb.resize(5)
-        assert [s.id for s in sb.contents] == [0, 1, 2, 3, 4]
-        assert [s.id for s in sb.overflow] == [5]
+        assert ids(table, sb.contents) == [0, 1, 2, 3, 4]
+        assert ids(table, sb.overflow) == [5]
 
 
 class TestFlush:
@@ -79,12 +91,12 @@ class TestFlush:
         rng = np.random.default_rng(0)
         sb.resize(10_000)
         t1 = make_task(1, range(10), per_class=20, start_id=0)
-        sb.fill(t1.samples)
+        sb.fill(archive.table.add(t1.samples))
         flush(sb, em, archive, rng)
         assert em.counts() == {c: 10 for c in range(10)}
 
         t2 = make_task(2, range(10, 20), per_class=20, start_id=10_000)
-        sb.fill(t2.samples)
+        sb.fill(archive.table.add(t2.samples))
         flush(sb, em, archive, rng)
         assert em.counts() == {c: 5 for c in range(20)}
 
@@ -94,7 +106,7 @@ class TestFlush:
         sb.resize(10_000)
         for t in range(1, 4):
             task = make_task(t, range((t - 1) * 10, t * 10), per_class=20, start_id=t * 10_000)
-            sb.fill(task.samples)
+            sb.fill(archive.table.add(task.samples))
             flush(sb, em, archive, rng)
         counts = em.counts()
         assert len(counts) == 30
@@ -107,7 +119,7 @@ class TestFlush:
         rng = np.random.default_rng(2)
         sb.resize(100)
         task = make_task(1, range(5), per_class=10)
-        sb.fill(task.samples)
+        sb.fill(archive.table.add(task.samples))
         flush(sb, em, archive, rng)
         assert em.total == 0
         assert archive.total == 50
@@ -117,7 +129,7 @@ class TestFlush:
         rng = np.random.default_rng(3)
         sb.resize(10)
         task = make_task(1, range(5), per_class=10)
-        sb.fill(task.samples)
+        sb.fill(archive.table.add(task.samples))
         assert len(sb.overflow) == 40
         flush(sb, em, archive, rng)
         assert archive.total == 50
@@ -128,27 +140,29 @@ class TestFlush:
         rng = np.random.default_rng(4)
         sb.resize(1000)
         t1 = make_task(1, range(3), per_class=5, start_id=0)
-        sb.fill(t1.samples)
+        sb.fill(archive.table.add(t1.samples))
         flush(sb, em, archive, rng)
-        ids_after_t1 = {s.id for c in archive.classes() for s in archive.class_samples(c)}
+        table = archive.table
+        ids_after_t1 = {i for c in archive.classes() for i in ids(table, archive.class_rows(c))}
         t2 = make_task(2, range(3, 6), per_class=5, start_id=100)
-        sb.fill(t2.samples)
+        sb.fill(table.add(t2.samples))
         flush(sb, em, archive, rng)
-        ids_after_t2 = {s.id for c in archive.classes() for s in archive.class_samples(c)}
+        ids_after_t2 = {i for c in archive.classes() for i in ids(table, archive.class_rows(c))}
         assert ids_after_t1 <= ids_after_t2
 
 
 class TestResize:
     def _em_with_archive(self, classes, per_class_archive, capacity, seed=0):
         rng = np.random.default_rng(seed)
-        archive = StorageArchive()
+        table = SampleTable()
+        archive = StorageArchive(table)
         sid = 0
         for c in classes:
             archive.append(
-                [make_sample(sid + i, c) for i in range(per_class_archive[c])]
+                table.add([make_sample(sid + i, c) for i in range(per_class_archive[c])])
             )
             sid += per_class_archive[c]
-        em = EpisodicMemory(capacity)
+        em = EpisodicMemory(capacity, table)
         em.rebalance(archive, rng)
         return em, archive, rng
 
@@ -194,29 +208,30 @@ class TestReplace:
         em, archive, rng = TestResize()._em_with_archive(
             [1, 2], {1: 10, 2: 10}, capacity=10
         )
-        victim = em.contents()[0]
-        fresh_sample = archive.candidates(victim.class_label, em.held_ids)[0]
-        assert em.replace(victim.id, fresh_sample)
-        assert victim.id not in em.held_ids
-        assert fresh_sample.id in em.held_ids
+        victim = em.rows()[0]
+        fresh_row = archive.candidates(archive.table.labels[victim], em)[0]
+        assert em.replace(victim, fresh_row)
+        assert not em.holds(victim)
+        assert em.holds(fresh_row)
         assert em.total == 10
 
     def test_replace_refuses_duplicates(self):
         em, archive, rng = TestResize()._em_with_archive([1], {1: 10}, capacity=5)
-        held = em.contents()
-        assert not em.replace(held[0].id, held[1])
+        held = em.rows()
+        assert not em.replace(held[0], held[1])
 
 
 class TestComposeBatches:
     def _filled(self, n_sb, n_em, batch, seed=0):
         rng = np.random.default_rng(seed)
+        table = SampleTable()
         sb = StreamBuffer(n_sb)
         if n_sb:
-            sb.fill([make_sample(i, 0) for i in range(n_sb)])
-        archive = StorageArchive()
-        em = EpisodicMemory(n_em)
+            sb.fill(table.add([make_sample(i, 0) for i in range(n_sb)]))
+        archive = StorageArchive(table)
+        em = EpisodicMemory(n_em, table)
         if n_em:
-            archive.append([make_sample(1000 + i, 1) for i in range(n_em)])
+            archive.append(table.add([make_sample(1000 + i, 1) for i in range(n_em)]))
             em.rebalance(archive, rng)
         return sb, em, rng
 
@@ -227,22 +242,22 @@ class TestComposeBatches:
 
     def test_ragged_tail_from_em_only(self):
         sb, em, rng = self._filled(0, 8, 3)
-        batches = compose_epoch_batches(sb, em, 3, rng)
+        batches = as_samples(em.table, compose_epoch_batches(sb, em, 3, rng))
         assert [len(b) for b in batches] == [3, 3, 2]
         assert all(s.class_label == 1 for b in batches for s in b)
 
     def test_fixed_seed_reproduces_batches(self):
         sb1, em1, _ = self._filled(10, 10, 4)
         sb2, em2, _ = self._filled(10, 10, 4)
-        b1 = compose_epoch_batches(sb1, em1, 4, np.random.default_rng(42))
-        b2 = compose_epoch_batches(sb2, em2, 4, np.random.default_rng(42))
+        b1 = as_samples(em1.table, compose_epoch_batches(sb1, em1, 4, np.random.default_rng(42)))
+        b2 = as_samples(em2.table, compose_epoch_batches(sb2, em2, 4, np.random.default_rng(42)))
         assert [[s.id for s in b] for b in b1] == [[s.id for s in b] for b in b2]
 
     def test_emits_exact_multiset(self):
         sb, em, rng = self._filled(17, 23, 5)
-        batches = compose_epoch_batches(sb, em, 5, rng)
+        batches = as_samples(em.table, compose_epoch_batches(sb, em, 5, rng))
         emitted = sorted(s.id for b in batches for s in b)
-        expected = sorted(s.id for s in list(sb.contents) + em.contents())
+        expected = sorted(s.id for s in as_samples(em.table, [sb.contents])[0] + em.contents())
         assert emitted == expected
 
     def test_empty_union_rejected(self):
@@ -255,8 +270,9 @@ def test_randomized_balance_survives_operations():
     """Randomized flush/resize churn keeps the quota spread within one for
     classes the archive can cover (smaller cousin of the acceptance suite)."""
     rng = np.random.default_rng(99)
-    archive = StorageArchive()
-    em = EpisodicMemory(90)
+    table = SampleTable()
+    archive = StorageArchive(table)
+    em = EpisodicMemory(90, table)
     sb = StreamBuffer(10_000)
     sid = 0
     for t in range(1, 13):
@@ -268,7 +284,7 @@ def test_randomized_balance_survives_operations():
                 samples.append(make_sample(sid, c))
                 sid += 1
         task = Task.from_samples(t, samples)
-        sb.fill(task.samples)
+        sb.fill(table.add(task.samples))
         flush(sb, em, archive, rng)
         assert em.spread_ok(archive)
         if t % 3 == 0:
@@ -280,9 +296,9 @@ def test_randomized_balance_survives_operations():
 
 
 def assert_slot_map_exact(em: EpisodicMemory) -> None:
-    """The id->slot map names every held sample at its position, and nothing else."""
-    held = {s.id: i for pool in em._slots.values() for i, s in enumerate(pool)}
-    assert em._slot_of == held
+    """The row->slot array names every held row at its position, and nothing else."""
+    held = {r: i for pool in em._pools.values() for i, r in enumerate(pool.tolist())}
+    assert {r: i for r, i in enumerate(em._slot.tolist()) if i >= 0} == held
     assert em.total == len(held) == len(em.contents())
 
 
@@ -301,13 +317,14 @@ def assert_slot_map_exact(em: EpisodicMemory) -> None:
 )
 def test_slot_map_tracks_churn(seed, ops):
     rng = np.random.default_rng(seed)
-    archive = StorageArchive()
-    em = EpisodicMemory(40)
+    table = SampleTable()
+    archive = StorageArchive(table)
+    em = EpisodicMemory(40, table)
     sid, next_class = 0, 0
     for op, arg in ops:
         if op == "task":
             labels = [c for c in (next_class, next_class + 1) for _ in range(arg)]
-            archive.append([make_sample(sid + k, c) for k, c in enumerate(labels)])
+            archive.append(table.add([make_sample(sid + k, c) for k, c in enumerate(labels)]))
             sid += len(labels)
             next_class += 2
             em.rebalance(archive, rng)
@@ -316,14 +333,15 @@ def test_slot_map_tracks_churn(seed, ops):
         elif op == "rebalance":
             em.rebalance(archive, rng)
         elif em.total:
-            victim = em.contents()[arg % em.total]
-            fresh = archive.candidates(victim.class_label, em.held_ids)
-            others = [s for s in em.contents() if s.class_label != victim.class_label]
+            held = em.rows()
+            victim = held[arg % em.total]
+            fresh = archive.candidates(table.labels[victim], em)
+            others = held[table.labels[held] != table.labels[victim]]
             # refused: a held replacement, or one from another class
-            assert not em.replace(victim.id, em.contents()[(arg + 1) % em.total])
-            if others:
-                assert not em.replace(others[0].id, fresh[0] if fresh else victim)
-            if fresh:
-                assert em.replace(victim.id, fresh[arg % len(fresh)])
-                assert victim.id not in em.held_ids
+            assert not em.replace(victim, held[(arg + 1) % em.total])
+            if len(others):
+                assert not em.replace(others[0], fresh[0] if len(fresh) else victim)
+            if len(fresh):
+                assert em.replace(victim, fresh[arg % len(fresh)])
+                assert not em.holds(victim)
         assert_slot_map_exact(em)

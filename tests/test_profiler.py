@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercl.domain import Conf, EnergyLedger
-from hiercl.learner import CostModel, init_learner, state_digest, train_epoch
+from hiercl.domain import Conf, EnergyLedger, SampleTable
+from hiercl.learner import CostModel, init_learner, probe_blocks, train_epoch
 from hiercl.profiler import (
     ProfilerConfig,
     build_search_space,
@@ -15,7 +15,7 @@ from hiercl.profiler import (
     sample_confs,
 )
 from hiercl.learner import checkpoint
-from conftest import make_sample, make_task
+from conftest import make_sample, make_task, state_digest
 
 
 class TestSearchSpace:
@@ -104,54 +104,64 @@ class TestReferenceConf:
         )
 
 
+def draw_covered_samples(pool, n, rng):
+    """``draw_covered_subsample`` over a table of ``pool``, as samples."""
+    table = SampleTable()
+    rows = draw_covered_subsample(table.add(pool), n, rng, table.labels)
+    return [table.samples[r] for r in rows]
+
+
 class TestCoverage:
     def test_every_pool_class_represented(self):
         rng = np.random.default_rng(0)
         pool = [make_sample(i, i % 7) for i in range(140)]
         for n in (3, 7, 10, 50):
-            picked = draw_covered_subsample(pool, n, rng)
+            picked = draw_covered_samples(pool, n, rng)
             assert {s.class_label for s in picked} == set(range(7))
 
     def test_topup_when_draw_too_small(self):
         rng = np.random.default_rng(0)
         pool = [make_sample(i, i % 10) for i in range(100)]
-        picked = draw_covered_subsample(pool, 2, rng)
+        picked = draw_covered_samples(pool, 2, rng)
         assert {s.class_label for s in picked} == set(range(10))
         assert len(picked) >= 10
 
     def test_no_duplicates(self):
         rng = np.random.default_rng(1)
         pool = [make_sample(i, i % 5) for i in range(50)]
-        picked = draw_covered_subsample(pool, 20, rng)
+        picked = draw_covered_samples(pool, 20, rng)
         ids = [s.id for s in picked]
         assert len(ids) == len(set(ids))
 
 
 def small_profile_setup(seed=0, budget=2000, with_old=True):
-    task = make_task(1, range(4), per_class=100, start_id=0, dim=8)
+    """A state, the task's rows, the old rows by class, the probe blocks, a
+    profiler config and the table the rows index."""
+    table = SampleTable()
+    task = table.add(make_task(1, range(4), per_class=100, start_id=0, dim=8).samples)
     probe = [make_sample(10_000 + i, i % 4, dim=8) for i in range(40)]
     em_pool = {}
     if with_old:
         em_pool = {
-            c: [make_sample(20_000 + c * 100 + i, c, dim=8) for i in range(80)]
+            c: table.add([make_sample(20_000 + c * 100 + i, c, dim=8) for i in range(80)])
             for c in (90, 91)
         }
         probe += [make_sample(30_000 + i, 90 + i % 2, dim=8) for i in range(20)]
     state = init_learner(8, hidden_width=8, seed=seed)
     if with_old:
         # the live model has seen the old classes
-        batches = [[s for ss in em_pool.values() for s in ss[:4]]]
-        train_epoch(state, batches, 0.1)
+        batches = [np.concatenate([rows[:4] for rows in em_pool.values()])]
+        train_epoch(state, batches, 0.1, table)
     cfg = ProfilerConfig(conf_sample_size=6, warmup_epochs=2, profile_epochs=2, subsample=0.1)
-    return state, task, em_pool, probe, cfg
+    return state, task, em_pool, probe_blocks(probe), cfg, table
 
 
-def run_profile(state, task, em_pool, probe, cfg, seed=7, budget=2000):
+def run_profile(state, task, em_pool, probe, cfg, table, seed=7, budget=2000):
     return profile_task(
         live_state=state,
-        task_samples=task.samples,
+        task_rows=task,
         em_pool_by_class=em_pool,
-        probe_samples=probe,
+        probes=probe,
         budget_samples=budget,
         step=500,
         reference_target=None,
@@ -162,19 +172,20 @@ def run_profile(state, task, em_pool, probe, cfg, seed=7, budget=2000):
         batch_size=16,
         rng=np.random.default_rng(seed),
         ledger=EnergyLedger(),
+        table=table,
     )
 
 
 class TestProfileTask:
     def test_live_model_untouched(self):
-        state, task, em_pool, probe, cfg = small_profile_setup()
+        state, task, em_pool, probe, cfg, table = small_profile_setup()
         before = state_digest(state)
-        run_profile(state, task, em_pool, probe, cfg)
+        run_profile(state, task, em_pool, probe, cfg, table)
         assert state_digest(state) == before
 
     def test_records_feasible_and_positive(self):
-        state, task, em_pool, probe, cfg = small_profile_setup()
-        outcome = run_profile(state, task, em_pool, probe, cfg)
+        state, task, em_pool, probe, cfg, table = small_profile_setup()
+        outcome = run_profile(state, task, em_pool, probe, cfg, table)
         assert len(outcome.records) == min(cfg.conf_sample_size, outcome.space_size)
         for r in outcome.records:
             assert r.conf.total <= 2000
@@ -183,19 +194,19 @@ class TestProfileTask:
             assert r.epoch_measured == cfg.warmup_epochs + cfg.profile_epochs
 
     def test_same_seed_same_records(self):
-        state, task, em_pool, probe, cfg = small_profile_setup()
-        a = run_profile(state, task, em_pool, probe, cfg, seed=13)
-        b = run_profile(state, task, em_pool, probe, cfg, seed=13)
+        state, task, em_pool, probe, cfg, table = small_profile_setup()
+        a = run_profile(state, task, em_pool, probe, cfg, table, seed=13)
+        b = run_profile(state, task, em_pool, probe, cfg, table, seed=13)
         assert a.records == b.records
 
     def test_profiling_charges_overhead_only(self):
-        state, task, em_pool, probe, cfg = small_profile_setup()
+        state, task, em_pool, probe, cfg, table = small_profile_setup()
         ledger = EnergyLedger()
         profile_task(
             live_state=state,
-            task_samples=task.samples,
+            task_rows=task,
             em_pool_by_class=em_pool,
-            probe_samples=probe,
+            probes=probe,
             budget_samples=2000,
             step=500,
             reference_target=None,
@@ -206,6 +217,7 @@ class TestProfileTask:
             batch_size=16,
             rng=np.random.default_rng(3),
             ledger=ledger,
+            table=table,
         )
         assert ledger.profiling > 0
         assert ledger.gpu_dynamic == ledger.io == ledger.ram == 0.0
@@ -213,12 +225,13 @@ class TestProfileTask:
 
 class TestEvaluateConf:
     def test_energy_estimate_tracks_in_use_samples(self):
-        state, task, em_pool, probe, cfg = small_profile_setup(with_old=False)
+        state, task, em_pool, probe, cfg, table = small_profile_setup(with_old=False)
         cp = checkpoint(state)
         common = dict(
-            task_samples=task.samples,
+            task_rows=task,
             em_pool_by_class={},
-            probe_samples=probe,
+            probes=probe,
+            table=table,
             cfg=cfg,
             cost=CostModel(),
             full_epochs=10,
@@ -236,16 +249,16 @@ class TestEvaluateConf:
         )
 
     def test_oversized_em_conf_capped_by_pool(self):
-        state, task, em_pool, probe, cfg = small_profile_setup()
+        state, task, em_pool, probe, cfg, table = small_profile_setup()
         cp = checkpoint(state)
         pool_total = sum(len(v) for v in em_pool.values())
         rec_big, _ = evaluate_conf(
-            cp, Conf(500, 1500), task.samples, em_pool, probe, cfg, CostModel(),
-            10, 0.1, 16, np.random.default_rng(0), EnergyLedger(),
+            cp, Conf(500, 1500), task, em_pool, probe, cfg, CostModel(),
+            10, 0.1, 16, np.random.default_rng(0), EnergyLedger(), table,
         )
         rec_fit, _ = evaluate_conf(
-            cp, Conf(500, pool_total), task.samples, em_pool, probe, cfg, CostModel(),
-            10, 0.1, 16, np.random.default_rng(0), EnergyLedger(),
+            cp, Conf(500, pool_total), task, em_pool, probe, cfg, CostModel(),
+            10, 0.1, 16, np.random.default_rng(0), EnergyLedger(), table,
         )
         assert rec_big.energy_estimate == rec_fit.energy_estimate
 
@@ -254,14 +267,14 @@ def test_cost_reduction_ratio_matches_analytic():
     """Sampled confs on subsampled data for few epochs vs exhaustive
     full-everything: the measured compute-unit ratio tracks
     (|space|/k) * (full_epochs/profile_epochs) * (1/subsample)."""
-    state, task, em_pool, probe, _ = small_profile_setup(with_old=False)
+    state, task, em_pool, probe, _, table = small_profile_setup(with_old=False)
     cfg = ProfilerConfig(conf_sample_size=3, warmup_epochs=1, profile_epochs=2, subsample=0.1)
-    outcome = run_profile(state, task, em_pool, probe, cfg, seed=5, budget=2000)
+    outcome = run_profile(state, task, em_pool, probe, cfg, table, seed=5, budget=2000)
     from hiercl.profiler import build_search_space
 
-    space = build_search_space(2000, len(task.samples), 500)
+    space = build_search_space(2000, len(task), 500)
     full_epochs = 10
-    exhaustive = outcome.exhaustive_units(space, full_epochs, len(task.samples), 0)
+    exhaustive = outcome.exhaustive_units(space, full_epochs, len(task), 0)
     measured = exhaustive / outcome.evaluation_units
     analytic = (len(space) / 3) * (full_epochs / 2) * (1 / 0.1)
     assert measured == pytest.approx(analytic, rel=0.2)

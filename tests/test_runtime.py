@@ -1,9 +1,18 @@
+import functools
 import hashlib
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hiercl.domain import Conf
-from hiercl.harness import StaticConfPolicy, StreamSpec, generate_stream, make_policy
+from hiercl.domain import LEDGER_COMPONENTS, Conf
+from hiercl.harness import (
+    StaticConfPolicy,
+    StreamSpec,
+    default_static_conf,
+    generate_stream,
+    make_policy,
+)
 from hiercl.learner import CostModel
 from hiercl.profiler import ProfilerConfig
 from hiercl.runtime import RunConfig, Runtime, run_stream
@@ -92,6 +101,13 @@ class TestLoopShape:
         report = run_stream(stream.tasks, stream.probe_sets, tiny_config())
         t = report.swap_totals
         assert t["issued"] == t["applied"] + t["dropped"] + t["pending"]
+
+    def test_runtime_runs_one_stream(self):
+        stream = tiny_stream(n_tasks=1)
+        runtime = Runtime(tiny_config())
+        runtime.run(stream.tasks, stream.probe_sets)
+        with pytest.raises(RuntimeError):
+            runtime.run(stream.tasks, stream.probe_sets)
 
     def test_invalid_stream_rejected(self):
         stream = tiny_stream()
@@ -382,3 +398,197 @@ class TestMemorySwapPath:
         assert hashlib.sha256(em_ids.encode()).hexdigest() == (
             "43a250b07514825501f816ff026c8e0c1697df615e2b71ef77ff8cd3dc183f8f"
         )
+
+
+def _weights_digest(state) -> str:
+    h = hashlib.sha256()
+    for arr in (state.w1, state.b1, state.w2, state.b2):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+class TestLearnerPathPinned:
+    """Exact learner outputs of two small runs, recorded before samples were
+    packed into one table. A change to how batches, probes or the profiler's
+    subsamples reach the learner that moves a single bit fails here."""
+
+    def test_tiny_adaptive_run_pinned(self):
+        stream = tiny_stream()
+        runtime = Runtime(tiny_config())
+        report = runtime.run(stream.tasks, stream.probe_sets)
+        assert report.final_average_accuracy == 0.9583333333333334
+        assert report.accuracy_matrix == {
+            1: {1: 1.0}, 2: {1: 0.9166666666666666, 2: 1.0}
+        }
+        assert [r.loss for r in report.epoch_rows] == [
+            0.5782655545321329, 0.19050914430266147, 0.1278182710626236,
+            0.08956372278375296, 0.06790752400556349, 0.05580173679910885,
+            0.9924415983004198, 0.45870675327102545, 0.3118040215698065,
+            0.24317926431852604, 0.19354327281438521, 0.1668203638197856,
+        ]
+        records = [
+            (t, r.conf.sb_size, r.conf.em_size, r.accuracy_estimate,
+             r.energy_estimate, r.epoch_measured)
+            for t, r in report.profile_trace
+        ]
+        assert records == [
+            (1, 100, 100, 1.0, 0.5703, 4),
+            (1, 100, 300, 1.0, 0.5703, 4),
+            (1, 200, 200, 1.0, 0.6844320000000002, 4),
+            (1, 200, 300, 1.0, 0.6844320000000002, 4),
+            (2, 100, 0, 0.9166666666666666, 0.5703, 4),
+            (2, 100, 300, 0.9583333333333334, 1.255452, 4),
+            (2, 200, 300, 0.9583333333333334, 1.3697280000000003, 4),
+            (2, 100, 100, 0.9583333333333334, 1.1412, 4),
+        ]
+        assert _weights_digest(runtime.state) == (
+            "5d71b75e675cb41ab8ac09f2921847014224be2bb859ac964b12d9fd2184ec10"
+        )
+
+    def test_static_desk_run_pinned(self):
+        stream = generate_stream(
+            StreamSpec(
+                n_tasks=2,
+                classes_per_task=10,
+                samples_per_class=200,
+                feature_dim=32,
+                separation=0.8,
+                seed=0,
+            )
+        )
+        cfg = RunConfig(
+            hidden_width=16,
+            budget_samples=2500,
+            io_bandwidth_bytes_per_s=1.0e8,
+            cost=CostModel(seconds_per_sample_step=1.0e-4),
+        )
+        runtime = Runtime(cfg, make_policy("static", stream, cfg))
+        report = runtime.run(stream.tasks, stream.probe_sets)
+        assert report.final_average_accuracy == 0.9525
+        assert report.accuracy_matrix == {1: {1: 0.985}, 2: {1: 0.9349999999999999, 2: 0.97}}
+        losses = [r.loss for r in report.epoch_rows]
+        assert len(losses) == 40 and losses[-1] == 0.15073277732500237
+        assert hashlib.sha256(repr(losses).encode()).hexdigest() == (
+            "aa2f3b983c8a0b9042d63df57009c7f560cc5c43dcf35dbfba5becb129f8d90d"
+        )
+        assert report.profile_trace == []
+        assert _weights_digest(runtime.state) == (
+            "58550a2799015dd79d5f1defb55ce5d95340cc55e9b97f7e1d5df350f6ddd239"
+        )
+
+
+class BudgetStaticPolicy:
+    """The static split of the budget in effect when each task arrives."""
+
+    def conf_for_task(self, task_index, n_tasks, task_size, budget, step) -> Conf:
+        return default_static_conf(budget, task_size, step)
+
+
+PROPERTY_STEP = 20
+
+
+class TestRunProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_tasks=st.integers(1, 3),
+        classes=st.integers(2, 3),
+        per_class=st.integers(10, 30),
+        domain_incremental=st.booleans(),
+        adaptive=st.booleans(),
+        budget_steps=st.integers(2, 8),
+        schedule=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 8)), max_size=3),
+        bandwidth=st.sampled_from([1e3, 1e5, 1e8]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_invariants_hold_over_random_streams_and_budgets(
+        self, n_tasks, classes, per_class, domain_incremental, adaptive,
+        budget_steps, schedule, bandwidth, seed,
+    ):
+        stream = generate_stream(
+            StreamSpec(
+                n_tasks=n_tasks,
+                classes_per_task=classes,
+                samples_per_class=per_class,
+                feature_dim=6,
+                separation=2.0,
+                drift=0.3 if domain_incremental else 0.0,
+                domain_incremental=domain_incremental,
+                seed=seed,
+            )
+        )
+        cfg = tiny_config(
+            epochs_per_task=4,
+            step=PROPERTY_STEP,
+            budget_samples=budget_steps * PROPERTY_STEP,
+            budget_schedule=tuple((e, b * PROPERTY_STEP) for e, b in schedule),
+            profiler=ProfilerConfig(
+                conf_sample_size=3, warmup_epochs=1, profile_epochs=1, subsample=0.3
+            ),
+            io_bandwidth_bytes_per_s=bandwidth,
+            domain_incremental=domain_incremental,
+            seed=seed,
+        )
+        runtime = Runtime(cfg, None if adaptive else BudgetStaticPolicy())
+        with warnings.catch_warnings():
+            # a shrink with no fitting profiled conf falls back with a warning
+            warnings.simplefilter("ignore", UserWarning)
+            report = runtime.run(stream.tasks, stream.probe_sets)
+
+        # the schedule is polled once per epoch, in sorted order
+        for epoch, row in enumerate(report.epoch_rows, start=1):
+            budget = cfg.budget_samples
+            for at, value in sorted(cfg.budget_schedule):
+                if at <= epoch:
+                    budget = value
+            assert row.sb_size + row.em_size <= budget
+        em, archive = runtime.em, runtime.archive
+        assert em.spread_ok(archive)
+        totals = report.swap_totals
+        assert totals["pending"] == 0
+        assert totals["issued"] == totals["applied"] + totals["dropped"]
+        ledger = report.ledger.as_dict()
+        assert ledger["total"] == pytest.approx(
+            sum(ledger[c] for c in LEDGER_COMPONENTS), rel=1e-9
+        )
+        joules = [r.joules_cum for r in report.epoch_rows]
+        assert all(b >= a for a, b in zip(joules, joules[1:]))
+        held = [s.id for s in em.contents()]
+        archived = {
+            runtime.table.samples[r].id
+            for c in archive.classes()
+            for r in archive.class_rows(c).tolist()
+        }
+        assert len(held) == len(set(held))
+        assert set(held) <= archived
+
+
+@functools.lru_cache(maxsize=None)
+def _contract_run(bandwidth: float, load: tuple) -> tuple:
+    stream = tiny_stream(n_tasks=2, per_class=60)
+    cfg = tiny_config(
+        epochs_per_task=8, io_bandwidth_bytes_per_s=bandwidth, external_io_load=load
+    )
+    report = run_stream(
+        stream.tasks, stream.probe_sets, cfg, StaticConfPolicy(Conf(200, 100))
+    )
+    return report.ledger, report.swap_totals
+
+
+class TestAsynchronyContract:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bandwidth=st.floats(1e3, 1e7),
+        load=st.lists(
+            st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 1e7)), max_size=3
+        ),
+    )
+    def test_channel_moves_only_swaps_and_io(self, bandwidth, load):
+        """Training never waits on I/O: whatever the bandwidth and external
+        load, device seconds and the GPU, static, RAM and profiling joules
+        equal the idle channel's; only swap counts and I/O joules may move."""
+        idle, _ = _contract_run(1e8, ())
+        ledger, totals = _contract_run(bandwidth, tuple(load))
+        assert ledger.wall_time_seconds == idle.wall_time_seconds
+        for component in ("gpu_dynamic", "static", "ram", "profiling"):
+            assert getattr(ledger, component) == getattr(idle, component), component
+        assert totals["issued"] == totals["applied"] + totals["dropped"] + totals["pending"]

@@ -6,25 +6,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hiercl.domain import SampleTable
 from hiercl.learner import CostModel
 from hiercl.memory import EpisodicMemory, StorageArchive
-from hiercl.swap import (
-    EpochSwapStats,
-    IoChannel,
-    SwapEngine,
-    required_bandwidth_bytes_per_s,
-)
+from hiercl.swap import SWAP_BYTES_FACTOR, EpochSwapStats, IoChannel, SwapEngine
 from conftest import make_sample
+
+
+def required_bandwidth_bytes_per_s(
+    drawn_per_epoch: int, size_bytes: int, epoch_seconds: float
+) -> float:
+    """Steady bandwidth needed to complete full swapping within one epoch."""
+    if epoch_seconds <= 0:
+        raise ValueError("epoch duration must be positive")
+    return drawn_per_epoch * SWAP_BYTES_FACTOR * size_bytes / epoch_seconds
 
 
 def setup_engine(bandwidth=1e9, n_classes=4, per_class=50, em_capacity=40, seed=0):
     rng = np.random.default_rng(seed)
-    archive = StorageArchive()
+    table = SampleTable()
+    archive = StorageArchive(table)
     sid = 0
     for c in range(n_classes):
-        archive.append([make_sample(sid + i, c, size_bytes=64) for i in range(per_class)])
+        archive.append(table.add([make_sample(sid + i, c, size_bytes=64) for i in range(per_class)]))
         sid += per_class
-    em = EpisodicMemory(em_capacity)
+    em = EpisodicMemory(em_capacity, table)
     em.rebalance(archive, rng)
     engine = SwapEngine(IoChannel(bandwidth), archive)
     return engine, em, rng
@@ -84,10 +90,10 @@ class TestApply:
         # single-slot swaps make the no-self-swap contract directly observable
         engine, em, rng = setup_engine(em_capacity=1)
         for _ in range(20):
-            victim = em.contents()[0]
+            victim = em.rows()[0]
             engine.issue(em, 1.0, now=0.0, rng=rng)
             assert engine.apply_completions(em, now=100.0, rng=rng) == 1
-            assert victim.id not in em.held_ids
+            assert not em.holds(victim)
             ids = [s.id for s in em.contents()]
             assert len(ids) == len(set(ids))
 
@@ -97,7 +103,8 @@ class TestApply:
         assert engine.issue(em, 1.0, now=0.0, rng=rng) == 0
         assert engine.issued_total == engine.pending_count == 0
         # one fresh class-0 sample: only class 0's ten slots are sent
-        engine.archive.append([make_sample(1000, 0, size_bytes=64)])
+        table = engine.archive.table
+        engine.archive.append(table.add([make_sample(1000, 0, size_bytes=64)]))
         assert engine.issue(em, 1.0, now=0.0, rng=rng) == 10
         _, classes = engine.channel.pop_completed(math.inf)
         assert classes.tolist() == [0] * 10
@@ -123,13 +130,15 @@ class TestApplyOneDrawPerClass:
         self, pools, capacity, percents, resize_to, seed
     ):
         rng = np.random.default_rng(seed)
-        archive = StorageArchive()
+        table = SampleTable()
+        archive = StorageArchive(table)
         class_of = {}
         for c, n in enumerate(pools):
             samples = [make_sample(len(class_of) + i, c, size_bytes=64) for i in range(n)]
-            archive.append(samples)
-            class_of.update((s.id, c) for s in samples)
-        em = EpisodicMemory(capacity)
+            rows = table.add(samples)
+            archive.append(rows)
+            class_of.update((r, c) for r in rows.tolist())
+        em = EpisodicMemory(capacity, table)
         em.rebalance(archive, rng)
         engine = SwapEngine(IoChannel(1e9), archive)
         for percent in percents:  # batches overlap, so ids get queued twice
@@ -137,12 +146,12 @@ class TestApplyOneDrawPerClass:
         if resize_to is not None:  # slots vanish before the batches land
             em.resize(resize_to, archive, rng)
         landed, _ = copy.deepcopy(engine.channel).pop_completed(math.inf)
-        before = {s.id for s in em.contents()}
+        before = set(em.rows().tolist())
         counts = em.counts()
 
         applied = engine.apply_completions(em, now=math.inf, rng=rng)
 
-        after = [s.id for s in em.contents()]
+        after = em.rows().tolist()
         assert len(after) == len(set(after))
         added, removed = set(after) - before, before - set(after)
         assert applied == len(added) == len(removed)
@@ -196,7 +205,7 @@ class TestCompletionRate:
         window=st.integers(1, 40),
     )
     def test_rate_is_settled_over_issued_in_window(self, history, window):
-        engine = SwapEngine(IoChannel(1.0), StorageArchive())
+        engine = SwapEngine(IoChannel(1.0), StorageArchive(SampleTable()))
         for issued, applied, dropped in history:
             engine._epoch = EpochSwapStats(issued, applied, dropped)
             engine.end_epoch()
