@@ -24,6 +24,19 @@ class ControllerConfig:
     decrease_factor: float = 0.5
     ratio_floor: float = 0.01       # keeps congestion from silently zeroing swaps
 
+    def __post_init__(self):
+        # every ratio the controller reaches stays in [ratio_floor, 1]
+        if not (0.0 < self.congested_below <= 1.0):
+            raise ValueError("congested_below must be a completion rate in (0, 1]")
+        if self.idle_empty_epochs < 1:
+            raise ValueError("idle_empty_epochs must be >= 1")
+        if not (0.0 < self.increase_step <= 1.0):
+            raise ValueError("increase_step must be in (0, 1]")
+        if not (0.0 < self.decrease_factor < 1.0):
+            raise ValueError("decrease_factor must be in (0, 1)")
+        if not (0.0 < self.ratio_floor <= 1.0):
+            raise ValueError("ratio_floor must be in (0, 1]")
+
 
 def classify_io(
     rate: float | None,

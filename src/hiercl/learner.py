@@ -22,6 +22,7 @@ component. Power defaults are sized like a small edge board with a roughly
 from __future__ import annotations
 
 import copy
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -86,41 +87,72 @@ def ensure_classes(state: LearnerState, labels: Iterable[int]) -> None:
 
 
 def _forward(state: LearnerState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hidden = np.tanh(x @ state.w1 + state.b1)
-    logits = hidden @ state.w2 + state.b2
+    """Hidden activations and logits of ``x``; each bias add and the tanh
+    run in place on the product they follow."""
+    hidden = x @ state.w1
+    hidden += state.b1
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ state.w2
+    logits += state.b2
     return hidden, logits
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def loss_and_grads(
-    state: LearnerState, x: np.ndarray, y_idx: np.ndarray
+    state: LearnerState,
+    x: np.ndarray,
+    y_idx: np.ndarray,
+    row_offsets: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over a batch plus gradients for all parameters.
 
     ``y_idx`` indexes columns of the head (positions in class_order).
+    ``row_offsets`` is ``np.arange(len(x)) * n_classes``, where each row
+    starts in the flattened logits; it is built here when not given. The
+    softmax, ``dlogits`` and the tanh derivative each overwrite the
+    temporary they are computed from, so a step allocates only its
+    products. An underflowed true-class probability is a real divergence
+    signal: the log is left unclamped, the loss comes out non-finite and
+    the caller halts (``train_epoch`` silences the log's divide warning).
     """
     n = x.shape[0]
-    hidden, logits = _forward(state, x)
-    probs = _softmax(logits)
-    # an underflowed true-class probability is a real divergence signal, so
-    # the log is left unclamped and the caller halts on non-finite loss
-    with np.errstate(divide="ignore"):
-        loss = float(-np.mean(np.log(probs[np.arange(n), y_idx])))
+    if row_offsets is None:
+        row_offsets = np.arange(n) * state.w2.shape[1]
+    true = row_offsets + y_idx
+    hidden, probs = _forward(state, x)
+    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
+    flat = probs.reshape(-1)
+    log_true = flat[true]
+    np.log(log_true, out=log_true)
+    loss = -float(np.add.reduce(log_true)) / n
     dlogits = probs
-    dlogits[np.arange(n), y_idx] -= 1.0
+    flat[true] -= 1.0
     dlogits /= n
     dw2 = hidden.T @ dlogits
-    db2 = dlogits.sum(axis=0)
-    dhidden = dlogits @ state.w2.T
-    dz1 = dhidden * (1.0 - hidden**2)
+    db2 = np.add.reduce(dlogits, axis=0)
+    dz1 = dlogits @ state.w2.T
+    # tanh' = 1 - tanh^2, over the activations dw2 no longer needs
+    np.multiply(hidden, hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    dz1 *= hidden
     dw1 = x.T @ dz1
-    db1 = dz1.sum(axis=0)
+    db1 = np.add.reduce(dz1, axis=0)
     return loss, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+
+
+def _head_columns(state: LearnerState, labels: np.ndarray) -> np.ndarray | None:
+    """Each label's head column (its rank among the sorted classes, mapped
+    back to class_order), or None if some label has no column yet."""
+    if not state.class_order:
+        return None
+    order = np.asarray(state.class_order)
+    by_rank = np.argsort(order)
+    ranked = order[by_rank]
+    at = np.searchsorted(ranked, labels)
+    if (ranked.take(at, mode="clip") != labels).any():
+        return None
+    return by_rank[at]
 
 
 def train_epoch(
@@ -132,33 +164,41 @@ def train_epoch(
     """One gradient pass over all batches of table rows; returns the
     sample-weighted mean loss.
 
-    New classes grow the head batch by batch, in batch order, before any
-    step: one draw per batch, so the new columns' values do not depend on
-    how batches are grouped into calls.
+    Labels map to head columns once per epoch. If the epoch holds a class
+    the head lacks, new classes grow the head batch by batch, in batch
+    order, before any step: one draw per batch, so the new columns' values
+    do not depend on how batches are grouped into calls. Each batch's
+    features are gathered, cast to float64, as its step runs.
     """
     if not batches:
         raise ValueError("train_epoch needs at least one batch")
-    labels = [table.labels[batch] for batch in batches]
-    for batch_labels in labels:
-        ensure_classes(state, batch_labels.tolist())
-    # head column of a label: its rank among the sorted classes, mapped back
-    by_rank = np.argsort(state.class_order)
-    ranked = np.asarray(state.class_order)[by_rank]
+    labels = table.labels[np.concatenate(batches)]
+    columns = _head_columns(state, labels)
+    if columns is None:
+        for batch in batches:
+            ensure_classes(state, table.labels[batch].tolist())
+        columns = _head_columns(state, labels)
+    features = table.features
+    n_classes = len(state.class_order)
+    offsets: dict[int, np.ndarray] = {}
     total = 0.0
-    count = 0
-    for batch, batch_labels in zip(batches, labels):
-        x = table.features[batch].astype(np.float64)
-        y = by_rank[np.searchsorted(ranked, batch_labels)]
-        loss, grads = loss_and_grads(state, x, y)
-        if not np.isfinite(loss):
-            raise LearnerDiverged(f"non-finite loss {loss}")
-        state.w1 -= learning_rate * grads["w1"]
-        state.b1 -= learning_rate * grads["b1"]
-        state.w2 -= learning_rate * grads["w2"]
-        state.b2 -= learning_rate * grads["b2"]
-        total += loss * len(batch)
-        count += len(batch)
-    return state, total / count
+    start = 0
+    with np.errstate(divide="ignore"):
+        for batch in batches:
+            n = len(batch)
+            row_offsets = offsets.get(n)
+            if row_offsets is None:
+                row_offsets = offsets[n] = np.arange(n) * n_classes
+            x = features.take(batch, axis=0).astype(np.float64, copy=False)
+            loss, grads = loss_and_grads(state, x, columns[start : start + n], row_offsets)
+            if not math.isfinite(loss):
+                raise LearnerDiverged(f"non-finite loss {loss}")
+            for name, grad in grads.items():
+                param = getattr(state, name)
+                param -= np.multiply(grad, learning_rate, out=grad)
+            total += loss * n
+            start += n
+    return state, total / start
 
 
 @dataclass(frozen=True)
@@ -200,8 +240,8 @@ def evaluate(
         warnings.warn(f"no test samples for classes {missing}; excluded from average")
     per_class: dict[int, float] = {}
     for c in scored:
-        _, logits = _forward(state, blocks[c].astype(np.float64))
-        per_class[c] = float(np.mean(logits.argmax(axis=1) == column[c]))
+        _, logits = _forward(state, blocks[c].astype(np.float64, copy=False))
+        per_class[c] = int(np.count_nonzero(logits.argmax(axis=1) == column[c])) / len(logits)
     if not per_class:
         raise ValueError("test set covers none of the seen classes")
     return EvalResult(per_class=per_class, average=float(np.mean(list(per_class.values()))))

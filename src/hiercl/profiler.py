@@ -50,6 +50,10 @@ class ProfilerConfig:
             raise ValueError("need at least one conf to profile")
         if not (0.0 < self.subsample <= 1.0):
             raise ValueError("subsample must be a fraction in (0, 1]")
+        if self.warmup_epochs < 0:
+            raise ValueError("warmup_epochs must be >= 0")
+        if self.profile_epochs < 1:
+            raise ValueError("profile_epochs must be >= 1")
 
 
 def build_search_space(budget_samples: int, task_size: int, step: int) -> list[Conf]:
@@ -125,20 +129,24 @@ def draw_covered_subsample(
 
     If the draw count cannot cover all classes (or luck runs out), the draw
     is topped up with one random row per missing class so no class silently
-    reports zero accuracy.
+    reports zero accuracy. Coverage is tested on the drawn positions, and
+    only the accepted or final draw is sorted and gathered; every attempt
+    still makes its one ``rng.choice``.
     """
-    classes = np.unique(labels[pool])
-    picked = _draw(pool, n, rng)
-    for _ in range(COVERAGE_ATTEMPTS):
-        if len(np.unique(labels[picked])) == len(classes):
-            return picked
-        picked = _draw(pool, n, rng)
+    if n >= len(pool):
+        return pool
+    classes, codes = np.unique(labels[pool], return_inverse=True)
+    for _ in range(COVERAGE_ATTEMPTS + 1):
+        at = rng.choice(len(pool), size=n, replace=False)
+        # n rows cannot cover more than n classes
+        if n >= len(classes) and np.bincount(codes[at], minlength=len(classes)).all():
+            return pool[np.sort(at)]
+    missing = np.bincount(codes[at], minlength=len(classes)) == 0
     extras = []
-    for c in np.setdiff1d(classes, labels[picked]).tolist():
-        cands = pool[labels[pool] == c]
-        if len(cands):
-            extras.append(cands[int(rng.integers(len(cands)))])
-    return np.concatenate([picked, np.asarray(extras, dtype=np.intp)])
+    for code in np.flatnonzero(missing).tolist():
+        cands = pool[codes == code]
+        extras.append(cands[int(rng.integers(len(cands)))])
+    return np.concatenate([pool[np.sort(at)], np.asarray(extras, dtype=np.intp)])
 
 
 def _balanced_take(

@@ -1,11 +1,35 @@
 """Every benchmark workload must pass the benchmark's own output checks, so a
-change that breaks one fails here, not only when the benchmark runs."""
+change that breaks one fails here, not only when the benchmark runs.
 
+The same runs also pin every modeled output: a sha256 of each run's full
+``RunReport`` repr and of its final learner weights. A change meant to leave
+outputs byte-identical must pass these unedited; a deliberate re-baseline
+re-records only the digests it moves and says why.
+"""
+
+import hashlib
 from pathlib import Path
 
+from conftest import state_digest
 from hiercl.runtime import Runtime
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# (RunReport repr, final weights) of stream 0 of each workload
+PINNED = {
+    "desk-adaptive": (
+        "bc54704313838614980da5e27c60c44f2ecf48ae8376231533f50e8009f4388b",
+        "aed512a8389be1a8e0eb2a08035d095ba39dfd2f451a86c3732809950f13f607",
+    ),
+    "desk-static": (
+        "64ba0e22eb9d0a2890e57c0765504f225864b41bf0015810156a5ebd728254d8",
+        "5dcac38d2dedbbda9ae1ef873693e65024d88ef36d0659351edd3be60acd58fc",
+    ),
+    "edge-congested": (
+        "55e655e340c0e3b4a87b6a295c469b4dce515bc84ce76ede1db67dc78c3a3593",
+        "63e53b58175976d23abc6da5489bd8e13fb73451c10bd49bda7a13478e19f10d",
+    ),
+}
 
 
 def test_stream_zero_of_every_workload_passes_the_bench_checks(monkeypatch):
@@ -14,6 +38,7 @@ def test_stream_zero_of_every_workload_passes_the_bench_checks(monkeypatch):
     from workloads import WORKLOADS, build_inputs
 
     problems = {}
+    digests = {}
     for name, workload in WORKLOADS.items():
         inputs = build_inputs(workload, 0)
         runtime = Runtime(inputs.config, inputs.policy)
@@ -23,4 +48,9 @@ def test_stream_zero_of_every_workload_passes_the_bench_checks(monkeypatch):
             found.append(f"run aborted: {report.abort_reason}")
         if found:
             problems[name] = found
+        digests[name] = (
+            hashlib.sha256(repr(report).encode()).hexdigest(),
+            state_digest(runtime.state),
+        )
     assert problems == {}
+    assert digests == PINNED

@@ -295,6 +295,29 @@ def test_nested_run_section_errors_name_the_key(tmp_path, section, message):
     assert_config_error(invoke_run(tmp_path, cfg)[1], f"config run.{message}")
 
 
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"controller": {"decrease_factor": 3.0}}, "decrease_factor must be in (0, 1)"),
+        ({"controller": {"congested_below": 5}}, "congested_below must be a completion rate in (0, 1]"),
+        ({"controller": {"ratio_floor": -1.0}}, "ratio_floor must be in (0, 1]"),
+        ({"controller": {"increase_step": -0.5}}, "increase_step must be in (0, 1]"),
+        ({"controller": {"idle_empty_epochs": 0}}, "idle_empty_epochs must be >= 1"),
+        ({"profiler": {"warmup_epochs": -3}}, "warmup_epochs must be >= 0"),
+        ({"profiler": {"profile_epochs": 0}}, "profile_epochs must be >= 1"),
+    ],
+)
+def test_out_of_range_controller_or_profiler_setting_exits_with_one_line(tmp_path, section, message):
+    # decrease_factor 3.0 used to surface mid-run, on the first congested
+    # epoch, as a "ratio out of range" traceback; the others ran and exited 0
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["run"].update(section)
+    (name,) = section
+    _, result = invoke_run(tmp_path, cfg, "--strategy", "adaptive")
+    assert_config_error(result, f"config run.{name}: {message}")
+    assert len(result.output.strip().splitlines()) == 1
+
+
 def test_value_a_section_rejects_exits_with_one_line(tmp_path):
     cfg = yaml.safe_load(write_config(tmp_path).read_text())
     cfg["cost"]["gpu_dynamic_watts"] = 0.01

@@ -57,6 +57,43 @@ class TestAdjust:
             assert r == 2.0 ** (-k)
 
 
+class TestConfigRange:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("congested_below", 0.0), ("congested_below", 5.0),
+            ("idle_empty_epochs", 0),
+            ("increase_step", 0.0), ("increase_step", -0.5), ("increase_step", 1.5),
+            ("decrease_factor", 0.0), ("decrease_factor", 1.0), ("decrease_factor", 3.0),
+            ("ratio_floor", 0.0), ("ratio_floor", -1.0), ("ratio_floor", 1.5),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ControllerConfig(**{field: value})
+
+    @given(
+        congested_below=st.floats(0.01, 1.0),
+        increase_step=st.floats(0.01, 1.0),
+        decrease_factor=st.floats(0.01, 0.99),
+        ratio_floor=st.floats(0.001, 1.0),
+        states=st.lists(st.sampled_from(list(IoState)), max_size=40),
+    )
+    def test_any_valid_config_keeps_every_plan_in_range(
+        self, congested_below, increase_step, decrease_factor, ratio_floor, states
+    ):
+        cfg = ControllerConfig(
+            congested_below=congested_below,
+            increase_step=increase_step,
+            decrease_factor=decrease_factor,
+            ratio_floor=ratio_floor,
+        )
+        ctl = SwapController(cfg=cfg)
+        for epoch, state in enumerate(states):
+            ctl.react(state, epoch)
+            assert min(ratio_floor, 1.0) <= ctl.ratio <= 1.0
+
+
 class TestPlanFromRatio:
     @pytest.mark.parametrize(
         "ratio,interval,percent",

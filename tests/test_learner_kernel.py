@@ -1,0 +1,174 @@
+"""The learner's training kernel equals the textbook step, bit for bit.
+
+``reference_train_epoch`` below is the step as first written: one
+``ensure_classes`` per batch, a fresh temporary per operation, ``np.mean``
+for the loss and the ``.max``/``.sum`` wrappers for the softmax. The kernel
+in ``hiercl.learner`` reorders none of that arithmetic; it only maps labels
+once per epoch and reuses temporaries. These tests hold it to that: the same
+weights, head order, learner generator state, loss and evaluation, exactly.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hiercl.domain import Sample, SampleTable
+from hiercl.learner import (
+    LearnerDiverged,
+    checkpoint,
+    ensure_classes,
+    evaluate,
+    init_learner,
+    probe_blocks,
+    restore,
+    train_epoch,
+)
+
+
+def reference_forward(state, x):
+    hidden = np.tanh(x @ state.w1 + state.b1)
+    logits = hidden @ state.w2 + state.b2
+    return hidden, logits
+
+
+def reference_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_loss_and_grads(state, x, y_idx):
+    n = x.shape[0]
+    hidden, logits = reference_forward(state, x)
+    probs = reference_softmax(logits)
+    with np.errstate(divide="ignore"):
+        loss = float(-np.mean(np.log(probs[np.arange(n), y_idx])))
+    dlogits = probs
+    dlogits[np.arange(n), y_idx] -= 1.0
+    dlogits /= n
+    dw2 = hidden.T @ dlogits
+    db2 = dlogits.sum(axis=0)
+    dhidden = dlogits @ state.w2.T
+    dz1 = dhidden * (1.0 - hidden**2)
+    dw1 = x.T @ dz1
+    db1 = dz1.sum(axis=0)
+    return loss, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+
+
+def reference_train_epoch(state, batches, learning_rate, table):
+    labels = [table.labels[batch] for batch in batches]
+    for batch_labels in labels:
+        ensure_classes(state, batch_labels.tolist())
+    by_rank = np.argsort(state.class_order)
+    ranked = np.asarray(state.class_order)[by_rank]
+    total = 0.0
+    count = 0
+    for batch, batch_labels in zip(batches, labels):
+        x = table.features[batch].astype(np.float64)
+        y = by_rank[np.searchsorted(ranked, batch_labels)]
+        loss, grads = reference_loss_and_grads(state, x, y)
+        if not np.isfinite(loss):
+            raise LearnerDiverged(f"non-finite loss {loss}")
+        state.w1 -= learning_rate * grads["w1"]
+        state.b1 -= learning_rate * grads["b1"]
+        state.w2 -= learning_rate * grads["w2"]
+        state.b2 -= learning_rate * grads["b2"]
+        total += loss * len(batch)
+        count += len(batch)
+    return state, total / count
+
+
+def reference_evaluate(state, blocks):
+    column = {c: i for i, c in enumerate(state.class_order)}
+    per_class = {}
+    for c in sorted(c for c in blocks if c in column):
+        _, logits = reference_forward(state, blocks[c].astype(np.float64))
+        per_class[c] = float(np.mean(logits.argmax(axis=1) == column[c]))
+    return per_class, float(np.mean(list(per_class.values())))
+
+
+def exact_state(state):
+    return (
+        [a.tobytes() for a in (state.w1, state.b1, state.w2, state.b2)],
+        list(state.class_order),
+        state.rng.bit_generator.state,
+    )
+
+
+def make_table(labels, dim, dtype, seed):
+    values = np.random.default_rng(seed).normal(size=(len(labels), dim)).astype(dtype)
+    table = SampleTable()
+    rows = table.add(
+        [Sample(i, int(c), values[i], 16) for i, c in enumerate(labels)]
+    )
+    return table, rows
+
+
+@st.composite
+def epochs(draw):
+    """A batch size and the labels of several epochs' rows. Labels come from
+    a growing set, so later batches (and later epochs) bring classes the
+    head has not seen yet; the last batch of an epoch may be short."""
+    n_classes = draw(st.integers(1, 7))
+    n_epochs = draw(st.integers(1, 3))
+    batch_size = draw(st.integers(1, 6))
+    plans = []
+    for e in range(n_epochs):
+        n_rows = draw(st.integers(1, 20))
+        # the classes an epoch may use grow with the epoch
+        top = max(1, (n_classes * (e + 1)) // n_epochs)
+        plans.append(draw(st.lists(st.integers(0, top - 1), min_size=n_rows, max_size=n_rows)))
+    return batch_size, plans
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    plan=epochs(),
+    dim=st.integers(1, 6),
+    hidden=st.integers(1, 6),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    learning_rate=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_kernel_equals_textbook_step_bit_for_bit(plan, dim, hidden, dtype, learning_rate, seed):
+    batch_size, plans = plan
+    labels = [c for epoch in plans for c in epoch]
+    table, rows = make_table(labels, dim, dtype, seed)
+    kernel = init_learner(dim, hidden, seed)
+    reference = restore(checkpoint(kernel))
+    start = 0
+    for epoch in plans:
+        epoch_rows = rows[start : start + len(epoch)]
+        start += len(epoch)
+        batches = [epoch_rows[i : i + batch_size] for i in range(0, len(epoch_rows), batch_size)]
+        _, loss = train_epoch(kernel, batches, learning_rate, table)
+        _, expected = reference_train_epoch(reference, batches, learning_rate, table)
+        assert loss == expected
+        assert exact_state(kernel) == exact_state(reference)
+    blocks = probe_blocks(table.samples)
+    result = evaluate(kernel, blocks)
+    per_class, average = reference_evaluate(reference, blocks)
+    assert repr(result.per_class) == repr(per_class)
+    assert result.average == average
+
+
+def test_mid_epoch_divergence_keeps_the_last_finite_weights():
+    # identical points with conflicting labels: the first batch's huge step
+    # saturates the head, so the second batch's loss is infinite
+    point = np.ones(4, np.float32)
+    table = SampleTable()
+    rows = table.add([Sample(i, i % 2, point, 16) for i in range(6)])
+    batches = [rows[0:2], rows[2:4], rows[4:6]]
+    kernel = init_learner(4, 8, 0)
+    reference = restore(checkpoint(kernel))
+    initial = exact_state(kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(LearnerDiverged):
+            train_epoch(kernel, batches, 1e30, table)
+        with pytest.raises(LearnerDiverged):
+            reference_train_epoch(reference, batches, 1e30, table)
+    assert exact_state(kernel) == exact_state(reference)
+    assert exact_state(kernel)[0] != initial[0]

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hiercl.domain import Conf, EnergyLedger, SampleTable
 from hiercl.learner import CostModel, init_learner, probe_blocks, train_epoch
 from hiercl.profiler import (
+    COVERAGE_ATTEMPTS,
     ProfilerConfig,
     build_search_space,
     draw_covered_subsample,
@@ -132,6 +133,42 @@ class TestCoverage:
         picked = draw_covered_samples(pool, 20, rng)
         ids = [s.id for s in picked]
         assert len(ids) == len(set(ids))
+
+    @given(
+        n_pool=st.integers(1, 120),
+        n_classes=st.integers(1, 12),
+        n=st.integers(1, 130),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_picks_and_generator_calls_as_the_redraw_loop(self, n_pool, n_classes, n, seed):
+        # the loop as first written: sort, gather and np.unique every attempt
+        def reference(pool, n, rng, labels):
+            def draw():
+                if n >= len(pool):
+                    return pool
+                return pool[np.sort(rng.choice(len(pool), size=n, replace=False))]
+
+            classes = np.unique(labels[pool])
+            picked = draw()
+            for _ in range(COVERAGE_ATTEMPTS):
+                if len(np.unique(labels[picked])) == len(classes):
+                    return picked
+                picked = draw()
+            extras = []
+            for c in np.setdiff1d(classes, labels[picked]).tolist():
+                cands = pool[labels[pool] == c]
+                extras.append(cands[int(rng.integers(len(cands)))])
+            return np.concatenate([picked, np.asarray(extras, dtype=np.intp)])
+
+        g = np.random.default_rng(seed)
+        labels = g.integers(0, n_classes, size=n_pool + 30) * 3
+        pool = g.permutation(n_pool + 30)[:n_pool]
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw_covered_subsample(pool, n, ours, labels)
+        expected = reference(pool, n, theirs, labels)
+        assert got.tolist() == expected.tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def small_profile_setup(seed=0, budget=2000, with_old=True):
