@@ -11,9 +11,9 @@ each batch as arrays of table rows, class ids and completion times, and
 computes those times in closed form (a running sum of durations per stretch
 of constant external load).
 
-The engine sends transfers only for classes that still have an archive
-row outside EM, and applies landed transfers with one draw per class over
-those fresh rows (Carousel Memory's EM-storage swap on a simulated clock).
+The engine sends a class at most as many transfers as it has archive rows
+outside EM, and applies landed transfers with one draw per class over those
+fresh rows (Carousel Memory's EM-storage swap on a simulated clock).
 Every transfer moves the stream's one sample size, so a batch's byte count
 is a scalar.
 """
@@ -176,8 +176,9 @@ class IoChannel:
 class EpochSwapStats:
     issued: int = 0
     applied: int = 0
-    # delivered by the channel but not applicable (slot gone, id repeated, or
-    # no fresh sample left in its class)
+    # delivered by the channel but not applicable: the slot left EM (an
+    # overlapping batch's landing replaced it, or a resize removed it), or an
+    # overlapping batch used up its class's fresh samples first
     dropped_delivered: int = 0
 
     @property
@@ -210,31 +211,39 @@ class SwapEngine:
         rng: np.random.Generator,
     ) -> int:
         """Pick ceil(percent * n) distinct EM slots uniformly and enqueue
-        them, where n counts the held rows of classes that still have a
-        fresh archive row; returns how many were enqueued.
+        the ones that can apply, where n counts the held rows of classes
+        that still have a fresh archive row; returns how many were enqueued.
 
-        EM holds a subset of the archive, so a class whose EM count reaches
-        its archive count has no replacement to fetch; a transfer for it
+        EM holds a subset of the archive, so a class with ``f`` archive rows
+        outside EM can take at most ``f`` replacements. Of a class's picks
+        only the first ``f`` in batch order are sent, the slots
+        ``apply_completions`` would fill; a transfer for any other pick
         could never apply, and none is sent.
         """
         if percent <= 0.0:
             return 0
         if percent > 1.0:
             raise ValueError("percent must be in (0, 1]")
-        drawn = [
-            em.class_rows(c)
-            for c, n in em.counts().items()
-            if n < self.archive.class_count(c)
-        ]
-        if not drawn:
+        counts = em.counts()
+        held = np.fromiter(counts.values(), np.intp, len(counts))
+        fresh = np.fromiter(map(self.archive.class_count, counts), np.intp, len(counts)) - held
+        live = fresh > 0
+        if not live.any():
             return 0
-        drawn = np.concatenate(drawn)
-        n = math.ceil(percent * len(drawn))
-        picked = drawn[np.sort(rng.choice(len(drawn), size=n, replace=False))]
+        drawn = np.concatenate([em.class_rows(c) for c, ok in zip(counts, live.tolist()) if ok])
+        at = np.sort(rng.choice(len(drawn), size=math.ceil(percent * len(drawn)), replace=False))
+        # drawn is one run of rows per class, so the sorted picks are too:
+        # keep each class's first fresh-count picks
+        ends = np.cumsum(held[live])
+        first = np.searchsorted(at, ends - held[live])
+        per_class = np.searchsorted(at, ends) - first
+        rank = np.arange(len(at)) - np.repeat(first, per_class)
+        picked = drawn[at[rank < np.repeat(fresh[live], per_class)]]
         table = self.archive.table
         self.channel.submit_batch(
             picked, table.labels[picked], SWAP_BYTES_FACTOR * table.size_bytes, now
         )
+        n = len(picked)
         self.issued_total += n
         self._epoch.issued += n
         return n

@@ -25,9 +25,10 @@ PINNED = {
         "64ba0e22eb9d0a2890e57c0765504f225864b41bf0015810156a5ebd728254d8",
         "5dcac38d2dedbbda9ae1ef873693e65024d88ef36d0659351edd3be60acd58fc",
     ),
+    # re-recorded when swap picks were capped at each class's fresh count
     "edge-congested": (
-        "55e655e340c0e3b4a87b6a295c469b4dce515bc84ce76ede1db67dc78c3a3593",
-        "63e53b58175976d23abc6da5489bd8e13fb73451c10bd49bda7a13478e19f10d",
+        "673e10cd7be1d022a9a83ebdf04f157b433bde6fda29d3249e94057cc7f052d0",
+        "14b47dba4674510e4f1922856ed11158b47f634782a8f92a74c5899d882c248a",
     ),
 }
 

@@ -356,14 +356,14 @@ class TestMemorySwapPath:
         runtime = Runtime(cfg, make_policy("static", stream, cfg))
         report = runtime.run(stream.tasks, stream.probe_sets)
         assert report.swap_totals == {
-            "issued": 15000, "applied": 9112, "dropped": 5888, "pending": 0
+            "issued": 19500, "applied": 18432, "dropped": 1068, "pending": 0
         }
-        assert report.ledger.io == 1.5667200000031296
+        assert report.ledger.io == 2.529432000003259
         assert report.ledger.wall_time_seconds == 96.59999999999994
-        assert len(report.controller_decisions) == 9
+        assert len(report.controller_decisions) == 1
         em_ids = ",".join(str(s.id) for s in runtime.em.contents())
         assert hashlib.sha256(em_ids.encode()).hexdigest() == (
-            "53fbb018f92069fc54870d3aa373165e3b5e30d4846ef5459826a487cfc5ae1e"
+            "16b01b889c7b06b6fab01d2ef3fdc9b2f20e83972d831a6b1ab6cef465d1a598"
         )
 
     def test_idle_desk_stream_pinned(self):

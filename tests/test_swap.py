@@ -70,6 +70,47 @@ class TestIssue:
         assert engine.channel.busy_until == 2 * 64 / engine.channel.bandwidth_bytes_per_s
 
 
+    def test_class_with_few_fresh_rows_gets_few_transfers(self):
+        # EM holds 190 of class 0's 200 archive rows: ten can be replaced
+        engine, em, rng = setup_engine(n_classes=1, per_class=200, em_capacity=190)
+        assert engine.issue(em, 1.0, now=0.0, rng=rng) == 10
+        assert engine.apply_completions(em, now=math.inf, rng=rng) == 10
+        assert engine.dropped_total == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pools=st.lists(st.integers(1, 15), min_size=1, max_size=5),
+        capacity=st.integers(0, 50),
+        percent=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_class_sends_its_first_fresh_count_picks(self, pools, capacity, percent, seed):
+        rng = np.random.default_rng(seed)
+        table = SampleTable()
+        archive = StorageArchive(table)
+        for c, n in enumerate(pools):
+            archive.append(table.add([make_sample(100 * c + i, c, size_bytes=64) for i in range(n)]))
+        em = EpisodicMemory(capacity, table)
+        em.rebalance(archive, rng)
+        engine = SwapEngine(IoChannel(1e9), archive)
+        fresh = {c: archive.class_count(c) - n for c, n in em.counts().items()}
+        drawn = [em.class_rows(c) for c in fresh if fresh[c] > 0]
+        draw = copy.deepcopy(rng)
+        sent = engine.issue(em, percent, now=0.0, rng=rng)
+        landed, classes = copy.deepcopy(engine.channel).pop_completed(math.inf)
+        expected = []
+        if drawn:
+            rows = np.concatenate(drawn)
+            at = np.sort(draw.choice(len(rows), size=math.ceil(percent * len(rows)), replace=False))
+            picks = rows[at]
+            for c in fresh:
+                expected += picks[table.labels[picks] == c][: fresh[c]].tolist()
+        assert landed.tolist() == expected and sent == len(expected)
+        # one batch, nothing in between: every transfer applies
+        assert engine.apply_completions(em, now=math.inf, rng=rng) == sent
+        assert engine.dropped_total == 0 and engine.conserved()
+
+
 class TestApply:
     def test_fast_channel_applies_everything(self):
         engine, em, rng = setup_engine(bandwidth=1e9)
@@ -102,12 +143,13 @@ class TestApply:
         engine, em, rng = setup_engine(per_class=10, em_capacity=40)
         assert engine.issue(em, 1.0, now=0.0, rng=rng) == 0
         assert engine.issued_total == engine.pending_count == 0
-        # one fresh class-0 sample: only class 0's ten slots are sent
+        # one fresh class-0 sample: of class 0's ten picked slots, only the
+        # first can take it, so one transfer is sent
         table = engine.archive.table
         engine.archive.append(table.add([make_sample(1000, 0, size_bytes=64)]))
-        assert engine.issue(em, 1.0, now=0.0, rng=rng) == 10
+        assert engine.issue(em, 1.0, now=0.0, rng=rng) == 1
         _, classes = engine.channel.pop_completed(math.inf)
-        assert classes.tolist() == [0] * 10
+        assert classes.tolist() == [0]
 
     def test_vanished_slot_dropped(self):
         engine, em, rng = setup_engine(em_capacity=1)
