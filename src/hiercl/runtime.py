@@ -273,17 +273,16 @@ class Runtime:
     # --- probe / estimate / adapt -----------------------------------------
 
     def _poll_budget(self) -> tuple[int, int] | None:
-        changed = None
+        """The net budget change since the last poll, if any: several steps
+        due at once count as one change from the old budget to the last."""
+        old = self.budget_samples
         while (
             self._schedule_pos < len(self._schedule)
             and self._schedule[self._schedule_pos][0] <= self._global_epoch
         ):
-            _, new_budget = self._schedule[self._schedule_pos]
+            _, self.budget_samples = self._schedule[self._schedule_pos]
             self._schedule_pos += 1
-            if new_budget != self.budget_samples:
-                changed = (self.budget_samples, new_budget)
-                self.budget_samples = new_budget
-        return changed
+        return None if self.budget_samples == old else (old, self.budget_samples)
 
     def probe(self, task: Task, epoch: int) -> list[tuple]:
         """Classify I/O and poll the budget channel; returns state changes."""

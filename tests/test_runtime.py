@@ -3,7 +3,7 @@ import hashlib
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hiercl.domain import LEDGER_COMPONENTS, Conf
 from hiercl.harness import (
@@ -499,6 +499,11 @@ class TestRunProperties:
         schedule=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 8)), max_size=3),
         bandwidth=st.sampled_from([1e3, 1e5, 1e8]),
         seed=st.integers(0, 2**16),
+    )
+    # two steps due at one poll: 4 -> 1 -> 2 steps is a net shrink
+    @example(
+        n_tasks=1, classes=2, per_class=10, domain_incremental=False, adaptive=False,
+        budget_steps=4, schedule=[(0, 1), (0, 2)], bandwidth=1e3, seed=0,
     )
     def test_invariants_hold_over_random_streams_and_budgets(
         self, n_tasks, classes, per_class, domain_incremental, adaptive,
