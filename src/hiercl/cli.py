@@ -287,11 +287,15 @@ def sweep_cmd(config_path, strategies, budgets, seeds, outdir, n_tasks,
         seed=stream_seed,
     )
     config = _build_run_config(cfg, spec)
+    budget_list = [int(b) for b in budgets.split(",")]
+    for budget in budget_list:
+        # each budget the grid runs must pass the run section's own checks
+        _build_run_config(cfg, spec, budget_samples=budget)
     points = sweep(
         spec,
         config,
         strategies=[s.strip() for s in strategies.split(",") if s.strip()],
-        budgets=[int(b) for b in budgets.split(",")],
+        budgets=budget_list,
         seeds=[int(s) for s in seeds.split(",")],
     )
     path = write_sweep(points, outdir)

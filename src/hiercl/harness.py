@@ -124,7 +124,7 @@ class StaticConfPolicy:
 
     conf: Conf
 
-    def conf_for_task(self, task_index, n_tasks, task_size, budget, step) -> Conf:
+    def conf_for_task(self, task_index, task_size, budget, step) -> Conf:
         return self.conf
 
 
@@ -148,7 +148,7 @@ class HeuristicPolicy:
 
     fraction: float = 1.0
 
-    def conf_for_task(self, task_index, n_tasks, task_size, budget, step) -> Conf:
+    def conf_for_task(self, task_index, task_size, budget, step) -> Conf:
         total = round_down_to_step(int(self.fraction * budget), step)
         total = max(total, step)
         if task_index <= 1:
@@ -165,7 +165,7 @@ class SchedulePolicy:
 
     confs: tuple[Conf, ...]
 
-    def conf_for_task(self, task_index, n_tasks, task_size, budget, step) -> Conf:
+    def conf_for_task(self, task_index, task_size, budget, step) -> Conf:
         return self.confs[task_index - 1]
 
 

@@ -54,16 +54,17 @@ from .memory import (
     flush,
 )
 from .profiler import ProfilerConfig, build_search_space, profile_task
-from .selector import DEFAULT_CUTLINE, HIGHEST_UTILITY, select_record, utility
+from .selector import DEFAULT_CUTLINE, HIGHEST_UTILITY, LOWEST_ENERGY, select_record, utility
 from .swap import IoChannel, SwapEngine
+
+# epochs of swap history behind the completion rate the probe classifies
+COMPLETION_WINDOW_EPOCHS = 5
 
 
 class ConfPolicy(Protocol):
     """Static conf decision per task; used by the baseline strategies."""
 
-    def conf_for_task(
-        self, task_index: int, n_tasks: int, task_size: int, budget: int, step: int
-    ) -> Conf: ...
+    def conf_for_task(self, task_index: int, task_size: int, budget: int, step: int) -> Conf: ...
 
 
 @dataclass
@@ -84,11 +85,29 @@ class RunConfig:
     fixed_swap_ratio: float | None = None
     io_bandwidth_bytes_per_s: float = 100e6
     external_io_load: tuple[tuple[float, float], ...] = ()
-    completion_window_epochs: int = 5
     # (effective_global_epoch, new_budget_samples) records, the control channel
     budget_schedule: tuple[tuple[int, int], ...] = ()
     seed: int = 0
     domain_incremental: bool = False
+
+    def __post_init__(self):
+        for name in ("epochs_per_task", "batch_size", "hidden_width", "step"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.budget_samples < self.step:
+            raise ValueError(f"budget_samples must hold at least one step ({self.step})")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be > 0")
+        if not (0.0 < self.cutline <= 1.0):
+            raise ValueError("cutline must be a fraction in (0, 1]")
+        if self.selection_mode not in (HIGHEST_UTILITY, LOWEST_ENERGY):
+            raise ValueError(f"selection_mode must be {HIGHEST_UTILITY} or {LOWEST_ENERGY}")
+        for name in ("initial_swap_ratio", "fixed_swap_ratio"):
+            ratio = getattr(self, name)
+            if ratio is not None and not (0.0 <= ratio <= 1.0):
+                raise ValueError(f"{name} must be in [0, 1]")
+        if not self.io_bandwidth_bytes_per_s > 0.0:
+            raise ValueError("io_bandwidth_bytes_per_s must be > 0")
 
 
 @dataclass
@@ -110,7 +129,6 @@ class SelectionRecord:
     cutline: float
     conf: Conf
     utility: float
-    deferred_profiling_seen: bool
 
 
 @dataclass(frozen=True)
@@ -119,7 +137,7 @@ class BudgetEvent:
     epoch: int
     old_budget: int
     new_budget: int
-    action: str  # "reselect", "kept", "deferred_profiling"
+    action: str  # "kept" when SB+EM fits the new budget, else "reselect"
     conf: Conf | None = None
 
 
@@ -135,7 +153,6 @@ class RunReport:
     selections: list[SelectionRecord]
     profile_trace: list[tuple[int, ProfileRecord]]
     profiling_units: dict[int, dict[str, int]]
-    phase_log: list[tuple]
     swap_totals: dict[str, int]
     budget_events: list[BudgetEvent]
     n_classes: int
@@ -181,7 +198,6 @@ class Runtime:
         )
         self.budget_samples = config.budget_samples
         self.state: LearnerState | None = None
-        self.deferred_profiling = False
         self._schedule = sorted(config.budget_schedule)
         self._schedule_pos = 0
         self._global_epoch = 0
@@ -198,14 +214,13 @@ class Runtime:
         self.selections: list[SelectionRecord] = []
         self.profile_trace: list[tuple[int, ProfileRecord]] = []
         self.profiling_units: dict[int, dict[str, int]] = {}
-        self.phase_log: list[tuple] = []
         self.budget_events: list[BudgetEvent] = []
         self.chosen_confs: list[tuple[int, Conf]] = []
         self.accuracy_matrix: dict[int, dict[int, float]] = {}
 
     # --- conf decision ---------------------------------------------------
 
-    def on_new_task(self, task: Task, rows: np.ndarray, task_index: int, n_tasks: int,
+    def on_new_task(self, task: Task, rows: np.ndarray, task_index: int,
                     probes: dict[int, np.ndarray], classes_seen: int) -> Conf:
         """Decide this task's conf: profile-and-select, or ask the policy.
 
@@ -215,13 +230,9 @@ class Runtime:
         self._task_size = len(task)
         self._records_this_task = []
         self._baseline_accuracy = 1.0 / classes_seen if classes_seen else 0.0
-        deferred_seen = self.deferred_profiling
-        self.deferred_profiling = False
 
         if self.policy is not None:
-            conf = self.policy.conf_for_task(
-                task_index, n_tasks, len(task), self.budget_samples, cfg.step
-            )
+            conf = self.policy.conf_for_task(task_index, len(task), self.budget_samples, cfg.step)
             if conf.total > self.budget_samples:
                 raise ValueError(
                     f"policy conf {conf} exceeds budget {self.budget_samples}"
@@ -264,7 +275,6 @@ class Runtime:
                 cutline=cfg.cutline,
                 conf=chosen.conf,
                 utility=utility(chosen, self._baseline_accuracy),
-                deferred_profiling_seen=deferred_seen,
             )
         )
         self.chosen_confs.append((task.task_id, chosen.conf))
@@ -284,51 +294,36 @@ class Runtime:
             self._schedule_pos += 1
         return None if self.budget_samples == old else (old, self.budget_samples)
 
-    def probe(self, task: Task, epoch: int) -> list[tuple]:
-        """Classify I/O and poll the budget channel; returns state changes."""
-        rate = self.engine.completion_rate(self.config.completion_window_epochs)
+    def probe(self) -> tuple[IoState | None, tuple[int, int] | None]:
+        """Classify I/O and poll the budget channel. Returns the I/O state
+        the controller must react to and the net budget change as
+        ``(old, new)``, each None when there is nothing to adapt."""
+        rate = self.engine.completion_rate(COMPLETION_WINDOW_EPOCHS)
         if self.engine.pending_count == 0:
             self._empty_epochs += 1
         else:
             self._empty_epochs = 0
-        io_state = self.controller.classify(rate, self._empty_epochs)
-        changes: list[tuple] = []
-        adaptive = self.config.fixed_swap_ratio is None
-        if adaptive and io_state is not IoState.STABLE:
-            changes.append(("io", io_state))
-        budget_change = self._poll_budget()
-        if budget_change is not None:
-            old, new = budget_change
-            changes.append(("budget_shrunk" if new < old else "budget_grown", old, new))
-        self._last_io_state = io_state
-        self.phase_log.append(("probe", task.task_id, epoch, tuple(c[0] for c in changes)))
-        return changes
+        io_state = self._last_io_state = self.controller.classify(rate, self._empty_epochs)
+        react = self.config.fixed_swap_ratio is None and io_state is not IoState.STABLE
+        return (io_state if react else None), self._poll_budget()
 
-    def estimate_and_adapt(self, task: Task, epoch: int, changes: list[tuple]) -> None:
-        if not changes:
-            raise ValueError("estimate requires at least one state change")
-        for change in changes:
-            kind = change[0]
-            self.phase_log.append(("estimate", task.task_id, epoch, kind))
-            if kind == "io":
-                decision = self.controller.react(change[1], epoch)
-                if decision is not None:
-                    self._epochs_since_firing = 0
-                    # the idleness evidence is spent by the increase
-                    if change[1] is IoState.IDLE:
-                        self._empty_epochs = 0
-                self.phase_log.append(("adapt", task.task_id, epoch, "swap_plan"))
-            elif kind == "budget_shrunk":
-                self._adapt_budget_shrunk(task, epoch, change[1], change[2])
-                self.phase_log.append(("adapt", task.task_id, epoch, "memory"))
-            elif kind == "budget_grown":
-                self.deferred_profiling = True
-                self.budget_events.append(
-                    BudgetEvent(task.task_id, epoch, change[1], change[2], "deferred_profiling")
-                )
-                self.phase_log.append(("adapt", task.task_id, epoch, "deferred"))
+    def estimate_and_adapt(
+        self, task: Task, epoch: int, io: IoState | None, budget: tuple[int, int] | None
+    ) -> None:
+        """Adapt to what the probe found: the swap plan to the I/O state
+        first, then memory to the budget change."""
+        if io is not None:
+            self.controller.react(io, epoch)
+            self._epochs_since_firing = 0
+            # the idleness evidence is spent by the increase
+            if io is IoState.IDLE:
+                self._empty_epochs = 0
+        if budget is not None:
+            self._adapt_budget(task, epoch, *budget)
 
-    def _adapt_budget_shrunk(self, task: Task, epoch: int, old: int, new: int) -> None:
+    def _adapt_budget(self, task: Task, epoch: int, old: int, new: int) -> None:
+        """Keep the conf while SB+EM fits the new budget (always so on
+        growth); otherwise re-select among this task's profiled records."""
         usage = self.sb.capacity + self.em.capacity
         if usage <= new:
             self.budget_events.append(BudgetEvent(task.task_id, epoch, old, new, "kept"))
@@ -359,19 +354,13 @@ class Runtime:
 
     # --- the run loop -----------------------------------------------------
 
-    def run(
-        self,
-        tasks: Sequence[Task],
-        probe_sets: dict[int, list[Sample]],
-        n_tasks: int | None = None,
-    ) -> RunReport:
+    def run(self, tasks: Sequence[Task], probe_sets: dict[int, list[Sample]]) -> RunReport:
         cfg = self.config
         if len(self.table):
             raise RuntimeError("a Runtime runs one stream; create a new one")
         report = validate_stream(tasks, cfg.domain_incremental)
         if not report.ok:
             raise ValueError(f"invalid stream: {report.issues[:3]}")
-        n_tasks = n_tasks or len(tasks)
         dim = len(tasks[0].samples[0].features)
         dtype = np.result_type(*{s.features.dtype for task in tasks for s in task.samples})
         self.table.reserve(sum(len(task) for task in tasks), dim, dtype)
@@ -392,9 +381,7 @@ class Runtime:
             classes_seen |= task.class_set
 
             try:
-                conf = self.on_new_task(
-                    task, rows, task_index, n_tasks, probes, len(classes_seen)
-                )
+                conf = self.on_new_task(task, rows, task_index, probes, len(classes_seen))
                 self._apply_conf(conf)
                 self.sb.fill(rows)
                 self.engine.reset_history()
@@ -437,7 +424,6 @@ class Runtime:
             selections=self.selections,
             profile_trace=self.profile_trace,
             profiling_units=self.profiling_units,
-            phase_log=self.phase_log,
             swap_totals={
                 "issued": self.engine.issued_total,
                 "applied": self.engine.applied_total,
@@ -467,9 +453,9 @@ class Runtime:
             charge_epoch(cfg.cost, n_inuse, io_busy, self.ledger)
             self.engine.end_epoch()
 
-            changes = self.probe(task, epoch)
-            if changes:
-                self.estimate_and_adapt(task, epoch, changes)
+            io, budget = self.probe()
+            if io is not None or budget is not None:
+                self.estimate_and_adapt(task, epoch, io, budget)
 
             if self.sb.capacity + self.em.capacity > self.budget_samples:
                 raise RuntimeError("memory invariant violated: conf exceeds budget")

@@ -326,6 +326,43 @@ def test_value_a_section_rejects_exits_with_one_line(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "run, args, message",
+    [
+        # each of these used to fail mid-run with a traceback, or exit 0
+        ({}, ["--epochs", "0"], "epochs_per_task must be >= 1"),
+        ({}, ["--strategy", "static", "--epochs", "0"], "epochs_per_task must be >= 1"),
+        ({"batch_size": 0}, [], "batch_size must be >= 1"),
+        ({"hidden_width": 0}, [], "hidden_width must be >= 1"),
+        ({"step": 0}, [], "step must be >= 1"),
+        ({"step": 20}, ["--budget", "10"], "budget_samples must hold at least one step (20)"),
+        ({"learning_rate": 0.0}, [], "learning_rate must be > 0"),
+        ({}, ["--cutline", "0"], "cutline must be a fraction in (0, 1]"),
+        ({"cutline": 1.5}, [], "cutline must be a fraction in (0, 1]"),
+        ({"selection_mode": "XX"}, [], "selection_mode must be HU or LE"),
+        ({"initial_swap_ratio": -0.1}, [], "initial_swap_ratio must be in [0, 1]"),
+        ({}, ["--fixed-ratio", "1.5"], "fixed_swap_ratio must be in [0, 1]"),
+        ({}, ["--bandwidth", "0"], "io_bandwidth_bytes_per_s must be > 0"),
+    ],
+)
+def test_out_of_range_run_setting_exits_with_one_line(tmp_path, run, args, message):
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["run"].update(run)
+    _, result = invoke_run(tmp_path, cfg, *args)
+    assert_config_error(result, f"config run: {message}")
+    assert len(result.output.strip().splitlines()) == 1
+
+
+def test_sweep_budget_below_one_step_exits_before_any_run(tmp_path):
+    result = CliRunner().invoke(
+        main,
+        ["sweep", "--config", str(write_config(tmp_path)), "--budgets", "500,10",
+         "--outdir", str(tmp_path / "out")],
+    )
+    assert_config_error(result, "config run: budget_samples must hold at least one step (100)")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "key, value, message",
     [
         ("external_io_load", [[1.0, "fast"]], "[0]: expected float, got 'fast'"),

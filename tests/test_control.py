@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -187,3 +189,72 @@ class TestController:
         d = ctl.decisions[0]
         assert (d.epoch, d.old_ratio, d.new_ratio) == (7, 1.0, 0.5)
         assert d.interval_epochs == 2 and d.percent_per_firing == 1.0
+
+
+def reference_aimd(ratio, cfg, history):
+    """The AIMD rule written out on its own: per epoch, the I/O state, the
+    ratio after the reaction and the firing plan it maps to. Congestion is a
+    completion rate under the threshold; idle is enough empty-queue epochs
+    with headroom left. Congestion multiplies down to the floor, idle adds
+    up to 1. At or above 0.2 the plan swaps everything every
+    round(1/ratio) epochs, clamped to 1..5; below it swaps 5 * ratio every
+    5 epochs."""
+    out = []
+    for rate, empty_epochs in history:
+        if rate is not None and rate < cfg.congested_below:
+            state, ratio = IoState.CONGESTED, max(ratio * cfg.decrease_factor, cfg.ratio_floor)
+        elif empty_epochs >= cfg.idle_empty_epochs and ratio < 1.0:
+            state, ratio = IoState.IDLE, min(ratio + cfg.increase_step, 1.0)
+        else:
+            state = IoState.STABLE
+        if ratio >= 0.2:
+            interval = min(max(math.floor(1.0 / ratio + 0.5), 1), 5)
+            plan = (1.0 / interval, interval, 1.0)
+        else:
+            plan = (ratio, 5, 5 * ratio)
+        out.append((state, ratio, plan))
+    return out
+
+
+class TestAimdProperty:
+    @given(
+        ratio=st.floats(0.001, 1.0),
+        congested_below=st.floats(0.01, 1.0),
+        idle_empty_epochs=st.integers(1, 3),
+        increase_step=st.floats(0.01, 1.0),
+        decrease_factor=st.floats(0.01, 0.99),
+        ratio_floor=st.floats(0.001, 1.0),
+        history=st.lists(
+            st.tuples(st.none() | st.floats(0.0, 1.0), st.integers(0, 4)), max_size=60
+        ),
+    )
+    def test_controller_follows_the_reference_rule(
+        self, ratio, congested_below, idle_empty_epochs, increase_step,
+        decrease_factor, ratio_floor, history,
+    ):
+        cfg = ControllerConfig(
+            congested_below=congested_below,
+            idle_empty_epochs=idle_empty_epochs,
+            increase_step=increase_step,
+            decrease_factor=decrease_factor,
+            ratio_floor=ratio_floor,
+        )
+        ctl = SwapController(ratio=ratio, cfg=cfg)
+        expected_moves = []
+        for epoch, ((rate, empty_epochs), (state, new_ratio, plan)) in enumerate(
+            zip(history, reference_aimd(ratio, cfg, history)), start=1
+        ):
+            old_ratio = ctl.ratio
+            assert ctl.classify(rate, empty_epochs) is state
+            decision = ctl.react(state, epoch)
+            assert ctl.ratio == new_ratio
+            got = (ctl.plan.ratio, ctl.plan.interval_epochs, ctl.plan.percent_per_firing)
+            assert got == plan
+            if state is IoState.STABLE:
+                assert decision is None
+            else:
+                expected_moves.append((epoch, state, old_ratio, new_ratio, plan[1], plan[2]))
+        assert [
+            (d.epoch, d.state, d.old_ratio, d.new_ratio, d.interval_epochs, d.percent_per_firing)
+            for d in ctl.decisions
+        ] == expected_moves

@@ -112,20 +112,20 @@ class TestGenerateStream:
 
 class TestHeuristicPolicy:
     def test_first_task_all_stream_buffer(self):
-        conf = HeuristicPolicy(1.0).conf_for_task(1, 10, 2000, 5000, 500)
+        conf = HeuristicPolicy(1.0).conf_for_task(1, 2000, 5000, 500)
         assert conf == Conf(5000, 0)
 
     def test_task_five_gets_budget_over_five(self):
         # oracle by counting components: SB serves 1 task, EM serves 4
-        conf = HeuristicPolicy(1.0).conf_for_task(5, 10, 2000, 5000, 500)
+        conf = HeuristicPolicy(1.0).conf_for_task(5, 2000, 5000, 500)
         assert conf.sb_size == 5000 // 5
         assert conf.em_size == 5000 - 5000 // 5
         assert conf.total == 5000
 
     def test_fraction_limits_footprint(self):
-        conf = HeuristicPolicy(0.5).conf_for_task(5, 10, 2000, 5000, 500)
+        conf = HeuristicPolicy(0.5).conf_for_task(5, 2000, 5000, 500)
         assert conf.total == 2500
-        conf20 = HeuristicPolicy(0.2).conf_for_task(5, 10, 2000, 5000, 500)
+        conf20 = HeuristicPolicy(0.2).conf_for_task(5, 2000, 5000, 500)
         assert conf20.total == 1000
 
     def test_energy_monotone_in_fraction(self):
@@ -170,9 +170,9 @@ class TestStaticBaselines:
         bs = best_static_policy(exploration)
         bh = best_history_policy(exploration, n_tasks=4)
         for t in (1, 2):
-            assert bh.conf_for_task(t, 4, 60, 300, 100) == bs.conf_for_task(t, 4, 60, 300, 100)
+            assert bh.conf_for_task(t, 60, 300, 100) == bs.conf_for_task(t, 60, 300, 100)
         for t in (3, 4):
-            assert bh.conf_for_task(t, 4, 60, 300, 100) == exploration.halfway_winner
+            assert bh.conf_for_task(t, 60, 300, 100) == exploration.halfway_winner
         assert exploration.winner.total <= 300
 
 

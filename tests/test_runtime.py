@@ -31,6 +31,27 @@ def tiny_stream(n_tasks=2, classes_per_task=3, per_class=40, dim=8, seed=5):
     )
 
 
+def record_phases(monkeypatch) -> list[tuple]:
+    """Log every probe with what it found and every estimate with what it
+    was handed, in call order, by wrapping the two ``Runtime`` methods the
+    way the bench tracer does."""
+    log = []
+    probe, estimate = Runtime.probe, Runtime.estimate_and_adapt
+
+    def logged_probe(self):
+        found = probe(self)
+        log.append(("probe", found))
+        return found
+
+    def logged_estimate(self, task, epoch, io, budget):
+        log.append(("estimate", (io, budget)))
+        return estimate(self, task, epoch, io, budget)
+
+    monkeypatch.setattr(Runtime, "probe", logged_probe)
+    monkeypatch.setattr(Runtime, "estimate_and_adapt", logged_estimate)
+    return log
+
+
 def tiny_config(**over):
     base = dict(
         epochs_per_task=6,
@@ -90,11 +111,11 @@ class TestLoopShape:
         joules = [r.joules_cum for r in report.epoch_rows]
         assert all(b >= a for a, b in zip(joules, joules[1:]))
 
-    def test_probe_runs_once_per_epoch(self):
+    def test_probe_runs_once_per_epoch(self, monkeypatch):
+        log = record_phases(monkeypatch)
         stream = tiny_stream()
         report = run_stream(stream.tasks, stream.probe_sets, tiny_config())
-        probes = [p for p in report.phase_log if p[0] == "probe"]
-        assert len(probes) == len(report.epoch_rows)
+        assert [p[0] for p in log].count("probe") == len(report.epoch_rows)
 
     def test_swap_conservation(self):
         stream = tiny_stream(n_tasks=3)
@@ -118,28 +139,33 @@ class TestLoopShape:
 
 
 class TestPhaseDiscipline:
-    def test_estimate_only_after_changeful_probe(self):
+    def test_estimate_only_after_changeful_probe(self, monkeypatch):
+        log = record_phases(monkeypatch)
         stream = tiny_stream(n_tasks=2)
         cfg = tiny_config(
             io_bandwidth_bytes_per_s=500.0,  # guaranteed backlog once swaps start
             initial_swap_ratio=1.0,
         )
-        report = run_stream(stream.tasks, stream.probe_sets, cfg)
-        log = report.phase_log
+        run_stream(stream.tasks, stream.probe_sets, cfg)
         estimates = [i for i, p in enumerate(log) if p[0] == "estimate"]
         assert estimates, "expected at least one estimate under congestion"
         for i in estimates:
-            prev = [p for p in log[:i] if p[0] == "probe"][-1]
-            assert prev[3], "estimate must follow a probe that reported changes"
-        adapts = [i for i, p in enumerate(log) if p[0] == "adapt"]
-        for i in adapts:
-            assert log[i - 1][0] == "estimate"
+            kind, found = log[i - 1]
+            assert kind == "probe" and found != (None, None), (
+                "estimate must follow a probe that reported changes"
+            )
+            assert log[i][1] == found
+        # and every probe that reported a change is acted on at once
+        for i, (kind, found) in enumerate(log):
+            if kind == "probe" and found != (None, None):
+                assert log[i + 1][0] == "estimate"
 
-    def test_quiet_run_never_estimates(self):
+    def test_quiet_run_never_estimates(self, monkeypatch):
+        log = record_phases(monkeypatch)
         stream = tiny_stream(n_tasks=2)
         cfg = tiny_config(fixed_swap_ratio=1.0)
-        report = run_stream(stream.tasks, stream.probe_sets, cfg)
-        assert all(p[0] != "estimate" for p in report.phase_log)
+        run_stream(stream.tasks, stream.probe_sets, cfg)
+        assert log and all(p[0] == "probe" for p in log)
 
 
 class TestCongestionEpisode:
@@ -208,7 +234,7 @@ class TestBudgetChannel:
         ]
         rt.sb.resize(200)
         rt.em.capacity = 200  # usage 400 exceeds the shrunk budget
-        rt.estimate_and_adapt(task, epoch=3, changes=[("budget_shrunk", 600, 250)])
+        rt.estimate_and_adapt(task, epoch=3, io=None, budget=(600, 250))
         event = rt.budget_events[-1]
         assert event.action == "reselect"
         # the surviving profiled confs are re-ranked without re-profiling
@@ -227,7 +253,7 @@ class TestBudgetChannel:
         rt.sb.resize(300)
         rt.em.capacity = 300
         with pytest.warns(UserWarning):
-            rt.estimate_and_adapt(task, epoch=3, changes=[("budget_shrunk", 600, 150)])
+            rt.estimate_and_adapt(task, epoch=3, io=None, budget=(600, 150))
         event = rt.budget_events[-1]
         assert event.action == "reselect"
         assert event.conf == Conf(100, 0)
@@ -247,19 +273,20 @@ class TestBudgetChannel:
         ]
         assert all(r.em_size + r.sb_size <= 100 for r in epoch_after)
 
-    def test_growth_defers_profiling_flag(self):
+    def test_growth_keeps_conf_until_next_task_profiles_grown_grid(self):
         stream = tiny_stream(n_tasks=2)
         cfg = tiny_config(
             budget_samples=400,
             budget_schedule=((2, 600),),
         )
         report = run_stream(stream.tasks, stream.probe_sets, cfg)
-        deferred = [e for e in report.budget_events if e.action == "deferred_profiling"]
-        assert deferred
-        # the next task's selection notes the pending flag and profiling re-runs
-        second = [s for s in report.selections if s.task_id == 2]
-        assert second and second[0].deferred_profiling_seen
-        assert 2 in report.profiling_units
+        # SB+EM fit the old budget, so they fit the grown one
+        events = [(e.old_budget, e.new_budget, e.action, e.conf) for e in report.budget_events]
+        assert events == [(400, 600, "kept", None)]
+        task_one = {(r.sb_size, r.em_size) for r in report.epoch_rows if r.task_id == 1}
+        assert len(task_one) == 1
+        # the next task profiles over the grown grid
+        assert any(r.conf.total > 400 for t, r in report.profile_trace if t == 2)
 
 
 class TestAsynchrony:
@@ -480,7 +507,7 @@ class TestLearnerPathPinned:
 class BudgetStaticPolicy:
     """The static split of the budget in effect when each task arrives."""
 
-    def conf_for_task(self, task_index, n_tasks, task_size, budget, step) -> Conf:
+    def conf_for_task(self, task_index, task_size, budget, step) -> Conf:
         return default_static_conf(budget, task_size, step)
 
 
