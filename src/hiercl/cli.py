@@ -169,6 +169,16 @@ def _load_congestion_trace(path: str | None) -> tuple[tuple[float, float], ...]:
     return tuple(steps)
 
 
+def _int_list(ctx, param, value: str) -> list[int]:
+    """A comma-separated list of integers; anything else is a one-line error."""
+    try:
+        return [int(v) for v in value.split(",")]
+    except ValueError:
+        raise click.ClickException(
+            f"--{param.name}: expected comma-separated integers, got {value!r}"
+        ) from None
+
+
 def _build_spec(cfg: dict, **overrides) -> StreamSpec:
     merged = dict(cfg.get("stream", {}))
     merged.update({k: v for k, v in overrides.items() if v is not None})
@@ -269,8 +279,9 @@ def run(config_path, strategy, budget, cutline, mode, epochs, seed, fixed_ratio,
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--strategies", default="adaptive,static,heuristic",
               help="Comma-separated strategy list")
-@click.option("--budgets", default="1000,2500,5000", help="Comma-separated budgets")
-@click.option("--seeds", default="0,1,2", help="Comma-separated run seeds")
+@click.option("--budgets", default="1000,2500,5000", callback=_int_list,
+              help="Comma-separated budgets")
+@click.option("--seeds", default="0,1,2", callback=_int_list, help="Comma-separated run seeds")
 @click.option("--outdir", type=click.Path(), default="out")
 @_apply(stream_options)
 def sweep_cmd(config_path, strategies, budgets, seeds, outdir, n_tasks,
@@ -287,16 +298,15 @@ def sweep_cmd(config_path, strategies, budgets, seeds, outdir, n_tasks,
         seed=stream_seed,
     )
     config = _build_run_config(cfg, spec)
-    budget_list = [int(b) for b in budgets.split(",")]
-    for budget in budget_list:
+    for budget in budgets:
         # each budget the grid runs must pass the run section's own checks
         _build_run_config(cfg, spec, budget_samples=budget)
     points = sweep(
         spec,
         config,
         strategies=[s.strip() for s in strategies.split(",") if s.strip()],
-        budgets=budget_list,
-        seeds=[int(s) for s in seeds.split(",")],
+        budgets=budgets,
+        seeds=seeds,
     )
     path = write_sweep(points, outdir)
     click.echo(f"wrote {len(points)} points to {path}")

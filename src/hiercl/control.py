@@ -1,5 +1,7 @@
 """Swap-ratio control: I/O state classification, AIMD adjustment, and the
-mapping from a target ratio to a concrete (interval, percent) firing plan.
+mapping from a target ratio to a concrete firing plan, the pair
+``(interval_epochs, percent_per_firing)`` that ``SwapController`` keeps as
+two attributes.
 
 The ratio is tuned like a congestion window: idle I/O nudges it up by a
 small additive step, congestion halves it. Ratios at or above the knee are
@@ -13,7 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .domain import IoState, SwapPlan, MAX_INTERVAL_EPOCHS, RATIO_KNEE
+from .domain import IoState
+
+# Knee of the ratio/interval mapping: at or above this ratio the whole drawn
+# set is swapped every `interval` epochs; below it the interval is pinned at
+# MAX_INTERVAL_EPOCHS and only the per-firing percentage shrinks.
+RATIO_KNEE = 0.20
+MAX_INTERVAL_EPOCHS = 5
 
 
 @dataclass(frozen=True)
@@ -67,32 +75,23 @@ def adjust_ratio(
     return current
 
 
-def plan_from_ratio(ratio: float) -> SwapPlan:
-    """Map a target ratio onto a canonical firing plan.
+def plan_from_ratio(ratio: float) -> tuple[int, float]:
+    """Map a target ratio onto ``(interval_epochs, percent_per_firing)``.
 
     At or above the knee the interval is round(1/ratio), clamped to [1, 5],
-    with a full swap per firing; the plan's effective ratio is 1/interval.
-    Below the knee the plan is exact: interval 5, percent = 5 * ratio.
-    Non-positive ratios yield a plan that never fires.
+    with a full swap per firing; the effective ratio is 1/interval. Below
+    the knee the plan is exact: interval 5, percent = 5 * ratio.
+    Non-positive ratios yield a plan that never fires (percent 0).
     """
     if ratio <= 0.0:
-        return SwapPlan.disabled()
+        return MAX_INTERVAL_EPOCHS, 0.0
     if ratio > 1.0:
         raise ValueError(f"ratio out of range: {ratio}")
     if ratio >= RATIO_KNEE:
         # round-half-up keeps the mapping monotone in 1/ratio
         interval = int(math.floor(1.0 / ratio + 0.5))
-        interval = max(1, min(MAX_INTERVAL_EPOCHS, interval))
-        return SwapPlan(
-            ratio=1.0 / interval,
-            interval_epochs=interval,
-            percent_per_firing=(1.0 / interval) * interval,
-        )
-    return SwapPlan(
-        ratio=ratio,
-        interval_epochs=MAX_INTERVAL_EPOCHS,
-        percent_per_firing=ratio * MAX_INTERVAL_EPOCHS,
-    )
+        return max(1, min(MAX_INTERVAL_EPOCHS, interval)), 1.0
+    return MAX_INTERVAL_EPOCHS, ratio * MAX_INTERVAL_EPOCHS
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class SwapController:
     decisions: list[ControllerDecision] = field(default_factory=list)
 
     def __post_init__(self):
-        self.plan = plan_from_ratio(self.ratio)
+        self.interval_epochs, self.percent_per_firing = plan_from_ratio(self.ratio)
 
     def classify(self, rate: float | None, empty_epochs: int) -> IoState:
         return classify_io(rate, empty_epochs, self.ratio, self.cfg)
@@ -125,14 +124,14 @@ class SwapController:
             return None
         old = self.ratio
         self.ratio = adjust_ratio(old, state, self.cfg)
-        self.plan = plan_from_ratio(self.ratio)
+        self.interval_epochs, self.percent_per_firing = plan_from_ratio(self.ratio)
         decision = ControllerDecision(
             epoch=epoch,
             state=state,
             old_ratio=old,
             new_ratio=self.ratio,
-            interval_epochs=self.plan.interval_epochs,
-            percent_per_firing=self.plan.percent_per_firing,
+            interval_epochs=self.interval_epochs,
+            percent_per_firing=self.percent_per_firing,
         )
         self.decisions.append(decision)
         return decision

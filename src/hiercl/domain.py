@@ -1,6 +1,5 @@
 """Shared domain types: samples, the sample table, tasks, memory
-configurations, swap plans, I/O states, profiling records, and the energy
-ledger.
+configurations, I/O states, profiling records, and the energy ledger.
 
 Everything here except the table is an immutable value safe to share between
 modules; all mutation happens inside the owning module (buffers, engine,
@@ -19,12 +18,6 @@ from numpy.typing import DTypeLike
 
 # Sizing granularity for SB/EM capacities, in samples.
 DEFAULT_STEP = 500
-
-# Knee of the ratio/interval mapping: at or above this ratio the whole drawn
-# set is swapped every `interval` epochs; below it the interval is pinned at
-# MAX_INTERVAL and only the per-firing percentage shrinks.
-RATIO_KNEE = 0.20
-MAX_INTERVAL_EPOCHS = 5
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -154,61 +147,6 @@ class IoState(Enum):
     CONGESTED = "congested"
     IDLE = "idle"
     STABLE = "stable"
-
-
-@dataclass(frozen=True)
-class SwapPlan:
-    """A swap ratio decomposed into a firing interval and per-firing percentage.
-
-    ``ratio`` is the average fraction of drawn EM samples replaced per epoch
-    and always equals ``percent_per_firing / interval_epochs``. To keep that
-    identity exact in floating point, instances must be built through
-    :meth:`from_parts` or ``control.plan_from_ratio``, which canonicalize
-    ``percent_per_firing = ratio * interval_epochs`` bitwise.
-    """
-
-    ratio: float
-    interval_epochs: int
-    percent_per_firing: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.ratio <= 1.0):
-            raise ValueError(f"ratio out of range: {self.ratio}")
-        if not (1 <= self.interval_epochs <= MAX_INTERVAL_EPOCHS):
-            raise ValueError(f"interval out of range: {self.interval_epochs}")
-        if self.ratio == 0.0:
-            if self.percent_per_firing != 0.0:
-                raise ValueError("zero-ratio plan must not fire")
-            return
-        if not (0.0 < self.percent_per_firing <= 1.0):
-            raise ValueError(f"percent out of range: {self.percent_per_firing}")
-        if self.percent_per_firing != self.ratio * self.interval_epochs:
-            raise ValueError("percent_per_firing must equal ratio * interval_epochs")
-        if self.ratio >= RATIO_KNEE and self.percent_per_firing != 1.0:
-            raise ValueError("at or above the knee the full drawn set is swapped")
-        if self.ratio < RATIO_KNEE and self.interval_epochs != MAX_INTERVAL_EPOCHS:
-            raise ValueError("below the knee the interval is pinned at the maximum")
-
-    @classmethod
-    def from_parts(cls, interval_epochs: int, percent_per_firing: float) -> "SwapPlan":
-        """Build a canonical plan from (interval, percent)."""
-        if percent_per_firing == 0.0:
-            return cls.disabled()
-        ratio = percent_per_firing / interval_epochs
-        return cls(
-            ratio=ratio,
-            interval_epochs=interval_epochs,
-            percent_per_firing=ratio * interval_epochs,
-        )
-
-    @classmethod
-    def disabled(cls) -> "SwapPlan":
-        """A plan that never fires (swapping off)."""
-        return cls(ratio=0.0, interval_epochs=MAX_INTERVAL_EPOCHS, percent_per_firing=0.0)
-
-    @property
-    def enabled(self) -> bool:
-        return self.ratio > 0.0
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,13 @@ class StreamSpec:
     size_bytes: int | None = None  # defaults to 4 bytes per feature
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("n_tasks", "classes_per_task", "samples_per_class", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.size_bytes is not None and self.size_bytes < 1:
+            raise ValueError("size_bytes must be None or >= 1")
+
     @property
     def sample_bytes(self) -> int:
         return self.size_bytes if self.size_bytes is not None else 4 * self.feature_dim

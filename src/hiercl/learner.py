@@ -8,9 +8,11 @@ to exhibit catastrophic forgetting on disjoint-class streams.
 Training reads batches as row-index arrays into the run's ``SampleTable``
 and gathers each batch's features, cast to float64, from the table.
 Evaluation reads probes as per-class feature blocks (``probe_blocks``),
-built once, and runs one forward pass per class block. Any object honoring
-train_epoch / evaluate / checkpoint semantics can be substituted; the
-runtime only moves rows and charges costs.
+built once, and runs one forward pass per class block. ``copy_state``
+gives an independent copy of a state, weights and generator alike, for the
+profiler to train on. Any object honoring train_epoch / evaluate /
+copy_state semantics can be substituted; the runtime only moves rows and
+charges costs.
 
 The cost model converts training work into ledger joules: time is
 samples-processed times seconds-per-sample, energy is power times time per
@@ -21,7 +23,6 @@ component. Power defaults are sized like a small edge board with a roughly
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,16 +49,6 @@ class LearnerState:
     @property
     def hidden_width(self) -> int:
         return self.w1.shape[1]
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    class_order: tuple[int, ...]
-    rng_state: dict
 
 
 def init_learner(feature_dim: int, hidden_width: int = 32, seed: int | np.random.SeedSequence = 0) -> LearnerState:
@@ -247,26 +238,17 @@ def evaluate(
     return EvalResult(per_class=per_class, average=float(np.mean(list(per_class.values()))))
 
 
-def checkpoint(state: LearnerState) -> Checkpoint:
-    return Checkpoint(
+def copy_state(state: LearnerState) -> LearnerState:
+    """An independent copy: its own arrays, head order and generator, the
+    last a new generator of the same kind set to the original's state."""
+    rng = np.random.Generator(type(state.rng.bit_generator)())
+    rng.bit_generator.state = state.rng.bit_generator.state
+    return LearnerState(
         w1=state.w1.copy(),
         b1=state.b1.copy(),
         w2=state.w2.copy(),
         b2=state.b2.copy(),
-        class_order=tuple(state.class_order),
-        rng_state=copy.deepcopy(state.rng.bit_generator.state),
-    )
-
-
-def restore(cp: Checkpoint) -> LearnerState:
-    rng = np.random.default_rng()
-    rng.bit_generator.state = copy.deepcopy(cp.rng_state)
-    return LearnerState(
-        w1=cp.w1.copy(),
-        b1=cp.b1.copy(),
-        w2=cp.w2.copy(),
-        b2=cp.b2.copy(),
-        class_order=list(cp.class_order),
+        class_order=list(state.class_order),
         rng=rng,
     )
 
@@ -332,8 +314,7 @@ def charge_epoch(
 
 def charge_profiling(cost: CostModel, n_samples: int, epochs: int, ledger: EnergyLedger) -> float:
     """Bill profiling work to the overhead component; returns elapsed seconds."""
+    ledger.add("profiling", cost.train_joules(n_samples, epochs))
     t = cost.epoch_seconds(n_samples) * epochs
-    joules = (cost.gpu_dynamic_watts + cost.static_watts + cost.ram_watts(n_samples)) * t
-    ledger.add("profiling", joules)
     ledger.advance_time(t)
     return t

@@ -263,5 +263,12 @@ def compose_epoch_batches(
     union = np.concatenate([sb.contents, em.rows()])
     if not len(union):
         raise ValueError("cannot compose batches from empty SB and EM")
-    shuffled = union[rng.permutation(len(union))]
+    return shuffled_batches(union, batch_size, rng)
+
+
+def shuffled_batches(
+    rows: np.ndarray, batch_size: int, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """``rows`` in one random permutation, chunked into mini-batches."""
+    shuffled = rows[rng.permutation(len(rows))]
     return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]

@@ -2,8 +2,8 @@
 
 Cost is cut from three directions: only a uniform sample of the search
 space is profiled (default 14 confs), each conf trains on a small random
-subsample of its data (default 5%), and all confs start from one shared
-warmup checkpoint so nobody re-pays the noisy early epochs. The recorded
+subsample of its data (default 5%), and all confs start from copies of one
+shared warmed-up state so nobody re-pays the noisy early epochs. The recorded
 accuracy is the raw short-horizon value, not an extrapolation; the energy
 estimate is the cost model's projection of a full-length run at that conf.
 
@@ -11,7 +11,9 @@ Profiling works entirely on copies and row arrays: every subsample is a
 row-index array into the run's ``SampleTable``, drawn with the same
 generator calls as a draw over sample lists, and the probes are per-class
 feature blocks scored one block at a time. The live model and the live
-buffers are never touched.
+buffers are never touched. Old rows are split by EM's ``class_quotas``,
+and batches and joules come from the run's own ``shuffled_batches`` and
+``train_joules``.
 """
 
 from __future__ import annotations
@@ -22,16 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .domain import Conf, EnergyLedger, ProfileRecord, SampleTable, round_up_to_step, round_down_to_step
-from .learner import (
-    Checkpoint,
-    CostModel,
-    LearnerState,
-    charge_profiling,
-    checkpoint,
-    evaluate,
-    restore,
-    train_epoch,
-)
+from .learner import CostModel, LearnerState, charge_profiling, copy_state, evaluate, train_epoch
+from .memory import class_quotas, shuffled_batches
 
 
 # Redraws of a profiling subsample before missing classes are topped up.
@@ -152,16 +146,10 @@ def draw_covered_subsample(
 def _balanced_take(
     by_class: dict[int, np.ndarray], total: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Class-balanced random selection mirroring how EM fills to quota."""
-    classes = sorted(c for c, pool in by_class.items() if len(pool))
-    if not classes or total <= 0:
-        return np.empty(0, np.intp)
-    base, rem = divmod(total, len(classes))
-    out = []
-    for i, c in enumerate(classes):
-        want = min(base + (1 if i < rem else 0), len(by_class[c]))
-        out.append(_draw(by_class[c], want, rng))
-    return np.concatenate(out)
+    """Class-balanced random selection: ``total`` split over the non-empty
+    pools by EM's own quotas; a pool short of its quota is taken whole."""
+    quotas = class_quotas(total, [c for c, pool in by_class.items() if len(pool)])
+    return np.concatenate([_draw(by_class[c], q, rng) for c, q in quotas.items()])
 
 
 @dataclass
@@ -172,25 +160,9 @@ class ProfileOutcome:
     warmup_units: int = 0
     evaluation_units: int = 0
 
-    def exhaustive_units(self, space: Sequence[Conf], full_epochs: int,
-                         task_size: int, em_available: int) -> int:
-        """What full-length, full-data profiling of the whole space would cost."""
-        total = 0
-        for conf in space:
-            n = min(conf.sb_size, task_size) + min(conf.em_size, em_available)
-            total += n * full_epochs
-        return total
-
-
-def _shuffled_batches(
-    data: np.ndarray, batch_size: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    shuffled = data[rng.permutation(len(data))]
-    return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
-
 
 def evaluate_conf(
-    cp: Checkpoint,
+    warm: LearnerState,
     conf: Conf,
     task_rows: np.ndarray,
     em_pool_by_class: dict[int, np.ndarray],
@@ -204,7 +176,7 @@ def evaluate_conf(
     ledger: EnergyLedger,
     table: SampleTable,
 ) -> tuple[ProfileRecord, int]:
-    """Short training of one conf from the shared checkpoint.
+    """Short training of one conf from a copy of the shared warm state.
 
     Returns the record plus the compute units (sample-epochs) it consumed.
     The data is a masked view: the first min(sb, task) stream rows and a
@@ -212,7 +184,7 @@ def evaluate_conf(
     subsampled and coverage-checked. ``probes`` are per-class feature
     blocks.
     """
-    state = restore(cp)
+    state = copy_state(warm)
     em_available = sum(len(v) for v in em_pool_by_class.values())
     sb_inuse = min(conf.sb_size, len(task_rows))
     em_inuse = min(conf.em_size, em_available)
@@ -229,10 +201,8 @@ def evaluate_conf(
         raise ValueError(f"conf {conf} yields no profiling data")
     data = np.concatenate(parts)
 
-    mean_loss = float("nan")
     for _ in range(cfg.profile_epochs):
-        batches = _shuffled_batches(data, batch_size, rng)
-        state, mean_loss = train_epoch(state, batches, learning_rate, table)
+        train_epoch(state, shuffled_batches(data, batch_size, rng), learning_rate, table)
 
     acc = evaluate(state, probes).average
     energy = cost.train_joules(sb_inuse + em_inuse, epochs=full_epochs)
@@ -268,8 +238,8 @@ def profile_task(
 
     ``task_rows`` and the per-class ``em_pool_by_class`` are rows of
     ``table``; ``probes`` are per-class feature blocks. The live model is
-    copied for the warmup checkpoint and for every conf evaluation; the
-    caller's state is never mutated.
+    copied once for the warmup, and the warm state once per conf
+    evaluation; the caller's state is never mutated.
     """
     task_size = len(task_rows)
     space = build_search_space(budget_samples, task_size, step)
@@ -278,8 +248,8 @@ def profile_task(
     reference = nearest_conf(space, reference_target)
     confs = sample_confs(space, cfg.conf_sample_size, rng, reference)
 
-    # shared warmup checkpoint at the reference conf, trained on full views
-    warm = restore(checkpoint(live_state))
+    # shared warm state at the reference conf, trained on full views
+    warm = copy_state(live_state)
     ref_data = task_rows[: min(reference.sb_size, task_size)]
     em_avail = sum(len(v) for v in em_pool_by_class.values())
     ref_em = min(reference.em_size, em_avail)
@@ -290,17 +260,15 @@ def profile_task(
     warmup_units = 0
     if cfg.warmup_epochs > 0:
         for _ in range(cfg.warmup_epochs):
-            batches = _shuffled_batches(ref_data, batch_size, rng)
-            warm, _ = train_epoch(warm, batches, learning_rate, table)
+            train_epoch(warm, shuffled_batches(ref_data, batch_size, rng), learning_rate, table)
         warmup_units = len(ref_data) * cfg.warmup_epochs
         charge_profiling(cost, len(ref_data), cfg.warmup_epochs, ledger)
-    cp = checkpoint(warm)
 
     records: list[ProfileRecord] = []
     eval_units = 0
     for conf in confs:
         record, units = evaluate_conf(
-            cp,
+            warm,
             conf,
             task_rows,
             em_pool_by_class,

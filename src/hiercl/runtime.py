@@ -460,11 +460,11 @@ class Runtime:
             if self.sb.capacity + self.em.capacity > self.budget_samples:
                 raise RuntimeError("memory invariant violated: conf exceeds budget")
 
-            plan = self.controller.plan
-            if plan.enabled and self.em.total > 0 and epoch < cfg.epochs_per_task:
+            ctl = self.controller
+            if ctl.percent_per_firing > 0 and self.em.total > 0 and epoch < cfg.epochs_per_task:
                 self._epochs_since_firing += 1
-                if self._epochs_since_firing >= plan.interval_epochs:
-                    self.engine.issue(self.em, plan.percent_per_firing, t1, self._swap_rng)
+                if self._epochs_since_firing >= ctl.interval_epochs:
+                    self.engine.issue(self.em, ctl.percent_per_firing, t1, self._swap_rng)
                     self._epochs_since_firing = 0
 
             self.epoch_rows.append(

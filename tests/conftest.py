@@ -60,3 +60,12 @@ def state_digest(state: LearnerState) -> str:
         h.update(arr.tobytes())
     h.update(repr(state.class_order).encode())
     return h.hexdigest()
+
+
+def exhaustive_units(space, full_epochs: int, task_size: int, em_available: int) -> int:
+    """What full-length, full-data profiling of every conf in ``space``
+    would cost, in sample-epochs: the yardstick for the profiler's savings."""
+    return sum(
+        (min(conf.sb_size, task_size) + min(conf.em_size, em_available)) * full_epochs
+        for conf in space
+    )

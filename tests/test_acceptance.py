@@ -36,7 +36,7 @@ from hiercl.runtime import RunConfig, run_stream
 from hiercl.selector import HIGHEST_UTILITY, LOWEST_ENERGY, select
 
 from test_selector import energy_accuracy_table, oracle_select, random_records
-from conftest import make_sample
+from conftest import exhaustive_units, make_sample
 
 
 @contextlib.contextmanager
@@ -93,17 +93,15 @@ def test_criterion_2_interval_mapping_table():
             0.20: (5, 1.0),
             0.10: (5, 0.5),
         }
-        for ratio, (interval, percent) in expected.items():
-            plan = plan_from_ratio(ratio)
-            assert plan.interval_epochs == interval, ratio
-            assert plan.percent_per_firing == percent, ratio
+        for ratio, plan in expected.items():
+            assert plan_from_ratio(ratio) == plan, ratio
+            k, percent = plan
             if ratio < 0.20:
-                assert plan.ratio == ratio  # sub-knee regime is exact
+                assert percent == ratio * k  # sub-knee regime is exact
             else:
-                k = plan.interval_epochs
                 upper = (1.0 / (k - 1) - 1.0 / k) if k > 1 else 0.5
                 lower = 1.0 / k - 1.0 / (k + 1)
-                assert abs(plan.ratio - ratio) <= max(upper, lower)
+                assert abs(percent / k - ratio) <= max(upper, lower)
 
 
 def test_criterion_3_selector_oracle_equivalence():
@@ -287,7 +285,7 @@ def test_criterion_9_profiler_cost_ratio():
         )
         space = build_search_space(5000, len(task_samples), 500)
         em_available = sum(len(v) for v in em_pool.values())
-        exhaustive = outcome.exhaustive_units(space, full_epochs, len(task_samples), em_available)
+        exhaustive = exhaustive_units(space, full_epochs, len(task_samples), em_available)
         measured = exhaustive / outcome.evaluation_units
         analytic = (len(space) / cfg.conf_sample_size) * (full_epochs / cfg.profile_epochs) * (1 / cfg.subsample)
         assert measured == pytest.approx(analytic, rel=0.2), (

@@ -392,3 +392,51 @@ def test_load_and_schedule_are_read_as_number_pairs(tmp_path):
     run = _load_config(str(path))["run"]
     assert run["external_io_load"] == ((0.5, 1000.0),)
     assert run["budget_schedule"] == ((2, 400),)
+
+
+@pytest.mark.parametrize("option, value", [("--budgets", "1000,abc"), ("--seeds", "0,x")])
+def test_sweep_non_integer_list_exits_before_any_run(tmp_path, option, value):
+    result = CliRunner().invoke(
+        main,
+        ["sweep", "--config", str(write_config(tmp_path)), option, value,
+         "--outdir", str(tmp_path / "out")],
+    )
+    assert_config_error(result, f"{option}: expected comma-separated integers, got {value!r}")
+    assert len(result.output.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+@pytest.mark.parametrize("source", ["flag", "yaml"])
+@pytest.mark.parametrize(
+    "flag, key",
+    [
+        ("--tasks", "n_tasks"),
+        ("--classes-per-task", "classes_per_task"),
+        ("--samples-per-class", "samples_per_class"),
+        ("--dim", "feature_dim"),
+    ],
+)
+def test_empty_stream_setting_exits_with_one_line(tmp_path, command, source, flag, key):
+    # each used to end in a traceback from deep inside the run, or (validate
+    # with no classes) in a list of empty-task issues
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    args = [flag, "0"] if source == "flag" else []
+    if source == "yaml":
+        cfg["stream"][key] = 0
+    path = tmp_path / "exp_edit.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    outdir = [] if command == "validate" else ["--outdir", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, [command, "--config", str(path), *args, *outdir])
+    assert_config_error(result, f"config stream: {key} must be >= 1")
+    assert len(result.output.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("size_bytes", [0, -64])
+def test_nonpositive_sample_size_exits_with_one_line(tmp_path, size_bytes):
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["stream"]["size_bytes"] = size_bytes
+    _, result = invoke_run(tmp_path, cfg, "--strategy", "static")
+    assert_config_error(result, "config stream: size_bytes must be None or >= 1")
+    assert len(result.output.strip().splitlines()) == 1

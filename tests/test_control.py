@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hiercl.control import (
+    RATIO_KNEE,
     ControllerConfig,
     SwapController,
     adjust_ratio,
     classify_io,
     plan_from_ratio,
 )
-from hiercl.domain import IoState, SwapPlan
+from hiercl.domain import IoState
 
 
 class TestClassify:
@@ -108,24 +109,22 @@ class TestPlanFromRatio:
         ],
     )
     def test_mapping_table(self, ratio, interval, percent):
-        plan = plan_from_ratio(ratio)
-        assert plan.interval_epochs == interval
-        assert plan.percent_per_firing == percent
+        assert plan_from_ratio(ratio) == (interval, percent)
 
     def test_sub_knee_is_exact(self):
-        plan = plan_from_ratio(0.10)
-        assert plan.ratio == 0.10
-        assert plan.percent_per_firing / plan.interval_epochs == 0.10
+        interval, percent = plan_from_ratio(0.10)
+        assert interval == 5
+        assert percent / interval == 0.10
 
     def test_derived_effective_ratio(self):
         # 5 * 0.10 = 0.5 and the effective per-epoch ratio is 0.5 / 5 = 0.10
-        plan = plan_from_ratio(0.10)
-        assert plan.percent_per_firing == 5 * 0.10
-        assert plan.percent_per_firing / 5 == 0.10
+        _, percent = plan_from_ratio(0.10)
+        assert percent == 5 * 0.10
+        assert percent / 5 == 0.10
 
     def test_nonpositive_ratio_never_fires(self):
-        assert not plan_from_ratio(0.0).enabled
-        assert not plan_from_ratio(-0.3).enabled
+        assert plan_from_ratio(0.0)[1] == 0.0
+        assert plan_from_ratio(-0.3)[1] == 0.0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -136,36 +135,41 @@ class TestPlanFromRatio:
         for _ in range(3):
             r = adjust_ratio(r, IoState.CONGESTED)
         assert r == 0.125
-        plan = plan_from_ratio(r)
-        assert plan.ratio >= 0.125
+        interval, percent = plan_from_ratio(r)
+        assert percent / interval >= 0.125
 
     @given(st.floats(min_value=0.001, max_value=1.0, allow_nan=False))
     def test_quantization_bound(self, ratio):
-        plan = plan_from_ratio(ratio)
+        interval, percent = plan_from_ratio(ratio)
         if ratio < 0.20:
-            assert plan.ratio == ratio
+            assert percent == ratio * 5
         else:
-            k = plan.interval_epochs
+            k = interval
             upper_gap = (1.0 / (k - 1) - 1.0 / k) if k > 1 else 0.5
             lower_gap = 1.0 / k - 1.0 / (k + 1)
-            assert abs(plan.ratio - ratio) <= max(upper_gap, lower_gap) + 1e-12
+            assert abs(percent / interval - ratio) <= max(upper_gap, lower_gap) + 1e-12
 
     @given(st.floats(min_value=0.0001, max_value=1.0, allow_nan=False))
     def test_plan_identity_always_canonical(self, ratio):
-        plan = plan_from_ratio(ratio)
-        assert plan.percent_per_firing == plan.ratio * plan.interval_epochs
+        # at or above the knee a firing swaps the whole drawn set every 1-5
+        # epochs; below it the interval is pinned at 5
+        interval, percent = plan_from_ratio(ratio)
+        if ratio >= RATIO_KNEE:
+            assert percent == 1.0 and 1 <= interval <= 5
+        else:
+            assert (interval, percent) == (5, ratio * 5)
 
 
 class TestRoundTrip:
     @given(st.integers(min_value=1, max_value=5))
     def test_full_percent_plans(self, interval):
-        p = SwapPlan.from_parts(interval, 1.0)
-        assert plan_from_ratio(p.ratio) == p
+        assert plan_from_ratio(1.0 / interval) == (interval, 1.0)
 
     @given(st.floats(min_value=1e-6, max_value=0.999, allow_nan=False))
     def test_partial_percent_plans(self, percent):
-        p = SwapPlan.from_parts(5, percent)
-        assert plan_from_ratio(p.ratio) == p
+        ratio = percent / 5
+        assert plan_from_ratio(ratio) == (5, ratio * 5)
+        assert plan_from_ratio(ratio)[1] == pytest.approx(percent, rel=1e-15)
 
 
 class TestController:
@@ -208,10 +212,9 @@ def reference_aimd(ratio, cfg, history):
         else:
             state = IoState.STABLE
         if ratio >= 0.2:
-            interval = min(max(math.floor(1.0 / ratio + 0.5), 1), 5)
-            plan = (1.0 / interval, interval, 1.0)
+            plan = (min(max(math.floor(1.0 / ratio + 0.5), 1), 5), 1.0)
         else:
-            plan = (ratio, 5, 5 * ratio)
+            plan = (5, 5 * ratio)
         out.append((state, ratio, plan))
     return out
 
@@ -248,12 +251,11 @@ class TestAimdProperty:
             assert ctl.classify(rate, empty_epochs) is state
             decision = ctl.react(state, epoch)
             assert ctl.ratio == new_ratio
-            got = (ctl.plan.ratio, ctl.plan.interval_epochs, ctl.plan.percent_per_firing)
-            assert got == plan
+            assert (ctl.interval_epochs, ctl.percent_per_firing) == plan
             if state is IoState.STABLE:
                 assert decision is None
             else:
-                expected_moves.append((epoch, state, old_ratio, new_ratio, plan[1], plan[2]))
+                expected_moves.append((epoch, state, old_ratio, new_ratio, *plan))
         assert [
             (d.epoch, d.state, d.old_ratio, d.new_ratio, d.interval_epochs, d.percent_per_firing)
             for d in ctl.decisions

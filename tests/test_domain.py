@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from hiercl.domain import (
     Conf,
     EnergyLedger,
     Sample,
     SampleTable,
-    SwapPlan,
     Task,
     validate_stream,
 )
@@ -47,35 +45,6 @@ def test_conf_validation():
     assert Conf(500, 1000).total == 1500
     assert on_grid(Conf(500, 1000), 500)
     assert not on_grid(Conf(500, 1200), 500)
-
-
-class TestSwapPlan:
-    def test_full_plan(self):
-        p = SwapPlan.from_parts(1, 1.0)
-        assert p.ratio == 1.0 and p.interval_epochs == 1
-
-    def test_sub_knee_pins_interval(self):
-        with pytest.raises(ValueError):
-            SwapPlan(ratio=0.1, interval_epochs=3, percent_per_firing=0.3)
-
-    def test_above_knee_requires_full_percent(self):
-        with pytest.raises(ValueError):
-            SwapPlan.from_parts(2, 0.9)  # ratio 0.45 but partial firing
-
-    def test_disabled_plan(self):
-        p = SwapPlan.disabled()
-        assert not p.enabled
-        assert p.ratio == 0.0 and p.percent_per_firing == 0.0
-
-    def test_identity_enforced(self):
-        with pytest.raises(ValueError):
-            SwapPlan(ratio=0.33, interval_epochs=3, percent_per_firing=1.0)
-
-    @given(st.integers(min_value=1, max_value=5))
-    def test_full_percent_intervals_valid(self, interval):
-        p = SwapPlan.from_parts(interval, 1.0)
-        assert p.percent_per_firing == 1.0
-        assert p.ratio * p.interval_epochs == p.percent_per_firing
 
 
 class TestEnergyLedger:

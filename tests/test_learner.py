@@ -8,13 +8,12 @@ from hiercl.learner import (
     LearnerState,
     charge_epoch,
     charge_profiling,
-    checkpoint,
+    copy_state,
     ensure_classes,
     evaluate,
     init_learner,
     loss_and_grads,
     probe_blocks,
-    restore,
 )
 from conftest import make_sample, params_equal, train_on
 
@@ -47,9 +46,9 @@ class TestTrainEpoch:
         state = init_learner(4, hidden_width=8, seed=0)
         batches = toy_batches()
         ensure_classes(state, [0, 1])
-        before = checkpoint(state)
+        before = copy_state(state)
         train_on(state, batches, 0.0)
-        assert params_equal(state, restore(before))
+        assert params_equal(state, before)
 
     def test_divergence_raises(self):
         # identical points with conflicting labels: once a huge step saturates
@@ -163,20 +162,20 @@ class TestEvaluate:
 
 
 class TestCheckpoint:
+    """``copy_state`` is the checkpoint: the profiler trains on copies."""
+
     def test_round_trip_is_byte_identical(self):
         state = init_learner(4, hidden_width=8, seed=0)
         train_on(state, toy_batches(), 0.3)
-        cp = checkpoint(state)
-        back = restore(cp)
+        back = copy_state(state)
         assert params_equal(state, back)
         assert back.rng.bit_generator.state == state.rng.bit_generator.state
 
     def test_training_after_restore_is_deterministic(self):
         state = init_learner(4, hidden_width=8, seed=0)
         train_on(state, toy_batches(), 0.3)
-        cp = checkpoint(state)
-        a = restore(cp)
-        b = restore(cp)
+        a = copy_state(state)
+        b = copy_state(state)
         _, la = train_on(a, toy_batches(seed=9), 0.3)
         _, lb = train_on(b, toy_batches(seed=9), 0.3)
         assert la == lb and params_equal(a, b)
@@ -184,11 +183,23 @@ class TestCheckpoint:
     def test_checkpoints_at_different_epochs_differ(self):
         state = init_learner(4, hidden_width=8, seed=0)
         train_on(state, toy_batches(), 0.3)
-        cp1 = checkpoint(state)
+        cp1 = copy_state(state)
         train_on(state, toy_batches(), 0.3)
-        cp2 = checkpoint(state)
-        assert cp1.w1.tobytes() == cp1.w1.tobytes()
+        cp2 = copy_state(state)
         assert cp2.w2.tobytes() != cp1.w2.tobytes()
+
+    def test_training_the_copy_leaves_the_original_unchanged(self):
+        # a batch with a class the head lacks also grows the copy's head and
+        # draws from the copy's generator
+        state = init_learner(4, hidden_width=8, seed=0)
+        train_on(state, toy_batches(), 0.3)
+        original = copy_state(state)
+        rng_state = state.rng.bit_generator.state
+        trained = copy_state(state)
+        train_on(trained, [[make_sample(100, 7), make_sample(101, 0)]], 0.3)
+        assert trained.class_order == [0, 1, 7]
+        assert params_equal(state, original)
+        assert state.rng.bit_generator.state == rng_state
 
 
 class TestCostModel:

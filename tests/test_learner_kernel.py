@@ -17,12 +17,11 @@ from hypothesis import given, settings, strategies as st
 from hiercl.domain import Sample, SampleTable
 from hiercl.learner import (
     LearnerDiverged,
-    checkpoint,
+    copy_state,
     ensure_classes,
     evaluate,
     init_learner,
     probe_blocks,
-    restore,
     train_epoch,
 )
 
@@ -137,7 +136,7 @@ def test_kernel_equals_textbook_step_bit_for_bit(plan, dim, hidden, dtype, learn
     labels = [c for epoch in plans for c in epoch]
     table, rows = make_table(labels, dim, dtype, seed)
     kernel = init_learner(dim, hidden, seed)
-    reference = restore(checkpoint(kernel))
+    reference = copy_state(kernel)
     start = 0
     for epoch in plans:
         epoch_rows = rows[start : start + len(epoch)]
@@ -162,7 +161,7 @@ def test_mid_epoch_divergence_keeps_the_last_finite_weights():
     rows = table.add([Sample(i, i % 2, point, 16) for i in range(6)])
     batches = [rows[0:2], rows[2:4], rows[4:6]]
     kernel = init_learner(4, 8, 0)
-    reference = restore(checkpoint(kernel))
+    reference = copy_state(kernel)
     initial = exact_state(kernel)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -15,8 +15,7 @@ from hiercl.profiler import (
     profile_task,
     sample_confs,
 )
-from hiercl.learner import checkpoint
-from conftest import make_sample, make_task, state_digest
+from conftest import exhaustive_units, make_sample, make_task, state_digest
 
 
 class TestSearchSpace:
@@ -263,7 +262,6 @@ class TestProfileTask:
 class TestEvaluateConf:
     def test_energy_estimate_tracks_in_use_samples(self):
         state, task, em_pool, probe, cfg, table = small_profile_setup(with_old=False)
-        cp = checkpoint(state)
         common = dict(
             task_rows=task,
             em_pool_by_class={},
@@ -276,10 +274,10 @@ class TestEvaluateConf:
             batch_size=16,
         )
         rec_a, _ = evaluate_conf(
-            cp, Conf(400, 0), rng=np.random.default_rng(0), ledger=EnergyLedger(), **common
+            state, Conf(400, 0), rng=np.random.default_rng(0), ledger=EnergyLedger(), **common
         )
         rec_b, _ = evaluate_conf(
-            cp, Conf(200, 0), rng=np.random.default_rng(0), ledger=EnergyLedger(), **common
+            state, Conf(200, 0), rng=np.random.default_rng(0), ledger=EnergyLedger(), **common
         )
         assert rec_a.energy_estimate == pytest.approx(
             2 * rec_b.energy_estimate, rel=0.01
@@ -287,14 +285,13 @@ class TestEvaluateConf:
 
     def test_oversized_em_conf_capped_by_pool(self):
         state, task, em_pool, probe, cfg, table = small_profile_setup()
-        cp = checkpoint(state)
         pool_total = sum(len(v) for v in em_pool.values())
         rec_big, _ = evaluate_conf(
-            cp, Conf(500, 1500), task, em_pool, probe, cfg, CostModel(),
+            state, Conf(500, 1500), task, em_pool, probe, cfg, CostModel(),
             10, 0.1, 16, np.random.default_rng(0), EnergyLedger(), table,
         )
         rec_fit, _ = evaluate_conf(
-            cp, Conf(500, pool_total), task, em_pool, probe, cfg, CostModel(),
+            state, Conf(500, pool_total), task, em_pool, probe, cfg, CostModel(),
             10, 0.1, 16, np.random.default_rng(0), EnergyLedger(), table,
         )
         assert rec_big.energy_estimate == rec_fit.energy_estimate
@@ -311,7 +308,7 @@ def test_cost_reduction_ratio_matches_analytic():
 
     space = build_search_space(2000, len(task), 500)
     full_epochs = 10
-    exhaustive = outcome.exhaustive_units(space, full_epochs, len(task), 0)
+    exhaustive = exhaustive_units(space, full_epochs, len(task), 0)
     measured = exhaustive / outcome.evaluation_units
     analytic = (len(space) / 3) * (full_epochs / 2) * (1 / 0.1)
     assert measured == pytest.approx(analytic, rel=0.2)
