@@ -179,6 +179,17 @@ def _int_list(ctx, param, value: str) -> list[int]:
         ) from None
 
 
+def _strategy_list(ctx, param, value: str) -> list[str]:
+    """A non-empty comma-separated list of strategy names, checked before any run."""
+    names = [v.strip() for v in value.split(",") if v.strip()]
+    if not names or not set(names) <= set(STRATEGY_NAMES):
+        raise click.ClickException(
+            f"--strategies: expected comma-separated names from "
+            f"{', '.join(STRATEGY_NAMES)}, got {value!r}"
+        )
+    return names
+
+
 def _build_spec(cfg: dict, **overrides) -> StreamSpec:
     merged = dict(cfg.get("stream", {}))
     merged.update({k: v for k, v in overrides.items() if v is not None})
@@ -277,7 +288,7 @@ def run(config_path, strategy, budget, cutline, mode, epochs, seed, fixed_ratio,
 
 @main.command("sweep")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--strategies", default="adaptive,static,heuristic",
+@click.option("--strategies", default="adaptive,static,heuristic", callback=_strategy_list,
               help="Comma-separated strategy list")
 @click.option("--budgets", default="1000,2500,5000", callback=_int_list,
               help="Comma-separated budgets")
@@ -304,7 +315,7 @@ def sweep_cmd(config_path, strategies, budgets, seeds, outdir, n_tasks,
     points = sweep(
         spec,
         config,
-        strategies=[s.strip() for s in strategies.split(",") if s.strip()],
+        strategies=strategies,
         budgets=budgets,
         seeds=seeds,
     )

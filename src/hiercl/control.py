@@ -1,7 +1,8 @@
 """Swap-ratio control: I/O state classification, AIMD adjustment, and the
 mapping from a target ratio to a concrete firing plan, the pair
 ``(interval_epochs, percent_per_firing)`` that ``SwapController`` keeps as
-two attributes.
+two attributes. ``SwapController`` owns the whole loop: the completion
+window, the empty-queue run, the firing countdown and the decision log.
 
 The ratio is tuned like a congestion window: idle I/O nudges it up by a
 small additive step, congestion halves it. Ratios at or above the knee are
@@ -13,6 +14,7 @@ epochs and only the per-firing percentage shrinks.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .domain import IoState
@@ -22,6 +24,9 @@ from .domain import IoState
 # MAX_INTERVAL_EPOCHS and only the per-firing percentage shrinks.
 RATIO_KNEE = 0.20
 MAX_INTERVAL_EPOCHS = 5
+
+# epochs of swap history behind the completion rate the controller classifies
+COMPLETION_WINDOW_EPOCHS = 5
 
 
 @dataclass(frozen=True)
@@ -106,25 +111,70 @@ class ControllerDecision:
 
 @dataclass
 class SwapController:
-    """Mutable controller state owned by the runtime; single-threaded access."""
+    """The AIMD loop over one run; single-threaded access.
+
+    Per epoch the runtime hands it the swap counts (``end_epoch``), reacts
+    to the state it returns, and asks whether a batch is due (``fire_due``).
+    A pinned controller classifies and reports but never moves its ratio.
+    """
 
     ratio: float = 1.0
     cfg: ControllerConfig = field(default_factory=ControllerConfig)
     decisions: list[ControllerDecision] = field(default_factory=list)
+    pinned: bool = False
 
     def __post_init__(self):
         self.interval_epochs, self.percent_per_firing = plan_from_ratio(self.ratio)
+        self.io_state = IoState.STABLE
+        self.start_task()
+
+    def start_task(self) -> None:
+        """Forget the last task's evidence: its window, idle run and countdown."""
+        self._window: deque[tuple[int, int]] = deque(maxlen=COMPLETION_WINDOW_EPOCHS)
+        self._empty_run = 0
+        self._since_firing = 0
+
+    def end_epoch(self, issued: int, settled: int, queue_empty: bool) -> IoState | None:
+        """Record one epoch's swap counts and classify the channel. Returns
+        the state to react to: None when stable or pinned.
+
+        The rate is settled / issued over the window, capped at 1; None when
+        nothing was issued (the idle-equivalent sentinel, never congested).
+        Delivered-but-inapplicable transfers count as settled: only work the
+        channel has not delivered yet reads as congestion.
+        """
+        self._window.append((issued, settled))
+        self._empty_run = self._empty_run + 1 if queue_empty else 0
+        sent = sum(i for i, _ in self._window)
+        rate = min(sum(s for _, s in self._window) / sent, 1.0) if sent else None
+        self.io_state = self.classify(rate, self._empty_run)
+        return None if self.pinned or self.io_state is IoState.STABLE else self.io_state
+
+    def fire_due(self) -> bool:
+        """Count one epoch toward the next firing; True when a batch is due.
+        A plan that swaps nothing never counts."""
+        if self.percent_per_firing <= 0:
+            return False
+        self._since_firing += 1
+        if self._since_firing < self.interval_epochs:
+            return False
+        self._since_firing = 0
+        return True
 
     def classify(self, rate: float | None, empty_epochs: int) -> IoState:
         return classify_io(rate, empty_epochs, self.ratio, self.cfg)
 
     def react(self, state: IoState, epoch: int) -> ControllerDecision | None:
-        """Adjust the ratio for a non-stable state and record the decision."""
+        """Adjust the ratio for a non-stable state and record the decision.
+        A move restarts the firing countdown; an increase spends the idle run."""
         if state is IoState.STABLE:
             return None
         old = self.ratio
         self.ratio = adjust_ratio(old, state, self.cfg)
         self.interval_epochs, self.percent_per_firing = plan_from_ratio(self.ratio)
+        self._since_firing = 0
+        if state is IoState.IDLE:
+            self._empty_run = 0
         decision = ControllerDecision(
             epoch=epoch,
             state=state,

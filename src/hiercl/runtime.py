@@ -57,9 +57,6 @@ from .profiler import ProfilerConfig, build_search_space, profile_task
 from .selector import DEFAULT_CUTLINE, HIGHEST_UTILITY, LOWEST_ENERGY, select_record, utility
 from .swap import IoChannel, SwapEngine
 
-# epochs of swap history behind the completion rate the probe classifies
-COMPLETION_WINDOW_EPOCHS = 5
-
 
 class ConfPolicy(Protocol):
     """Static conf decision per task; used by the baseline strategies."""
@@ -143,19 +140,21 @@ class BudgetEvent:
 
 @dataclass
 class RunReport:
-    final_average_accuracy: float
-    final_per_class: dict[int, float]
-    accuracy_matrix: dict[int, dict[int, float]]
-    ledger: EnergyLedger
-    chosen_confs: list[tuple[int, Conf]]
-    epoch_rows: list[EpochRow]
-    controller_decisions: list[ControllerDecision]
-    selections: list[SelectionRecord]
-    profile_trace: list[tuple[int, ProfileRecord]]
-    profiling_units: dict[int, dict[str, int]]
-    swap_totals: dict[str, int]
-    budget_events: list[BudgetEvent]
-    n_classes: int
+    """The record of one run; the runtime appends to it as the run goes."""
+
+    final_average_accuracy: float = 0.0
+    final_per_class: dict[int, float] = field(default_factory=dict)
+    accuracy_matrix: dict[int, dict[int, float]] = field(default_factory=dict)
+    ledger: EnergyLedger = field(default_factory=EnergyLedger)
+    chosen_confs: list[tuple[int, Conf]] = field(default_factory=list)
+    epoch_rows: list[EpochRow] = field(default_factory=list)
+    controller_decisions: list[ControllerDecision] = field(default_factory=list)
+    selections: list[SelectionRecord] = field(default_factory=list)
+    profile_trace: list[tuple[int, ProfileRecord]] = field(default_factory=list)
+    profiling_units: dict[int, dict[str, int]] = field(default_factory=dict)
+    swap_totals: dict[str, int] = field(default_factory=dict)
+    budget_events: list[BudgetEvent] = field(default_factory=list)
+    n_classes: int = 0
     aborted: bool = False
     abort_reason: str | None = None
 
@@ -188,35 +187,23 @@ class Runtime:
             config.io_bandwidth_bytes_per_s, config.external_io_load
         )
         self.engine = SwapEngine(self.channel, self.archive)
+        pinned = config.fixed_swap_ratio is not None
         self.controller = SwapController(
-            ratio=(
-                config.fixed_swap_ratio
-                if config.fixed_swap_ratio is not None
-                else config.initial_swap_ratio
-            ),
+            ratio=config.fixed_swap_ratio if pinned else config.initial_swap_ratio,
             cfg=config.controller,
+            pinned=pinned,
+        )
+        self.report = RunReport(
+            ledger=self.ledger, controller_decisions=self.controller.decisions
         )
         self.budget_samples = config.budget_samples
         self.state: LearnerState | None = None
         self._schedule = sorted(config.budget_schedule)
         self._schedule_pos = 0
         self._global_epoch = 0
-        self._empty_epochs = 0
-        self._epochs_since_firing = 0
         self._records_this_task: list[ProfileRecord] = []
         self._baseline_accuracy = 0.0
-        self._task_size = 0
         self._chosen: Conf | None = None
-        self._last_io_state = IoState.STABLE
-
-        # report accumulators
-        self.epoch_rows: list[EpochRow] = []
-        self.selections: list[SelectionRecord] = []
-        self.profile_trace: list[tuple[int, ProfileRecord]] = []
-        self.profiling_units: dict[int, dict[str, int]] = {}
-        self.budget_events: list[BudgetEvent] = []
-        self.chosen_confs: list[tuple[int, Conf]] = []
-        self.accuracy_matrix: dict[int, dict[int, float]] = {}
 
     # --- conf decision ---------------------------------------------------
 
@@ -227,7 +214,6 @@ class Runtime:
         ``rows`` are the task's table rows and ``probes`` the per-class probe
         blocks of every task so far."""
         cfg = self.config
-        self._task_size = len(task)
         self._records_this_task = []
         self._baseline_accuracy = 1.0 / classes_seen if classes_seen else 0.0
 
@@ -237,7 +223,7 @@ class Runtime:
                 raise ValueError(
                     f"policy conf {conf} exceeds budget {self.budget_samples}"
                 )
-            self.chosen_confs.append((task.task_id, conf))
+            self.report.chosen_confs.append((task.task_id, conf))
             return conf
 
         em_pool = {c: self.archive.class_rows(c) for c in self.archive.classes()}
@@ -259,8 +245,8 @@ class Runtime:
             table=self.table,
         )
         self._records_this_task = outcome.records
-        self.profile_trace.extend((task.task_id, r) for r in outcome.records)
-        self.profiling_units[task.task_id] = {
+        self.report.profile_trace.extend((task.task_id, r) for r in outcome.records)
+        self.report.profiling_units[task.task_id] = {
             "space_size": outcome.space_size,
             "warmup_units": outcome.warmup_units,
             "evaluation_units": outcome.evaluation_units,
@@ -268,7 +254,7 @@ class Runtime:
         chosen = select_record(
             outcome.records, cfg.cutline, cfg.selection_mode, self._baseline_accuracy
         )
-        self.selections.append(
+        self.report.selections.append(
             SelectionRecord(
                 task_id=task.task_id,
                 mode=cfg.selection_mode,
@@ -277,7 +263,7 @@ class Runtime:
                 utility=utility(chosen, self._baseline_accuracy),
             )
         )
-        self.chosen_confs.append((task.task_id, chosen.conf))
+        self.report.chosen_confs.append((task.task_id, chosen.conf))
         return chosen.conf
 
     # --- probe / estimate / adapt -----------------------------------------
@@ -295,17 +281,12 @@ class Runtime:
         return None if self.budget_samples == old else (old, self.budget_samples)
 
     def probe(self) -> tuple[IoState | None, tuple[int, int] | None]:
-        """Classify I/O and poll the budget channel. Returns the I/O state
-        the controller must react to and the net budget change as
-        ``(old, new)``, each None when there is nothing to adapt."""
-        rate = self.engine.completion_rate(COMPLETION_WINDOW_EPOCHS)
-        if self.engine.pending_count == 0:
-            self._empty_epochs += 1
-        else:
-            self._empty_epochs = 0
-        io_state = self._last_io_state = self.controller.classify(rate, self._empty_epochs)
-        react = self.config.fixed_swap_ratio is None and io_state is not IoState.STABLE
-        return (io_state if react else None), self._poll_budget()
+        """Hand the epoch's swap counts to the controller and poll the budget
+        channel. Returns the I/O state the controller must react to and the
+        net budget change as ``(old, new)``, each None when there is nothing
+        to adapt."""
+        io = self.controller.end_epoch(*self.engine.end_epoch(), self.engine.pending_count == 0)
+        return io, self._poll_budget()
 
     def estimate_and_adapt(
         self, task: Task, epoch: int, io: IoState | None, budget: tuple[int, int] | None
@@ -314,10 +295,6 @@ class Runtime:
         first, then memory to the budget change."""
         if io is not None:
             self.controller.react(io, epoch)
-            self._epochs_since_firing = 0
-            # the idleness evidence is spent by the increase
-            if io is IoState.IDLE:
-                self._empty_epochs = 0
         if budget is not None:
             self._adapt_budget(task, epoch, *budget)
 
@@ -326,7 +303,7 @@ class Runtime:
         growth); otherwise re-select among this task's profiled records."""
         usage = self.sb.capacity + self.em.capacity
         if usage <= new:
-            self.budget_events.append(BudgetEvent(task.task_id, epoch, old, new, "kept"))
+            self.report.budget_events.append(BudgetEvent(task.task_id, epoch, old, new, "kept"))
             return
         feasible = [r for r in self._records_this_task if r.conf.total <= new]
         if feasible:
@@ -337,15 +314,15 @@ class Runtime:
                 self._baseline_accuracy,
             ).conf
         else:
-            conf = _largest_grid_conf(new, self._task_size, self.config.step)
+            conf = _largest_grid_conf(new, len(task), self.config.step)
             warnings.warn(
                 f"no profiled conf fits budget {new}; falling back to grid conf {conf}"
             )
         self._apply_conf(conf)
-        self.budget_events.append(
+        self.report.budget_events.append(
             BudgetEvent(task.task_id, epoch, old, new, "reselect", conf)
         )
-        self.chosen_confs.append((task.task_id, conf))
+        self.report.chosen_confs.append((task.task_id, conf))
 
     def _apply_conf(self, conf: Conf) -> None:
         self._chosen = conf
@@ -358,9 +335,10 @@ class Runtime:
         cfg = self.config
         if len(self.table):
             raise RuntimeError("a Runtime runs one stream; create a new one")
-        report = validate_stream(tasks, cfg.domain_incremental)
-        if not report.ok:
-            raise ValueError(f"invalid stream: {report.issues[:3]}")
+        stream_check = validate_stream(tasks, cfg.domain_incremental)
+        if not stream_check.ok:
+            raise ValueError(f"invalid stream: {stream_check.issues[:3]}")
+        report = self.report
         dim = len(tasks[0].samples[0].features)
         dtype = np.result_type(*{s.features.dtype for task in tasks for s in task.samples})
         self.table.reserve(sum(len(task) for task in tasks), dim, dtype)
@@ -370,8 +348,6 @@ class Runtime:
         task_probes: dict[int, dict[int, np.ndarray]] = {}
         probes: dict[int, np.ndarray] = {}
         classes_seen: set[int] = set()
-        aborted = False
-        abort_reason = None
 
         for task_index, task in enumerate(tasks, start=1):
             rows = self.table.add(task.samples)
@@ -384,13 +360,11 @@ class Runtime:
                 conf = self.on_new_task(task, rows, task_index, probes, len(classes_seen))
                 self._apply_conf(conf)
                 self.sb.fill(rows)
-                self.engine.reset_history()
-                self._empty_epochs = 0
-                self._epochs_since_firing = 0
+                self.controller.start_task()
                 self._train_task(task)
             except LearnerDiverged as exc:
-                aborted = True
-                abort_reason = str(exc)
+                report.aborted = True
+                report.abort_reason = str(exc)
 
             self.engine.drop_pending(self.ledger.wall_time_seconds)
             flush(self.sb, self.em, self.archive, self._em_rng)
@@ -403,38 +377,22 @@ class Runtime:
                         row[seen.task_id] = evaluate(
                             self.state, blocks, classes=seen.class_set
                         ).average
-            self.accuracy_matrix[task.task_id] = row
-            if aborted:
+            report.accuracy_matrix[task.task_id] = row
+            if report.aborted:
                 break
 
         if self.state.class_order:
             final = evaluate(self.state, probes)
-        else:
-            from .learner import EvalResult
-
-            final = EvalResult(per_class={}, average=0.0)
-        return RunReport(
-            final_average_accuracy=final.average,
-            final_per_class=final.per_class,
-            accuracy_matrix=self.accuracy_matrix,
-            ledger=self.ledger,
-            chosen_confs=self.chosen_confs,
-            epoch_rows=self.epoch_rows,
-            controller_decisions=self.controller.decisions,
-            selections=self.selections,
-            profile_trace=self.profile_trace,
-            profiling_units=self.profiling_units,
-            swap_totals={
-                "issued": self.engine.issued_total,
-                "applied": self.engine.applied_total,
-                "dropped": self.engine.dropped_total,
-                "pending": self.engine.pending_count,
-            },
-            budget_events=self.budget_events,
-            n_classes=len(classes_seen),
-            aborted=aborted,
-            abort_reason=abort_reason,
-        )
+            report.final_average_accuracy = final.average
+            report.final_per_class = final.per_class
+        report.swap_totals = {
+            "issued": self.engine.issued_total,
+            "applied": self.engine.applied_total,
+            "dropped": self.engine.dropped_total,
+            "pending": self.engine.pending_count,
+        }
+        report.n_classes = len(classes_seen)
+        return report
 
     def _train_task(self, task: Task) -> None:
         cfg = self.config
@@ -451,7 +409,6 @@ class Runtime:
             self.engine.apply_completions(self.em, t1, self._swap_rng)
             io_busy = self.channel.busy_seconds(t0, t1)
             charge_epoch(cfg.cost, n_inuse, io_busy, self.ledger)
-            self.engine.end_epoch()
 
             io, budget = self.probe()
             if io is not None or budget is not None:
@@ -461,19 +418,16 @@ class Runtime:
                 raise RuntimeError("memory invariant violated: conf exceeds budget")
 
             ctl = self.controller
-            if ctl.percent_per_firing > 0 and self.em.total > 0 and epoch < cfg.epochs_per_task:
-                self._epochs_since_firing += 1
-                if self._epochs_since_firing >= ctl.interval_epochs:
-                    self.engine.issue(self.em, ctl.percent_per_firing, t1, self._swap_rng)
-                    self._epochs_since_firing = 0
+            if self.em.total > 0 and epoch < cfg.epochs_per_task and ctl.fire_due():
+                self.engine.issue(self.em, ctl.percent_per_firing, t1, self._swap_rng)
 
-            self.epoch_rows.append(
+            self.report.epoch_rows.append(
                 EpochRow(
                     task_id=task.task_id,
                     epoch=epoch,
                     loss=loss,
-                    swap_ratio=self.controller.ratio,
-                    io_state=self._last_io_state.value,
+                    swap_ratio=ctl.ratio,
+                    io_state=ctl.io_state.value,
                     em_size=self.em.capacity,
                     sb_size=self.sb.capacity,
                     joules_cum=self.ledger.total,

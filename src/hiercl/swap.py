@@ -23,7 +23,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -75,13 +74,10 @@ class IoChannel:
         self._busy_segments: list[tuple[float, float]] = []
 
     def load_at(self, t: float) -> float:
-        load = 0.0
-        for when, value in self.external_load:
-            if when <= t:
-                load = value
-            else:
-                break
-        return load
+        """The load of the last step at or before ``t`` (0 before the first);
+        of steps that share a time, the last in sorted order holds."""
+        i = bisect.bisect_right(self._step_times, t)
+        return self.external_load[i - 1][1] if i else 0.0
 
     def effective_bandwidth(self, t: float) -> float:
         return max(self.bandwidth_bytes_per_s - self.load_at(t), MIN_EFFECTIVE_BANDWIDTH)
@@ -172,20 +168,6 @@ class IoChannel:
         return total
 
 
-@dataclass
-class EpochSwapStats:
-    issued: int = 0
-    applied: int = 0
-    # delivered by the channel but not applicable: the slot left EM (an
-    # overlapping batch's landing replaced it, or a resize removed it), or an
-    # overlapping batch used up its class's fresh samples first
-    dropped_delivered: int = 0
-
-    @property
-    def settled(self) -> int:
-        return self.applied + self.dropped_delivered
-
-
 class SwapEngine:
     """Issues swap requests and applies completed transfers to EM.
 
@@ -200,8 +182,9 @@ class SwapEngine:
         self.issued_total = 0
         self.applied_total = 0
         self.dropped_total = 0
-        self._epoch = EpochSwapStats()
-        self._history: deque[EpochSwapStats] = deque(maxlen=64)
+        # this epoch's issued transfers and its landed ones, applied or not
+        self._issued = 0
+        self._settled = 0
 
     def issue(
         self,
@@ -245,7 +228,7 @@ class SwapEngine:
         )
         n = len(picked)
         self.issued_total += n
-        self._epoch.issued += n
+        self._issued += n
         return n
 
     def apply_completions(
@@ -283,9 +266,8 @@ class SwapEngine:
         applied = em.replace(np.concatenate(old), np.concatenate(new)) if old else 0
         dropped = landed - applied
         self.applied_total += applied
-        self._epoch.applied += applied
         self.dropped_total += dropped
-        self._epoch.dropped_delivered += dropped
+        self._settled += landed
         return applied
 
     def drop_pending(self, now: float) -> int:
@@ -295,38 +277,12 @@ class SwapEngine:
         self.dropped_total += n
         return n
 
-    def end_epoch(self) -> EpochSwapStats:
-        stats = self._epoch
-        self._history.append(stats)
-        self._epoch = EpochSwapStats()
-        return stats
-
-    def completion_rate(self, window: int) -> float | None:
-        """Applied / issued over the last ``window`` epochs; None when nothing
-        was issued (the idle-equivalent sentinel, never congested).
-
-        The runtime fires swap batches after the epoch's stats are rolled, so
-        a batch and its completions land in the same epoch bucket and the
-        rate genuinely measures how much of the recent swap work the channel
-        kept up with.
-        """
-        if window < 1:
-            raise ValueError("window must cover at least one epoch")
-        if not self._history:
-            raise ValueError("completion_rate needs at least one epoch of history")
-        recent = list(self._history)[-window:]
-        issued = sum(s.issued for s in recent)
-        if issued == 0:
-            return None
-        # delivered-but-inapplicable transfers still count as served: only
-        # work the channel has not delivered yet should read as congestion
-        settled = sum(s.settled for s in recent)
-        return min(settled / issued, 1.0)
-
-    def reset_history(self) -> None:
-        """Forget per-epoch stats (task boundary); totals are preserved."""
-        self._history.clear()
-        self._epoch = EpochSwapStats()
+    def end_epoch(self) -> tuple[int, int]:
+        """This epoch's ``(issued, settled)`` transfer counts; starts the next
+        epoch's at zero. A landed transfer settles whether it applied or not."""
+        counts = self._issued, self._settled
+        self._issued = self._settled = 0
+        return counts
 
     @property
     def pending_count(self) -> int:

@@ -406,6 +406,25 @@ def test_sweep_non_integer_list_exits_before_any_run(tmp_path, option, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["static,bogus", "", " , "])
+def test_sweep_bad_strategy_list_exits_before_any_run(tmp_path, value):
+    # an unknown name used to fail only when its turn in the grid came, after
+    # the runs before it, with a traceback and no scatter file
+    result = CliRunner().invoke(
+        main,
+        ["sweep", "--config", str(write_config(tmp_path)), "--strategies", value,
+         "--budgets", "500", "--seeds", "0", "--outdir", str(tmp_path / "out")],
+    )
+    assert_config_error(
+        result,
+        f"--strategies: expected comma-separated names from "
+        f"adaptive, static, heuristic, heuristic-50, heuristic-20, best-static, "
+        f"best-history, got {value!r}",
+    )
+    assert len(result.output.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "validate"])
 @pytest.mark.parametrize("source", ["flag", "yaml"])
 @pytest.mark.parametrize(

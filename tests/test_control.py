@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hiercl.control import (
+    COMPLETION_WINDOW_EPOCHS,
     RATIO_KNEE,
     ControllerConfig,
     SwapController,
@@ -193,6 +194,120 @@ class TestController:
         d = ctl.decisions[0]
         assert (d.epoch, d.old_ratio, d.new_ratio) == (7, 1.0, 0.5)
         assert d.interval_epochs == 2 and d.percent_per_firing == 1.0
+
+
+def last_state(history, congested_below):
+    """What ``end_epoch`` returns after a history of (issued, settled) epochs
+    on a channel whose queue is never empty, so the state is never idle."""
+    ctl = SwapController(cfg=ControllerConfig(congested_below=congested_below))
+    for issued, settled in history:
+        state = ctl.end_epoch(issued, settled, queue_empty=False)
+    return state
+
+
+class TestCompletionRate:
+    def test_all_settled_is_stable(self):
+        assert last_state([(32, 32)], congested_below=1.0) is None
+
+    def test_half_settled_is_half(self):
+        assert last_state([(32, 16)], congested_below=0.5) is None
+        assert last_state([(32, 16)], congested_below=math.nextafter(0.5, 1.0)) is IoState.CONGESTED
+
+    def test_nothing_issued_sentinel(self):
+        # nothing issued: the rate is the sentinel, not zero
+        assert last_state([(0, 0)], congested_below=1.0) is None
+
+    def test_window_forgets_older_epochs(self):
+        stale = [(10, 0)] + [(10, 10)] * COMPLETION_WINDOW_EPOCHS
+        assert last_state(stale, congested_below=1.0) is None
+        assert last_state(stale[:-1], congested_below=1.0) is IoState.CONGESTED
+
+    @given(
+        history=st.lists(
+            st.tuples(st.one_of(st.just(0), st.integers(0, 40)), st.integers(0, 80)),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_rate_is_settled_over_issued_in_window(self, history):
+        # the rate is pinned from both sides: not congested at a threshold
+        # equal to it, congested at the next float up
+        recent = history[-COMPLETION_WINDOW_EPOCHS:]
+        issued = sum(i for i, _ in recent)
+        if issued == 0:
+            assert last_state(history, congested_below=1.0) is None
+            return
+        rate = min(sum(s for _, s in recent) / issued, 1.0)
+        if rate > 0.0:
+            assert last_state(history, congested_below=rate) is None
+        if rate < 1.0:
+            above = math.nextafter(rate, 1.0)
+            assert last_state(history, congested_below=above) is IoState.CONGESTED
+
+
+class TestTaskStart:
+    def test_start_task_empties_the_window(self):
+        ctl = SwapController()
+        assert ctl.end_epoch(10, 0, queue_empty=False) is IoState.CONGESTED
+        ctl.start_task()
+        assert ctl.end_epoch(0, 0, queue_empty=False) is None
+        assert ctl.end_epoch(10, 10, queue_empty=False) is None
+
+    def test_start_task_restarts_the_idle_run(self):
+        ctl = SwapController(ratio=0.5, cfg=ControllerConfig(idle_empty_epochs=2))
+        assert ctl.end_epoch(0, 0, queue_empty=True) is None
+        ctl.start_task()
+        assert ctl.end_epoch(0, 0, queue_empty=True) is None
+        assert ctl.end_epoch(0, 0, queue_empty=True) is IoState.IDLE
+
+
+class TestFireDue:
+    def test_fires_once_every_interval(self):
+        for ratio, interval in ((1.0, 1), (0.5, 2), (0.2, 5), (0.05, 5)):
+            ctl = SwapController(ratio=ratio)
+            assert ctl.interval_epochs == interval
+            fired = [ctl.fire_due() for _ in range(3 * interval)]
+            assert fired == ([False] * (interval - 1) + [True]) * 3
+
+    def test_a_move_restarts_the_count(self):
+        ctl = SwapController(ratio=0.5)
+        assert ctl.fire_due() is False
+        ctl.react(IoState.CONGESTED, epoch=1)  # interval 2 -> 4
+        assert [ctl.fire_due() for _ in range(4)] == [False, False, False, True]
+
+    def test_start_task_restarts_the_count(self):
+        ctl = SwapController(ratio=0.5)
+        assert ctl.fire_due() is False
+        ctl.start_task()
+        assert [ctl.fire_due() for _ in range(2)] == [False, True]
+
+    def test_a_plan_that_swaps_nothing_never_counts(self):
+        ctl = SwapController(ratio=0.0)
+        assert not any(ctl.fire_due() for _ in range(20))
+        ctl = SwapController(ratio=0.2)
+        ctl.percent_per_firing = 0.0
+        assert not any(ctl.fire_due() for _ in range(4))
+        ctl.percent_per_firing = 1.0
+        assert [ctl.fire_due() for _ in range(5)] == [False] * 4 + [True]
+
+
+class TestEpochEnd:
+    def test_pinned_controller_records_state_but_never_reacts(self):
+        ctl = SwapController(ratio=0.5, pinned=True)
+        assert ctl.end_epoch(10, 1, queue_empty=False) is None
+        assert ctl.io_state is IoState.CONGESTED
+        assert ctl.ratio == 0.5 and ctl.decisions == []
+
+    def test_an_increase_spends_the_idle_run(self):
+        ctl = SwapController(ratio=0.5, cfg=ControllerConfig(idle_empty_epochs=2))
+        states = []
+        for _ in range(4):
+            state = ctl.end_epoch(0, 0, queue_empty=True)
+            states.append(state)
+            if state is not None:
+                ctl.react(state, epoch=len(states))
+        assert states == [None, IoState.IDLE, None, IoState.IDLE]
+        assert ctl.ratio == pytest.approx(0.7)
 
 
 def reference_aimd(ratio, cfg, history):

@@ -226,7 +226,6 @@ class TestBudgetChannel:
         cfg = tiny_config(budget_samples=600)
         rt = Runtime(cfg)
         task = stream.tasks[0]
-        rt._task_size = len(task)
         rt._records_this_task = [
             ProfileRecord(Conf(200, 200), 0.5, 40.0, 4),
             ProfileRecord(Conf(100, 100), 0.45, 20.0, 4),
@@ -235,7 +234,7 @@ class TestBudgetChannel:
         rt.sb.resize(200)
         rt.em.capacity = 200  # usage 400 exceeds the shrunk budget
         rt.estimate_and_adapt(task, epoch=3, io=None, budget=(600, 250))
-        event = rt.budget_events[-1]
+        event = rt.report.budget_events[-1]
         assert event.action == "reselect"
         # the surviving profiled confs are re-ranked without re-profiling
         assert event.conf == Conf(100, 100)
@@ -248,13 +247,12 @@ class TestBudgetChannel:
         cfg = tiny_config(budget_samples=600)
         rt = Runtime(cfg)
         task = stream.tasks[0]
-        rt._task_size = len(task)
         rt._records_this_task = [ProfileRecord(Conf(300, 300), 0.5, 40.0, 4)]
         rt.sb.resize(300)
         rt.em.capacity = 300
         with pytest.warns(UserWarning):
             rt.estimate_and_adapt(task, epoch=3, io=None, budget=(600, 150))
-        event = rt.budget_events[-1]
+        event = rt.report.budget_events[-1]
         assert event.action == "reselect"
         assert event.conf == Conf(100, 0)
 

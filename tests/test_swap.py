@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hiercl.domain import SampleTable
 from hiercl.learner import CostModel
 from hiercl.memory import EpisodicMemory, StorageArchive
-from hiercl.swap import SWAP_BYTES_FACTOR, EpochSwapStats, IoChannel, SwapEngine
+from hiercl.swap import SWAP_BYTES_FACTOR, IoChannel, SwapEngine
 from conftest import make_sample
 
 
@@ -207,58 +207,29 @@ class TestApplyOneDrawPerClass:
         assert engine.conserved()
 
 
-class TestCompletionRate:
-    def test_all_applied_is_one(self):
+class TestEpochCounts:
+    def test_all_applied_settle(self):
         engine, em, rng = setup_engine()
-        engine.issue(em, 1.0, now=0.0, rng=rng)
+        n = engine.issue(em, 1.0, now=0.0, rng=rng)
         engine.apply_completions(em, now=10.0, rng=rng)
-        engine.end_epoch()
-        assert engine.completion_rate(window=1) == 1.0
+        assert engine.end_epoch() == (n, n)
 
-    def test_half_queued_is_half(self):
+    def test_queued_transfers_are_not_settled(self):
         # per-transfer time 2^-4 s keeps the arithmetic exact: 16 of 32 land
         engine, em, rng = setup_engine(bandwidth=2048.0, em_capacity=32)
         assert em.total == 32
         engine.issue(em, 1.0, now=0.0, rng=rng)
         engine.apply_completions(em, now=1.0, rng=rng)
+        assert engine.end_epoch() == (32, 16)
+
+    def test_end_epoch_starts_the_next_at_zero(self):
+        engine, em, rng = setup_engine(bandwidth=2048.0, em_capacity=32)
+        engine.issue(em, 1.0, now=0.0, rng=rng)
         engine.end_epoch()
-        assert engine.completion_rate(window=1) == 0.5
-
-    def test_nothing_issued_sentinel(self):
-        engine, em, rng = setup_engine()
-        engine.end_epoch()
-        assert engine.completion_rate(window=1) is None
-
-    def test_requires_history(self):
-        engine, _, _ = setup_engine()
-        with pytest.raises(ValueError):
-            engine.completion_rate(window=1)
-
-    @given(
-        history=st.lists(
-            st.tuples(
-                st.one_of(st.just(0), st.integers(0, 40)),  # issued
-                st.integers(0, 40),  # applied
-                st.integers(0, 40),  # dropped on delivery
-            ),
-            min_size=1,
-            max_size=30,
-        ),
-        window=st.integers(1, 40),
-    )
-    def test_rate_is_settled_over_issued_in_window(self, history, window):
-        engine = SwapEngine(IoChannel(1.0), StorageArchive(SampleTable()))
-        for issued, applied, dropped in history:
-            engine._epoch = EpochSwapStats(issued, applied, dropped)
-            engine.end_epoch()
-        recent = history[-window:]
-        issued = sum(i for i, _, _ in recent)
-        settled = sum(a + d for _, a, d in recent)
-        rate = engine.completion_rate(window)
-        if issued == 0:
-            assert rate is None
-        else:
-            assert rate == min(settled / issued, 1.0)
+        assert engine.end_epoch() == (0, 0)
+        # transfers issued in one epoch settle in the one they land in
+        engine.apply_completions(em, now=10.0, rng=rng)
+        assert engine.end_epoch() == (0, 32)
 
 
 class TestConservation:
@@ -275,6 +246,21 @@ class TestConservation:
 
 
 class TestChannel:
+    @given(
+        steps=st.lists(
+            st.tuples(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 5.0), st.floats(0.0, 90.0)),
+            max_size=8,
+        ),
+        t=st.sampled_from([-1.0, 0.0, 1.0, 2.5]) | st.floats(-1.0, 6.0),
+    )
+    def test_load_at_matches_a_linear_scan(self, steps, t):
+        # repeated step times included: the last step in sorted order holds
+        load = 0.0
+        for when, value in sorted(steps):
+            if when <= t:
+                load = value
+        assert IoChannel(100.0, steps).load_at(t) == load
+
     def test_fifo_single_server_timing(self):
         ch = IoChannel(bandwidth_bytes_per_s=100.0)
         a, b = ch.submit_batch([1, 2], [0, 0], 50, now=0.0)
