@@ -16,9 +16,6 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import DTypeLike
 
-# Sizing granularity for SB/EM capacities, in samples.
-DEFAULT_STEP = 500
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Sample:

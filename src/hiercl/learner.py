@@ -5,12 +5,16 @@ head, trained by mini-batch gradient descent in float64. It is deliberately
 small: cheap enough to verify against finite differences, expressive enough
 to exhibit catastrophic forgetting on disjoint-class streams.
 
-Training reads batches as row-index arrays into the run's ``SampleTable``
-and gathers each batch's features, cast to float64, from the table.
-Evaluation reads probes as per-class feature blocks (``probe_blocks``),
-built once, and runs one forward pass per class block. ``copy_state``
-gives an independent copy of a state, weights and generator alike, for the
-profiler to train on. Any object honoring train_epoch / evaluate /
+All weights live in one float64 vector, ``LearnerState.params``; the four
+parameter arrays are views of it, so a step updates every weight with one
+operation and a copy is one vector copy. Training reads batches as
+row-index arrays into the run's ``SampleTable``, gathers their features,
+cast to float64, once per ``GATHER_BATCHES`` batches, and runs each step
+in buffers allocated once per epoch. Evaluation reads probes as per-class
+feature blocks (``probe_blocks``), built once, and runs one forward pass
+over all scored blocks stacked together. ``copy_state`` gives an
+independent copy of a state, weights and generator alike, for the profiler
+to train on. Any object honoring train_epoch / evaluate /
 copy_state semantics can be substituted; the runtime only moves rows and
 charges costs.
 
@@ -23,6 +27,7 @@ component. Power defaults are sized like a small edge board with a roughly
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,18 +38,58 @@ import numpy as np
 from .domain import EnergyLedger, Sample, SampleTable
 
 
+# Batches whose features train_epoch gathers with one call: few enough that
+# the float64 copy stays small (16 batches of 32 rows of 32 features is
+# 128 KiB), many enough that the gather's per-call cost is spread thin.
+GATHER_BATCHES = 16
+
+
 class LearnerDiverged(RuntimeError):
     """Raised when training produces a non-finite loss."""
 
 
-@dataclass
+def _param_views(
+    vector: np.ndarray, feature_dim: int, hidden_width: int, n_classes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``w1``, ``b1``, ``w2`` and ``b2`` as views of one vector that holds
+    them in that order, each matrix row-major."""
+    w1_end = feature_dim * hidden_width
+    b1_end = w1_end + hidden_width
+    w2_end = b1_end + hidden_width * n_classes
+    return (
+        vector[:w1_end].reshape(feature_dim, hidden_width),
+        vector[w1_end:b1_end],
+        vector[b1_end:w2_end].reshape(hidden_width, n_classes),
+        vector[w2_end:],
+    )
+
+
 class LearnerState:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray  # one column per seen class, in class_order
-    b2: np.ndarray
-    class_order: list[int]
-    rng: np.random.Generator
+    """The learner's weights, head order and generator.
+
+    ``params`` is the one float64 vector of all weights; ``w1``, ``b1``,
+    ``w2`` (one column per seen class, in ``class_order``) and ``b2`` are
+    views of it (see ``_param_views``). Writing through a view moves
+    ``params``; growing the head builds a new vector and new views.
+    """
+
+    def __init__(
+        self,
+        w1: np.ndarray,
+        b1: np.ndarray,
+        w2: np.ndarray,
+        b2: np.ndarray,
+        class_order: list[int],
+        rng: np.random.Generator,
+    ):
+        self.class_order = class_order
+        self.rng = rng
+        params = np.concatenate([np.ravel(w1), b1, np.ravel(w2), b2], dtype=np.float64)
+        self._adopt(params, np.shape(w1))
+
+    def _adopt(self, params: np.ndarray, w1_shape: tuple[int, int]) -> None:
+        self.params = params
+        self.w1, self.b1, self.w2, self.b2 = _param_views(params, *w1_shape, len(self.class_order))
 
     @property
     def hidden_width(self) -> int:
@@ -72,20 +117,45 @@ def ensure_classes(state: LearnerState, labels: Iterable[int]) -> None:
     h = state.hidden_width
     scale = 1.0 / np.sqrt(h)
     cols = state.rng.normal(0.0, scale, size=(h, len(new)))
-    state.w2 = np.concatenate([state.w2, cols], axis=1)
-    state.b2 = np.concatenate([state.b2, np.zeros(len(new))])
+    w2 = np.concatenate([state.w2, cols], axis=1)
+    b1_end = state.w1.size + h
+    params = np.concatenate([state.params[:b1_end], w2.ravel(), state.b2, np.zeros(len(new))])
     state.class_order.extend(new)
+    state._adopt(params, state.w1.shape)
 
 
-def _forward(state: LearnerState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and logits of ``x``; each bias add and the tanh
-    run in place on the product they follow."""
-    hidden = x @ state.w1
+def _forward(
+    state: LearnerState,
+    x: np.ndarray,
+    hidden: np.ndarray | None = None,
+    logits: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and logits of ``x``, written into ``hidden`` and
+    ``logits`` when given; each bias add and the tanh run in place on the
+    product they follow."""
+    hidden = np.matmul(x, state.w1, out=hidden)
     hidden += state.b1
     np.tanh(hidden, out=hidden)
-    logits = hidden @ state.w2
+    logits = np.matmul(hidden, state.w2, out=logits)
     logits += state.b2
     return hidden, logits
+
+
+class StepBuffers:
+    """The temporaries of steps over at most ``rows`` rows: hidden, logit
+    and ``dz1`` buffers, and a gradient vector laid out like ``params``
+    whose views ``named`` maps by parameter name. One set serves a whole
+    epoch; the head must not grow while it is in use."""
+
+    def __init__(self, state: LearnerState, rows: int):
+        feature_dim, hidden_width = state.w1.shape
+        n_classes = len(state.class_order)
+        self.hidden = np.empty((rows, hidden_width))
+        self.logits = np.empty((rows, n_classes))
+        self.dz1 = np.empty((rows, hidden_width))
+        self.grads = np.empty_like(state.params)
+        views = _param_views(self.grads, feature_dim, hidden_width, n_classes)
+        self.named = dict(zip(("w1", "b1", "w2", "b2"), views))
 
 
 def loss_and_grads(
@@ -93,23 +163,28 @@ def loss_and_grads(
     x: np.ndarray,
     y_idx: np.ndarray,
     row_offsets: np.ndarray | None = None,
+    buffers: StepBuffers | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over a batch plus gradients for all parameters.
 
     ``y_idx`` indexes columns of the head (positions in class_order).
     ``row_offsets`` is ``np.arange(len(x)) * n_classes``, where each row
     starts in the flattened logits; it is built here when not given. The
-    softmax, ``dlogits`` and the tanh derivative each overwrite the
-    temporary they are computed from, so a step allocates only its
-    products. An underflowed true-class probability is a real divergence
-    signal: the log is left unclamped, the loss comes out non-finite and
-    the caller halts (``train_epoch`` silences the log's divide warning).
+    step runs in ``buffers`` (new ones when not given) and returns its
+    ``named`` gradient views, which the next step over the same buffers
+    overwrites. The softmax, ``dlogits`` and the tanh derivative each
+    overwrite the buffer they are computed from. An underflowed true-class
+    probability is a real divergence signal: the log is left unclamped, the
+    loss comes out non-finite and the caller halts (``train_epoch``
+    silences the log's divide warning).
     """
     n = x.shape[0]
+    if buffers is None:
+        buffers = StepBuffers(state, n)
     if row_offsets is None:
         row_offsets = np.arange(n) * state.w2.shape[1]
     true = row_offsets + y_idx
-    hidden, probs = _forward(state, x)
+    hidden, probs = _forward(state, x, buffers.hidden[:n], buffers.logits[:n])
     probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=1, keepdims=True)
@@ -120,16 +195,17 @@ def loss_and_grads(
     dlogits = probs
     flat[true] -= 1.0
     dlogits /= n
-    dw2 = hidden.T @ dlogits
-    db2 = np.add.reduce(dlogits, axis=0)
-    dz1 = dlogits @ state.w2.T
+    grads = buffers.named
+    np.matmul(hidden.T, dlogits, out=grads["w2"])
+    np.add.reduce(dlogits, axis=0, out=grads["b2"])
+    dz1 = np.matmul(dlogits, state.w2.T, out=buffers.dz1[:n])
     # tanh' = 1 - tanh^2, over the activations dw2 no longer needs
     np.multiply(hidden, hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     dz1 *= hidden
-    dw1 = x.T @ dz1
-    db1 = np.add.reduce(dz1, axis=0)
-    return loss, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+    np.matmul(x.T, dz1, out=grads["w1"])
+    np.add.reduce(dz1, axis=0, out=grads["b1"])
+    return loss, grads
 
 
 def _head_columns(state: LearnerState, labels: np.ndarray) -> np.ndarray | None:
@@ -158,37 +234,44 @@ def train_epoch(
     Labels map to head columns once per epoch. If the epoch holds a class
     the head lacks, new classes grow the head batch by batch, in batch
     order, before any step: one draw per batch, so the new columns' values
-    do not depend on how batches are grouped into calls. Each batch's
-    features are gathered, cast to float64, as its step runs.
+    do not depend on how batches are grouped into calls. Features are
+    gathered, cast to float64, once per ``GATHER_BATCHES`` batches; each
+    step reads its batch's slice of them, runs in the epoch's one set of
+    ``StepBuffers`` and updates ``params`` with one operation.
     """
     if not batches:
         raise ValueError("train_epoch needs at least one batch")
-    labels = table.labels[np.concatenate(batches)]
+    rows = np.concatenate(batches)
+    labels = table.labels[rows]
     columns = _head_columns(state, labels)
     if columns is None:
         for batch in batches:
             ensure_classes(state, table.labels[batch].tolist())
         columns = _head_columns(state, labels)
-    features = table.features
+    buffers = StepBuffers(state, max(map(len, batches)))
     n_classes = len(state.class_order)
     offsets: dict[int, np.ndarray] = {}
     total = 0.0
     start = 0
     with np.errstate(divide="ignore"):
-        for batch in batches:
-            n = len(batch)
-            row_offsets = offsets.get(n)
-            if row_offsets is None:
-                row_offsets = offsets[n] = np.arange(n) * n_classes
-            x = features.take(batch, axis=0).astype(np.float64, copy=False)
-            loss, grads = loss_and_grads(state, x, columns[start : start + n], row_offsets)
-            if not math.isfinite(loss):
-                raise LearnerDiverged(f"non-finite loss {loss}")
-            for name, grad in grads.items():
-                param = getattr(state, name)
-                param -= np.multiply(grad, learning_rate, out=grad)
-            total += loss * n
-            start += n
+        for first in range(0, len(batches), GATHER_BATCHES):
+            group = batches[first : first + GATHER_BATCHES]
+            group_start = start
+            group_end = start + sum(map(len, group))
+            x = table.features.take(rows[start:group_end], axis=0).astype(np.float64, copy=False)
+            for batch in group:
+                n = len(batch)
+                end = start + n
+                row_offsets = offsets.get(n)
+                if row_offsets is None:
+                    row_offsets = offsets[n] = np.arange(n) * n_classes
+                batch_x = x[start - group_start : end - group_start]
+                loss, _ = loss_and_grads(state, batch_x, columns[start:end], row_offsets, buffers)
+                if not math.isfinite(loss):
+                    raise LearnerDiverged(f"non-finite loss {loss}")
+                state.params -= np.multiply(buffers.grads, learning_rate, out=buffers.grads)
+                total += loss * n
+                start = end
     return state, total / start
 
 
@@ -218,8 +301,9 @@ def evaluate(
     ``classes`` restricts the average to a subset (e.g. one task's classes);
     by default every seen class is expected, and seen classes with no test
     samples are excluded with a warning rather than dragging the average to
-    zero. Prediction always runs over the full seen-class head, one forward
-    pass per class block.
+    zero. Prediction always runs over the full seen-class head, in one
+    forward pass over the scored blocks stacked in class order; one
+    ``np.add.reduceat`` counts each block's hits.
     """
     if not state.class_order:
         raise ValueError("learner has not seen any classes")
@@ -229,28 +313,29 @@ def evaluate(
     missing = sorted(expected - set(scored))
     if missing:
         warnings.warn(f"no test samples for classes {missing}; excluded from average")
-    per_class: dict[int, float] = {}
-    for c in scored:
-        _, logits = _forward(state, blocks[c].astype(np.float64, copy=False))
-        per_class[c] = int(np.count_nonzero(logits.argmax(axis=1) == column[c])) / len(logits)
-    if not per_class:
+    if not scored:
         raise ValueError("test set covers none of the seen classes")
+    sizes = np.array([len(blocks[c]) for c in scored])
+    x = np.concatenate([blocks[c] for c in scored]).astype(np.float64, copy=False)
+    _, logits = _forward(state, x)
+    truth = np.repeat([column[c] for c in scored], sizes)
+    starts = np.cumsum(sizes) - sizes
+    hits = np.add.reduceat(logits.argmax(axis=1) == truth, starts, dtype=np.intp)
+    per_class = {c: hit / size for c, hit, size in zip(scored, hits.tolist(), sizes.tolist())}
     return EvalResult(per_class=per_class, average=float(np.mean(list(per_class.values()))))
 
 
 def copy_state(state: LearnerState) -> LearnerState:
-    """An independent copy: its own arrays, head order and generator, the
-    last a new generator of the same kind set to the original's state."""
+    """An independent copy: its own parameter vector, head order and
+    generator, the last a new generator of the same kind set to the
+    original's state."""
     rng = np.random.Generator(type(state.rng.bit_generator)())
     rng.bit_generator.state = state.rng.bit_generator.state
-    return LearnerState(
-        w1=state.w1.copy(),
-        b1=state.b1.copy(),
-        w2=state.w2.copy(),
-        b2=state.b2.copy(),
-        class_order=list(state.class_order),
-        rng=rng,
-    )
+    twin = copy.copy(state)
+    twin.class_order = list(state.class_order)
+    twin.rng = rng
+    twin._adopt(state.params.copy(), state.w1.shape)
+    return twin
 
 
 # --- cost model ---------------------------------------------------------------

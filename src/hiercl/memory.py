@@ -36,6 +36,16 @@ def class_quotas(capacity: int, class_ids: Sequence[int]) -> dict[int, int]:
     return {c: base + (1 if i < rem else 0) for i, c in enumerate(ids)}
 
 
+def class_runs(class_ids: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """A stable sort order of ``class_ids`` and, in ascending class order,
+    each class's ``(class, start, end)`` run in that order: the entries of
+    one class, in their original order, are ``order[start:end]``."""
+    order = np.argsort(class_ids, kind="stable")
+    classes, starts = np.unique(class_ids[order], return_index=True)
+    ends = np.append(starts[1:], len(order))
+    return order, list(zip(classes.tolist(), starts.tolist(), ends.tolist()))
+
+
 class StreamBuffer:
     """The current task's rows in arrival order, cut at ``capacity``.
 
@@ -92,10 +102,6 @@ class StorageArchive:
     def class_count(self, class_id: int) -> int:
         return len(self._pools.get(class_id, ()))
 
-    @property
-    def total(self) -> int:
-        return sum(len(pool) for pool in self._pools.values())
-
     def append(self, rows: ArrayLike) -> int:
         rows = np.asarray(rows, dtype=np.intp)
         labels = self.table.labels[rows]
@@ -131,19 +137,24 @@ class EpisodicMemory:
     def total(self) -> int:
         return sum(len(pool) for pool in self._pools.values())
 
-    def classes(self) -> list[int]:
-        return sorted(c for c, pool in self._pools.items() if len(pool))
-
     def counts(self) -> dict[int, int]:
         return {c: len(pool) for c, pool in sorted(self._pools.items()) if len(pool)}
 
-    def holds(self, rows: ArrayLike) -> np.ndarray:
-        """Whether EM holds each row."""
+    def _slots(self) -> np.ndarray:
+        """``_slot``, first grown to the table's length."""
         if len(self._slot) < len(self.table.labels):
             grown = np.full(len(self.table.labels), -1, np.intp)
             grown[: len(self._slot)] = self._slot
             self._slot = grown
-        return self._slot[rows] >= 0
+        return self._slot
+
+    def holds(self, rows: ArrayLike) -> np.ndarray:
+        """Whether EM holds each row."""
+        return self._slots()[rows] >= 0
+
+    def held(self) -> np.ndarray:
+        """Whether EM holds each row of the table, indexed by row."""
+        return self._slots() >= 0
 
     def class_rows(self, class_id: int) -> np.ndarray:
         """The class's held rows in slot order."""
@@ -163,15 +174,19 @@ class EpisodicMemory:
         """Swap held rows for same-class rows EM does not hold, pairwise and
         in place; returns how many pairs were applied. A pair whose old row
         is not held, whose new row is held, or whose rows differ in class is
-        refused. The rows of a call must be distinct."""
+        refused. The rows of a call must be distinct. The applied pairs are
+        split by class once (``class_runs``), and each class's slots are
+        written with one assignment."""
         old = np.atleast_1d(np.asarray(old_rows, dtype=np.intp))
         new = np.atleast_1d(np.asarray(new_rows, dtype=np.intp))
         labels = self.table.labels
-        ok = self.holds(old) & ~self.holds(new) & (labels[old] == labels[new])
+        old_labels = labels[old]
+        ok = self.holds(old) & ~self.holds(new) & (old_labels == labels[new])
         old, new = old[ok], new[ok]
         pos = self._slot[old]
-        for c in set(labels[old].tolist()):
-            mine = labels[old] == c
+        order, runs = class_runs(old_labels[ok])
+        for c, start, end in runs:
+            mine = order[start:end]
             self._pools[c][pos[mine]] = new[mine]
         self._slot[old] = -1
         self._slot[new] = pos

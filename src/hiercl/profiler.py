@@ -10,7 +10,7 @@ estimate is the cost model's projection of a full-length run at that conf.
 Profiling works entirely on copies and row arrays: every subsample is a
 row-index array into the run's ``SampleTable``, drawn with the same
 generator calls as a draw over sample lists, and the probes are per-class
-feature blocks scored one block at a time. The live model and the live
+feature blocks, scored in one forward pass. The live model and the live
 buffers are never touched. Old rows are split by EM's ``class_quotas``,
 and batches and joules come from the run's own ``shuffled_batches`` and
 ``train_joules``.

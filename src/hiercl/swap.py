@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .memory import EpisodicMemory, StorageArchive
+from .memory import EpisodicMemory, StorageArchive, class_runs
 
 # Effective bandwidth never drops below this, however large the external load.
 MIN_EFFECTIVE_BANDWIDTH = 1.0  # bytes/s
@@ -236,12 +236,14 @@ class SwapEngine:
     ) -> int:
         """Apply the transfers that landed by ``now``; returns how many.
 
-        Landed transfers are grouped by class, keeping only slots EM still
-        holds, each once. In ascending class order, one ``rng.choice``
-        without replacement picks ``k = min(slots, fresh)`` of the class's
-        archive rows that EM did not hold when the batch landed, and the
-        first ``k`` slots in landing order take them. So every replacement
-        is a distinct row new to EM, and the rest of the landed transfers
+        Landed transfers keep only slots EM still holds, each once, and are
+        grouped by class with one stable sort (``class_runs``), so each
+        class keeps its slots in landing order. One mask of the rows EM
+        holds, taken before any replacement, gives every class its fresh
+        archive rows. In ascending class order, one ``rng.choice`` without
+        replacement picks ``k = min(slots, fresh)`` of those rows, and the
+        class's first ``k`` slots take them. So every replacement is a
+        distinct row new to EM, and the rest of the landed transfers
         (vanished slots, repeated rows, and slots beyond the class's fresh
         rows) are dropped: counted, not fatal.
         """
@@ -252,17 +254,20 @@ class SwapEngine:
         # first landing of each row, in landing order
         first = np.sort(np.unique(rows, return_index=True)[1])
         rows, class_ids = rows[first], class_ids[first]
+        order, runs = class_runs(class_ids)
+        rows = rows[order]
+        # read before any replacement is written: classes share no rows, so
+        # one class's replacements cannot change another's fresh rows
+        held = em.held()
         old, new = [], []
-        for class_id in np.unique(class_ids).tolist():
-            slots = rows[class_ids == class_id]
-            cands = self.archive.candidates(class_id, em)
-            k = min(len(slots), len(cands))
+        for class_id, start, end in runs:
+            pool = self.archive.class_rows(class_id)
+            fresh = pool[~held[pool]]
+            k = min(end - start, len(fresh))
             if k == 0:
                 continue
-            old.append(slots[:k])
-            new.append(cands[rng.choice(len(cands), size=k, replace=False)])
-        # classes share no rows, so every class's candidates can be read
-        # before any replacement is written
+            old.append(rows[start : start + k])
+            new.append(fresh[rng.choice(len(fresh), size=k, replace=False)])
         applied = em.replace(np.concatenate(old), np.concatenate(new)) if old else 0
         dropped = landed - applied
         self.applied_total += applied

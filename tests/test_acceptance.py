@@ -146,7 +146,7 @@ def test_criterion_5_class_balance_property():
         task_id = 0
         ops = 0
         while ops < 10_000:
-            if archive.total == 0 or rng.random() < 0.04:
+            if not archive.classes() or rng.random() < 0.04:
                 task_id += 1
                 classes = range((task_id - 1) * 2, task_id * 2)
                 per_class = int(rng.integers(3, 30))

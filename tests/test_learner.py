@@ -3,6 +3,7 @@ import pytest
 
 from hiercl.domain import EnergyLedger
 from hiercl.learner import (
+    GATHER_BATCHES,
     CostModel,
     LearnerDiverged,
     LearnerState,
@@ -14,8 +15,9 @@ from hiercl.learner import (
     init_learner,
     loss_and_grads,
     probe_blocks,
+    train_epoch,
 )
-from conftest import make_sample, params_equal, train_on
+from conftest import make_sample, packed, params_equal, train_on
 
 
 def toy_batches(n_per_class=8, dim=4, seed=0):
@@ -200,6 +202,71 @@ class TestCheckpoint:
         assert trained.class_order == [0, 1, 7]
         assert params_equal(state, original)
         assert state.rng.bit_generator.state == rng_state
+
+
+class TestParameterLayout:
+    """``w1``, ``b1``, ``w2`` and ``b2`` are views of the one ``params``
+    vector, in that order."""
+
+    NAMES = ("w1", "b1", "w2", "b2")
+
+    def assert_views_of_params(self, state):
+        flat = np.concatenate([getattr(state, name).ravel() for name in self.NAMES])
+        assert flat.tobytes() == state.params.tobytes()
+        for name in self.NAMES:
+            assert np.shares_memory(getattr(state, name), state.params), name
+
+    def test_constructor_packs_the_arrays(self):
+        state = LearnerState(
+            w1=np.arange(6.0).reshape(3, 2),
+            b1=np.array([6.0, 7.0]),
+            w2=np.arange(8.0, 12.0).reshape(2, 2),
+            b2=np.array([12.0, 13.0]),
+            class_order=[4, 9],
+            rng=np.random.default_rng(0),
+        )
+        assert state.params.tolist() == list(map(float, range(14)))
+        self.assert_views_of_params(state)
+
+    def test_copy_shares_no_memory(self):
+        state = init_learner(4, hidden_width=8, seed=0)
+        train_on(state, toy_batches(), 0.3)
+        twin = copy_state(state)
+        self.assert_views_of_params(twin)
+        for name in ("params",) + self.NAMES:
+            assert not np.shares_memory(getattr(twin, name), getattr(state, name)), name
+            assert not np.shares_memory(getattr(twin, name), state.params), name
+
+    def test_a_step_after_head_growth_moves_the_views(self):
+        state = init_learner(4, hidden_width=8, seed=0)
+        ensure_classes(state, [0, 1])
+        old_params = state.params
+        ensure_classes(state, [2, 3])
+        assert state.w2.shape == (8, 4) and state.b2.shape == (4,)
+        assert not np.shares_memory(state.params, old_params)
+        self.assert_views_of_params(state)
+        before = {name: getattr(state, name).copy() for name in self.NAMES}
+        train_on(state, [[make_sample(0, 0), make_sample(1, 3)]], 0.5)
+        assert state.class_order == [0, 1, 2, 3]
+        for name in self.NAMES:
+            assert getattr(state, name).tobytes() != before[name].tobytes(), name
+        self.assert_views_of_params(state)
+
+
+def test_gather_groups_do_not_change_the_steps():
+    """An epoch of more batches than one feature gather holds trains the
+    same weights as the same batches in single-batch calls."""
+    rng = np.random.default_rng(3)
+    samples = [make_sample(i, int(rng.integers(3))) for i in range(3 * GATHER_BATCHES + 5)]
+    batches = [samples[i : i + 1] for i in range(len(samples))]
+    one_call = init_learner(4, hidden_width=8, seed=0)
+    ensure_classes(one_call, [0, 1, 2])
+    per_batch = copy_state(one_call)
+    rows, table = packed(batches)
+    train_epoch(one_call, rows, 0.3, table)
+    for batch in rows:
+        train_epoch(per_batch, [batch], 0.3, table)
+    assert params_equal(one_call, per_batch)
 
 
 class TestCostModel:

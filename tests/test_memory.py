@@ -122,7 +122,7 @@ class TestFlush:
         sb.fill(archive.table.add(task.samples))
         flush(sb, em, archive, rng)
         assert em.total == 0
-        assert archive.total == 50
+        assert sum(map(archive.class_count, archive.classes())) == 50
 
     def test_overflow_reaches_archive(self):
         sb, em, archive = fresh()
@@ -132,7 +132,7 @@ class TestFlush:
         sb.fill(archive.table.add(task.samples))
         assert len(sb.overflow) == 40
         flush(sb, em, archive, rng)
-        assert archive.total == 50
+        assert sum(map(archive.class_count, archive.classes())) == 50
         assert len(sb) == 0 and len(sb.overflow) == 0
 
     def test_archive_is_append_only_per_task(self):
@@ -345,3 +345,28 @@ def test_slot_map_tracks_churn(seed, ops):
                 assert em.replace(victim, fresh[arg % len(fresh)])
                 assert not em.holds(victim)
         assert_slot_map_exact(em)
+
+
+def test_replace_spans_many_classes():
+    """One call whose pairs come from 30 classes in shuffled order, with
+    cross-class pairs mixed in: each same-class pair puts its new row in its
+    old row's slot, and every cross-class pair is refused."""
+    rng = np.random.default_rng(7)
+    table = SampleTable()
+    archive = StorageArchive(table)
+    n_classes = 30
+    archive.append(table.add([make_sample(i, i % n_classes) for i in range(n_classes * 6)]))
+    em = EpisodicMemory(n_classes * 3, table)
+    em.rebalance(archive, rng)
+    expected = {c: em.class_rows(c).tolist() for c in range(n_classes)}
+    pairs = []
+    for c in range(n_classes):
+        held = em.class_rows(c)
+        fresh = archive.candidates(c, em)
+        pairs += [(held[0], fresh[0]), (held[2], fresh[1])]
+        pairs.append((held[1], archive.candidates((c + 1) % n_classes, em)[2]))
+        expected[c][0], expected[c][2] = int(fresh[0]), int(fresh[1])
+    old, new = np.array([pairs[i] for i in rng.permutation(len(pairs))]).T
+    assert em.replace(old, new) == 2 * n_classes
+    assert {c: em.class_rows(c).tolist() for c in range(n_classes)} == expected
+    assert_slot_map_exact(em)

@@ -207,6 +207,104 @@ class TestApplyOneDrawPerClass:
         assert engine.conserved()
 
 
+def reference_replace(em, old, new):
+    """``EpisodicMemory.replace`` as first written: the pairs' labels are
+    recomputed and masked once per class."""
+    labels = em.table.labels
+    ok = em.holds(old) & ~em.holds(new) & (labels[old] == labels[new])
+    old, new = old[ok], new[ok]
+    pos = em._slot[old]
+    for c in set(labels[old].tolist()):
+        mine = labels[old] == c
+        em._pools[c][pos[mine]] = new[mine]
+    em._slot[old] = -1
+    em._slot[new] = pos
+    return len(old)
+
+
+def reference_apply_completions(engine, em, now, rng):
+    """``SwapEngine.apply_completions`` as a per-class loop: a mask over
+    the landed transfers and an ``em.holds`` over the archive pool for each
+    class, in ascending class order."""
+    rows, class_ids = engine.channel.pop_completed(now)
+    landed = len(rows)
+    live = em.holds(rows)
+    rows, class_ids = rows[live], class_ids[live]
+    first = np.sort(np.unique(rows, return_index=True)[1])
+    rows, class_ids = rows[first], class_ids[first]
+    old, new = [], []
+    for class_id in np.unique(class_ids).tolist():
+        slots = rows[class_ids == class_id]
+        cands = engine.archive.candidates(class_id, em)
+        k = min(len(slots), len(cands))
+        if k == 0:
+            continue
+        old.append(slots[:k])
+        new.append(cands[rng.choice(len(cands), size=k, replace=False)])
+    applied = reference_replace(em, np.concatenate(old), np.concatenate(new)) if old else 0
+    engine.applied_total += applied
+    engine.dropped_total += landed - applied
+    engine._settled += landed
+    return applied
+
+
+class TestApplyEqualsPerClassLoop:
+    """The class-grouped ``apply_completions`` makes the same replacements
+    and the same generator calls as a plain loop over the landed classes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pools=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        capacity=st.integers(0, 120),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("issue"), st.floats(0.05, 1.0)),
+                st.tuples(st.just("apply"), st.floats(0.0, 0.2)),
+                st.tuples(st.just("resize"), st.integers(0, 120)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_slots_totals_and_generator_state(self, pools, capacity, ops, seed):
+        rng = np.random.default_rng(seed)
+        table = SampleTable()
+        archive = StorageArchive(table)
+        for c, n in enumerate(pools):
+            archive.append(table.add([make_sample(100 * c + i, c, size_bytes=64) for i in range(n)]))
+        em = EpisodicMemory(capacity, table)
+        em.rebalance(archive, rng)
+        # a slow channel, so batches queued by several issues land together
+        # (repeated rows) and resizes vanish slots under queued transfers
+        engine = SwapEngine(IoChannel(1e5), archive)
+        twin_engine, twin_em, twin_rng = copy.deepcopy((engine, em, rng))
+        now = 0.0
+        for op, arg in ops + [("apply", math.inf)]:
+            if op == "issue":
+                engine.issue(em, arg, now, rng)
+                twin_engine.issue(twin_em, arg, now, twin_rng)
+            elif op == "resize":
+                em.resize(arg, archive, rng)
+                twin_em.resize(arg, twin_engine.archive, twin_rng)
+            else:
+                now += arg
+                applied = engine.apply_completions(em, now, rng)
+                expected = reference_apply_completions(twin_engine, twin_em, now, twin_rng)
+                assert applied == expected
+            classes = sorted(set(em._pools) | set(twin_em._pools))
+            assert [em.class_rows(c).tolist() for c in classes] == [
+                twin_em.class_rows(c).tolist() for c in classes
+            ]
+            assert (engine.applied_total, engine.dropped_total, engine.end_epoch()) == (
+                twin_engine.applied_total,
+                twin_engine.dropped_total,
+                twin_engine.end_epoch(),
+            )
+            assert rng.bit_generator.state == twin_rng.bit_generator.state
+        assert engine.conserved()
+
+
 class TestEpochCounts:
     def test_all_applied_settle(self):
         engine, em, rng = setup_engine()
