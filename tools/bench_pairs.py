@@ -63,7 +63,7 @@ def run_pairs(sides: dict[str, Path], workload: str, seed: int, pairs: int,
         for side in order:
             row[side] = run_once(sides[side], workload, seed, seconds, trace)
             print(f"{workload} seed {seed} trace {trace} pair {i} {side}:",
-                  json.dumps(values(row[side]).get("run_s")), file=sys.stderr)
+                  values(row[side]).get("run_s", "traced"), file=sys.stderr)
         rows.append(row)
     return rows
 
@@ -120,7 +120,12 @@ def main(argv: list[str] | None = None) -> int:
         traced.append({"workload": workload, "seed": 0, "layers": layers, "run": row})
 
     report = {
-        "command": " ".join(["python3", "tools/bench_pairs.py", *(argv or sys.argv[1:])]),
+        # as run from the directory that holds both checkouts
+        "command": " ".join([
+            "python3 tools/bench_pairs.py", args.before.name, args.after.name,
+            "--out", args.out.name, "--seconds", f"{args.seconds:g}",
+            "--runs", *args.runs, *(["--traced", *args.traced] if args.traced else []),
+        ]),
         "before": {"checkout": args.before.name, **git_state(sides["before"])},
         "after": {"checkout": args.after.name, **git_state(sides["after"])},
         "seconds": args.seconds,
