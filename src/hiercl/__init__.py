@@ -18,7 +18,7 @@ from .learner import CostModel, LearnerState, charge_epoch, copy_state, evaluate
 from .memory import EpisodicMemory, StorageArchive, StreamBuffer, compose_epoch_batches, flush
 from .profiler import ProfilerConfig, build_search_space, profile_task, sample_confs
 from .runtime import RunConfig, RunReport, Runtime, run_stream
-from .selector import apply_cutline, select, utility
+from .selector import apply_cutline, select_record, utility
 from .swap import IoChannel, SwapEngine
 from .harness import StreamSpec, generate_stream, make_policy, sweep
 

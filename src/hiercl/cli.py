@@ -23,7 +23,7 @@ from .harness import (
     write_sweep,
 )
 from .learner import CostModel
-from .runtime import RunConfig, run_stream
+from .runtime import RunConfig, check_load_step, run_stream
 
 
 _SECTIONS = {"stream": StreamSpec, "run": RunConfig, "cost": CostModel}
@@ -103,38 +103,10 @@ def _read_pairs(value, where: str, kind: type) -> list[tuple]:
     return [_read_pair(entry, kind, f"config {where}[{i}]") for i, entry in enumerate(value)]
 
 
-def _check_load_step(step: tuple[float, float], where: str) -> tuple[float, float]:
-    """An external load step `(time_seconds, bytes_per_second)`, both >= 0."""
-    t, load = step
-    if not (t >= 0 and load >= 0):
-        raise click.ClickException(f"{where}: time and load must be >= 0, got [{t}, {load}]")
-    return step
-
-
-def _read_external_load(value) -> tuple[tuple[float, float], ...]:
-    """`[[time_seconds, bytes_per_second], ...]`, both non-negative."""
-    where = "run.external_io_load"
-    steps = _read_pairs(value, where, float)
-    return tuple(_check_load_step(step, f"config {where}[{i}]") for i, step in enumerate(steps))
-
-
-def _read_budget_schedule(value, step: int) -> tuple[tuple[int, int], ...]:
-    """`[[global_epoch, budget_samples], ...]`: integer epochs >= 0, and
-    integer budgets that hold at least one grid step."""
-    where = "run.budget_schedule"
-    records = _read_pairs(value, where, int)
-    for i, (epoch, budget) in enumerate(records):
-        if not (isinstance(epoch, int) and isinstance(budget, int)) or epoch < 0 or budget < step:
-            raise click.ClickException(
-                f"config {where}[{i}]: expected an integer epoch >= 0 and an integer "
-                f"budget >= run.step ({step}), got [{epoch!r}, {budget!r}]"
-            )
-    return tuple(records)
-
-
 def _load_config(path: str | None) -> dict:
     """Read a YAML config; each section holds only its dataclass's fields,
-    and numeric fields hold numbers."""
+    numeric fields hold numbers, and the run's load steps and budget
+    schedule hold number pairs (`RunConfig` checks their ranges)."""
     if path is None:
         return {}
     with open(path) as fh:
@@ -145,12 +117,9 @@ def _load_config(path: str | None) -> dict:
         if name in data:
             data[name] = _read_section(name, data[name] or {}, cls)
     run = data.get("run", {})
-    if "external_io_load" in run:
-        run["external_io_load"] = _read_external_load(run["external_io_load"])
-    if "budget_schedule" in run:
-        run["budget_schedule"] = _read_budget_schedule(
-            run["budget_schedule"], run.get("step", RunConfig.step)
-        )
+    for key, kind in (("external_io_load", float), ("budget_schedule", int)):
+        if key in run:
+            run[key] = tuple(_read_pairs(run[key], f"run.{key}", kind))
     return data
 
 
@@ -165,7 +134,10 @@ def _load_congestion_trace(path: str | None) -> tuple[tuple[float, float], ...]:
         if not line or line.startswith("#") or line.startswith("time"):
             continue
         where = f"congestion trace {path}, line {n}"
-        steps.append(_check_load_step(_read_pair(line.split(","), float, where), where))
+        try:
+            steps.append(check_load_step(_read_pair(line.split(","), float, where), where))
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from None
     return tuple(steps)
 
 
@@ -310,8 +282,9 @@ def sweep_cmd(config_path, strategies, budgets, seeds, outdir, n_tasks,
     )
     config = _build_run_config(cfg, spec)
     for budget in budgets:
-        # each budget the grid runs must pass the run section's own checks
-        _build_run_config(cfg, spec, budget_samples=budget)
+        for seed in seeds:
+            # each run of the grid must pass the run section's own checks
+            _build_run_config(cfg, spec, budget_samples=budget, seed=seed)
     points = sweep(
         spec,
         config,

@@ -42,54 +42,41 @@ class SampleTable:
     """Every training sample of a run, one row each: the layers above hold
     row indices into it, never ``Sample`` objects.
 
-    ``features`` keeps the samples' own dtype (callers cast at use): the
-    reserved dtype, promoted when a growth brings a wider one. A sample
-    whose features that dtype cannot hold exactly is rejected rather than
-    rounded. ``samples[row]`` is the original object, for reports and tests.
-    ``size_bytes`` is the stream's one transfer size (``validate_stream``
-    rejects a stream that mixes sizes). Storage is allocated once by
-    :meth:`reserve`; :meth:`add` fills the next rows and grows the storage
-    only when a caller did not reserve enough.
+    :meth:`reserve` allocates the storage once, at the run's final size, and
+    :meth:`add` fills the next rows. ``features`` keeps the reserved dtype
+    (callers cast at use): a sample whose features that dtype cannot hold
+    exactly is rejected rather than rounded. ``size_bytes`` is the stream's
+    one transfer size (``validate_stream`` rejects a stream that mixes
+    sizes).
     """
 
     def __init__(self) -> None:
         self.features = np.empty((0, 0), np.float32)
         self.labels = np.empty(0, np.intp)
-        self.samples: list[Sample] = []
         self.size_bytes = 0
+        self._filled = 0
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self._filled
 
     def reserve(self, n_rows: int, dim: int, dtype: DTypeLike) -> None:
-        """Make room for ``n_rows`` rows of ``dim`` features in a dtype that
-        holds both ``dtype`` and the rows already filled."""
-        n = len(self)
-        if n:
-            dtype = np.result_type(self.features, dtype)
-        if n_rows <= len(self.labels) and dtype == self.features.dtype:
-            return
-        features = np.empty((max(n_rows, len(self.labels)), dim), dtype)
-        labels = np.empty(len(features), np.intp)
-        if n:
-            features[:n] = self.features[:n]
-            labels[:n] = self.labels[:n]
-        self.features, self.labels = features, labels
+        """Allocate ``n_rows`` rows of ``dim`` features in ``dtype``."""
+        if len(self.labels):
+            raise RuntimeError("a sample table is reserved once")
+        self.features = np.empty((n_rows, dim), dtype)
+        self.labels = np.empty(n_rows, np.intp)
 
     def add(self, samples: Sequence[Sample]) -> np.ndarray:
-        """Append samples in order; returns their rows."""
-        start, end = len(self), len(self) + len(samples)
-        if not samples:
-            return np.arange(start, end)
+        """Fill the next rows with samples, in order; returns their rows."""
+        start, end = self._filled, self._filled + len(samples)
         if end > len(self.labels):
-            dtype = np.result_type(*{s.features.dtype for s in samples})
-            self.reserve(max(end, 2 * len(self.labels)), len(samples[0].features), dtype)
-        # one task at a time keeps np.stack's per-sample temporaries small
-        np.stack([s.features for s in samples], out=self.features[start:end], casting="safe")
-        self.labels[start:end] = [s.class_label for s in samples]
-        self.samples.extend(samples)
-        if not self.size_bytes:
-            self.size_bytes = samples[0].size_bytes
+            raise ValueError(f"table reserved for {len(self.labels)} rows, not {end}")
+        if samples:
+            # one task at a time keeps np.stack's per-sample temporaries small
+            np.stack([s.features for s in samples], out=self.features[start:end], casting="safe")
+            self.labels[start:end] = [s.class_label for s in samples]
+            self.size_bytes = self.size_bytes or samples[0].size_bytes
+        self._filled = end
         return np.arange(start, end)
 
 

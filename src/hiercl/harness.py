@@ -48,6 +48,8 @@ class StreamSpec:
                 raise ValueError(f"{name} must be >= 1")
         if self.size_bytes is not None and self.size_bytes < 1:
             raise ValueError("size_bytes must be None or >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def sample_bytes(self) -> int:
@@ -437,30 +439,34 @@ def sweep(
     budgets: Sequence[int],
     seeds: Sequence[int],
 ) -> list[SweepPoint]:
-    """Grid of (strategy, budget, seed) runs on a shared stream spec."""
+    """Grid of (strategy, budget, seed) runs on a shared stream spec. Every
+    budget and seed passes the run config's checks before the first run."""
+    configs = [
+        replace(
+            base_config,
+            budget_samples=budget,
+            seed=seed,
+            domain_incremental=spec.domain_incremental,
+        )
+        for budget in budgets
+        for seed in seeds
+    ]
     points: list[SweepPoint] = []
-    for budget in budgets:
-        for seed in seeds:
-            stream = generate_stream(replace(spec, seed=spec.seed + seed))
-            config = replace(
-                base_config,
-                budget_samples=budget,
-                seed=seed,
-                domain_incremental=spec.domain_incremental,
-            )
-            for strategy in strategies:
-                policy = make_policy(strategy, stream, config)
-                report = run_stream(stream.tasks, stream.probe_sets, config, policy)
-                points.append(
-                    SweepPoint(
-                        strategy=strategy,
-                        budget=budget,
-                        seed=seed,
-                        accuracy=report.final_average_accuracy,
-                        joules=report.ledger.total,
-                        utility=run_utility(report),
-                    )
+    for config in configs:
+        stream = generate_stream(replace(spec, seed=spec.seed + config.seed))
+        for strategy in strategies:
+            policy = make_policy(strategy, stream, config)
+            report = run_stream(stream.tasks, stream.probe_sets, config, policy)
+            points.append(
+                SweepPoint(
+                    strategy=strategy,
+                    budget=config.budget_samples,
+                    seed=config.seed,
+                    accuracy=report.final_average_accuracy,
+                    joules=report.ledger.total,
+                    utility=run_utility(report),
                 )
+            )
     return points
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .domain import Sample, SampleTable
+from .domain import SampleTable
 
 NO_ROWS = np.empty(0, np.intp)
 NO_ROWS.flags.writeable = False
@@ -62,10 +62,6 @@ class StreamBuffer:
     @property
     def contents(self) -> np.ndarray:
         return self.rows[: self.capacity]
-
-    @property
-    def overflow(self) -> np.ndarray:
-        return self.rows[self.capacity :]
 
     def __len__(self) -> int:
         return min(self.capacity, len(self.rows))
@@ -109,11 +105,13 @@ class StorageArchive:
             self._pools[c] = np.concatenate([self.class_rows(c), rows[labels == c]])
         return len(rows)
 
-    def candidates(self, class_id: int, em: EpisodicMemory) -> np.ndarray:
+    def candidates(self, class_id: int, held: np.ndarray) -> np.ndarray:
         """The class's archived rows EM does not hold, in archive order: what
-        EM can admit for that class (a refill, or a swap's replacement)."""
-        pool = self.class_rows(class_id)
-        return pool[~em.holds(pool)]
+        EM can admit for that class (a refill, or a swap's replacement).
+        ``held`` is EM's row-indexed mask (``em.held()``), so a caller that
+        asks for many classes reads it once."""
+        pool = self._pools.get(class_id, NO_ROWS)
+        return pool[~held[pool]]
 
 
 class EpisodicMemory:
@@ -122,7 +120,7 @@ class EpisodicMemory:
     ``_pools[c]`` is class ``c``'s slots, a row array. ``_slot[row]`` is the
     row's position in its class's slots, or -1 when EM does not hold it; it
     is the one record of which rows are held, so a membership test or a
-    replacement is an array lookup. It grows with the table.
+    replacement is an array lookup. It spans the table's reserved rows.
     """
 
     def __init__(self, capacity: int, table: SampleTable):
@@ -141,11 +139,11 @@ class EpisodicMemory:
         return {c: len(pool) for c, pool in sorted(self._pools.items()) if len(pool)}
 
     def _slots(self) -> np.ndarray:
-        """``_slot``, first grown to the table's length."""
+        """``_slot``, first sized to the table's rows (a table is reserved
+        once, so a shorter ``_slot`` is the empty one of an EM made before
+        the reservation)."""
         if len(self._slot) < len(self.table.labels):
-            grown = np.full(len(self.table.labels), -1, np.intp)
-            grown[: len(self._slot)] = self._slot
-            self._slot = grown
+            self._slot = np.full(len(self.table.labels), -1, np.intp)
         return self._slot
 
     def holds(self, rows: ArrayLike) -> np.ndarray:
@@ -164,11 +162,6 @@ class EpisodicMemory:
         """All held rows, ordered by class id then slot position."""
         pools = [self._pools[c] for c in sorted(self._pools)]
         return np.concatenate(pools) if pools else NO_ROWS
-
-    def contents(self) -> list[Sample]:
-        """All held samples, ordered by class id then slot position."""
-        samples = self.table.samples
-        return [samples[r] for r in self.rows().tolist()]
 
     def replace(self, old_rows: ArrayLike, new_rows: ArrayLike) -> int:
         """Swap held rows for same-class rows EM does not hold, pairwise and
@@ -210,13 +203,16 @@ class EpisodicMemory:
         """
         classes = archive.classes()
         quotas = class_quotas(self.capacity, classes)
+        # read before any eviction or refill: classes share no rows, so one
+        # class's changes cannot change another's candidates
+        held = self.held()
         for c in classes:
             pool = self._pools.setdefault(c, NO_ROWS)
             q = quotas.get(c, 0)
             if len(pool) > q:
                 self._evict_random(c, len(pool) - q, rng)
             elif len(pool) < q:
-                cands = archive.candidates(c, self)
+                cands = archive.candidates(c, held)
                 want = min(q - len(pool), len(cands))
                 if want > 0:
                     take = cands[rng.choice(len(cands), size=want, replace=False)]
@@ -228,21 +224,6 @@ class EpisodicMemory:
             raise ValueError("capacity must be non-negative")
         self.capacity = new_capacity
         self.rebalance(archive, rng)
-
-    def spread_ok(self, archive: StorageArchive) -> bool:
-        """Per-class spread at most 1 among classes whose archive covers quota."""
-        classes = archive.classes()
-        if not classes:
-            return True
-        quotas = class_quotas(self.capacity, classes)
-        counts = [
-            len(self._pools.get(c, ()))
-            for c in classes
-            if archive.class_count(c) >= quotas[c]
-        ]
-        if not counts:
-            return True
-        return max(counts) - min(counts) <= 1
 
 
 def flush(

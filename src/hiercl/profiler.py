@@ -87,8 +87,12 @@ def sample_confs(
 
 
 def first_task_reference(task_size: int, budget_samples: int, step: int) -> Conf:
-    """Bootstrap conf for the very first task: half the budget to EM, the
-    rest to SB bounded by the task size."""
+    """Bootstrap conf for the very first task. Half the budget, rounded down
+    to a step but at least one step, caps both buffers: SB takes the task
+    size rounded up to a step, within that half, and EM takes the half,
+    within what SB leaves. A budget under two steps gives SB one step and EM
+    the rest. Unlike ``harness.default_static_conf``, SB does not take what
+    EM leaves over: budget 2500, task 2000, step 500 gives (1000, 1000)."""
     half = max(step, round_down_to_step(budget_samples // 2, step))
     sb = min(round_up_to_step(task_size, step), half)
     sb = max(step, min(sb, budget_samples - min(half, budget_samples - step)))

@@ -64,6 +64,14 @@ class ConfPolicy(Protocol):
     def conf_for_task(self, task_index: int, task_size: int, budget: int, step: int) -> Conf: ...
 
 
+def check_load_step(step: tuple[float, float], where: str) -> tuple[float, float]:
+    """An external load step ``(time_seconds, bytes_per_second)``, both >= 0."""
+    t, load = step
+    if not (t >= 0 and load >= 0):
+        raise ValueError(f"{where}: time and load must be >= 0, got [{t}, {load}]")
+    return step
+
+
 @dataclass
 class RunConfig:
     epochs_per_task: int = 20
@@ -105,6 +113,16 @@ class RunConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not self.io_bandwidth_bytes_per_s > 0.0:
             raise ValueError("io_bandwidth_bytes_per_s must be > 0")
+        for i, load_step in enumerate(self.external_io_load):
+            check_load_step(load_step, f"external_io_load[{i}]")
+        for i, (epoch, budget) in enumerate(self.budget_schedule):
+            if not (isinstance(epoch, int) and isinstance(budget, int)) or epoch < 0 or budget < self.step:
+                raise ValueError(
+                    f"budget_schedule[{i}]: expected an integer epoch >= 0 and an integer "
+                    f"budget >= step ({self.step}), got [{epoch!r}, {budget!r}]"
+                )
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .domain import Conf, ProfileRecord
+from .domain import ProfileRecord
 
 HIGHEST_UTILITY = "HU"
 LOWEST_ENERGY = "LE"
@@ -34,15 +34,6 @@ def utility(record: ProfileRecord, baseline_accuracy: float = 0.0) -> float:
     """Accuracy gained over the baseline per joule spent; gain clamps at zero."""
     gain = max(record.accuracy_estimate - baseline_accuracy, 0.0)
     return gain / record.energy_estimate
-
-
-def select(
-    records: Sequence[ProfileRecord],
-    cutline: float = DEFAULT_CUTLINE,
-    mode: str = HIGHEST_UTILITY,
-    baseline_accuracy: float = 0.0,
-) -> Conf:
-    return select_record(records, cutline, mode, baseline_accuracy).conf
 
 
 def select_record(

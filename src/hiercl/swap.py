@@ -7,7 +7,7 @@ sample size (replacement read plus write-back accounting), so ratio changes
 translate linearly into channel load.
 
 A swap batch is arithmetic, not one object per transfer: the channel queues
-each batch as arrays of table rows, class ids and completion times, and
+each batch as an array of table rows and one of completion times, and
 computes those times in closed form (a running sum of durations per stretch
 of constant external load).
 
@@ -44,14 +44,15 @@ class IoChannel:
     load schedule. Busy intervals are tracked so energy accounting can bill
     I/O-active seconds per epoch.
 
-    The queue is a FIFO of batches, each three parallel arrays (rows, class
-    ids, completion times). Transfer k of a batch starts when transfer
-    k-1 completes, so within a stretch of constant external load its
-    completion time is ``start + d_0 + ... + d_k``; ``np.cumsum`` adds left to
-    right, which makes the times bit-identical to serving the transfers one
-    at a time. A stretch ends at the first transfer that starts at or after
-    the next load step, where the bandwidth is read again. Completion times
-    never decrease along the queue, so ``pop_completed`` is a binary search.
+    The queue is a FIFO of batches, each two parallel arrays (rows and
+    completion times), and every transfer of a batch moves the same bytes.
+    Transfer k of a batch starts when transfer k-1 completes, so within a
+    stretch of constant external load its completion time is
+    ``start + d_0 + ... + d_k``; ``np.cumsum`` adds left to right, which
+    makes the times bit-identical to serving the transfers one at a time.
+    A stretch ends at the first transfer that starts at or after the next
+    load step, where the bandwidth is read again. Completion times never
+    decrease along the queue, so ``pop_completed`` is a binary search.
     """
 
     def __init__(
@@ -67,9 +68,9 @@ class IoChannel:
         self._step_times = [t for t, _ in self.external_load]
         self.busy_until = 0.0
         self.pending_count = 0
-        # (rows, class_ids, completes_at) per batch; the head batch is served
-        # from index _head on
-        self._queue: deque[tuple[np.ndarray, np.ndarray, np.ndarray]] = deque()
+        # (rows, completes_at) per batch; the head batch is served from
+        # index _head on
+        self._queue: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._head = 0
         self._busy_segments: list[tuple[float, float]] = []
 
@@ -86,26 +87,18 @@ class IoChannel:
         i = bisect.bisect_right(self._step_times, t)
         return self._step_times[i] if i < len(self._step_times) else math.inf
 
-    def submit_batch(
-        self,
-        rows: ArrayLike,
-        class_ids: ArrayLike,
-        nbytes: ArrayLike,
-        now: float,
-    ) -> np.ndarray:
-        """Enqueue transfers in order, served back to back from
-        ``max(now, busy_until)``; ``nbytes`` is one size for all or one per
-        transfer. Returns their completion times."""
+    def submit_batch(self, rows: ArrayLike, nbytes: float, now: float) -> np.ndarray:
+        """Enqueue transfers of ``nbytes`` each, in order, served back to back
+        from ``max(now, busy_until)``. Returns their completion times."""
         rows = np.asarray(rows, dtype=np.intp)
         n = len(rows)
-        sizes = np.broadcast_to(np.asarray(nbytes, dtype=np.float64), (n,))
         completes_at = np.empty(n)
         if n == 0:
             return completes_at
         first_start = start = max(now, self.busy_until)
         done = 0
         while done < n:
-            durations = sizes[done:] / self.effective_bandwidth(start)
+            durations = np.full(n - done, nbytes / self.effective_bandwidth(start))
             clock = np.cumsum(np.concatenate(([start], durations)))
             # transfers starting before the next load step share this bandwidth
             k = int(np.searchsorted(clock[:-1], self._next_step_after(start)))
@@ -117,30 +110,26 @@ class IoChannel:
             self._busy_segments[-1] = (self._busy_segments[-1][0], start)
         else:
             self._busy_segments.append((first_start, start))
-        self._queue.append((rows, np.asarray(class_ids, dtype=np.intp), completes_at))
+        self._queue.append((rows, completes_at))
         self.pending_count += n
         return completes_at
 
-    def pop_completed(self, now: float) -> tuple[np.ndarray, np.ndarray]:
+    def pop_completed(self, now: float) -> np.ndarray:
         """Dequeue the transfers completed by ``now`` (a FIFO prefix); returns
-        their rows and class ids."""
+        their rows."""
         rows: list[np.ndarray] = []
-        classes: list[np.ndarray] = []
         while self._queue:
-            batch_rows, batch_classes, completes_at = self._queue[0]
+            batch_rows, completes_at = self._queue[0]
             end = int(np.searchsorted(completes_at, now, side="right"))
             if end > self._head:
                 rows.append(batch_rows[self._head : end])
-                classes.append(batch_classes[self._head : end])
                 self.pending_count -= end - self._head
             if end < len(completes_at):
                 self._head = max(self._head, end)
                 break
             self._queue.popleft()
             self._head = 0
-        if not rows:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        return np.concatenate(rows), np.concatenate(classes)
+        return np.concatenate(rows) if rows else np.empty(0, dtype=np.intp)
 
     def clear_pending(self, now: float) -> int:
         """Cancel queued transfers; the channel goes idle from ``now`` on."""
@@ -222,10 +211,7 @@ class SwapEngine:
         per_class = np.searchsorted(at, ends) - first
         rank = np.arange(len(at)) - np.repeat(first, per_class)
         picked = drawn[at[rank < np.repeat(fresh[live], per_class)]]
-        table = self.archive.table
-        self.channel.submit_batch(
-            picked, table.labels[picked], SWAP_BYTES_FACTOR * table.size_bytes, now
-        )
+        self.channel.submit_batch(picked, SWAP_BYTES_FACTOR * self.archive.table.size_bytes, now)
         n = len(picked)
         self.issued_total += n
         self._issued += n
@@ -238,31 +224,29 @@ class SwapEngine:
 
         Landed transfers keep only slots EM still holds, each once, and are
         grouped by class with one stable sort (``class_runs``), so each
-        class keeps its slots in landing order. One mask of the rows EM
-        holds, taken before any replacement, gives every class its fresh
-        archive rows. In ascending class order, one ``rng.choice`` without
-        replacement picks ``k = min(slots, fresh)`` of those rows, and the
-        class's first ``k`` slots take them. So every replacement is a
-        distinct row new to EM, and the rest of the landed transfers
-        (vanished slots, repeated rows, and slots beyond the class's fresh
-        rows) are dropped: counted, not fatal.
+        class keeps its slots in landing order (a transfer's class is its
+        row's label). One mask of the rows EM holds, taken before any
+        replacement, gives every class its fresh archive rows through
+        ``StorageArchive.candidates``. In ascending class order, one
+        ``rng.choice`` without replacement picks ``k = min(slots, fresh)``
+        of those rows, and the class's first ``k`` slots take them. So every
+        replacement is a distinct row new to EM, and the rest of the landed
+        transfers (vanished slots, repeated rows, and slots beyond the
+        class's fresh rows) are dropped: counted, not fatal.
         """
-        rows, class_ids = self.channel.pop_completed(now)
+        rows = self.channel.pop_completed(now)
         landed = len(rows)
-        live = em.holds(rows)
-        rows, class_ids = rows[live], class_ids[live]
+        rows = rows[em.holds(rows)]
         # first landing of each row, in landing order
-        first = np.sort(np.unique(rows, return_index=True)[1])
-        rows, class_ids = rows[first], class_ids[first]
-        order, runs = class_runs(class_ids)
+        rows = rows[np.sort(np.unique(rows, return_index=True)[1])]
+        order, runs = class_runs(self.archive.table.labels[rows])
         rows = rows[order]
         # read before any replacement is written: classes share no rows, so
         # one class's replacements cannot change another's fresh rows
         held = em.held()
         old, new = [], []
         for class_id, start, end in runs:
-            pool = self.archive.class_rows(class_id)
-            fresh = pool[~held[pool]]
+            fresh = self.archive.candidates(class_id, held)
             k = min(end - start, len(fresh))
             if k == 0:
                 continue
@@ -292,6 +276,3 @@ class SwapEngine:
     @property
     def pending_count(self) -> int:
         return self.channel.pending_count
-
-    def conserved(self) -> bool:
-        return self.issued_total == self.applied_total + self.dropped_total + self.pending_count

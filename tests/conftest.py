@@ -5,6 +5,8 @@ import pytest
 
 from hiercl.domain import Sample, SampleTable, Task
 from hiercl.learner import LearnerState, train_epoch
+from hiercl.memory import EpisodicMemory, StorageArchive, class_quotas
+from hiercl.swap import SwapEngine
 
 
 @pytest.fixture
@@ -32,10 +34,52 @@ def make_task(task_id: int, classes, per_class: int, start_id: int = 0, dim: int
     return Task.from_samples(task_id, samples)
 
 
+class TrackedTable(SampleTable):
+    """A sample table reserved up front that also keeps the sample added at
+    each row, so a test maps rows back to its own samples."""
+
+    def __init__(self, n_rows: int = 10_000, dim: int = 4, dtype=np.float32):
+        super().__init__()
+        self.reserve(n_rows, dim, dtype)
+        self.samples: list[Sample] = []
+
+    def add(self, samples):
+        rows = super().add(samples)
+        self.samples.extend(samples)
+        return rows
+
+    def ids(self, rows) -> list[int]:
+        return [self.samples[r].id for r in np.asarray(rows).tolist()]
+
+
+def row_ids(tasks) -> list[int]:
+    """The sample id at each table row of a run over ``tasks``: a run adds
+    the tasks' samples in stream order."""
+    return [s.id for task in tasks for s in task.samples]
+
+
 def packed(batches) -> tuple[list[np.ndarray], SampleTable]:
     """Batches of samples as row batches of one new table."""
-    table = SampleTable()
+    samples = [s for batch in batches for s in batch]
+    dtype = np.result_type(*{s.features.dtype for s in samples})
+    table = TrackedTable(len(samples), len(samples[0].features), dtype)
     return [table.add(batch) for batch in batches], table
+
+
+def spread_ok(em: EpisodicMemory, archive: StorageArchive) -> bool:
+    """EM's per-class spread is at most 1 among the classes whose archive
+    covers their quota."""
+    classes = archive.classes()
+    quotas = class_quotas(em.capacity, classes)
+    counts = [len(em.class_rows(c)) for c in classes if archive.class_count(c) >= quotas[c]]
+    return not counts or max(counts) - min(counts) <= 1
+
+
+def conserved(engine: SwapEngine) -> bool:
+    """Swap conservation: issued = applied + dropped + pending."""
+    return engine.issued_total == (
+        engine.applied_total + engine.dropped_total + engine.pending_count
+    )
 
 
 def train_on(state: LearnerState, batches, learning_rate: float):

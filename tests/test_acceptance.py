@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hiercl.control import SwapController, plan_from_ratio
-from hiercl.domain import Conf, ProfileRecord, SampleTable, Task
+from hiercl.domain import Conf, ProfileRecord, Task
 from hiercl.harness import (
     HeuristicPolicy,
     StaticConfPolicy,
@@ -33,10 +33,10 @@ from hiercl.memory import (
 )
 from hiercl.profiler import ProfilerConfig, build_search_space, profile_task
 from hiercl.runtime import RunConfig, run_stream
-from hiercl.selector import HIGHEST_UTILITY, LOWEST_ENERGY, select
+from hiercl.selector import HIGHEST_UTILITY, LOWEST_ENERGY, select_record
 
 from test_selector import energy_accuracy_table, oracle_select, random_records
-from conftest import exhaustive_units, make_sample
+from conftest import TrackedTable, exhaustive_units, make_sample, spread_ok
 
 
 @contextlib.contextmanager
@@ -113,7 +113,7 @@ def test_criterion_3_selector_oracle_equivalence():
             fraction = float(rng.choice([0.1, 0.2, 0.5, 1.0]))
             baseline = float(rng.choice([0.0, 0.1]))
             for mode in (HIGHEST_UTILITY, LOWEST_ENERGY):
-                got = select(records, fraction, mode, baseline)
+                got = select_record(records, fraction, mode, baseline).conf
                 want = oracle_select(records, fraction, mode, baseline)
                 assert got == want, f"trial {trial}, mode {mode}"
         # deliberate tie fixture: identical accuracy and energy everywhere
@@ -123,22 +123,22 @@ def test_criterion_3_selector_oracle_equivalence():
             for em in (0, 500, 1000)
         ]
         for mode in (HIGHEST_UTILITY, LOWEST_ENERGY):
-            assert select(ties, 0.5, mode) == oracle_select(ties, 0.5, mode)
+            assert select_record(ties, 0.5, mode).conf == oracle_select(ties, 0.5, mode)
 
 
 def test_criterion_4_fixture_reproduction():
     with criterion(4, "fixture: HU->(1K,2K), LE->(1K,1.5K), no-cutline HU->(0.5K,0.5K)"):
         table = energy_accuracy_table()
-        assert select(table, 0.2, HIGHEST_UTILITY) == Conf(1000, 2000)
-        assert select(table, 0.2, LOWEST_ENERGY) == Conf(1000, 1500)
-        assert select(table, 1.0, HIGHEST_UTILITY) == Conf(500, 500)
+        assert select_record(table, 0.2, HIGHEST_UTILITY).conf == Conf(1000, 2000)
+        assert select_record(table, 0.2, LOWEST_ENERGY).conf == Conf(1000, 1500)
+        assert select_record(table, 1.0, HIGHEST_UTILITY).conf == Conf(500, 500)
 
 
 def test_criterion_5_class_balance_property():
     with criterion(5, "10,000 random flush/resize ops keep per-class spread <= 1"):
         start = time.perf_counter()
         rng = np.random.default_rng(5150)
-        table = SampleTable()
+        table = TrackedTable(20_000)
         archive = StorageArchive(table)
         em = EpisodicMemory(120, table)
         sb = StreamBuffer(100_000)
@@ -161,8 +161,8 @@ def test_criterion_5_class_balance_property():
             else:
                 em.resize(int(rng.integers(0, 30)) * 10, archive, rng)
             ops += 1
-            assert em.spread_ok(archive), f"spread violated at op {ops}"
-            ids = [s.id for s in em.contents()]
+            assert spread_ok(em, archive), f"spread violated at op {ops}"
+            ids = table.ids(em.rows())
             assert len(ids) == len(set(ids))
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
@@ -250,7 +250,7 @@ def test_criterion_9_profiler_cost_ratio():
             for c in range(10, 20):
                 task_samples.append(make_sample(sid, c, dim=16))
                 sid += 1
-        table = SampleTable()
+        table = TrackedTable(4000, dim=16)
         task_rows = table.add(task_samples)
         em_pool = {
             c: table.add([make_sample(100_000 + c * 1000 + i, c, dim=16) for i in range(200)])

@@ -365,23 +365,47 @@ def test_sweep_budget_below_one_step_exits_before_any_run(tmp_path):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("external_io_load", [[1.0, "fast"]], "[0]: expected float, got 'fast'"),
-        ("external_io_load", [[0.0, 1.0], [-1.0, 5.0]], "[1]: time and load must be >= 0"),
-        ("external_io_load", [[1.0, -5.0]], "[0]: time and load must be >= 0"),
-        ("external_io_load", [[1.0]], "[0]: expected a pair"),
-        ("external_io_load", 5.0, ": expected a list of pairs"),
-        ("budget_schedule", [[3, -5]], "[0]: expected an integer epoch >= 0"),
-        ("budget_schedule", [[1.5, 400]], "[0]: expected an integer epoch >= 0"),
-        ("budget_schedule", [[-1, 400]], "[0]: expected an integer epoch >= 0"),
+        # a value that is not a number pair fails as the config is read
+        ("external_io_load", [[1.0, "fast"]], ".external_io_load[0]: expected float, got 'fast'"),
+        ("external_io_load", [[1.0]], ".external_io_load[0]: expected a pair"),
+        ("external_io_load", 5.0, ".external_io_load: expected a list of pairs"),
+        ("budget_schedule", [[2, "big"]], ".budget_schedule[0]: expected int, got 'big'"),
+        # a number pair out of range fails RunConfig's own checks
+        ("external_io_load", [[0.0, 1.0], [-1.0, 5.0]],
+         ": external_io_load[1]: time and load must be >= 0, got [-1.0, 5.0]"),
+        ("external_io_load", [[1.0, -5.0]], ": external_io_load[0]: time and load must be >= 0"),
+        ("budget_schedule", [[3, -5]], ": budget_schedule[0]: expected an integer epoch >= 0"),
+        ("budget_schedule", [[1.5, 400]], ": budget_schedule[0]: expected an integer epoch >= 0"),
+        ("budget_schedule", [[-1, 400]], ": budget_schedule[0]: expected an integer epoch >= 0"),
         ("budget_schedule", [[2, 400], [4, 50]],
-         "[1]: expected an integer epoch >= 0 and an integer budget >= run.step (100), got [4, 50]"),
-        ("budget_schedule", [[2, "big"]], "[0]: expected int, got 'big'"),
+         ": budget_schedule[1]: expected an integer epoch >= 0 and an integer budget >= step (100), "
+         "got [4, 50]"),
     ],
 )
 def test_bad_load_or_schedule_entry_names_it(tmp_path, key, value, message):
     cfg = yaml.safe_load(write_config(tmp_path).read_text())
     cfg["run"][key] = value
-    assert_config_error(invoke_run(tmp_path, cfg)[1], f"config run.{key}{message}")
+    result = invoke_run(tmp_path, cfg)[1]
+    assert_config_error(result, f"config run{message}")
+    assert len(result.output.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["run", "--seed", "-1"], "config run: seed must be >= 0"),
+        (["run", "--stream-seed", "-2"], "config stream: seed must be >= 0"),
+        (["sweep", "--seeds", "0,-1"], "config run: seed must be >= 0"),
+    ],
+    ids=["run-seed", "stream-seed", "sweep-seeds"],
+)
+def test_negative_seed_exits_with_one_line_before_any_run(tmp_path, args, message):
+    result = CliRunner().invoke(
+        main, [*args, *MICRO, "--outdir", str(tmp_path / "out")]
+    )
+    assert_config_error(result, message)
+    assert len(result.output.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_and_schedule_are_read_as_number_pairs(tmp_path):

@@ -119,14 +119,15 @@ class TestValidateStream:
 
 
 class TestSampleTable:
-    def test_rows_follow_arrival_and_keep_the_samples(self):
+    def test_rows_follow_arrival(self):
         table = SampleTable()
+        table.reserve(7, 4, np.float32)
         first = [make_sample(10 + i, i % 2) for i in range(3)]
         second = [make_sample(20 + i, 5) for i in range(4)]
         assert table.add(first).tolist() == [0, 1, 2]
         assert table.add(second).tolist() == [3, 4, 5, 6]
-        assert table.samples == first + second
-        assert table.labels[:7].tolist() == [0, 1, 0, 5, 5, 5, 5]
+        assert len(table) == 7
+        assert table.labels.tolist() == [0, 1, 0, 5, 5, 5, 5]
         for row, s in enumerate(first + second):
             assert table.features[row].tobytes() == s.features.tobytes()
         assert table.features.dtype == np.float32
@@ -139,13 +140,16 @@ class TestSampleTable:
         table.add([make_sample(i, 0) for i in range(10)])
         assert table.features is storage and len(table) == 10
 
-    def test_growth_promotes_and_reserve_rejects_rounding(self):
+    def test_reserved_once_and_never_grown_or_rounded(self):
         table = SampleTable()
-        table.add([make_sample(0, 0)])
+        table.reserve(2, 4, np.float64)
         wide = Sample(1, 0, np.linspace(0.0, 1.0, 4), 64)  # float64
-        table.add([wide])
-        assert table.features.dtype == np.float64
+        table.add([make_sample(0, 0), wide])
         assert table.features[1].tolist() == wide.features.tolist()
+        with pytest.raises(ValueError):
+            table.add([make_sample(2, 0)])
+        with pytest.raises(RuntimeError):
+            table.reserve(4, 4, np.float64)
         narrow = SampleTable()
         narrow.reserve(2, 4, np.float32)
         with pytest.raises(TypeError):

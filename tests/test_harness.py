@@ -238,6 +238,21 @@ def test_sweep_grid_and_csv(tmp_path):
     assert len(lines) == 5
 
 
+def test_negative_stream_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        StreamSpec(seed=-1)
+
+
+def test_sweep_checks_every_seed_before_its_first_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("hiercl.harness.run_stream", no_run)
+    spec = StreamSpec(n_tasks=1, classes_per_task=2, samples_per_class=20, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        sweep(spec, small_config(), strategies=["static"], budgets=[1000], seeds=[0, -1])
+
+
 def test_unknown_strategy_rejected():
     spec = StreamSpec(n_tasks=1, classes_per_task=2, samples_per_class=20, seed=0)
     stream = generate_stream(spec)

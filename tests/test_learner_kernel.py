@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercl.domain import Sample, SampleTable
+from hiercl.domain import Sample
 from hiercl.learner import (
     LearnerDiverged,
     copy_state,
@@ -24,6 +24,7 @@ from hiercl.learner import (
     probe_blocks,
     train_epoch,
 )
+from conftest import TrackedTable
 
 
 def reference_forward(state, x):
@@ -98,7 +99,7 @@ def exact_state(state):
 
 def make_table(labels, dim, dtype, seed):
     values = np.random.default_rng(seed).normal(size=(len(labels), dim)).astype(dtype)
-    table = SampleTable()
+    table = TrackedTable(len(labels), dim, dtype)
     rows = table.add(
         [Sample(i, int(c), values[i], 16) for i, c in enumerate(labels)]
     )
@@ -157,7 +158,7 @@ def test_mid_epoch_divergence_keeps_the_last_finite_weights():
     # identical points with conflicting labels: the first batch's huge step
     # saturates the head, so the second batch's loss is infinite
     point = np.ones(4, np.float32)
-    table = SampleTable()
+    table = TrackedTable(6)
     rows = table.add([Sample(i, i % 2, point, 16) for i in range(6)])
     batches = [rows[0:2], rows[2:4], rows[4:6]]
     kernel = init_learner(4, 8, 0)

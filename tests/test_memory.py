@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercl.domain import SampleTable, Task
+from hiercl.domain import Task
 from hiercl.memory import (
     EpisodicMemory,
     StorageArchive,
@@ -13,16 +13,20 @@ from hiercl.memory import (
     compose_epoch_batches,
     flush,
 )
-from conftest import make_sample, make_task
+from conftest import TrackedTable, make_sample, make_task, spread_ok
 
 
 def fresh(capacity_em=100):
-    table = SampleTable()
+    table = TrackedTable()
     return StreamBuffer(0), EpisodicMemory(capacity_em, table), StorageArchive(table)
 
 
 def ids(table, rows):
-    return [table.samples[r].id for r in rows]
+    return table.ids(rows)
+
+
+def overflow(sb):
+    return sb.rows[sb.capacity :]
 
 
 def as_samples(table, batches):
@@ -47,27 +51,27 @@ class TestStreamBuffer:
     def test_exact_fit(self):
         sb = StreamBuffer(5000)
         task = make_task(1, range(10), per_class=500)
-        sb.fill(SampleTable().add(task.samples))
-        assert len(sb) == 5000 and len(sb.overflow) == 0
+        sb.fill(TrackedTable().add(task.samples))
+        assert len(sb) == 5000 and len(overflow(sb)) == 0
 
     def test_overflow_routed_past_buffer(self):
         sb = StreamBuffer(1000)
         task = make_task(1, range(10), per_class=500)
-        table = SampleTable()
+        table = TrackedTable()
         sb.fill(table.add(task.samples))
         assert len(sb) == 1000
-        assert len(sb.overflow) == 4000
+        assert len(overflow(sb)) == 4000
         assert [table.samples[r] for r in sb.rows] == list(task.samples)
 
     def test_underfill(self):
         sb = StreamBuffer(1000)
         task = make_task(1, [0], per_class=100)
-        sb.fill(SampleTable().add(task.samples))
-        assert len(sb) == 100 and len(sb.overflow) == 0
+        sb.fill(TrackedTable().add(task.samples))
+        assert len(sb) == 100 and len(overflow(sb)) == 0
 
     def test_must_be_empty_at_task_start(self):
         sb = StreamBuffer(10)
-        table = SampleTable()
+        table = TrackedTable()
         sb.fill(table.add([make_sample(0, 0)]))
         with pytest.raises(RuntimeError):
             sb.fill(table.add([make_sample(1, 0)]))
@@ -75,14 +79,14 @@ class TestStreamBuffer:
     def test_resize_round_trip(self):
         sb = StreamBuffer(6)
         samples = [make_sample(i, 0) for i in range(6)]
-        table = SampleTable()
+        table = TrackedTable()
         sb.fill(table.add(samples))
         sb.resize(2)
         assert ids(table, sb.contents) == [0, 1]
-        assert ids(table, sb.overflow) == [2, 3, 4, 5]
+        assert ids(table, overflow(sb)) == [2, 3, 4, 5]
         sb.resize(5)
         assert ids(table, sb.contents) == [0, 1, 2, 3, 4]
-        assert ids(table, sb.overflow) == [5]
+        assert ids(table, overflow(sb)) == [5]
 
 
 class TestFlush:
@@ -112,7 +116,7 @@ class TestFlush:
         assert len(counts) == 30
         # brute count: every class holds 3 or 4 and the tens place is exact
         assert sorted(collections.Counter(counts.values()).items()) == [(3, 20), (4, 10)]
-        assert em.spread_ok(archive)
+        assert spread_ok(em, archive)
 
     def test_zero_capacity_em_stays_empty(self):
         sb, em, archive = fresh(capacity_em=0)
@@ -130,10 +134,10 @@ class TestFlush:
         sb.resize(10)
         task = make_task(1, range(5), per_class=10)
         sb.fill(archive.table.add(task.samples))
-        assert len(sb.overflow) == 40
+        assert len(overflow(sb)) == 40
         flush(sb, em, archive, rng)
         assert sum(map(archive.class_count, archive.classes())) == 50
-        assert len(sb) == 0 and len(sb.overflow) == 0
+        assert len(sb) == 0 and len(overflow(sb)) == 0
 
     def test_archive_is_append_only_per_task(self):
         sb, em, archive = fresh()
@@ -154,7 +158,7 @@ class TestFlush:
 class TestResize:
     def _em_with_archive(self, classes, per_class_archive, capacity, seed=0):
         rng = np.random.default_rng(seed)
-        table = SampleTable()
+        table = TrackedTable()
         archive = StorageArchive(table)
         sid = 0
         for c in classes:
@@ -190,7 +194,7 @@ class TestResize:
         # brute balance check: class 7 holds all it has, the rest hold quota
         assert counts[7] == 30
         assert all(counts[c] == 100 for c in range(10) if c != 7)
-        assert em.spread_ok(archive)
+        assert spread_ok(em, archive)
 
     def test_no_duplicate_ids_after_churn(self):
         em, archive, rng = self._em_with_archive(
@@ -198,9 +202,9 @@ class TestResize:
         )
         for cap in (60, 240, 30, 300, 120):
             em.resize(cap, archive, rng)
-            ids = [s.id for s in em.contents()]
+            ids = em.table.ids(em.rows())
             assert len(ids) == len(set(ids))
-            assert em.spread_ok(archive)
+            assert spread_ok(em, archive)
 
 
 class TestReplace:
@@ -209,7 +213,7 @@ class TestReplace:
             [1, 2], {1: 10, 2: 10}, capacity=10
         )
         victim = em.rows()[0]
-        fresh_row = archive.candidates(archive.table.labels[victim], em)[0]
+        fresh_row = archive.candidates(archive.table.labels[victim], em.held())[0]
         assert em.replace(victim, fresh_row)
         assert not em.holds(victim)
         assert em.holds(fresh_row)
@@ -224,7 +228,7 @@ class TestReplace:
 class TestComposeBatches:
     def _filled(self, n_sb, n_em, batch, seed=0):
         rng = np.random.default_rng(seed)
-        table = SampleTable()
+        table = TrackedTable()
         sb = StreamBuffer(n_sb)
         if n_sb:
             sb.fill(table.add([make_sample(i, 0) for i in range(n_sb)]))
@@ -257,7 +261,7 @@ class TestComposeBatches:
         sb, em, rng = self._filled(17, 23, 5)
         batches = as_samples(em.table, compose_epoch_batches(sb, em, 5, rng))
         emitted = sorted(s.id for b in batches for s in b)
-        expected = sorted(s.id for s in as_samples(em.table, [sb.contents])[0] + em.contents())
+        expected = sorted(ids(em.table, sb.contents) + ids(em.table, em.rows()))
         assert emitted == expected
 
     def test_empty_union_rejected(self):
@@ -270,7 +274,7 @@ def test_randomized_balance_survives_operations():
     """Randomized flush/resize churn keeps the quota spread within one for
     classes the archive can cover (smaller cousin of the acceptance suite)."""
     rng = np.random.default_rng(99)
-    table = SampleTable()
+    table = TrackedTable()
     archive = StorageArchive(table)
     em = EpisodicMemory(90, table)
     sb = StreamBuffer(10_000)
@@ -286,11 +290,11 @@ def test_randomized_balance_survives_operations():
         task = Task.from_samples(t, samples)
         sb.fill(table.add(task.samples))
         flush(sb, em, archive, rng)
-        assert em.spread_ok(archive)
+        assert spread_ok(em, archive)
         if t % 3 == 0:
             em.resize(int(rng.integers(0, 40)) * 10, archive, rng)
-            assert em.spread_ok(archive)
-        ids = [s.id for s in em.contents()]
+            assert spread_ok(em, archive)
+        ids = em.table.ids(em.rows())
         assert len(ids) == len(set(ids))
         assert em.total <= em.capacity
 
@@ -299,7 +303,7 @@ def assert_slot_map_exact(em: EpisodicMemory) -> None:
     """The row->slot array names every held row at its position, and nothing else."""
     held = {r: i for pool in em._pools.values() for i, r in enumerate(pool.tolist())}
     assert {r: i for r, i in enumerate(em._slot.tolist()) if i >= 0} == held
-    assert em.total == len(held) == len(em.contents())
+    assert em.total == len(held) == len(em.rows())
 
 
 @settings(max_examples=100, deadline=None)
@@ -317,7 +321,7 @@ def assert_slot_map_exact(em: EpisodicMemory) -> None:
 )
 def test_slot_map_tracks_churn(seed, ops):
     rng = np.random.default_rng(seed)
-    table = SampleTable()
+    table = TrackedTable()
     archive = StorageArchive(table)
     em = EpisodicMemory(40, table)
     sid, next_class = 0, 0
@@ -335,7 +339,7 @@ def test_slot_map_tracks_churn(seed, ops):
         elif em.total:
             held = em.rows()
             victim = held[arg % em.total]
-            fresh = archive.candidates(table.labels[victim], em)
+            fresh = archive.candidates(table.labels[victim], em.held())
             others = held[table.labels[held] != table.labels[victim]]
             # refused: a held replacement, or one from another class
             assert not em.replace(victim, held[(arg + 1) % em.total])
@@ -352,7 +356,7 @@ def test_replace_spans_many_classes():
     cross-class pairs mixed in: each same-class pair puts its new row in its
     old row's slot, and every cross-class pair is refused."""
     rng = np.random.default_rng(7)
-    table = SampleTable()
+    table = TrackedTable()
     archive = StorageArchive(table)
     n_classes = 30
     archive.append(table.add([make_sample(i, i % n_classes) for i in range(n_classes * 6)]))
@@ -362,9 +366,9 @@ def test_replace_spans_many_classes():
     pairs = []
     for c in range(n_classes):
         held = em.class_rows(c)
-        fresh = archive.candidates(c, em)
+        fresh = archive.candidates(c, em.held())
         pairs += [(held[0], fresh[0]), (held[2], fresh[1])]
-        pairs.append((held[1], archive.candidates((c + 1) % n_classes, em)[2]))
+        pairs.append((held[1], archive.candidates((c + 1) % n_classes, em.held())[2]))
         expected[c][0], expected[c][2] = int(fresh[0]), int(fresh[1])
     old, new = np.array([pairs[i] for i in rng.permutation(len(pairs))]).T
     assert em.replace(old, new) == 2 * n_classes

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercl.domain import Conf, EnergyLedger, SampleTable
+from hiercl.domain import Conf, EnergyLedger
 from hiercl.learner import CostModel, init_learner, probe_blocks, train_epoch
 from hiercl.profiler import (
     COVERAGE_ATTEMPTS,
@@ -15,7 +15,7 @@ from hiercl.profiler import (
     profile_task,
     sample_confs,
 )
-from conftest import exhaustive_units, make_sample, make_task, state_digest
+from conftest import TrackedTable, exhaustive_units, make_sample, make_task, state_digest
 
 
 class TestSearchSpace:
@@ -106,9 +106,9 @@ class TestReferenceConf:
 
 def draw_covered_samples(pool, n, rng):
     """``draw_covered_subsample`` over a table of ``pool``, as samples."""
-    table = SampleTable()
+    table = TrackedTable(len(pool))
     rows = draw_covered_subsample(table.add(pool), n, rng, table.labels)
-    return [table.samples[r] for r in rows]
+    return [pool[r] for r in rows]
 
 
 class TestCoverage:
@@ -173,7 +173,7 @@ class TestCoverage:
 def small_profile_setup(seed=0, budget=2000, with_old=True):
     """A state, the task's rows, the old rows by class, the probe blocks, a
     profiler config and the table the rows index."""
-    table = SampleTable()
+    table = TrackedTable(560, dim=8)
     task = table.add(make_task(1, range(4), per_class=100, start_id=0, dim=8).samples)
     probe = [make_sample(10_000 + i, i % 4, dim=8) for i in range(40)]
     em_pool = {}

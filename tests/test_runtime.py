@@ -16,6 +16,7 @@ from hiercl.harness import (
 from hiercl.learner import CostModel
 from hiercl.profiler import ProfilerConfig
 from hiercl.runtime import RunConfig, Runtime, run_stream
+from conftest import row_ids, spread_ok
 
 
 def tiny_stream(n_tasks=2, classes_per_task=3, per_class=40, dim=8, seed=5):
@@ -136,6 +137,27 @@ class TestLoopShape:
         tasks = [stream.tasks[0], stream.tasks[0]]
         with pytest.raises(ValueError):
             run_stream(tasks, stream.probe_sets, tiny_config())
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"budget_schedule": ((2, 10),)},
+         r"budget_schedule\[0\]: expected an integer epoch >= 0 and an integer budget >= step \(50\)"),
+        ({"budget_schedule": ((2, 100), (-1, 100))}, r"budget_schedule\[1\]: expected an integer epoch"),
+        ({"budget_schedule": ((2.0, 100),)}, r"budget_schedule\[0\]: expected an integer epoch"),
+        ({"external_io_load": ((0.0, -5e8),)},
+         r"external_io_load\[0\]: time and load must be >= 0, got \[0.0, -500000000.0\]"),
+        ({"external_io_load": ((1.0, 0.0), (-1.0, 0.0))}, r"external_io_load\[1\]: time and load"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ],
+    ids=["budget-below-step", "negative-epoch", "float-epoch", "negative-load", "negative-time",
+         "negative-seed"],
+)
+def test_run_config_rejects_bad_schedule_load_and_seed(fields, message):
+    """The ranges hold for library callers too, not only behind the CLI."""
+    with pytest.raises(ValueError, match=message):
+        RunConfig(step=50, budget_samples=200, **fields)
 
 
 class TestPhaseDiscipline:
@@ -386,7 +408,8 @@ class TestMemorySwapPath:
         assert report.ledger.io == 2.529432000003259
         assert report.ledger.wall_time_seconds == 96.59999999999994
         assert len(report.controller_decisions) == 1
-        em_ids = ",".join(str(s.id) for s in runtime.em.contents())
+        sample_id = row_ids(stream.tasks)
+        em_ids = ",".join(str(sample_id[r]) for r in runtime.em.rows())
         assert hashlib.sha256(em_ids.encode()).hexdigest() == (
             "16b01b889c7b06b6fab01d2ef3fdc9b2f20e83972d831a6b1ab6cef465d1a598"
         )
@@ -419,7 +442,8 @@ class TestMemorySwapPath:
             "issued": 38000, "applied": 38000, "dropped": 0, "pending": 0
         }
         assert report.ledger.io == 0.00972800000149654
-        em_ids = ",".join(str(s.id) for s in runtime.em.contents())
+        sample_id = row_ids(stream.tasks)
+        em_ids = ",".join(str(sample_id[r]) for r in runtime.em.rows())
         assert hashlib.sha256(em_ids.encode()).hexdigest() == (
             "43a250b07514825501f816ff026c8e0c1697df615e2b71ef77ff8cd3dc183f8f"
         )
@@ -572,7 +596,7 @@ class TestRunProperties:
                     budget = value
             assert row.sb_size + row.em_size <= budget
         em, archive = runtime.em, runtime.archive
-        assert em.spread_ok(archive)
+        assert spread_ok(em, archive)
         totals = report.swap_totals
         assert totals["pending"] == 0
         assert totals["issued"] == totals["applied"] + totals["dropped"]
@@ -582,9 +606,10 @@ class TestRunProperties:
         )
         joules = [r.joules_cum for r in report.epoch_rows]
         assert all(b >= a for a, b in zip(joules, joules[1:]))
-        held = [s.id for s in em.contents()]
+        sample_id = row_ids(stream.tasks)
+        held = [sample_id[r] for r in em.rows()]
         archived = {
-            runtime.table.samples[r].id
+            sample_id[r]
             for c in archive.classes()
             for r in archive.class_rows(c).tolist()
         }

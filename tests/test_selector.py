@@ -8,7 +8,7 @@ from hiercl.selector import (
     HIGHEST_UTILITY,
     LOWEST_ENERGY,
     apply_cutline,
-    select,
+    select_record,
     utility,
 )
 
@@ -79,23 +79,23 @@ class TestUtility:
 
     def test_energy_scaling_preserves_argmax(self):
         records = energy_accuracy_table()
-        best = select(records, cutline=1.0, mode=HIGHEST_UTILITY)
+        best = select_record(records, cutline=1.0, mode=HIGHEST_UTILITY).conf
         scaled = [
             ProfileRecord(r.conf, r.accuracy_estimate, r.energy_estimate * 7.5, 15)
             for r in records
         ]
-        assert select(scaled, cutline=1.0, mode=HIGHEST_UTILITY) == best
+        assert select_record(scaled, cutline=1.0, mode=HIGHEST_UTILITY).conf == best
 
 
 class TestFixtureSelections:
     def test_highest_utility_with_cutline(self):
-        assert select(energy_accuracy_table(), 0.2, HIGHEST_UTILITY) == Conf(1000, 2000)
+        assert select_record(energy_accuracy_table(), 0.2, HIGHEST_UTILITY).conf == Conf(1000, 2000)
 
     def test_lowest_energy_with_cutline(self):
-        assert select(energy_accuracy_table(), 0.2, LOWEST_ENERGY) == Conf(1000, 1500)
+        assert select_record(energy_accuracy_table(), 0.2, LOWEST_ENERGY).conf == Conf(1000, 1500)
 
     def test_no_cutline_smallest_conf_wins_utility(self):
-        assert select(energy_accuracy_table(), 1.0, HIGHEST_UTILITY) == Conf(500, 500)
+        assert select_record(energy_accuracy_table(), 1.0, HIGHEST_UTILITY).conf == Conf(500, 500)
 
 
 # --- independent oracle ------------------------------------------------------
@@ -160,7 +160,7 @@ def test_select_matches_oracle_on_random_lists():
         fraction = float(rng.choice([0.1, 0.2, 0.5, 1.0]))
         baseline = float(rng.choice([0.0, 0.1]))
         for mode in (HIGHEST_UTILITY, LOWEST_ENERGY):
-            assert select(records, fraction, mode, baseline) == oracle_select(
+            assert select_record(records, fraction, mode, baseline).conf == oracle_select(
                 records, fraction, mode, baseline
             ), f"trial {trial} mode {mode} fraction {fraction}"
 
@@ -168,10 +168,10 @@ def test_select_matches_oracle_on_random_lists():
 def test_select_is_permutation_invariant():
     rng = np.random.default_rng(7)
     records = random_records(rng, 60)
-    base = select(records, 0.3, HIGHEST_UTILITY)
+    base = select_record(records, 0.3, HIGHEST_UTILITY).conf
     for _ in range(10):
         perm = [records[i] for i in rng.permutation(len(records))]
-        assert select(perm, 0.3, HIGHEST_UTILITY) == base
+        assert select_record(perm, 0.3, HIGHEST_UTILITY).conf == base
 
 
 def test_cutline_extremes():
@@ -180,8 +180,8 @@ def test_cutline_extremes():
     global_best = max(
         records, key=lambda r: (utility(r), -r.energy_estimate, -r.conf.total)
     ).conf
-    assert select(records, 1.0, HIGHEST_UTILITY) == global_best
+    assert select_record(records, 1.0, HIGHEST_UTILITY).conf == global_best
     # cutline shrunk to one record equals the accuracy argmax
     tightest = 1.0 / len(records)
     acc_best = max(records, key=lambda r: r.accuracy_estimate).conf
-    assert select(records, tightest, HIGHEST_UTILITY) == acc_best
+    assert select_record(records, tightest, HIGHEST_UTILITY).conf == acc_best

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercl.domain import SampleTable
 from hiercl.learner import CostModel
 from hiercl.memory import EpisodicMemory, StorageArchive
 from hiercl.swap import SWAP_BYTES_FACTOR, IoChannel, SwapEngine
-from conftest import make_sample
+from conftest import TrackedTable, conserved, make_sample
 
 
 def required_bandwidth_bytes_per_s(
@@ -24,7 +23,7 @@ def required_bandwidth_bytes_per_s(
 
 def setup_engine(bandwidth=1e9, n_classes=4, per_class=50, em_capacity=40, seed=0):
     rng = np.random.default_rng(seed)
-    table = SampleTable()
+    table = TrackedTable()
     archive = StorageArchive(table)
     sid = 0
     for c in range(n_classes):
@@ -60,7 +59,7 @@ class TestIssue:
     def test_request_slots_unique(self):
         engine, em, rng = setup_engine()
         engine.issue(em, 0.5, now=0.0, rng=rng)
-        slot_ids, _ = engine.channel.pop_completed(math.inf)
+        slot_ids = engine.channel.pop_completed(math.inf)
         assert len(slot_ids) == len(set(slot_ids.tolist())) == 20
 
     def test_transfer_bytes_double_sample_size(self):
@@ -86,7 +85,7 @@ class TestIssue:
     )
     def test_each_class_sends_its_first_fresh_count_picks(self, pools, capacity, percent, seed):
         rng = np.random.default_rng(seed)
-        table = SampleTable()
+        table = TrackedTable()
         archive = StorageArchive(table)
         for c, n in enumerate(pools):
             archive.append(table.add([make_sample(100 * c + i, c, size_bytes=64) for i in range(n)]))
@@ -97,7 +96,7 @@ class TestIssue:
         drawn = [em.class_rows(c) for c in fresh if fresh[c] > 0]
         draw = copy.deepcopy(rng)
         sent = engine.issue(em, percent, now=0.0, rng=rng)
-        landed, classes = copy.deepcopy(engine.channel).pop_completed(math.inf)
+        landed = copy.deepcopy(engine.channel).pop_completed(math.inf)
         expected = []
         if drawn:
             rows = np.concatenate(drawn)
@@ -108,7 +107,7 @@ class TestIssue:
         assert landed.tolist() == expected and sent == len(expected)
         # one batch, nothing in between: every transfer applies
         assert engine.apply_completions(em, now=math.inf, rng=rng) == sent
-        assert engine.dropped_total == 0 and engine.conserved()
+        assert engine.dropped_total == 0 and conserved(engine)
 
 
 class TestApply:
@@ -118,7 +117,7 @@ class TestApply:
         applied = engine.apply_completions(em, now=1.0, rng=rng)
         assert applied == 40
         assert em.total == 40
-        ids = [s.id for s in em.contents()]
+        ids = em.table.ids(em.rows())
         assert len(ids) == len(set(ids))
 
     def test_trickle_channel_applies_nothing(self):
@@ -135,7 +134,7 @@ class TestApply:
             engine.issue(em, 1.0, now=0.0, rng=rng)
             assert engine.apply_completions(em, now=100.0, rng=rng) == 1
             assert not em.holds(victim)
-            ids = [s.id for s in em.contents()]
+            ids = em.table.ids(em.rows())
             assert len(ids) == len(set(ids))
 
     def test_exhausted_class_gets_no_transfer(self):
@@ -148,8 +147,8 @@ class TestApply:
         table = engine.archive.table
         engine.archive.append(table.add([make_sample(1000, 0, size_bytes=64)]))
         assert engine.issue(em, 1.0, now=0.0, rng=rng) == 1
-        _, classes = engine.channel.pop_completed(math.inf)
-        assert classes.tolist() == [0]
+        landed = engine.channel.pop_completed(math.inf)
+        assert table.labels[landed].tolist() == [0]
 
     def test_vanished_slot_dropped(self):
         engine, em, rng = setup_engine(em_capacity=1)
@@ -172,7 +171,7 @@ class TestApplyOneDrawPerClass:
         self, pools, capacity, percents, resize_to, seed
     ):
         rng = np.random.default_rng(seed)
-        table = SampleTable()
+        table = TrackedTable()
         archive = StorageArchive(table)
         class_of = {}
         for c, n in enumerate(pools):
@@ -187,7 +186,7 @@ class TestApplyOneDrawPerClass:
             engine.issue(em, percent, now=0.0, rng=rng)
         if resize_to is not None:  # slots vanish before the batches land
             em.resize(resize_to, archive, rng)
-        landed, _ = copy.deepcopy(engine.channel).pop_completed(math.inf)
+        landed = copy.deepcopy(engine.channel).pop_completed(math.inf)
         before = set(em.rows().tolist())
         counts = em.counts()
 
@@ -204,7 +203,7 @@ class TestApplyOneDrawPerClass:
             assert removed & {i for i in before if class_of[i] == c} == set(live_c[:k])
             assert len([i for i in added if class_of[i] == c]) == k
         assert em.counts() == counts
-        assert engine.conserved()
+        assert conserved(engine)
 
 
 def reference_replace(em, old, new):
@@ -224,18 +223,17 @@ def reference_replace(em, old, new):
 
 def reference_apply_completions(engine, em, now, rng):
     """``SwapEngine.apply_completions`` as a per-class loop: a mask over
-    the landed transfers and an ``em.holds`` over the archive pool for each
-    class, in ascending class order."""
-    rows, class_ids = engine.channel.pop_completed(now)
+    the landed transfers and a fresh read of EM's held rows for each class,
+    in ascending class order."""
+    rows = engine.channel.pop_completed(now)
     landed = len(rows)
-    live = em.holds(rows)
-    rows, class_ids = rows[live], class_ids[live]
-    first = np.sort(np.unique(rows, return_index=True)[1])
-    rows, class_ids = rows[first], class_ids[first]
+    rows = rows[em.holds(rows)]
+    rows = rows[np.sort(np.unique(rows, return_index=True)[1])]
+    class_ids = em.table.labels[rows]
     old, new = [], []
     for class_id in np.unique(class_ids).tolist():
         slots = rows[class_ids == class_id]
-        cands = engine.archive.candidates(class_id, em)
+        cands = engine.archive.candidates(class_id, em.held())
         k = min(len(slots), len(cands))
         if k == 0:
             continue
@@ -269,7 +267,7 @@ class TestApplyEqualsPerClassLoop:
     )
     def test_same_slots_totals_and_generator_state(self, pools, capacity, ops, seed):
         rng = np.random.default_rng(seed)
-        table = SampleTable()
+        table = TrackedTable()
         archive = StorageArchive(table)
         for c, n in enumerate(pools):
             archive.append(table.add([make_sample(100 * c + i, c, size_bytes=64) for i in range(n)]))
@@ -302,7 +300,7 @@ class TestApplyEqualsPerClassLoop:
                 twin_engine.end_epoch(),
             )
             assert rng.bit_generator.state == twin_rng.bit_generator.state
-        assert engine.conserved()
+        assert conserved(engine)
 
 
 class TestEpochCounts:
@@ -337,9 +335,9 @@ class TestConservation:
             engine.issue(em, 0.5, now=float(epoch), rng=rng)
             engine.apply_completions(em, now=float(epoch + 1), rng=rng)
             engine.end_epoch()
-            assert engine.conserved()
+            assert conserved(engine)
         engine.drop_pending(now=8.0)
-        assert engine.conserved()
+        assert conserved(engine)
         assert engine.pending_count == 0
 
 
@@ -361,16 +359,16 @@ class TestChannel:
 
     def test_fifo_single_server_timing(self):
         ch = IoChannel(bandwidth_bytes_per_s=100.0)
-        a, b = ch.submit_batch([1, 2], [0, 0], 50, now=0.0)
+        a, b = ch.submit_batch([1, 2], 50, now=0.0)
         assert a == pytest.approx(0.5)
         assert b == pytest.approx(1.0)
-        assert ch.pop_completed(0.6)[0].tolist() == [1]
+        assert ch.pop_completed(0.6).tolist() == [1]
 
     def test_external_load_squeezes_bandwidth(self):
         ch = IoChannel(100.0, external_load=[(10.0, 90.0)])
-        (early,) = ch.submit_batch([1], [0], 100, now=0.0)
+        (early,) = ch.submit_batch([1], 100, now=0.0)
         assert early == pytest.approx(1.0)
-        (late,) = ch.submit_batch([2], [0], 100, now=20.0)
+        (late,) = ch.submit_batch([2], 100, now=20.0)
         assert late == pytest.approx(30.0)  # 10 B/s effective
 
     def test_effective_bandwidth_floor(self):
@@ -379,15 +377,15 @@ class TestChannel:
 
     def test_busy_seconds_accounting(self):
         ch = IoChannel(100.0)
-        ch.submit_batch([1], [0], 100, now=0.0)  # busy [0, 1]
+        ch.submit_batch([1], 100, now=0.0)  # busy [0, 1]
         assert ch.busy_seconds(0.0, 2.0) == pytest.approx(1.0)
-        ch.submit_batch([2], [0], 100, now=3.0)  # busy [3, 4]
+        ch.submit_batch([2], 100, now=3.0)  # busy [3, 4]
         assert ch.busy_seconds(2.0, 3.5) == pytest.approx(0.5)
         assert ch.busy_seconds(3.5, 10.0) == pytest.approx(0.5)
 
     def test_clear_pending_truncates_busy_timeline(self):
         ch = IoChannel(1.0)
-        ch.submit_batch([1], [0], 1000, now=0.0)  # would be busy until t=1000
+        ch.submit_batch([1], 1000, now=0.0)  # would be busy until t=1000
         ch.clear_pending(now=2.0)
         assert ch.busy_until == 2.0
         assert ch.busy_seconds(0.0, 10.0) == pytest.approx(2.0)
@@ -430,7 +428,8 @@ load_steps = st.lists(
 )
 batches = st.lists(
     st.tuples(
-        st.lists(st.integers(1, 600), max_size=30),  # bytes per transfer
+        st.integers(1, 600),  # bytes per transfer
+        st.integers(0, 30),  # transfers in the batch
         st.floats(0.0, 10.0, allow_nan=False),  # gap since the previous batch
         st.floats(0.0, 12.0, allow_nan=False),  # how far past its issue to pop
     ),
@@ -449,33 +448,32 @@ class TestBatchChannel:
         ch = IoChannel(bandwidth, external_load=load)
         ref = ReferenceChannel(ch)
         now, sid = 0.0, 0
-        for sizes, gap, pop_after in batches:
+        for nbytes, n, gap, pop_after in batches:
             now += gap
-            ids = list(range(sid, sid + len(sizes)))
-            sid += len(sizes)
-            got = ch.submit_batch(ids, [0] * len(ids), np.array(sizes), now)
-            want = [ref.submit(i, b, now) for i, b in zip(ids, sizes)]
+            ids = list(range(sid, sid + n))
+            sid += n
+            got = ch.submit_batch(ids, nbytes, now)
+            want = [ref.submit(i, nbytes, now) for i in ids]
             assert got.tolist() == want  # bitwise: the same additions in the same order
             assert ch.busy_until == ref.busy_until
             assert ch._busy_segments == ref.busy_segments
-            popped, _ = ch.pop_completed(now + pop_after)
+            popped = ch.pop_completed(now + pop_after)
             assert popped.tolist() == ref.pop_completed(now + pop_after)
             assert ch.pending_count == len(ref.queue)
 
     @given(
-        sizes=st.lists(st.integers(1, 100), min_size=1, max_size=40),
+        batches=st.lists(st.tuples(st.integers(1, 100), st.integers(0, 20)), min_size=1, max_size=2),
         pops=st.lists(st.floats(0.0, 50.0, allow_nan=False), max_size=6),
     )
-    def test_pop_completed_is_a_fifo_prefix(self, sizes, pops):
+    def test_pop_completed_is_a_fifo_prefix(self, batches, pops):
         ch = IoChannel(10.0)
         completes = []
-        for i, chunk in enumerate((sizes[: len(sizes) // 2], sizes[len(sizes) // 2 :])):
-            ids = [100 * i + k for k in range(len(chunk))]
-            completes += list(zip(ids, ch.submit_batch(ids, ids, np.array(chunk), 0.0).tolist()))
+        for i, (nbytes, n) in enumerate(batches):
+            ids = [100 * i + k for k in range(n)]
+            completes += list(zip(ids, ch.submit_batch(ids, nbytes, 0.0).tolist()))
         served = []
         for t in sorted(pops):
-            ids, classes = ch.pop_completed(t)
-            assert ids.tolist() == classes.tolist()
+            ids = ch.pop_completed(t)
             served += ids.tolist()
             assert served == [i for i, done in completes if done <= t]
             assert ch.pending_count == len(completes) - len(served)
@@ -506,8 +504,8 @@ class TestBatchChannel:
                 engine.drop_pending(now)
             else:
                 em.resize(arg, engine.archive, rng)
-            assert engine.conserved()
-            ids = [s.id for s in em.contents()]
+            assert conserved(engine)
+            ids = em.table.ids(em.rows())
             assert len(ids) == len(set(ids))
 
 
