@@ -42,23 +42,23 @@ def _numeric_kind(hint) -> type | None:
 
 
 def _read_number(kind: type, value, where: str):
-    """Numbers pass through unchanged; numeric strings become `kind`.
+    """A number or numeric string as a value of the field's `kind`.
 
     YAML 1.1 reads a float with an unsigned exponent (`100.0e6`) as a
     string, so such a value is read here instead of reaching the runtime.
+    A float field keeps a number as it is; an int field takes an integral
+    float (`2.0`, `1.0e+3`) as an int and refuses any other.
     """
-    if isinstance(value, (int, float)):
-        return value
+    number = value
     if isinstance(value, str):
         try:
             number = float(value)
         except ValueError:
             pass
-        else:
-            if kind is float:
-                return number
-            if number.is_integer():
-                return int(number)
+    if isinstance(number, int) or (kind is float and isinstance(number, float)):
+        return number
+    if isinstance(number, float) and number.is_integer():
+        return int(number)
     raise click.ClickException(f"{where}: expected {kind.__name__}, got {value!r}")
 
 
@@ -92,9 +92,11 @@ def _read_section(name: str, section, cls) -> dict:
 
 
 def _read_pair(entry, kind: type, where: str) -> tuple:
+    """Numeric strings are read as numbers; numbers pass unchanged to the
+    range checks of `RunConfig` and `check_load_step`."""
     if not isinstance(entry, list) or len(entry) != 2:
         raise click.ClickException(f"{where}: expected a pair, got {entry!r}")
-    return tuple(_read_number(kind, v, where) for v in entry)
+    return tuple(_read_number(kind, v, where) if isinstance(v, str) else v for v in entry)
 
 
 def _read_pairs(value, where: str, kind: type) -> list[tuple]:

@@ -1,14 +1,16 @@
-"""Shared domain types: samples, the sample table, tasks, memory
-configurations, I/O states, profiling records, and the energy ledger.
+"""Shared domain types: tasks, held-out probe samples, the sample table,
+memory configurations, I/O states, profiling records, and the energy ledger.
 
-Everything here except the table is an immutable value safe to share between
-modules; all mutation happens inside the owning module (buffers, engine,
-runtime). The table only ever gains rows.
+A task is arrays: an ``(n, dim)`` feature block, one integer label per row
+and the stream's one transfer size. Everything here except the table is an
+immutable value safe to share between modules; all mutation happens inside
+the owning module (buffers, engine, runtime). The table only ever gains rows.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -17,37 +19,75 @@ import numpy as np
 from numpy.typing import DTypeLike
 
 
+def check_ints(obj, names: Sequence[str]) -> None:
+    """Each named attribute of ``obj`` holds an integer (Python or numpy) or
+    None (an optional field left unset)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (value is None or isinstance(value, numbers.Integral)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class Sample:
-    """One labeled example; the unit moved between buffers and storage.
+    """One held-out probe: a class label and its feature vector.
 
-    ``features`` is an opaque fixed-length vector: the runtime only moves
-    payloads, it never inspects them. ``size_bytes`` is the logical transfer
-    size used by the I/O model and is uniform across a stream.
+    Probes are only ever evaluated on, never trained on, archived or
+    swapped; ``learner.probe_blocks`` groups them into per-class blocks.
     """
 
-    id: int
     class_label: int
     features: np.ndarray
-    size_bytes: int
 
     def __post_init__(self):
-        if self.size_bytes <= 0:
-            raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
         if np.ndim(self.features) != 1:
             raise ValueError("features must be a 1-D vector")
 
 
+@dataclass(frozen=True, eq=False)
+class Task:
+    """An ordered chunk of the input stream: row ``i`` is one training sample
+    with features ``features[i]`` and class ``labels[i]``.
+
+    ``size_bytes`` is the logical transfer size of one sample, used by the
+    I/O model and uniform across a stream. ``class_set`` holds the distinct
+    labels.
+    """
+
+    task_id: int
+    features: np.ndarray
+    labels: np.ndarray
+    size_bytes: int
+    class_set: frozenset[int] = field(init=False)
+
+    def __post_init__(self):
+        if self.task_id < 1:
+            raise ValueError(f"task_id is an ordinal starting at 1, got {self.task_id}")
+        where, labels = f"task {self.task_id}", self.labels
+        if np.ndim(self.features) != 2:
+            raise ValueError(f"{where}: features must be an (n, dim) array")
+        if not (isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "iu"):
+            raise ValueError(f"{where}: labels must be a 1-D integer array")
+        if len(labels) != len(self.features):
+            raise ValueError(f"{where}: {len(labels)} labels for {len(self.features)} feature rows")
+        if self.size_bytes < 1:
+            raise ValueError(f"{where}: size_bytes must be >= 1, got {self.size_bytes}")
+        object.__setattr__(self, "class_set", frozenset(np.unique(labels).tolist()))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
 class SampleTable:
     """Every training sample of a run, one row each: the layers above hold
-    row indices into it, never ``Sample`` objects.
+    row indices into it, and a row is a sample's only identity.
 
     :meth:`reserve` allocates the storage once, at the run's final size, and
-    :meth:`add` fills the next rows. ``features`` keeps the reserved dtype
-    (callers cast at use): a sample whose features that dtype cannot hold
-    exactly is rejected rather than rounded. ``size_bytes`` is the stream's
-    one transfer size (``validate_stream`` rejects a stream that mixes
-    sizes).
+    :meth:`add` copies each task's arrays into the next rows. ``features``
+    keeps the reserved dtype (callers cast at use): a task whose features
+    that dtype cannot hold exactly is rejected rather than rounded.
+    ``size_bytes`` is the stream's one transfer size (``validate_stream``
+    rejects a stream that mixes sizes).
     """
 
     def __init__(self) -> None:
@@ -66,47 +106,19 @@ class SampleTable:
         self.features = np.empty((n_rows, dim), dtype)
         self.labels = np.empty(n_rows, np.intp)
 
-    def add(self, samples: Sequence[Sample]) -> np.ndarray:
-        """Fill the next rows with samples, in order; returns their rows."""
-        start, end = self._filled, self._filled + len(samples)
+    def add(self, task: Task) -> np.ndarray:
+        """Fill the next rows with the task's rows, in order; returns them."""
+        start, end = self._filled, self._filled + len(task)
         if end > len(self.labels):
             raise ValueError(f"table reserved for {len(self.labels)} rows, not {end}")
-        if samples:
-            # one task at a time keeps np.stack's per-sample temporaries small
-            np.stack([s.features for s in samples], out=self.features[start:end], casting="safe")
-            self.labels[start:end] = [s.class_label for s in samples]
-            self.size_bytes = self.size_bytes or samples[0].size_bytes
+        dim = self.features.shape[1]
+        if task.features.shape[1] != dim:
+            raise ValueError(f"task {task.task_id} has dim {task.features.shape[1]}, table dim {dim}")
+        np.copyto(self.features[start:end], task.features, casting="safe")
+        self.labels[start:end] = task.labels
+        self.size_bytes = self.size_bytes or task.size_bytes
         self._filled = end
         return np.arange(start, end)
-
-
-@dataclass(frozen=True)
-class Task:
-    """An ordered chunk of the input stream sharing one set of classes."""
-
-    task_id: int
-    samples: tuple[Sample, ...]
-    class_set: frozenset[int]
-
-    def __post_init__(self):
-        if self.task_id < 1:
-            raise ValueError("task_id is an ordinal starting at 1")
-        for s in self.samples:
-            if s.class_label not in self.class_set:
-                raise ValueError(
-                    f"sample {s.id} has label {s.class_label} outside class_set"
-                )
-
-    @classmethod
-    def from_samples(cls, task_id: int, samples: Sequence[Sample]) -> "Task":
-        return cls(
-            task_id=task_id,
-            samples=tuple(samples),
-            class_set=frozenset(s.class_label for s in samples),
-        )
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 @dataclass(frozen=True, order=True)
@@ -215,43 +227,31 @@ def validate_stream(
     """Check a task stream for structural defects before running it.
 
     Flags empty tasks, class overlap between tasks (unless the stream is
-    declared domain-incremental), feature-dimension mismatches,
-    non-uniform sample byte sizes, and a sample id seen twice (the archive
-    holds each sample once).
+    declared domain-incremental), and a feature dimension or sample byte
+    size that differs from the first non-empty task's.
     """
     if not tasks:
         raise ValueError("stream must contain at least one task")
 
     report = ValidationReport()
-    dim: int | None = None
-    size_bytes: int | None = None
+    first: Task | None = None
     seen_classes: dict[int, int] = {}
-    seen_ids: set[int] = set()
 
     for task in tasks:
-        if len(task.samples) == 0:
+        if len(task) == 0:
             report.add("empty_task", task.task_id, "task has zero samples")
             continue
-        for s in task.samples:
-            if s.id in seen_ids:
-                report.add("duplicate_id", task.task_id, f"sample {s.id} appears twice")
-            seen_ids.add(s.id)
-            if dim is None:
-                dim = len(s.features)
-            elif len(s.features) != dim:
-                report.add(
-                    "dim_mismatch",
-                    task.task_id,
-                    f"sample {s.id} has dim {len(s.features)}, stream dim {dim}",
-                )
-            if size_bytes is None:
-                size_bytes = s.size_bytes
-            elif s.size_bytes != size_bytes:
-                report.add(
-                    "size_bytes_mismatch",
-                    task.task_id,
-                    f"sample {s.id} has {s.size_bytes} bytes, stream uses {size_bytes}",
-                )
+        if first is None:
+            first = task
+        dim, stream_dim = task.features.shape[1], first.features.shape[1]
+        if dim != stream_dim:
+            report.add("dim_mismatch", task.task_id, f"task has dim {dim}, stream dim {stream_dim}")
+        if task.size_bytes != first.size_bytes:
+            report.add(
+                "size_bytes_mismatch",
+                task.task_id,
+                f"task has {task.size_bytes}-byte samples, stream uses {first.size_bytes}",
+            )
         if not domain_incremental:
             for c in sorted(task.class_set):
                 if c in seen_classes:

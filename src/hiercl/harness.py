@@ -3,8 +3,10 @@ and trace/report emission.
 
 Streams are Gaussian class clusters, disjoint classes per task by default
 (class-incremental); a domain-incremental mode reuses the class set and
-drifts the cluster means instead. Generation is deterministic under the
-spec seed and independent of the run seed.
+drifts the cluster means instead. Each task is one feature block and one
+label array, its rows shuffled so any buffer prefix covers every class; the
+held-out probes are ``Sample`` objects. Generation is deterministic under
+the spec seed and independent of the run seed.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .domain import (
     ProfileRecord,
     Sample,
     Task,
+    check_ints,
     round_down_to_step,
     round_up_to_step,
 )
@@ -43,7 +46,9 @@ class StreamSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_tasks", "classes_per_task", "samples_per_class", "feature_dim"):
+        counts = ("n_tasks", "classes_per_task", "samples_per_class", "feature_dim")
+        check_ints(self, counts + ("size_bytes", "seed"))
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.size_bytes is not None and self.size_bytes < 1:
@@ -76,10 +81,13 @@ class Stream:
 def generate_stream(spec: StreamSpec) -> Stream:
     """Build a synthetic stream plus per-task held-out probe sets."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    next_id = 0
     tasks: list[Task] = []
     probe_sets: dict[int, list[Sample]] = {}
     test_per_class = max(1, round(spec.test_fraction * spec.samples_per_class))
+    per_class = spec.samples_per_class + test_per_class
+    # each class draws its training rows, then its probe rows
+    held_out = np.arange(spec.classes_per_task * per_class) % per_class >= spec.samples_per_class
+    train_rows = np.flatnonzero(~held_out)
 
     if spec.domain_incremental:
         base_means = rng.normal(0.0, 1.0, size=(spec.classes_per_task, spec.feature_dim))
@@ -87,39 +95,29 @@ def generate_stream(spec: StreamSpec) -> Stream:
 
     for t in range(1, spec.n_tasks + 1):
         if spec.domain_incremental:
-            class_ids = list(range(spec.classes_per_task))
+            first_class = 0
             base_means += spec.drift * rng.normal(
                 0.0, 1.0, size=(spec.classes_per_task, spec.feature_dim)
             )
             means = base_means.copy()
         else:
-            class_ids = [
-                (t - 1) * spec.classes_per_task + c for c in range(spec.classes_per_task)
-            ]
+            first_class = (t - 1) * spec.classes_per_task
             means = spec.separation * rng.normal(
                 0.0, 1.0, size=(spec.classes_per_task, spec.feature_dim)
             )
 
-        train: list[Sample] = []
-        probes: list[Sample] = []
-        for ci, class_id in enumerate(class_ids):
-            n = spec.samples_per_class + test_per_class
-            feats = means[ci] + rng.normal(0.0, 1.0, size=(n, spec.feature_dim))
-            feats = feats.astype(np.float32)
-            for row in feats[: spec.samples_per_class]:
-                train.append(
-                    Sample(next_id, class_id, row, spec.sample_bytes)
-                )
-                next_id += 1
-            for row in feats[spec.samples_per_class :]:
-                probes.append(
-                    Sample(next_id, class_id, row, spec.sample_bytes)
-                )
-                next_id += 1
+        features = np.concatenate(
+            [means[ci] + rng.normal(0.0, 1.0, size=(per_class, spec.feature_dim))
+             for ci in range(spec.classes_per_task)],
+            dtype=np.float32,
+        )
+        labels = np.repeat(np.arange(first_class, first_class + spec.classes_per_task), per_class)
         # interleave classes so any buffer prefix covers them all
-        order = rng.permutation(len(train))
-        tasks.append(Task.from_samples(t, [train[i] for i in order]))
-        probe_sets[t] = probes
+        rows = train_rows[rng.permutation(len(train_rows))]
+        tasks.append(Task(t, features[rows], labels[rows], spec.sample_bytes))
+        probe_sets[t] = [
+            Sample(c, f) for c, f in zip(labels[held_out].tolist(), features[held_out])
+        ]
 
     return Stream(spec=spec, tasks=tasks, probe_sets=probe_sets)
 
@@ -184,8 +182,6 @@ class StaticExploration:
 
     winner: Conf
     halfway_winner: Conf
-    final_records: list[ProfileRecord]
-    halfway_records: list[ProfileRecord]
 
 
 def explore_static_confs(
@@ -238,12 +234,7 @@ def explore_static_confs(
 
     winner = select_record(final_records, cutline, mode, baseline).conf
     halfway_winner = select_record(halfway_records, cutline, mode, baseline).conf
-    return StaticExploration(
-        winner=winner,
-        halfway_winner=halfway_winner,
-        final_records=final_records,
-        halfway_records=halfway_records,
-    )
+    return StaticExploration(winner=winner, halfway_winner=halfway_winner)
 
 
 def best_static_policy(exploration: StaticExploration) -> StaticConfPolicy:

@@ -10,11 +10,11 @@ requests never target slots that were just replaced. Since every in-memory
 sample is drawn once per epoch, that view is exactly the drawn set. The
 task's last epoch fires nothing: the task boundary would cancel the batch.
 
-A run packs the stream's training samples into one ``SampleTable``,
-allocated at its final size when the run starts and filled task by task on
-arrival; from then on SB, EM, the archive, the swap channel, the batches and
-the profiler all hold rows of it. Probe sets become per-class feature blocks
-once per task.
+A run copies each task's feature block and label array into one
+``SampleTable``, allocated at its final size when the run starts and filled
+task by task on arrival; from then on SB, EM, the archive, the swap channel,
+the batches and the profiler all hold rows of it. Probe sets become
+per-class feature blocks once per task.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .domain import (
     Sample,
     SampleTable,
     Task,
+    check_ints,
     validate_stream,
 )
 from .learner import (
@@ -96,7 +97,9 @@ class RunConfig:
     domain_incremental: bool = False
 
     def __post_init__(self):
-        for name in ("epochs_per_task", "batch_size", "hidden_width", "step"):
+        counts = ("epochs_per_task", "batch_size", "hidden_width", "step")
+        check_ints(self, counts + ("budget_samples", "seed"))
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.budget_samples < self.step:
@@ -357,8 +360,8 @@ class Runtime:
         if not stream_check.ok:
             raise ValueError(f"invalid stream: {stream_check.issues[:3]}")
         report = self.report
-        dim = len(tasks[0].samples[0].features)
-        dtype = np.result_type(*{s.features.dtype for task in tasks for s in task.samples})
+        dim = tasks[0].features.shape[1]
+        dtype = np.result_type(*(task.features.dtype for task in tasks))
         self.table.reserve(sum(len(task) for task in tasks), dim, dtype)
         self.state = init_learner(dim, cfg.hidden_width, self._learner_seed)
 
@@ -368,7 +371,7 @@ class Runtime:
         classes_seen: set[int] = set()
 
         for task_index, task in enumerate(tasks, start=1):
-            rows = self.table.add(task.samples)
+            rows = self.table.add(task)
             blocks = task_probes[task.task_id] = probe_blocks(probe_sets.get(task.task_id, ()))
             for c, block in blocks.items():
                 probes[c] = np.concatenate([probes[c], block]) if c in probes else block

@@ -14,56 +14,34 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def make_sample(sid: int, label: int, dim: int = 4, size_bytes: int = 64) -> Sample:
-    rng = np.random.default_rng(sid)
-    return Sample(
-        id=sid,
-        class_label=label,
-        features=rng.normal(size=dim).astype(np.float32),
-        size_bytes=size_bytes,
-    )
+def labeled(labels, dim: int = 4, seed: int = 0, size_bytes: int = 64, task_id: int = 1) -> Task:
+    """A task of one random float32 feature row per label, in label order."""
+    labels = np.asarray(labels, dtype=np.intp).reshape(-1)
+    features = np.random.default_rng(seed).normal(size=(len(labels), dim)).astype(np.float32)
+    return Task(task_id, features, labels, size_bytes)
 
 
-def make_task(task_id: int, classes, per_class: int, start_id: int = 0, dim: int = 4):
-    samples = []
-    sid = start_id
-    for _ in range(per_class):
-        for c in classes:
-            samples.append(make_sample(sid, c, dim))
-            sid += 1
-    return Task.from_samples(task_id, samples)
+def make_task(task_id: int, classes, per_class: int, dim: int = 4, seed: int = 0) -> Task:
+    """``per_class`` rounds over ``classes``, one row per class a round."""
+    return labeled(np.tile(list(classes), per_class), dim, seed, task_id=task_id)
 
 
-class TrackedTable(SampleTable):
-    """A sample table reserved up front that also keeps the sample added at
-    each row, so a test maps rows back to its own samples."""
-
-    def __init__(self, n_rows: int = 10_000, dim: int = 4, dtype=np.float32):
-        super().__init__()
-        self.reserve(n_rows, dim, dtype)
-        self.samples: list[Sample] = []
-
-    def add(self, samples):
-        rows = super().add(samples)
-        self.samples.extend(samples)
-        return rows
-
-    def ids(self, rows) -> list[int]:
-        return [self.samples[r].id for r in np.asarray(rows).tolist()]
+def reserved(n_rows: int = 10_000, dim: int = 4, dtype=np.float32) -> SampleTable:
+    """An empty table reserved for ``n_rows`` rows."""
+    table = SampleTable()
+    table.reserve(n_rows, dim, dtype)
+    return table
 
 
-def row_ids(tasks) -> list[int]:
-    """The sample id at each table row of a run over ``tasks``: a run adds
-    the tasks' samples in stream order."""
-    return [s.id for task in tasks for s in task.samples]
+def packed(task: Task) -> tuple[SampleTable, np.ndarray]:
+    """A new table holding just ``task``'s rows, and those rows."""
+    table = reserved(len(task), task.features.shape[1], task.features.dtype)
+    return table, table.add(task)
 
 
-def packed(batches) -> tuple[list[np.ndarray], SampleTable]:
-    """Batches of samples as row batches of one new table."""
-    samples = [s for batch in batches for s in batch]
-    dtype = np.result_type(*{s.features.dtype for s in samples})
-    table = TrackedTable(len(samples), len(samples[0].features), dtype)
-    return [table.add(batch) for batch in batches], table
+def as_probes(task: Task) -> list[Sample]:
+    """``task``'s rows as probe samples."""
+    return [Sample(c, f) for c, f in zip(task.labels.tolist(), task.features)]
 
 
 def spread_ok(em: EpisodicMemory, archive: StorageArchive) -> bool:
@@ -82,10 +60,12 @@ def conserved(engine: SwapEngine) -> bool:
     )
 
 
-def train_on(state: LearnerState, batches, learning_rate: float):
-    """``train_epoch`` over batches of samples, packed into a new table."""
-    rows, table = packed(batches)
-    return train_epoch(state, rows, learning_rate, table)
+def train_on(state: LearnerState, task: Task, learning_rate: float, batch_size: int = 4):
+    """``train_epoch`` over ``task``'s rows, packed into a new table, in
+    consecutive batches of ``batch_size``."""
+    table, rows = packed(task)
+    batches = [rows[i : i + batch_size] for i in range(0, len(rows), batch_size)]
+    return train_epoch(state, batches, learning_rate, table)
 
 
 def params_equal(a: LearnerState, b: LearnerState) -> bool:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hiercl.control import SwapController, plan_from_ratio
-from hiercl.domain import Conf, ProfileRecord, Task
+from hiercl.domain import Conf, ProfileRecord
 from hiercl.harness import (
     HeuristicPolicy,
     StaticConfPolicy,
@@ -36,7 +36,7 @@ from hiercl.runtime import RunConfig, run_stream
 from hiercl.selector import HIGHEST_UTILITY, LOWEST_ENERGY, select_record
 
 from test_selector import energy_accuracy_table, oracle_select, random_records
-from conftest import TrackedTable, exhaustive_units, make_sample, spread_ok
+from conftest import as_probes, exhaustive_units, labeled, make_task, reserved, spread_ok
 
 
 @contextlib.contextmanager
@@ -138,32 +138,25 @@ def test_criterion_5_class_balance_property():
     with criterion(5, "10,000 random flush/resize ops keep per-class spread <= 1"):
         start = time.perf_counter()
         rng = np.random.default_rng(5150)
-        table = TrackedTable(20_000)
+        table = reserved(20_000)
         archive = StorageArchive(table)
         em = EpisodicMemory(120, table)
         sb = StreamBuffer(100_000)
-        sid = 0
         task_id = 0
         ops = 0
         while ops < 10_000:
             if not archive.classes() or rng.random() < 0.04:
                 task_id += 1
-                classes = range((task_id - 1) * 2, task_id * 2)
                 per_class = int(rng.integers(3, 30))
-                samples = []
-                for c in classes:
-                    for _ in range(per_class):
-                        samples.append(make_sample(sid, c))
-                        sid += 1
-                task = Task.from_samples(task_id, samples)
-                sb.fill(table.add(task.samples))
+                labels = np.repeat(range((task_id - 1) * 2, task_id * 2), per_class)
+                sb.fill(table.add(labeled(labels, task_id=task_id)))
                 flush(sb, em, archive, rng)
             else:
                 em.resize(int(rng.integers(0, 30)) * 10, archive, rng)
             ops += 1
             assert spread_ok(em, archive), f"spread violated at op {ops}"
-            ids = table.ids(em.rows())
-            assert len(ids) == len(set(ids))
+            rows = em.rows().tolist()
+            assert len(rows) == len(set(rows))
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
@@ -244,19 +237,10 @@ def test_criterion_9_profiler_cost_ratio():
     with criterion(9, "profiling cost reduction matches (|space|/14)(E/5)(1/0.05) within 20%"):
         # task-2 style scenario: 10 old classes archived, 10 new arriving
         rng = np.random.default_rng(7)
-        task_samples = []
-        sid = 0
-        for _ in range(200):
-            for c in range(10, 20):
-                task_samples.append(make_sample(sid, c, dim=16))
-                sid += 1
-        table = TrackedTable(4000, dim=16)
-        task_rows = table.add(task_samples)
-        em_pool = {
-            c: table.add([make_sample(100_000 + c * 1000 + i, c, dim=16) for i in range(200)])
-            for c in range(10)
-        }
-        probe = [make_sample(500_000 + i, i % 20, dim=16) for i in range(400)]
+        table = reserved(4000, dim=16)
+        task_rows = table.add(make_task(2, range(10, 20), per_class=200, dim=16))
+        em_pool = {c: table.add(labeled([c] * 200, dim=16, seed=c + 1)) for c in range(10)}
+        probe = as_probes(labeled(np.arange(400) % 20, dim=16, seed=99))
         state = init_learner(16, hidden_width=16, seed=0)
         from hiercl.learner import train_epoch
 
@@ -283,9 +267,9 @@ def test_criterion_9_profiler_cost_ratio():
             ledger=EnergyLedger(),
             table=table,
         )
-        space = build_search_space(5000, len(task_samples), 500)
+        space = build_search_space(5000, len(task_rows), 500)
         em_available = sum(len(v) for v in em_pool.values())
-        exhaustive = exhaustive_units(space, full_epochs, len(task_samples), em_available)
+        exhaustive = exhaustive_units(space, full_epochs, len(task_rows), em_available)
         measured = exhaustive / outcome.evaluation_units
         analytic = (len(space) / cfg.conf_sample_size) * (full_epochs / cfg.profile_epochs) * (1 / cfg.subsample)
         assert measured == pytest.approx(analytic, rel=0.2), (

@@ -483,3 +483,44 @@ def test_nonpositive_sample_size_exits_with_one_line(tmp_path, size_bytes):
     _, result = invoke_run(tmp_path, cfg, "--strategy", "static")
     assert_config_error(result, "config stream: size_bytes must be None or >= 1")
     assert len(result.output.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("validate", "stream", "samples_per_class", 20.5),
+        ("run", "stream", "samples_per_class", 20.5),
+        ("run", "stream", "size_bytes", 64.5),
+        ("run", "run", "epochs_per_task", 2.5),
+        ("run", "run", "budget_samples", "550.5"),
+        ("run", "run.profiler", "warmup_epochs", 1.5),
+        ("run", "run.controller", "idle_empty_epochs", 0.5),
+    ],
+)
+def test_int_field_refuses_a_fraction(tmp_path, command, section, key, value):
+    # the first two used to end in numpy's or range's TypeError traceback
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    name, _, nested = section.partition(".")
+    (cfg[name].setdefault(nested, {}) if nested else cfg[name])[key] = value
+    path = tmp_path / "exp_edit.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    outdir = [] if command == "validate" else ["--outdir", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, [command, "--config", str(path), *outdir])
+    assert_config_error(result, f"config {section}.{key}: expected int, got {value!r}")
+    assert len(result.output.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_int_field_reads_an_integral_float_as_int(tmp_path):
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["stream"]["samples_per_class"] = 30.0
+    cfg["run"].update(epochs_per_task=3.0, profiler={"warmup_epochs": 2.0})
+    path = tmp_path / "exp_edit.yaml"
+    path.write_text(yaml.safe_dump(cfg).replace("budget_samples: 500", "budget_samples: 5.0e+2"))
+    loaded = _load_config(str(path))
+    read = (loaded["stream"]["samples_per_class"], loaded["run"]["epochs_per_task"],
+            loaded["run"]["budget_samples"], loaded["run"]["profiler"].warmup_epochs)
+    assert read == (30, 3, 500, 2) and all(type(v) is int for v in read)
+    for command in (["validate"], ["run", "--strategy", "static", "--outdir", str(tmp_path / "out")]):
+        result = CliRunner().invoke(main, [*command, "--config", str(path)])
+        assert result.exit_code == 0, result.output

@@ -9,28 +9,55 @@ from hiercl.domain import (
     Task,
     validate_stream,
 )
-from conftest import make_sample, make_task
-
-
-def test_sample_rejects_nonpositive_size():
-    with pytest.raises(ValueError):
-        Sample(id=1, class_label=0, features=np.zeros(4, np.float32), size_bytes=0)
+from conftest import labeled, make_task
 
 
 def test_sample_rejects_matrix_features():
     with pytest.raises(ValueError):
-        Sample(id=1, class_label=0, features=np.zeros((2, 2), np.float32), size_bytes=8)
+        Sample(class_label=0, features=np.zeros((2, 2), np.float32))
 
 
-def test_task_label_must_be_in_class_set():
-    s = make_sample(0, 3)
-    with pytest.raises(ValueError):
-        Task(task_id=1, samples=(s,), class_set=frozenset({1, 2}))
+def features(n, dim=4):
+    return np.zeros((n, dim), np.float32)
+
+
+def assert_one_line(excinfo, text):
+    message = str(excinfo.value)
+    assert text in message and "\n" not in message
 
 
 def test_task_ordinal_starts_at_one():
-    with pytest.raises(ValueError):
-        Task(task_id=0, samples=(), class_set=frozenset())
+    with pytest.raises(ValueError) as excinfo:
+        Task(0, features(0), np.empty(0, np.intp), 64)
+    assert_one_line(excinfo, "task_id is an ordinal starting at 1, got 0")
+
+
+@pytest.mark.parametrize(
+    "feats, labels, size_bytes, text",
+    [
+        (np.zeros(4, np.float32), np.zeros(4, np.intp), 64, "features must be an (n, dim) array"),
+        (np.zeros((2, 2, 2)), np.zeros(2, np.intp), 64, "features must be an (n, dim) array"),
+        (features(3), np.zeros(3), 64, "labels must be a 1-D integer array"),
+        (features(3), np.zeros((3, 1), np.intp), 64, "labels must be a 1-D integer array"),
+        (features(3), [0, 1, 2], 64, "labels must be a 1-D integer array"),
+        (features(3), np.zeros(2, np.intp), 64, "2 labels for 3 feature rows"),
+        (features(3), np.zeros(3, np.intp), 0, "size_bytes must be >= 1, got 0"),
+        (features(3), np.zeros(3, np.intp), -64, "size_bytes must be >= 1, got -64"),
+    ],
+    ids=["1d-features", "3d-features", "float-labels", "2d-labels", "list-labels",
+         "length-mismatch", "zero-size", "negative-size"],
+)
+def test_task_rejects_malformed_arrays(feats, labels, size_bytes, text):
+    with pytest.raises(ValueError) as excinfo:
+        Task(3, feats, labels, size_bytes)
+    assert_one_line(excinfo, f"task 3: {text}")
+
+
+def test_task_class_set_is_its_distinct_labels():
+    task = Task(1, features(5), np.array([7, 2, 7, 9, 2], np.int32), 64)
+    assert task.class_set == {2, 7, 9} and len(task) == 5
+    assert all(type(c) is int for c in task.class_set)
+    assert not hasattr(task, "samples")
 
 
 def on_grid(conf: Conf, step: int) -> bool:
@@ -75,61 +102,70 @@ class TestEnergyLedger:
 class TestValidateStream:
     def test_disjoint_stream_is_valid(self):
         tasks = [
-            make_task(t, range((t - 1) * 3, t * 3), per_class=4, start_id=t * 100)
+            make_task(t, range((t - 1) * 3, t * 3), per_class=4, seed=t)
             for t in range(1, 11)
         ]
         assert validate_stream(tasks).ok
 
     def test_shared_class_reported(self):
-        t1 = make_task(1, [1, 2, 3], per_class=2, start_id=0)
-        t2 = make_task(2, [3, 4, 5], per_class=2, start_id=50)
+        t1 = make_task(1, [1, 2, 3], per_class=2)
+        t2 = make_task(2, [3, 4, 5], per_class=2)
         report = validate_stream([t1, t2])
         assert not report.ok
         assert any(i.kind == "class_overlap" and "class 3" in i.detail for i in report.issues)
 
     def test_shared_class_ok_when_domain_incremental(self):
-        t1 = make_task(1, [1, 2], per_class=2, start_id=0)
-        t2 = make_task(2, [1, 2], per_class=2, start_id=50)
+        t1 = make_task(1, [1, 2], per_class=2)
+        t2 = make_task(2, [1, 2], per_class=2)
         assert validate_stream([t1, t2], domain_incremental=True).ok
 
     def test_empty_task_rejected(self):
-        t1 = make_task(1, [1], per_class=2, start_id=0)
-        empty = Task(task_id=2, samples=(), class_set=frozenset())
+        t1 = make_task(1, [1], per_class=2)
+        empty = Task(2, features(0), np.empty(0, np.intp), 64)
         report = validate_stream([t1, empty])
-        assert not report.ok
-        assert any(i.kind == "empty_task" for i in report.issues)
+        assert [(i.kind, i.task_id) for i in report.issues] == [("empty_task", 2)]
 
     def test_empty_sequence_raises(self):
         with pytest.raises(ValueError):
             validate_stream([])
 
     def test_dim_and_size_mismatches(self):
-        a = make_sample(0, 1, dim=4)
-        b = make_sample(1, 2, dim=6)
-        c = Sample(id=2, class_label=3, features=np.zeros(4, np.float32), size_bytes=999)
         tasks = [
-            Task.from_samples(1, [a]),
-            Task.from_samples(2, [b]),
-            Task.from_samples(3, [c]),
+            labeled([1], dim=4, task_id=1),
+            labeled([2], dim=6, task_id=2),
+            labeled([3], dim=4, size_bytes=999, task_id=3),
         ]
         report = validate_stream(tasks)
-        kinds = {i.kind for i in report.issues}
-        assert "dim_mismatch" in kinds
-        assert "size_bytes_mismatch" in kinds
+        assert [(i.kind, i.task_id, i.detail) for i in report.issues] == [
+            ("dim_mismatch", 2, "task has dim 6, stream dim 4"),
+            ("size_bytes_mismatch", 3, "task has 999-byte samples, stream uses 64"),
+        ]
+
+    def test_stream_shape_comes_from_the_first_non_empty_task(self):
+        tasks = [
+            Task(1, features(0, dim=9), np.empty(0, np.intp), 7),
+            labeled([1, 2], dim=4, task_id=2),
+            labeled([3], dim=4, size_bytes=128, task_id=3),
+            labeled([4], dim=5, task_id=4),
+        ]
+        report = validate_stream(tasks)
+        assert [(i.kind, i.task_id) for i in report.issues] == [
+            ("empty_task", 1), ("size_bytes_mismatch", 3), ("dim_mismatch", 4),
+        ]
 
 
 class TestSampleTable:
     def test_rows_follow_arrival(self):
         table = SampleTable()
         table.reserve(7, 4, np.float32)
-        first = [make_sample(10 + i, i % 2) for i in range(3)]
-        second = [make_sample(20 + i, 5) for i in range(4)]
+        first = labeled([0, 1, 0], seed=1)
+        second = labeled([5, 5, 5, 5], seed=2)
         assert table.add(first).tolist() == [0, 1, 2]
         assert table.add(second).tolist() == [3, 4, 5, 6]
         assert len(table) == 7
         assert table.labels.tolist() == [0, 1, 0, 5, 5, 5, 5]
-        for row, s in enumerate(first + second):
-            assert table.features[row].tobytes() == s.features.tobytes()
+        expected = np.concatenate([first.features, second.features])
+        assert table.features.tobytes() == expected.tobytes()
         assert table.features.dtype == np.float32
         assert table.size_bytes == 64
 
@@ -137,27 +173,28 @@ class TestSampleTable:
         table = SampleTable()
         table.reserve(10, 4, np.float32)
         storage = table.features
-        table.add([make_sample(i, 0) for i in range(10)])
+        table.add(labeled([0] * 10))
         assert table.features is storage and len(table) == 10
 
     def test_reserved_once_and_never_grown_or_rounded(self):
         table = SampleTable()
         table.reserve(2, 4, np.float64)
-        wide = Sample(1, 0, np.linspace(0.0, 1.0, 4), 64)  # float64
-        table.add([make_sample(0, 0), wide])
-        assert table.features[1].tolist() == wide.features.tolist()
+        wide = Task(1, np.linspace(0.0, 1.0, 4).reshape(1, 4), np.zeros(1, np.intp), 64)
+        table.add(labeled([0]))
+        table.add(wide)
+        assert table.features[1].tolist() == wide.features[0].tolist()
         with pytest.raises(ValueError):
-            table.add([make_sample(2, 0)])
+            table.add(labeled([0]))
         with pytest.raises(RuntimeError):
             table.reserve(4, 4, np.float64)
         narrow = SampleTable()
         narrow.reserve(2, 4, np.float32)
         with pytest.raises(TypeError):
-            narrow.add([wide])
+            narrow.add(wide)
 
-
-def test_validate_flags_a_sample_seen_twice():
-    t1 = make_task(1, [0, 1], per_class=3)
-    repeat = Task.from_samples(2, [make_sample(100, 2), t1.samples[0]])
-    report = validate_stream([t1, repeat], domain_incremental=True)
-    assert [(i.kind, i.task_id) for i in report.issues] == [("duplicate_id", 2)]
+    def test_rejects_a_task_of_another_dim(self):
+        table = SampleTable()
+        table.reserve(4, 4, np.float32)
+        with pytest.raises(ValueError, match="task 1 has dim 1, table dim 4"):
+            table.add(labeled([0, 1], dim=1))
+        assert len(table) == 0

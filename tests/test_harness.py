@@ -19,10 +19,10 @@ from hiercl.harness import (
     sweep,
     write_sweep,
 )
-from hiercl.learner import evaluate, init_learner, probe_blocks
+from hiercl.learner import evaluate, init_learner, probe_blocks, train_epoch
 from hiercl.profiler import ProfilerConfig
 from hiercl.runtime import RunConfig, run_stream
-from conftest import train_on
+from conftest import packed
 
 
 def small_config(**over):
@@ -40,6 +40,18 @@ def small_config(**over):
     return RunConfig(**base)
 
 
+@pytest.mark.parametrize(
+    "name", ["n_tasks", "classes_per_task", "samples_per_class", "feature_dim", "size_bytes", "seed"]
+)
+def test_stream_spec_int_fields_refuse_floats(name):
+    value = getattr(StreamSpec(), name) or 64
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value + 0.5!r}"):
+        StreamSpec(**{name: value + 0.5})
+    # numpy integers are integers, and generate a stream
+    spec = StreamSpec(**{"n_tasks": 1, "samples_per_class": 5, name: np.int32(value)})
+    assert validate_stream(generate_stream(spec).tasks).ok
+
+
 class TestGenerateStream:
     def test_sample_counts(self):
         stream = generate_stream(
@@ -51,9 +63,11 @@ class TestGenerateStream:
 
     def test_probe_sets_are_held_out(self):
         stream = generate_stream(StreamSpec(n_tasks=2, samples_per_class=50, seed=0))
-        train_ids = {s.id for t in stream.tasks for s in t.samples}
-        probe_ids = {s.id for ps in stream.probe_sets.values() for s in ps}
-        assert train_ids.isdisjoint(probe_ids)
+        for task in stream.tasks:
+            train_rows = {row.tobytes() for row in task.features}
+            probes = stream.probe_sets[task.task_id]
+            assert not any(p.features.tobytes() in train_rows for p in probes)
+            assert {p.class_label for p in probes} == task.class_set
         # default held-out share is 10% of each class
         assert all(len(ps) == 50 for ps in stream.probe_sets.values())
 
@@ -61,8 +75,11 @@ class TestGenerateStream:
         a = generate_stream(StreamSpec(n_tasks=2, seed=9))
         b = generate_stream(StreamSpec(n_tasks=2, seed=9))
         for ta, tb in zip(a.tasks, b.tasks):
-            assert [s.id for s in ta.samples] == [s.id for s in tb.samples]
-            np.testing.assert_array_equal(ta.samples[0].features, tb.samples[0].features)
+            np.testing.assert_array_equal(ta.features, tb.features)
+            np.testing.assert_array_equal(ta.labels, tb.labels)
+            pa, pb = a.probe_sets[ta.task_id], b.probe_sets[tb.task_id]
+            assert [p.class_label for p in pa] == [p.class_label for p in pb]
+            np.testing.assert_array_equal([p.features for p in pa], [p.features for p in pb])
 
     def test_wide_separation_is_trivially_learnable(self):
         stream = generate_stream(
@@ -72,13 +89,11 @@ class TestGenerateStream:
         task = stream.tasks[0]
         state = init_learner(8, hidden_width=8, seed=0)
         rng = np.random.default_rng(0)
-        data = list(task.samples)
+        table, rows = packed(task)
         for _ in range(15):
-            order = rng.permutation(len(data))
-            batches = [
-                [data[i] for i in order[k : k + 16]] for k in range(0, len(data), 16)
-            ]
-            train_on(state, batches, 0.2)
+            order = rows[rng.permutation(len(rows))]
+            batches = [order[k : k + 16] for k in range(0, len(order), 16)]
+            train_epoch(state, batches, 0.2, table)
         assert evaluate(state, probe_blocks(stream.probe_sets[1])).average > 0.95
 
     def test_zero_separation_is_chance(self):
@@ -89,13 +104,11 @@ class TestGenerateStream:
         task = stream.tasks[0]
         state = init_learner(8, hidden_width=8, seed=0)
         rng = np.random.default_rng(0)
-        data = list(task.samples)
+        table, rows = packed(task)
         for _ in range(10):
-            order = rng.permutation(len(data))
-            batches = [
-                [data[i] for i in order[k : k + 16]] for k in range(0, len(data), 16)
-            ]
-            train_on(state, batches, 0.1)
+            order = rows[rng.permutation(len(rows))]
+            batches = [order[k : k + 16] for k in range(0, len(order), 16)]
+            train_epoch(state, batches, 0.1, table)
         acc = evaluate(state, probe_blocks(stream.probe_sets[1])).average
         assert abs(acc - 0.25) < 0.15
 

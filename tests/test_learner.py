@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hiercl.domain import EnergyLedger
+from hiercl.domain import EnergyLedger, Sample, Task
 from hiercl.learner import (
     GATHER_BATCHES,
     CostModel,
@@ -17,58 +17,49 @@ from hiercl.learner import (
     probe_blocks,
     train_epoch,
 )
-from conftest import make_sample, packed, params_equal, train_on
+from conftest import as_probes, labeled, packed, params_equal, train_on
 
 
-def toy_batches(n_per_class=8, dim=4, seed=0):
-    """Two linearly separable clusters."""
+def toy_task(n_per_class=8, dim=4, seed=0) -> Task:
+    """Two linearly separable clusters, rows shuffled."""
     rng = np.random.default_rng(seed)
-    samples = []
-    sid = 0
-    for label, center in ((0, 3.0), (1, -3.0)):
-        for _ in range(n_per_class):
-            feats = (center + rng.normal(0, 0.5, dim)).astype(np.float32)
-            samples.append(
-                type(make_sample(0, 0))(sid, label, feats, 16)
-            )
-            sid += 1
-    rng.shuffle(samples)
-    return [samples[i : i + 4] for i in range(0, len(samples), 4)]
+    labels = np.repeat([0, 1], n_per_class)
+    centers = np.where(labels == 0, 3.0, -3.0)[:, None]
+    feats = (centers + rng.normal(0, 0.5, (len(labels), dim))).astype(np.float32)
+    order = rng.permutation(len(labels))
+    return Task(1, feats[order], labels[order], 16)
 
 
 class TestTrainEpoch:
     def test_loss_decreases_on_separable_data(self):
         state = init_learner(4, hidden_width=8, seed=0)
-        batches = toy_batches()
-        _, loss1 = train_on(state, batches, 0.5)
-        _, loss2 = train_on(state, batches, 0.5)
+        task = toy_task()
+        _, loss1 = train_on(state, task, 0.5)
+        _, loss2 = train_on(state, task, 0.5)
         assert loss2 < loss1
 
     def test_zero_learning_rate_is_identity(self):
         state = init_learner(4, hidden_width=8, seed=0)
-        batches = toy_batches()
         ensure_classes(state, [0, 1])
         before = copy_state(state)
-        train_on(state, batches, 0.0)
+        train_on(state, toy_task(), 0.0)
         assert params_equal(state, before)
 
     def test_divergence_raises(self):
         # identical points with conflicting labels: once a huge step saturates
         # the head, one of them is infinitely wrong and the loss blows up
         state = init_learner(4, hidden_width=8, seed=0)
-        point = np.ones(4, np.float32)
-        mk = lambda sid, label: type(make_sample(0, 0))(sid, label, point, 16)
-        batches = [[mk(0, 0), mk(1, 1)], [mk(2, 0), mk(3, 1)]]
+        points = Task(1, np.ones((4, 4), np.float32), np.array([0, 1, 0, 1]), 16)
         with pytest.raises(LearnerDiverged):
             for _ in range(5):
-                train_on(state, batches, 1e30)
+                train_on(state, points, 1e30, batch_size=2)
 
     def test_deterministic_under_seed(self):
         runs = []
         for _ in range(2):
             state = init_learner(4, hidden_width=8, seed=123)
             for _ in range(3):
-                _, loss = train_on(state, toy_batches(), 0.3)
+                _, loss = train_on(state, toy_task(), 0.3)
             runs.append((loss, state.w1.tobytes()))
         assert runs[0] == runs[1]
 
@@ -105,12 +96,12 @@ class TestEvaluate:
     def _trained(self):
         state = init_learner(4, hidden_width=8, seed=0)
         for _ in range(60):
-            train_on(state, toy_batches(), 0.5)
+            train_on(state, toy_task(), 0.5)
         return state
 
     def test_perfect_classifier_scores_one(self):
         state = self._trained()
-        result = evaluate(state, probe_blocks([s for b in toy_batches(seed=5) for s in b]))
+        result = evaluate(state, probe_blocks(as_probes(toy_task(seed=5))))
         assert result.average == 1.0
 
     def test_uniform_random_is_chance(self):
@@ -119,10 +110,8 @@ class TestEvaluate:
         C, dim = 8, 16
         state = init_learner(dim, hidden_width=4, seed=3)
         ensure_classes(state, range(C))
-        samples = [
-            make_sample(i, int(rng.integers(C)), dim=dim) for i in range(4000)
-        ]
-        result = evaluate(state, probe_blocks(samples))
+        probes = as_probes(labeled(rng.integers(C, size=4000), dim=dim))
+        result = evaluate(state, probe_blocks(probes))
         assert abs(result.average - 1.0 / C) < 0.05
 
     def test_macro_average_of_known_per_class(self):
@@ -135,14 +124,12 @@ class TestEvaluate:
             class_order=[0, 1],
             rng=np.random.default_rng(0),
         )
-        mk = lambda sid, label, a, b: type(make_sample(0, 0))(
-            sid, label, np.array([a, b], np.float32), 8
-        )
+        mk = lambda label, a, b: Sample(label, np.array([a, b], np.float32))
         tests = [
-            mk(0, 0, +1, -1),
-            mk(1, 0, +2, -2),
-            mk(2, 1, -1, +1),
-            mk(3, 1, +1, +0.99),  # first hidden unit edges it out: predicted 0
+            mk(0, +1, -1),
+            mk(0, +2, -2),
+            mk(1, -1, +1),
+            mk(1, +1, +0.99),  # first hidden unit edges it out: predicted 0
         ]
         result = evaluate(state, probe_blocks(tests))
         assert result.per_class[0] == 1.0
@@ -151,14 +138,14 @@ class TestEvaluate:
 
     def test_missing_class_excluded_with_warning(self):
         state = self._trained()
-        only_zero = [s for b in toy_batches(seed=5) for s in b if s.class_label == 0]
+        only_zero = [p for p in as_probes(toy_task(seed=5)) if p.class_label == 0]
         with pytest.warns(UserWarning):
             result = evaluate(state, probe_blocks(only_zero))
         assert set(result.per_class) == {0}
 
     def test_class_restriction_skips_warning(self):
         state = self._trained()
-        only_zero = [s for b in toy_batches(seed=5) for s in b if s.class_label == 0]
+        only_zero = [p for p in as_probes(toy_task(seed=5)) if p.class_label == 0]
         result = evaluate(state, probe_blocks(only_zero), classes={0})
         assert set(result.per_class) == {0}
 
@@ -168,25 +155,25 @@ class TestCheckpoint:
 
     def test_round_trip_is_byte_identical(self):
         state = init_learner(4, hidden_width=8, seed=0)
-        train_on(state, toy_batches(), 0.3)
+        train_on(state, toy_task(), 0.3)
         back = copy_state(state)
         assert params_equal(state, back)
         assert back.rng.bit_generator.state == state.rng.bit_generator.state
 
     def test_training_after_restore_is_deterministic(self):
         state = init_learner(4, hidden_width=8, seed=0)
-        train_on(state, toy_batches(), 0.3)
+        train_on(state, toy_task(), 0.3)
         a = copy_state(state)
         b = copy_state(state)
-        _, la = train_on(a, toy_batches(seed=9), 0.3)
-        _, lb = train_on(b, toy_batches(seed=9), 0.3)
+        _, la = train_on(a, toy_task(seed=9), 0.3)
+        _, lb = train_on(b, toy_task(seed=9), 0.3)
         assert la == lb and params_equal(a, b)
 
     def test_checkpoints_at_different_epochs_differ(self):
         state = init_learner(4, hidden_width=8, seed=0)
-        train_on(state, toy_batches(), 0.3)
+        train_on(state, toy_task(), 0.3)
         cp1 = copy_state(state)
-        train_on(state, toy_batches(), 0.3)
+        train_on(state, toy_task(), 0.3)
         cp2 = copy_state(state)
         assert cp2.w2.tobytes() != cp1.w2.tobytes()
 
@@ -194,11 +181,11 @@ class TestCheckpoint:
         # a batch with a class the head lacks also grows the copy's head and
         # draws from the copy's generator
         state = init_learner(4, hidden_width=8, seed=0)
-        train_on(state, toy_batches(), 0.3)
+        train_on(state, toy_task(), 0.3)
         original = copy_state(state)
         rng_state = state.rng.bit_generator.state
         trained = copy_state(state)
-        train_on(trained, [[make_sample(100, 7), make_sample(101, 0)]], 0.3)
+        train_on(trained, labeled([7, 0]), 0.3)
         assert trained.class_order == [0, 1, 7]
         assert params_equal(state, original)
         assert state.rng.bit_generator.state == rng_state
@@ -230,7 +217,7 @@ class TestParameterLayout:
 
     def test_copy_shares_no_memory(self):
         state = init_learner(4, hidden_width=8, seed=0)
-        train_on(state, toy_batches(), 0.3)
+        train_on(state, toy_task(), 0.3)
         twin = copy_state(state)
         self.assert_views_of_params(twin)
         for name in ("params",) + self.NAMES:
@@ -246,7 +233,7 @@ class TestParameterLayout:
         assert not np.shares_memory(state.params, old_params)
         self.assert_views_of_params(state)
         before = {name: getattr(state, name).copy() for name in self.NAMES}
-        train_on(state, [[make_sample(0, 0), make_sample(1, 3)]], 0.5)
+        train_on(state, labeled([0, 3]), 0.5)
         assert state.class_order == [0, 1, 2, 3]
         for name in self.NAMES:
             assert getattr(state, name).tobytes() != before[name].tobytes(), name
@@ -257,14 +244,13 @@ def test_gather_groups_do_not_change_the_steps():
     """An epoch of more batches than one feature gather holds trains the
     same weights as the same batches in single-batch calls."""
     rng = np.random.default_rng(3)
-    samples = [make_sample(i, int(rng.integers(3))) for i in range(3 * GATHER_BATCHES + 5)]
-    batches = [samples[i : i + 1] for i in range(len(samples))]
+    table, rows = packed(labeled(rng.integers(3, size=3 * GATHER_BATCHES + 5)))
+    batches = [rows[i : i + 1] for i in range(len(rows))]
     one_call = init_learner(4, hidden_width=8, seed=0)
     ensure_classes(one_call, [0, 1, 2])
     per_batch = copy_state(one_call)
-    rows, table = packed(batches)
-    train_epoch(one_call, rows, 0.3, table)
-    for batch in rows:
+    train_epoch(one_call, batches, 0.3, table)
+    for batch in batches:
         train_epoch(per_batch, [batch], 0.3, table)
     assert params_equal(one_call, per_batch)
 

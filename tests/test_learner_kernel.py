@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercl.domain import Sample
+from hiercl.domain import Task
 from hiercl.learner import (
     LearnerDiverged,
     copy_state,
@@ -24,7 +24,7 @@ from hiercl.learner import (
     probe_blocks,
     train_epoch,
 )
-from conftest import TrackedTable
+from conftest import as_probes, packed
 
 
 def reference_forward(state, x):
@@ -97,13 +97,9 @@ def exact_state(state):
     )
 
 
-def make_table(labels, dim, dtype, seed):
+def make_task(labels, dim, dtype, seed):
     values = np.random.default_rng(seed).normal(size=(len(labels), dim)).astype(dtype)
-    table = TrackedTable(len(labels), dim, dtype)
-    rows = table.add(
-        [Sample(i, int(c), values[i], 16) for i, c in enumerate(labels)]
-    )
-    return table, rows
+    return Task(1, values, np.asarray(labels, np.intp), 16)
 
 
 @st.composite
@@ -135,7 +131,8 @@ def epochs(draw):
 def test_kernel_equals_textbook_step_bit_for_bit(plan, dim, hidden, dtype, learning_rate, seed):
     batch_size, plans = plan
     labels = [c for epoch in plans for c in epoch]
-    table, rows = make_table(labels, dim, dtype, seed)
+    task = make_task(labels, dim, dtype, seed)
+    table, rows = packed(task)
     kernel = init_learner(dim, hidden, seed)
     reference = copy_state(kernel)
     start = 0
@@ -147,7 +144,7 @@ def test_kernel_equals_textbook_step_bit_for_bit(plan, dim, hidden, dtype, learn
         _, expected = reference_train_epoch(reference, batches, learning_rate, table)
         assert loss == expected
         assert exact_state(kernel) == exact_state(reference)
-    blocks = probe_blocks(table.samples)
+    blocks = probe_blocks(as_probes(task))
     result = evaluate(kernel, blocks)
     per_class, average = reference_evaluate(reference, blocks)
     assert repr(result.per_class) == repr(per_class)
@@ -157,9 +154,7 @@ def test_kernel_equals_textbook_step_bit_for_bit(plan, dim, hidden, dtype, learn
 def test_mid_epoch_divergence_keeps_the_last_finite_weights():
     # identical points with conflicting labels: the first batch's huge step
     # saturates the head, so the second batch's loss is infinite
-    point = np.ones(4, np.float32)
-    table = TrackedTable(6)
-    rows = table.add([Sample(i, i % 2, point, 16) for i in range(6)])
+    table, rows = packed(Task(1, np.ones((6, 4), np.float32), np.arange(6) % 2, 16))
     batches = [rows[0:2], rows[2:4], rows[4:6]]
     kernel = init_learner(4, 8, 0)
     reference = copy_state(kernel)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiercl.domain import Task
 from hiercl.memory import (
     EpisodicMemory,
     StorageArchive,
@@ -13,24 +12,16 @@ from hiercl.memory import (
     compose_epoch_batches,
     flush,
 )
-from conftest import TrackedTable, make_sample, make_task, spread_ok
+from conftest import labeled, make_task, reserved, spread_ok
 
 
 def fresh(capacity_em=100):
-    table = TrackedTable()
+    table = reserved()
     return StreamBuffer(0), EpisodicMemory(capacity_em, table), StorageArchive(table)
-
-
-def ids(table, rows):
-    return table.ids(rows)
 
 
 def overflow(sb):
     return sb.rows[sb.capacity :]
-
-
-def as_samples(table, batches):
-    return [[table.samples[r] for r in batch] for batch in batches]
 
 
 class TestQuotas:
@@ -50,43 +41,37 @@ class TestQuotas:
 class TestStreamBuffer:
     def test_exact_fit(self):
         sb = StreamBuffer(5000)
-        task = make_task(1, range(10), per_class=500)
-        sb.fill(TrackedTable().add(task.samples))
+        sb.fill(reserved().add(make_task(1, range(10), per_class=500)))
         assert len(sb) == 5000 and len(overflow(sb)) == 0
 
     def test_overflow_routed_past_buffer(self):
         sb = StreamBuffer(1000)
-        task = make_task(1, range(10), per_class=500)
-        table = TrackedTable()
-        sb.fill(table.add(task.samples))
+        sb.fill(reserved().add(make_task(1, range(10), per_class=500)))
         assert len(sb) == 1000
         assert len(overflow(sb)) == 4000
-        assert [table.samples[r] for r in sb.rows] == list(task.samples)
+        assert sb.rows.tolist() == list(range(5000))
 
     def test_underfill(self):
         sb = StreamBuffer(1000)
-        task = make_task(1, [0], per_class=100)
-        sb.fill(TrackedTable().add(task.samples))
+        sb.fill(reserved().add(make_task(1, [0], per_class=100)))
         assert len(sb) == 100 and len(overflow(sb)) == 0
 
     def test_must_be_empty_at_task_start(self):
         sb = StreamBuffer(10)
-        table = TrackedTable()
-        sb.fill(table.add([make_sample(0, 0)]))
+        table = reserved()
+        sb.fill(table.add(labeled([0])))
         with pytest.raises(RuntimeError):
-            sb.fill(table.add([make_sample(1, 0)]))
+            sb.fill(table.add(labeled([0])))
 
     def test_resize_round_trip(self):
         sb = StreamBuffer(6)
-        samples = [make_sample(i, 0) for i in range(6)]
-        table = TrackedTable()
-        sb.fill(table.add(samples))
+        sb.fill(reserved().add(labeled([0] * 6)))
         sb.resize(2)
-        assert ids(table, sb.contents) == [0, 1]
-        assert ids(table, overflow(sb)) == [2, 3, 4, 5]
+        assert sb.contents.tolist() == [0, 1]
+        assert overflow(sb).tolist() == [2, 3, 4, 5]
         sb.resize(5)
-        assert ids(table, sb.contents) == [0, 1, 2, 3, 4]
-        assert ids(table, overflow(sb)) == [5]
+        assert sb.contents.tolist() == [0, 1, 2, 3, 4]
+        assert overflow(sb).tolist() == [5]
 
 
 class TestFlush:
@@ -94,13 +79,11 @@ class TestFlush:
         sb, em, archive = fresh(capacity_em=100)
         rng = np.random.default_rng(0)
         sb.resize(10_000)
-        t1 = make_task(1, range(10), per_class=20, start_id=0)
-        sb.fill(archive.table.add(t1.samples))
+        sb.fill(archive.table.add(make_task(1, range(10), per_class=20)))
         flush(sb, em, archive, rng)
         assert em.counts() == {c: 10 for c in range(10)}
 
-        t2 = make_task(2, range(10, 20), per_class=20, start_id=10_000)
-        sb.fill(archive.table.add(t2.samples))
+        sb.fill(archive.table.add(make_task(2, range(10, 20), per_class=20)))
         flush(sb, em, archive, rng)
         assert em.counts() == {c: 5 for c in range(20)}
 
@@ -109,8 +92,7 @@ class TestFlush:
         rng = np.random.default_rng(1)
         sb.resize(10_000)
         for t in range(1, 4):
-            task = make_task(t, range((t - 1) * 10, t * 10), per_class=20, start_id=t * 10_000)
-            sb.fill(archive.table.add(task.samples))
+            sb.fill(archive.table.add(make_task(t, range((t - 1) * 10, t * 10), per_class=20)))
             flush(sb, em, archive, rng)
         counts = em.counts()
         assert len(counts) == 30
@@ -122,8 +104,7 @@ class TestFlush:
         sb, em, archive = fresh(capacity_em=0)
         rng = np.random.default_rng(2)
         sb.resize(100)
-        task = make_task(1, range(5), per_class=10)
-        sb.fill(archive.table.add(task.samples))
+        sb.fill(archive.table.add(make_task(1, range(5), per_class=10)))
         flush(sb, em, archive, rng)
         assert em.total == 0
         assert sum(map(archive.class_count, archive.classes())) == 50
@@ -132,8 +113,7 @@ class TestFlush:
         sb, em, archive = fresh()
         rng = np.random.default_rng(3)
         sb.resize(10)
-        task = make_task(1, range(5), per_class=10)
-        sb.fill(archive.table.add(task.samples))
+        sb.fill(archive.table.add(make_task(1, range(5), per_class=10)))
         assert len(overflow(sb)) == 40
         flush(sb, em, archive, rng)
         assert sum(map(archive.class_count, archive.classes())) == 50
@@ -143,29 +123,23 @@ class TestFlush:
         sb, em, archive = fresh()
         rng = np.random.default_rng(4)
         sb.resize(1000)
-        t1 = make_task(1, range(3), per_class=5, start_id=0)
-        sb.fill(archive.table.add(t1.samples))
-        flush(sb, em, archive, rng)
         table = archive.table
-        ids_after_t1 = {i for c in archive.classes() for i in ids(table, archive.class_rows(c))}
-        t2 = make_task(2, range(3, 6), per_class=5, start_id=100)
-        sb.fill(table.add(t2.samples))
+        sb.fill(table.add(make_task(1, range(3), per_class=5)))
         flush(sb, em, archive, rng)
-        ids_after_t2 = {i for c in archive.classes() for i in ids(table, archive.class_rows(c))}
-        assert ids_after_t1 <= ids_after_t2
+        after_t1 = {r for c in archive.classes() for r in archive.class_rows(c).tolist()}
+        sb.fill(table.add(make_task(2, range(3, 6), per_class=5)))
+        flush(sb, em, archive, rng)
+        after_t2 = {r for c in archive.classes() for r in archive.class_rows(c).tolist()}
+        assert after_t1 <= after_t2
 
 
 class TestResize:
     def _em_with_archive(self, classes, per_class_archive, capacity, seed=0):
         rng = np.random.default_rng(seed)
-        table = TrackedTable()
+        table = reserved()
         archive = StorageArchive(table)
-        sid = 0
         for c in classes:
-            archive.append(
-                table.add([make_sample(sid + i, c) for i in range(per_class_archive[c])])
-            )
-            sid += per_class_archive[c]
+            archive.append(table.add(labeled([c] * per_class_archive[c])))
         em = EpisodicMemory(capacity, table)
         em.rebalance(archive, rng)
         return em, archive, rng
@@ -202,8 +176,8 @@ class TestResize:
         )
         for cap in (60, 240, 30, 300, 120):
             em.resize(cap, archive, rng)
-            ids = em.table.ids(em.rows())
-            assert len(ids) == len(set(ids))
+            rows = em.rows().tolist()
+            assert len(rows) == len(set(rows))
             assert spread_ok(em, archive)
 
 
@@ -228,14 +202,14 @@ class TestReplace:
 class TestComposeBatches:
     def _filled(self, n_sb, n_em, batch, seed=0):
         rng = np.random.default_rng(seed)
-        table = TrackedTable()
+        table = reserved()
         sb = StreamBuffer(n_sb)
         if n_sb:
-            sb.fill(table.add([make_sample(i, 0) for i in range(n_sb)]))
+            sb.fill(table.add(labeled([0] * n_sb)))
         archive = StorageArchive(table)
         em = EpisodicMemory(n_em, table)
         if n_em:
-            archive.append(table.add([make_sample(1000 + i, 1) for i in range(n_em)]))
+            archive.append(table.add(labeled([1] * n_em)))
             em.rebalance(archive, rng)
         return sb, em, rng
 
@@ -246,22 +220,22 @@ class TestComposeBatches:
 
     def test_ragged_tail_from_em_only(self):
         sb, em, rng = self._filled(0, 8, 3)
-        batches = as_samples(em.table, compose_epoch_batches(sb, em, 3, rng))
+        batches = compose_epoch_batches(sb, em, 3, rng)
         assert [len(b) for b in batches] == [3, 3, 2]
-        assert all(s.class_label == 1 for b in batches for s in b)
+        assert all((em.table.labels[b] == 1).all() for b in batches)
 
     def test_fixed_seed_reproduces_batches(self):
         sb1, em1, _ = self._filled(10, 10, 4)
         sb2, em2, _ = self._filled(10, 10, 4)
-        b1 = as_samples(em1.table, compose_epoch_batches(sb1, em1, 4, np.random.default_rng(42)))
-        b2 = as_samples(em2.table, compose_epoch_batches(sb2, em2, 4, np.random.default_rng(42)))
-        assert [[s.id for s in b] for b in b1] == [[s.id for s in b] for b in b2]
+        b1 = compose_epoch_batches(sb1, em1, 4, np.random.default_rng(42))
+        b2 = compose_epoch_batches(sb2, em2, 4, np.random.default_rng(42))
+        assert [b.tolist() for b in b1] == [b.tolist() for b in b2]
 
     def test_emits_exact_multiset(self):
         sb, em, rng = self._filled(17, 23, 5)
-        batches = as_samples(em.table, compose_epoch_batches(sb, em, 5, rng))
-        emitted = sorted(s.id for b in batches for s in b)
-        expected = sorted(ids(em.table, sb.contents) + ids(em.table, em.rows()))
+        batches = compose_epoch_batches(sb, em, 5, rng)
+        emitted = sorted(r for b in batches for r in b.tolist())
+        expected = sorted(sb.contents.tolist() + em.rows().tolist())
         assert emitted == expected
 
     def test_empty_union_rejected(self):
@@ -274,28 +248,20 @@ def test_randomized_balance_survives_operations():
     """Randomized flush/resize churn keeps the quota spread within one for
     classes the archive can cover (smaller cousin of the acceptance suite)."""
     rng = np.random.default_rng(99)
-    table = TrackedTable()
+    table = reserved()
     archive = StorageArchive(table)
     em = EpisodicMemory(90, table)
     sb = StreamBuffer(10_000)
-    sid = 0
     for t in range(1, 13):
-        classes = range((t - 1) * 3, t * 3)
         per_class = int(rng.integers(5, 40))
-        samples = []
-        for c in classes:
-            for _ in range(per_class):
-                samples.append(make_sample(sid, c))
-                sid += 1
-        task = Task.from_samples(t, samples)
-        sb.fill(table.add(task.samples))
+        sb.fill(table.add(labeled(np.repeat(range((t - 1) * 3, t * 3), per_class), task_id=t)))
         flush(sb, em, archive, rng)
         assert spread_ok(em, archive)
         if t % 3 == 0:
             em.resize(int(rng.integers(0, 40)) * 10, archive, rng)
             assert spread_ok(em, archive)
-        ids = em.table.ids(em.rows())
-        assert len(ids) == len(set(ids))
+        rows = em.rows().tolist()
+        assert len(rows) == len(set(rows))
         assert em.total <= em.capacity
 
 
@@ -321,15 +287,13 @@ def assert_slot_map_exact(em: EpisodicMemory) -> None:
 )
 def test_slot_map_tracks_churn(seed, ops):
     rng = np.random.default_rng(seed)
-    table = TrackedTable()
+    table = reserved()
     archive = StorageArchive(table)
     em = EpisodicMemory(40, table)
-    sid, next_class = 0, 0
+    next_class = 0
     for op, arg in ops:
         if op == "task":
-            labels = [c for c in (next_class, next_class + 1) for _ in range(arg)]
-            archive.append(table.add([make_sample(sid + k, c) for k, c in enumerate(labels)]))
-            sid += len(labels)
+            archive.append(table.add(labeled(np.repeat([next_class, next_class + 1], arg))))
             next_class += 2
             em.rebalance(archive, rng)
         elif op == "resize":
@@ -356,10 +320,10 @@ def test_replace_spans_many_classes():
     cross-class pairs mixed in: each same-class pair puts its new row in its
     old row's slot, and every cross-class pair is refused."""
     rng = np.random.default_rng(7)
-    table = TrackedTable()
+    table = reserved()
     archive = StorageArchive(table)
     n_classes = 30
-    archive.append(table.add([make_sample(i, i % n_classes) for i in range(n_classes * 6)]))
+    archive.append(table.add(labeled(np.arange(n_classes * 6) % n_classes)))
     em = EpisodicMemory(n_classes * 3, table)
     em.rebalance(archive, rng)
     expected = {c: em.class_rows(c).tolist() for c in range(n_classes)}

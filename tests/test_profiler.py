@@ -15,7 +15,7 @@ from hiercl.profiler import (
     profile_task,
     sample_confs,
 )
-from conftest import TrackedTable, exhaustive_units, make_sample, make_task, state_digest
+from conftest import as_probes, exhaustive_units, labeled, make_task, packed, reserved, state_digest
 
 
 class TestSearchSpace:
@@ -104,34 +104,31 @@ class TestReferenceConf:
         )
 
 
-def draw_covered_samples(pool, n, rng):
-    """``draw_covered_subsample`` over a table of ``pool``, as samples."""
-    table = TrackedTable(len(pool))
-    rows = draw_covered_subsample(table.add(pool), n, rng, table.labels)
-    return [pool[r] for r in rows]
+def draw_covered(labels, n, rng):
+    """``draw_covered_subsample`` over a table of one row per label: the
+    picked rows and their labels."""
+    table, rows = packed(labeled(labels))
+    picked = draw_covered_subsample(rows, n, rng, table.labels)
+    return picked, set(table.labels[picked].tolist())
 
 
 class TestCoverage:
     def test_every_pool_class_represented(self):
         rng = np.random.default_rng(0)
-        pool = [make_sample(i, i % 7) for i in range(140)]
         for n in (3, 7, 10, 50):
-            picked = draw_covered_samples(pool, n, rng)
-            assert {s.class_label for s in picked} == set(range(7))
+            _, classes = draw_covered(np.arange(140) % 7, n, rng)
+            assert classes == set(range(7))
 
     def test_topup_when_draw_too_small(self):
         rng = np.random.default_rng(0)
-        pool = [make_sample(i, i % 10) for i in range(100)]
-        picked = draw_covered_samples(pool, 2, rng)
-        assert {s.class_label for s in picked} == set(range(10))
+        picked, classes = draw_covered(np.arange(100) % 10, 2, rng)
+        assert classes == set(range(10))
         assert len(picked) >= 10
 
     def test_no_duplicates(self):
         rng = np.random.default_rng(1)
-        pool = [make_sample(i, i % 5) for i in range(50)]
-        picked = draw_covered_samples(pool, 20, rng)
-        ids = [s.id for s in picked]
-        assert len(ids) == len(set(ids))
+        picked, _ = draw_covered(np.arange(50) % 5, 20, rng)
+        assert len(picked) == len(set(picked.tolist()))
 
     @given(
         n_pool=st.integers(1, 120),
@@ -173,16 +170,13 @@ class TestCoverage:
 def small_profile_setup(seed=0, budget=2000, with_old=True):
     """A state, the task's rows, the old rows by class, the probe blocks, a
     profiler config and the table the rows index."""
-    table = TrackedTable(560, dim=8)
-    task = table.add(make_task(1, range(4), per_class=100, start_id=0, dim=8).samples)
-    probe = [make_sample(10_000 + i, i % 4, dim=8) for i in range(40)]
+    table = reserved(560, dim=8)
+    task = table.add(make_task(1, range(4), per_class=100, dim=8))
+    probe = as_probes(labeled(np.arange(40) % 4, dim=8, seed=1))
     em_pool = {}
     if with_old:
-        em_pool = {
-            c: table.add([make_sample(20_000 + c * 100 + i, c, dim=8) for i in range(80)])
-            for c in (90, 91)
-        }
-        probe += [make_sample(30_000 + i, 90 + i % 2, dim=8) for i in range(20)]
+        em_pool = {c: table.add(labeled([c] * 80, dim=8, seed=c)) for c in (90, 91)}
+        probe += as_probes(labeled(90 + np.arange(20) % 2, dim=8, seed=2))
     state = init_learner(8, hidden_width=8, seed=seed)
     if with_old:
         # the live model has seen the old classes

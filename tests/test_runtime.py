@@ -2,10 +2,11 @@ import functools
 import hashlib
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hiercl.domain import LEDGER_COMPONENTS, Conf
+from hiercl.domain import LEDGER_COMPONENTS, Conf, Task
 from hiercl.harness import (
     StaticConfPolicy,
     StreamSpec,
@@ -16,7 +17,7 @@ from hiercl.harness import (
 from hiercl.learner import CostModel
 from hiercl.profiler import ProfilerConfig
 from hiercl.runtime import RunConfig, Runtime, run_stream
-from conftest import row_ids, spread_ok
+from conftest import spread_ok
 
 
 def tiny_stream(n_tasks=2, classes_per_task=3, per_class=40, dim=8, seed=5):
@@ -158,6 +159,17 @@ def test_run_config_rejects_bad_schedule_load_and_seed(fields, message):
     """The ranges hold for library callers too, not only behind the CLI."""
     with pytest.raises(ValueError, match=message):
         RunConfig(step=50, budget_samples=200, **fields)
+
+
+@pytest.mark.parametrize(
+    "name", ["epochs_per_task", "batch_size", "hidden_width", "step", "budget_samples", "seed"]
+)
+def test_run_config_int_fields_refuse_floats(name):
+    value = getattr(RunConfig(), name)
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value + 0.5!r}"):
+        RunConfig(**{name: value + 0.5})
+    # numpy integers are integers
+    assert getattr(RunConfig(**{name: np.int64(value)}), name) == value
 
 
 class TestPhaseDiscipline:
@@ -357,21 +369,18 @@ class TestAbort:
         stream = tiny_stream(n_tasks=2)
         # conflicting duplicate labels make a saturated model infinitely wrong
         t1 = stream.tasks[0]
-        dup = list(t1.samples)
-        clash = type(dup[0])(
-            id=999_999,
-            class_label=dup[1].class_label,
-            features=dup[0].features,
-            size_bytes=dup[0].size_bytes,
-        )
-        from hiercl.domain import Task
-
-        tasks = [Task.from_samples(1, dup + [clash]), stream.tasks[1]]
+        clash = np.concatenate([t1.features, t1.features[:1]])
+        labels = np.append(t1.labels, t1.labels[1])
+        tasks = [Task(1, clash, labels, t1.size_bytes), stream.tasks[1]]
         cfg = tiny_config(learning_rate=1e30)
         report = run_stream(tasks, stream.probe_sets, cfg)
         assert report.aborted
         assert report.abort_reason
         assert len(report.accuracy_matrix) <= 1
+
+
+def _rows_digest(rows) -> str:
+    return hashlib.sha256(",".join(map(str, rows.tolist())).encode()).hexdigest()
 
 
 class TestMemorySwapPath:
@@ -408,10 +417,8 @@ class TestMemorySwapPath:
         assert report.ledger.io == 2.529432000003259
         assert report.ledger.wall_time_seconds == 96.59999999999994
         assert len(report.controller_decisions) == 1
-        sample_id = row_ids(stream.tasks)
-        em_ids = ",".join(str(sample_id[r]) for r in runtime.em.rows())
-        assert hashlib.sha256(em_ids.encode()).hexdigest() == (
-            "16b01b889c7b06b6fab01d2ef3fdc9b2f20e83972d831a6b1ab6cef465d1a598"
+        assert _rows_digest(runtime.em.rows()) == (
+            "a31bb3a2a8c97d3584540c9c76cc6fa3c62c5d2b27ea4f0682c66266210cf619"
         )
 
     def test_idle_desk_stream_pinned(self):
@@ -442,10 +449,8 @@ class TestMemorySwapPath:
             "issued": 38000, "applied": 38000, "dropped": 0, "pending": 0
         }
         assert report.ledger.io == 0.00972800000149654
-        sample_id = row_ids(stream.tasks)
-        em_ids = ",".join(str(sample_id[r]) for r in runtime.em.rows())
-        assert hashlib.sha256(em_ids.encode()).hexdigest() == (
-            "43a250b07514825501f816ff026c8e0c1697df615e2b71ef77ff8cd3dc183f8f"
+        assert _rows_digest(runtime.em.rows()) == (
+            "adb4297b228ff147ffbb129f5bd599df52f1677bb07b2ad25887c25d084e8581"
         )
 
 
@@ -606,13 +611,8 @@ class TestRunProperties:
         )
         joules = [r.joules_cum for r in report.epoch_rows]
         assert all(b >= a for a, b in zip(joules, joules[1:]))
-        sample_id = row_ids(stream.tasks)
-        held = [sample_id[r] for r in em.rows()]
-        archived = {
-            sample_id[r]
-            for c in archive.classes()
-            for r in archive.class_rows(c).tolist()
-        }
+        held = em.rows().tolist()
+        archived = {r for c in archive.classes() for r in archive.class_rows(c).tolist()}
         assert len(held) == len(set(held))
         assert set(held) <= archived
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hiercl.learner import CostModel
 from hiercl.memory import EpisodicMemory, StorageArchive
 from hiercl.swap import SWAP_BYTES_FACTOR, IoChannel, SwapEngine
-from conftest import TrackedTable, conserved, make_sample
+from conftest import conserved, labeled, reserved
 
 
 def required_bandwidth_bytes_per_s(
@@ -23,12 +23,10 @@ def required_bandwidth_bytes_per_s(
 
 def setup_engine(bandwidth=1e9, n_classes=4, per_class=50, em_capacity=40, seed=0):
     rng = np.random.default_rng(seed)
-    table = TrackedTable()
+    table = reserved()
     archive = StorageArchive(table)
-    sid = 0
     for c in range(n_classes):
-        archive.append(table.add([make_sample(sid + i, c, size_bytes=64) for i in range(per_class)]))
-        sid += per_class
+        archive.append(table.add(labeled([c] * per_class, size_bytes=64)))
     em = EpisodicMemory(em_capacity, table)
     em.rebalance(archive, rng)
     engine = SwapEngine(IoChannel(bandwidth), archive)
@@ -85,10 +83,10 @@ class TestIssue:
     )
     def test_each_class_sends_its_first_fresh_count_picks(self, pools, capacity, percent, seed):
         rng = np.random.default_rng(seed)
-        table = TrackedTable()
+        table = reserved()
         archive = StorageArchive(table)
         for c, n in enumerate(pools):
-            archive.append(table.add([make_sample(100 * c + i, c, size_bytes=64) for i in range(n)]))
+            archive.append(table.add(labeled([c] * n, size_bytes=64)))
         em = EpisodicMemory(capacity, table)
         em.rebalance(archive, rng)
         engine = SwapEngine(IoChannel(1e9), archive)
@@ -117,8 +115,8 @@ class TestApply:
         applied = engine.apply_completions(em, now=1.0, rng=rng)
         assert applied == 40
         assert em.total == 40
-        ids = em.table.ids(em.rows())
-        assert len(ids) == len(set(ids))
+        rows = em.rows().tolist()
+        assert len(rows) == len(set(rows))
 
     def test_trickle_channel_applies_nothing(self):
         engine, em, rng = setup_engine(bandwidth=1e-3)
@@ -134,8 +132,8 @@ class TestApply:
             engine.issue(em, 1.0, now=0.0, rng=rng)
             assert engine.apply_completions(em, now=100.0, rng=rng) == 1
             assert not em.holds(victim)
-            ids = em.table.ids(em.rows())
-            assert len(ids) == len(set(ids))
+            rows = em.rows().tolist()
+            assert len(rows) == len(set(rows))
 
     def test_exhausted_class_gets_no_transfer(self):
         # archive exactly equals EM: no fresh candidates anywhere
@@ -145,7 +143,7 @@ class TestApply:
         # one fresh class-0 sample: of class 0's ten picked slots, only the
         # first can take it, so one transfer is sent
         table = engine.archive.table
-        engine.archive.append(table.add([make_sample(1000, 0, size_bytes=64)]))
+        engine.archive.append(table.add(labeled([0], size_bytes=64)))
         assert engine.issue(em, 1.0, now=0.0, rng=rng) == 1
         landed = engine.channel.pop_completed(math.inf)
         assert table.labels[landed].tolist() == [0]
@@ -171,12 +169,11 @@ class TestApplyOneDrawPerClass:
         self, pools, capacity, percents, resize_to, seed
     ):
         rng = np.random.default_rng(seed)
-        table = TrackedTable()
+        table = reserved()
         archive = StorageArchive(table)
         class_of = {}
         for c, n in enumerate(pools):
-            samples = [make_sample(len(class_of) + i, c, size_bytes=64) for i in range(n)]
-            rows = table.add(samples)
+            rows = table.add(labeled([c] * n, size_bytes=64))
             archive.append(rows)
             class_of.update((r, c) for r in rows.tolist())
         em = EpisodicMemory(capacity, table)
@@ -267,10 +264,10 @@ class TestApplyEqualsPerClassLoop:
     )
     def test_same_slots_totals_and_generator_state(self, pools, capacity, ops, seed):
         rng = np.random.default_rng(seed)
-        table = TrackedTable()
+        table = reserved()
         archive = StorageArchive(table)
         for c, n in enumerate(pools):
-            archive.append(table.add([make_sample(100 * c + i, c, size_bytes=64) for i in range(n)]))
+            archive.append(table.add(labeled([c] * n, size_bytes=64)))
         em = EpisodicMemory(capacity, table)
         em.rebalance(archive, rng)
         # a slow channel, so batches queued by several issues land together
@@ -505,8 +502,8 @@ class TestBatchChannel:
             else:
                 em.resize(arg, engine.archive, rng)
             assert conserved(engine)
-            ids = em.table.ids(em.rows())
-            assert len(ids) == len(set(ids))
+            rows = em.rows().tolist()
+            assert len(rows) == len(set(rows))
 
 
 class TestRequiredBandwidth:
