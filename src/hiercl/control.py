@@ -17,7 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .domain import IoState
+from .domain import IoState, check_ints
 
 # Knee of the ratio/interval mapping: at or above this ratio the whole drawn
 # set is swapped every `interval` epochs; below it the interval is pinned at
@@ -38,6 +38,7 @@ class ControllerConfig:
     ratio_floor: float = 0.01       # keeps congestion from silently zeroing swaps
 
     def __post_init__(self):
+        check_ints(self, ("idle_empty_epochs",))
         # every ratio the controller reaches stays in [ratio_floor, 1]
         if not (0.0 < self.congested_below <= 1.0):
             raise ValueError("congested_below must be a completion rate in (0, 1]")

@@ -29,7 +29,7 @@ from .domain import (
     round_up_to_step,
 )
 from .runtime import ConfPolicy, RunConfig, RunReport, run_stream
-from .selector import HIGHEST_UTILITY
+from .selector import select_record
 
 
 @dataclass(frozen=True)
@@ -184,17 +184,13 @@ class StaticExploration:
     halfway_winner: Conf
 
 
-def explore_static_confs(
-    stream: Stream,
-    config: RunConfig,
-    cutline: float,
-    mode: str = HIGHEST_UTILITY,
-) -> StaticExploration:
+def explore_static_confs(stream: Stream, config: RunConfig) -> StaticExploration:
     """Run every grid conf over the whole stream and rank the outcomes.
 
     The winner is picked with the same cutline-plus-metric rule the adaptive
-    runtime uses, on (final accuracy, total joules). The halfway winner uses
-    the standings after ceil(n/2) tasks. Exploration cost is not billed.
+    runtime uses (``config.cutline`` and ``config.selection_mode``), on
+    (final accuracy, total joules). The halfway winner uses the standings
+    after ceil(n/2) tasks. Exploration cost is not billed.
     """
     from .profiler import build_search_space
 
@@ -230,11 +226,11 @@ def explore_static_confs(
             )
         )
 
-    from .selector import select_record
-
-    winner = select_record(final_records, cutline, mode, baseline).conf
-    halfway_winner = select_record(halfway_records, cutline, mode, baseline).conf
-    return StaticExploration(winner=winner, halfway_winner=halfway_winner)
+    rule = (config.cutline, config.selection_mode, baseline)
+    return StaticExploration(
+        winner=select_record(final_records, *rule).conf,
+        halfway_winner=select_record(halfway_records, *rule).conf,
+    )
 
 
 def best_static_policy(exploration: StaticExploration) -> StaticConfPolicy:
@@ -263,20 +259,14 @@ STRATEGY_NAMES = (
 )
 
 
-def make_policy(
-    strategy: str,
-    stream: Stream,
-    config: RunConfig,
-    static_conf: Conf | None = None,
-) -> ConfPolicy | None:
+def make_policy(strategy: str, stream: Stream, config: RunConfig) -> ConfPolicy | None:
     """Resolve a strategy name into a policy (None means adaptive profiling)."""
     if strategy == "adaptive":
         return None
     if strategy == "static":
-        conf = static_conf or default_static_conf(
-            config.budget_samples, stream.spec.task_size, config.step
+        return StaticConfPolicy(
+            default_static_conf(config.budget_samples, stream.spec.task_size, config.step)
         )
-        return StaticConfPolicy(conf)
     if strategy == "heuristic":
         return HeuristicPolicy(1.0)
     if strategy == "heuristic-50":
@@ -284,7 +274,7 @@ def make_policy(
     if strategy == "heuristic-20":
         return HeuristicPolicy(0.2)
     if strategy in ("best-static", "best-history"):
-        exploration = explore_static_confs(stream, config, config.cutline, config.selection_mode)
+        exploration = explore_static_confs(stream, config)
         if strategy == "best-static":
             return best_static_policy(exploration)
         return best_history_policy(exploration, len(stream.tasks))

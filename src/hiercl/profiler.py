@@ -14,18 +14,28 @@ feature blocks, scored in one forward pass. The live model and the live
 buffers are never touched. Old rows are split by EM's ``class_quotas``,
 and batches and joules come from the run's own ``shuffled_batches`` and
 ``train_joules``.
+
+Settings come from the run's ``RunConfig`` and old rows from its
+``StorageArchive``, whose ``table`` every row indexes. Only the live budget
+and the current conf are passed on their own: a scheduled budget change
+moves the live budget away from ``config.budget_samples``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .domain import Conf, EnergyLedger, ProfileRecord, SampleTable, round_up_to_step, round_down_to_step
-from .learner import CostModel, LearnerState, charge_profiling, copy_state, evaluate, train_epoch
-from .memory import class_quotas, shuffled_batches
+from .domain import (
+    Conf, EnergyLedger, ProfileRecord, SampleTable, check_ints, round_down_to_step, round_up_to_step,
+)
+from .learner import LearnerState, charge_profiling, copy_state, evaluate, train_epoch
+from .memory import StorageArchive, class_quotas, shuffled_batches
+
+if TYPE_CHECKING:  # runtime imports this module
+    from .runtime import RunConfig
 
 
 # Redraws of a profiling subsample before missing classes are topped up.
@@ -40,6 +50,7 @@ class ProfilerConfig:
     subsample: float = 0.05
 
     def __post_init__(self):
+        check_ints(self, ("conf_sample_size", "warmup_epochs", "profile_epochs"))
         if self.conf_sample_size < 1:
             raise ValueError("need at least one conf to profile")
         if not (0.0 < self.subsample <= 1.0):
@@ -171,11 +182,7 @@ def evaluate_conf(
     task_rows: np.ndarray,
     em_pool_by_class: dict[int, np.ndarray],
     probes: dict[int, np.ndarray],
-    cfg: ProfilerConfig,
-    cost: CostModel,
-    full_epochs: int,
-    learning_rate: float,
-    batch_size: int,
+    config: RunConfig,
     rng: np.random.Generator,
     ledger: EnergyLedger,
     table: SampleTable,
@@ -186,8 +193,12 @@ def evaluate_conf(
     The data is a masked view: the first min(sb, task) stream rows and a
     balanced old-row selection capped at the conf's EM size, both
     subsampled and coverage-checked. ``probes`` are per-class feature
-    blocks.
+    blocks. From ``config`` it reads ``profiler`` (subsample, profile and
+    warmup epochs), ``batch_size`` and ``learning_rate`` for the short
+    training, and ``cost`` and ``epochs_per_task`` for the energy estimate
+    of a full-length run.
     """
+    cfg = config.profiler
     state = copy_state(warm)
     em_available = sum(len(v) for v in em_pool_by_class.values())
     sb_inuse = min(conf.sb_size, len(task_rows))
@@ -206,12 +217,13 @@ def evaluate_conf(
     data = np.concatenate(parts)
 
     for _ in range(cfg.profile_epochs):
-        train_epoch(state, shuffled_batches(data, batch_size, rng), learning_rate, table)
+        batches = shuffled_batches(data, config.batch_size, rng)
+        train_epoch(state, batches, config.learning_rate, table)
 
     acc = evaluate(state, probes).average
-    energy = cost.train_joules(sb_inuse + em_inuse, epochs=full_epochs)
+    energy = config.cost.train_joules(sb_inuse + em_inuse, epochs=config.epochs_per_task)
     units = len(data) * cfg.profile_epochs
-    charge_profiling(cost, len(data), cfg.profile_epochs, ledger)
+    charge_profiling(config.cost, len(data), cfg.profile_epochs, ledger)
     record = ProfileRecord(
         conf=conf,
         accuracy_estimate=acc,
@@ -224,31 +236,33 @@ def evaluate_conf(
 def profile_task(
     live_state: LearnerState,
     task_rows: np.ndarray,
-    em_pool_by_class: dict[int, np.ndarray],
+    archive: StorageArchive,
     probes: dict[int, np.ndarray],
     budget_samples: int,
-    step: int,
     reference_target: Conf | None,
-    cfg: ProfilerConfig,
-    cost: CostModel,
-    full_epochs: int,
-    learning_rate: float,
-    batch_size: int,
+    config: RunConfig,
     rng: np.random.Generator,
     ledger: EnergyLedger,
-    table: SampleTable,
 ) -> ProfileOutcome:
     """Profile one incoming task and return records for every sampled conf.
 
-    ``task_rows`` and the per-class ``em_pool_by_class`` are rows of
-    ``table``; ``probes`` are per-class feature blocks. The live model is
-    copied once for the warmup, and the warm state once per conf
-    evaluation; the caller's state is never mutated.
+    ``task_rows`` are rows of ``archive.table``, and the old rows are the
+    archive's, by class; ``probes`` are per-class feature blocks. The grid
+    fills ``budget_samples`` (the live budget) in ``config.step`` steps, and
+    the sample always carries the grid conf nearest ``reference_target``
+    (the current conf, None on the first task). ``config.profiler`` sets the
+    sample size and the warmup, which trains with ``config.batch_size`` and
+    ``config.learning_rate``. The live model is copied once for the warmup,
+    and the warm state once per conf evaluation; the caller's state is
+    never mutated.
     """
+    cfg = config.profiler
+    table = archive.table
+    em_pool_by_class = {c: archive.class_rows(c) for c in archive.classes()}
     task_size = len(task_rows)
-    space = build_search_space(budget_samples, task_size, step)
+    space = build_search_space(budget_samples, task_size, config.step)
     if reference_target is None:
-        reference_target = first_task_reference(task_size, budget_samples, step)
+        reference_target = first_task_reference(task_size, budget_samples, config.step)
     reference = nearest_conf(space, reference_target)
     confs = sample_confs(space, cfg.conf_sample_size, rng, reference)
 
@@ -264,27 +278,16 @@ def profile_task(
     warmup_units = 0
     if cfg.warmup_epochs > 0:
         for _ in range(cfg.warmup_epochs):
-            train_epoch(warm, shuffled_batches(ref_data, batch_size, rng), learning_rate, table)
+            batches = shuffled_batches(ref_data, config.batch_size, rng)
+            train_epoch(warm, batches, config.learning_rate, table)
         warmup_units = len(ref_data) * cfg.warmup_epochs
-        charge_profiling(cost, len(ref_data), cfg.warmup_epochs, ledger)
+        charge_profiling(config.cost, len(ref_data), cfg.warmup_epochs, ledger)
 
     records: list[ProfileRecord] = []
     eval_units = 0
     for conf in confs:
         record, units = evaluate_conf(
-            warm,
-            conf,
-            task_rows,
-            em_pool_by_class,
-            probes,
-            cfg,
-            cost,
-            full_epochs,
-            learning_rate,
-            batch_size,
-            rng,
-            ledger,
-            table,
+            warm, conf, task_rows, em_pool_by_class, probes, config, rng, ledger, table
         )
         records.append(record)
         eval_units += units

@@ -19,6 +19,7 @@ per-class feature blocks once per task.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
@@ -119,7 +120,8 @@ class RunConfig:
         for i, load_step in enumerate(self.external_io_load):
             check_load_step(load_step, f"external_io_load[{i}]")
         for i, (epoch, budget) in enumerate(self.budget_schedule):
-            if not (isinstance(epoch, int) and isinstance(budget, int)) or epoch < 0 or budget < self.step:
+            integral = isinstance(epoch, numbers.Integral) and isinstance(budget, numbers.Integral)
+            if not integral or epoch < 0 or budget < self.step:
                 raise ValueError(
                     f"budget_schedule[{i}]: expected an integer epoch >= 0 and an integer "
                     f"budget >= step ({self.step}), got [{epoch!r}, {budget!r}]"
@@ -247,23 +249,10 @@ class Runtime:
             self.report.chosen_confs.append((task.task_id, conf))
             return conf
 
-        em_pool = {c: self.archive.class_rows(c) for c in self.archive.classes()}
+        rng = np.random.default_rng(self._profile_root.spawn(1)[0])
         outcome = profile_task(
-            live_state=self.state,
-            task_rows=rows,
-            em_pool_by_class=em_pool,
-            probes=probes,
-            budget_samples=self.budget_samples,
-            step=cfg.step,
-            reference_target=self._chosen,
-            cfg=cfg.profiler,
-            cost=cfg.cost,
-            full_epochs=cfg.epochs_per_task,
-            learning_rate=cfg.learning_rate,
-            batch_size=cfg.batch_size,
-            rng=np.random.default_rng(self._profile_root.spawn(1)[0]),
-            ledger=self.ledger,
-            table=self.table,
+            self.state, rows, self.archive, probes, self.budget_samples, self._chosen,
+            cfg, rng, self.ledger,
         )
         self._records_this_task = outcome.records
         self.report.profile_trace.extend((task.task_id, r) for r in outcome.records)

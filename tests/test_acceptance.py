@@ -24,7 +24,7 @@ from hiercl.harness import (
     generate_stream,
     run_utility,
 )
-from hiercl.learner import CostModel, init_learner, probe_blocks
+from hiercl.learner import init_learner, probe_blocks
 from hiercl.memory import (
     EpisodicMemory,
     StorageArchive,
@@ -250,22 +250,21 @@ def test_criterion_9_profiler_cost_ratio():
         full_epochs = 20
         from hiercl.domain import EnergyLedger
 
+        archive = StorageArchive(table)
+        for rows in em_pool.values():
+            archive.append(rows)
         outcome = profile_task(
             live_state=state,
             task_rows=task_rows,
-            em_pool_by_class=em_pool,
+            archive=archive,
             probes=probe_blocks(probe),
             budget_samples=5000,
-            step=500,
             reference_target=None,
-            cfg=cfg,
-            cost=CostModel(),
-            full_epochs=full_epochs,
-            learning_rate=0.1,
-            batch_size=32,
+            config=RunConfig(
+                profiler=cfg, epochs_per_task=full_epochs, learning_rate=0.1, batch_size=32, step=500
+            ),
             rng=rng,
             ledger=EnergyLedger(),
-            table=table,
         )
         space = build_search_space(5000, len(task_rows), 500)
         em_available = sum(len(v) for v in em_pool.values())

@@ -141,21 +141,23 @@ def test_validate_domain_incremental_stream(tmp_path):
     assert "stream ok" in result.output
 
 
-EDGE_IMAGE = Path(__file__).parent.parent / "configs" / "edge_image.yaml"
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
 
 
-def test_run_shipped_edge_image_config(tmp_path):
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_run_shipped_edge_image_config(config, tmp_path):
     result = CliRunner().invoke(
-        main, ["run", "--config", str(EDGE_IMAGE), *MICRO, "--outdir", str(tmp_path)],
+        main, ["run", "--config", str(config), *MICRO, "--outdir", str(tmp_path)],
     )
     assert result.exit_code == 0, result.output
     assert "final average accuracy" in result.output
 
 
-def test_sweep_shipped_edge_image_config(tmp_path):
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_sweep_shipped_edge_image_config(config, tmp_path):
     result = CliRunner().invoke(
         main,
-        ["sweep", "--config", str(EDGE_IMAGE), *MICRO, "--strategies", "static",
+        ["sweep", "--config", str(config), *MICRO, "--strategies", "static",
          "--budgets", "500", "--seeds", "0", "--outdir", str(tmp_path)],
     )
     assert result.exit_code == 0, result.output

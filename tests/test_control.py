@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,6 +76,12 @@ class TestConfigRange:
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ControllerConfig(**{field: value})
+
+    def test_idle_empty_epochs_refuses_floats(self):
+        with pytest.raises(ValueError, match="idle_empty_epochs must be an integer, got 1.5"):
+            ControllerConfig(idle_empty_epochs=1.5)
+        # numpy integers are integers
+        assert ControllerConfig(idle_empty_epochs=np.int64(3)).idle_empty_epochs == 3
 
     @given(
         congested_below=st.floats(0.01, 1.0),

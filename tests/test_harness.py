@@ -179,7 +179,7 @@ class TestStaticBaselines:
                           feature_dim=8, seed=4)
         stream = generate_stream(spec)
         cfg = small_config(budget_samples=300, epochs_per_task=3)
-        exploration = explore_static_confs(stream, cfg, cutline=0.5)
+        exploration = explore_static_confs(stream, cfg)
         bs = best_static_policy(exploration)
         bh = best_history_policy(exploration, n_tasks=4)
         for t in (1, 2):

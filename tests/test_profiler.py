@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiercl.domain import Conf, EnergyLedger
-from hiercl.learner import CostModel, init_learner, probe_blocks, train_epoch
+from hiercl.learner import init_learner, probe_blocks, train_epoch
+from hiercl.memory import StorageArchive
 from hiercl.profiler import (
     COVERAGE_ATTEMPTS,
     ProfilerConfig,
@@ -15,6 +18,7 @@ from hiercl.profiler import (
     profile_task,
     sample_confs,
 )
+from hiercl.runtime import RunConfig
 from conftest import as_probes, exhaustive_units, labeled, make_task, packed, reserved, state_digest
 
 
@@ -167,55 +171,57 @@ class TestCoverage:
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-def small_profile_setup(seed=0, budget=2000, with_old=True):
-    """A state, the task's rows, the old rows by class, the probe blocks, a
-    profiler config and the table the rows index."""
+def small_profile_setup(seed=0, with_old=True):
+    """A state, the task's rows, the archive of old rows, the probe blocks
+    and a run config; the archive's table holds every row."""
     table = reserved(560, dim=8)
     task = table.add(make_task(1, range(4), per_class=100, dim=8))
     probe = as_probes(labeled(np.arange(40) % 4, dim=8, seed=1))
-    em_pool = {}
+    archive = StorageArchive(table)
     if with_old:
-        em_pool = {c: table.add(labeled([c] * 80, dim=8, seed=c)) for c in (90, 91)}
+        for c in (90, 91):
+            archive.append(table.add(labeled([c] * 80, dim=8, seed=c)))
         probe += as_probes(labeled(90 + np.arange(20) % 2, dim=8, seed=2))
     state = init_learner(8, hidden_width=8, seed=seed)
     if with_old:
         # the live model has seen the old classes
-        batches = [np.concatenate([rows[:4] for rows in em_pool.values()])]
+        batches = [np.concatenate([archive.class_rows(c)[:4] for c in archive.classes()])]
         train_epoch(state, batches, 0.1, table)
-    cfg = ProfilerConfig(conf_sample_size=6, warmup_epochs=2, profile_epochs=2, subsample=0.1)
-    return state, task, em_pool, probe_blocks(probe), cfg, table
+    config = RunConfig(
+        epochs_per_task=10,
+        batch_size=16,
+        learning_rate=0.1,
+        step=500,
+        profiler=ProfilerConfig(conf_sample_size=6, warmup_epochs=2, profile_epochs=2, subsample=0.1),
+    )
+    return state, task, archive, probe_blocks(probe), config
 
 
-def run_profile(state, task, em_pool, probe, cfg, table, seed=7, budget=2000):
+def run_profile(state, task, archive, probe, config, seed=7, budget=2000, ledger=None):
     return profile_task(
         live_state=state,
         task_rows=task,
-        em_pool_by_class=em_pool,
+        archive=archive,
         probes=probe,
         budget_samples=budget,
-        step=500,
         reference_target=None,
-        cfg=cfg,
-        cost=CostModel(),
-        full_epochs=10,
-        learning_rate=0.1,
-        batch_size=16,
+        config=config,
         rng=np.random.default_rng(seed),
-        ledger=EnergyLedger(),
-        table=table,
+        ledger=EnergyLedger() if ledger is None else ledger,
     )
 
 
 class TestProfileTask:
     def test_live_model_untouched(self):
-        state, task, em_pool, probe, cfg, table = small_profile_setup()
+        state, task, archive, probe, config = small_profile_setup()
         before = state_digest(state)
-        run_profile(state, task, em_pool, probe, cfg, table)
+        run_profile(state, task, archive, probe, config)
         assert state_digest(state) == before
 
     def test_records_feasible_and_positive(self):
-        state, task, em_pool, probe, cfg, table = small_profile_setup()
-        outcome = run_profile(state, task, em_pool, probe, cfg, table)
+        state, task, archive, probe, config = small_profile_setup()
+        outcome = run_profile(state, task, archive, probe, config)
+        cfg = config.profiler
         assert len(outcome.records) == min(cfg.conf_sample_size, outcome.space_size)
         for r in outcome.records:
             assert r.conf.total <= 2000
@@ -224,48 +230,28 @@ class TestProfileTask:
             assert r.epoch_measured == cfg.warmup_epochs + cfg.profile_epochs
 
     def test_same_seed_same_records(self):
-        state, task, em_pool, probe, cfg, table = small_profile_setup()
-        a = run_profile(state, task, em_pool, probe, cfg, table, seed=13)
-        b = run_profile(state, task, em_pool, probe, cfg, table, seed=13)
+        state, task, archive, probe, config = small_profile_setup()
+        a = run_profile(state, task, archive, probe, config, seed=13)
+        b = run_profile(state, task, archive, probe, config, seed=13)
         assert a.records == b.records
 
     def test_profiling_charges_overhead_only(self):
-        state, task, em_pool, probe, cfg, table = small_profile_setup()
+        state, task, archive, probe, config = small_profile_setup()
         ledger = EnergyLedger()
-        profile_task(
-            live_state=state,
-            task_rows=task,
-            em_pool_by_class=em_pool,
-            probes=probe,
-            budget_samples=2000,
-            step=500,
-            reference_target=None,
-            cfg=cfg,
-            cost=CostModel(),
-            full_epochs=10,
-            learning_rate=0.1,
-            batch_size=16,
-            rng=np.random.default_rng(3),
-            ledger=ledger,
-            table=table,
-        )
+        run_profile(state, task, archive, probe, config, seed=3, ledger=ledger)
         assert ledger.profiling > 0
         assert ledger.gpu_dynamic == ledger.io == ledger.ram == 0.0
 
 
 class TestEvaluateConf:
     def test_energy_estimate_tracks_in_use_samples(self):
-        state, task, em_pool, probe, cfg, table = small_profile_setup(with_old=False)
+        state, task, archive, probe, config = small_profile_setup(with_old=False)
         common = dict(
             task_rows=task,
             em_pool_by_class={},
             probes=probe,
-            table=table,
-            cfg=cfg,
-            cost=CostModel(),
-            full_epochs=10,
-            learning_rate=0.1,
-            batch_size=16,
+            table=archive.table,
+            config=config,
         )
         rec_a, _ = evaluate_conf(
             state, Conf(400, 0), rng=np.random.default_rng(0), ledger=EnergyLedger(), **common
@@ -278,26 +264,38 @@ class TestEvaluateConf:
         )
 
     def test_oversized_em_conf_capped_by_pool(self):
-        state, task, em_pool, probe, cfg, table = small_profile_setup()
+        state, task, archive, probe, config = small_profile_setup()
+        em_pool = {c: archive.class_rows(c) for c in archive.classes()}
         pool_total = sum(len(v) for v in em_pool.values())
         rec_big, _ = evaluate_conf(
-            state, Conf(500, 1500), task, em_pool, probe, cfg, CostModel(),
-            10, 0.1, 16, np.random.default_rng(0), EnergyLedger(), table,
+            state, Conf(500, 1500), task, em_pool, probe, config,
+            np.random.default_rng(0), EnergyLedger(), archive.table,
         )
         rec_fit, _ = evaluate_conf(
-            state, Conf(500, pool_total), task, em_pool, probe, cfg, CostModel(),
-            10, 0.1, 16, np.random.default_rng(0), EnergyLedger(), table,
+            state, Conf(500, pool_total), task, em_pool, probe, config,
+            np.random.default_rng(0), EnergyLedger(), archive.table,
         )
         assert rec_big.energy_estimate == rec_fit.energy_estimate
+
+
+@pytest.mark.parametrize("name", ["conf_sample_size", "warmup_epochs", "profile_epochs"])
+def test_profiler_config_int_fields_refuse_floats(name):
+    value = getattr(ProfilerConfig(), name)
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value + 0.5!r}"):
+        ProfilerConfig(**{name: value + 0.5})
+    # numpy integers are integers
+    assert getattr(ProfilerConfig(**{name: np.int64(value)}), name) == value
 
 
 def test_cost_reduction_ratio_matches_analytic():
     """Sampled confs on subsampled data for few epochs vs exhaustive
     full-everything: the measured compute-unit ratio tracks
     (|space|/k) * (full_epochs/profile_epochs) * (1/subsample)."""
-    state, task, em_pool, probe, _, table = small_profile_setup(with_old=False)
+    state, task, archive, probe, config = small_profile_setup(with_old=False)
     cfg = ProfilerConfig(conf_sample_size=3, warmup_epochs=1, profile_epochs=2, subsample=0.1)
-    outcome = run_profile(state, task, em_pool, probe, cfg, table, seed=5, budget=2000)
+    outcome = run_profile(
+        state, task, archive, probe, replace(config, profiler=cfg), seed=5, budget=2000
+    )
     from hiercl.profiler import build_search_space
 
     space = build_search_space(2000, len(task), 500)

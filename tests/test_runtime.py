@@ -172,6 +172,11 @@ def test_run_config_int_fields_refuse_floats(name):
     assert getattr(RunConfig(**{name: np.int64(value)}), name) == value
 
 
+def test_budget_schedule_accepts_numpy_integers():
+    schedule = ((np.int64(2), np.int64(600)),)
+    assert RunConfig(budget_schedule=schedule).budget_schedule == ((2, 600),)
+
+
 class TestPhaseDiscipline:
     def test_estimate_only_after_changeful_probe(self, monkeypatch):
         log = record_phases(monkeypatch)
