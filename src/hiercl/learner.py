@@ -8,9 +8,12 @@ to exhibit catastrophic forgetting on disjoint-class streams.
 All weights live in one float64 vector, ``LearnerState.params``; the four
 parameter arrays are views of it, so a step updates every weight with one
 operation and a copy is one vector copy. Training reads batches as
-row-index arrays into the run's ``SampleTable``, gathers their features,
-cast to float64, once per ``GATHER_BATCHES`` batches, and runs each step
-in buffers allocated once per epoch. Evaluation reads probes as per-class
+row-index arrays into the run's ``SampleTable`` and runs each epoch as one
+loop: it gathers features, cast to float64, once per ``GATHER_BATCHES``
+batches, builds every index, buffer and view a step needs once per epoch,
+and each step then makes only its arithmetic calls, in place, with the
+same operations in the same order as the textbook step (the tests hold it
+to that bit for bit). Evaluation reads probes as per-class
 feature blocks (``probe_blocks``), built once, and runs one forward pass
 over all scored blocks stacked together. ``copy_state`` gives an
 independent copy of a state, weights and generator alike, for the profiler
@@ -124,88 +127,15 @@ def ensure_classes(state: LearnerState, labels: Iterable[int]) -> None:
     state._adopt(params, state.w1.shape)
 
 
-def _forward(
-    state: LearnerState,
-    x: np.ndarray,
-    hidden: np.ndarray | None = None,
-    logits: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and logits of ``x``, written into ``hidden`` and
-    ``logits`` when given; each bias add and the tanh run in place on the
-    product they follow."""
-    hidden = np.matmul(x, state.w1, out=hidden)
+def _forward(state: LearnerState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and logits of ``x``; each bias add and the tanh
+    run in place on the product they follow."""
+    hidden = np.dot(x, state.w1)
     hidden += state.b1
     np.tanh(hidden, out=hidden)
-    logits = np.matmul(hidden, state.w2, out=logits)
+    logits = np.dot(hidden, state.w2)
     logits += state.b2
     return hidden, logits
-
-
-class StepBuffers:
-    """The temporaries of steps over at most ``rows`` rows: hidden, logit
-    and ``dz1`` buffers, and a gradient vector laid out like ``params``
-    whose views ``named`` maps by parameter name. One set serves a whole
-    epoch; the head must not grow while it is in use."""
-
-    def __init__(self, state: LearnerState, rows: int):
-        feature_dim, hidden_width = state.w1.shape
-        n_classes = len(state.class_order)
-        self.hidden = np.empty((rows, hidden_width))
-        self.logits = np.empty((rows, n_classes))
-        self.dz1 = np.empty((rows, hidden_width))
-        self.grads = np.empty_like(state.params)
-        views = _param_views(self.grads, feature_dim, hidden_width, n_classes)
-        self.named = dict(zip(("w1", "b1", "w2", "b2"), views))
-
-
-def loss_and_grads(
-    state: LearnerState,
-    x: np.ndarray,
-    y_idx: np.ndarray,
-    row_offsets: np.ndarray | None = None,
-    buffers: StepBuffers | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over a batch plus gradients for all parameters.
-
-    ``y_idx`` indexes columns of the head (positions in class_order).
-    ``row_offsets`` is ``np.arange(len(x)) * n_classes``, where each row
-    starts in the flattened logits; it is built here when not given. The
-    step runs in ``buffers`` (new ones when not given) and returns its
-    ``named`` gradient views, which the next step over the same buffers
-    overwrites. The softmax, ``dlogits`` and the tanh derivative each
-    overwrite the buffer they are computed from. An underflowed true-class
-    probability is a real divergence signal: the log is left unclamped, the
-    loss comes out non-finite and the caller halts (``train_epoch``
-    silences the log's divide warning).
-    """
-    n = x.shape[0]
-    if buffers is None:
-        buffers = StepBuffers(state, n)
-    if row_offsets is None:
-        row_offsets = np.arange(n) * state.w2.shape[1]
-    true = row_offsets + y_idx
-    hidden, probs = _forward(state, x, buffers.hidden[:n], buffers.logits[:n])
-    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=1, keepdims=True)
-    flat = probs.reshape(-1)
-    log_true = flat[true]
-    np.log(log_true, out=log_true)
-    loss = -float(np.add.reduce(log_true)) / n
-    dlogits = probs
-    flat[true] -= 1.0
-    dlogits /= n
-    grads = buffers.named
-    np.matmul(hidden.T, dlogits, out=grads["w2"])
-    np.add.reduce(dlogits, axis=0, out=grads["b2"])
-    dz1 = np.matmul(dlogits, state.w2.T, out=buffers.dz1[:n])
-    # tanh' = 1 - tanh^2, over the activations dw2 no longer needs
-    np.multiply(hidden, hidden, out=hidden)
-    np.subtract(1.0, hidden, out=hidden)
-    dz1 *= hidden
-    np.matmul(x.T, dz1, out=grads["w1"])
-    np.add.reduce(dz1, axis=0, out=grads["b1"])
-    return loss, grads
 
 
 def _head_columns(state: LearnerState, labels: np.ndarray) -> np.ndarray | None:
@@ -235,12 +165,25 @@ def train_epoch(
     the head lacks, new classes grow the head batch by batch, in batch
     order, before any step: one draw per batch, so the new columns' values
     do not depend on how batches are grouped into calls. Features are
-    gathered, cast to float64, once per ``GATHER_BATCHES`` batches; each
-    step reads its batch's slice of them, runs in the epoch's one set of
-    ``StepBuffers`` and updates ``params`` with one operation.
+    gathered, cast to float64, once per ``GATHER_BATCHES`` batches.
+
+    Everything else a step needs is built once per epoch: each row's
+    true-class index into its batch's flattened logits, one set of buffer
+    views per batch size, the ``w2.T`` view and a gradient vector laid out
+    like ``params`` with views per parameter. A step then makes only its
+    arithmetic calls, in place: forward, a softmax that overwrites the
+    logits, the true-class probabilities taken out (and put back less one,
+    which turns the softmax into ``n`` times ``dlogits``), backward, and one
+    update of ``params``. An underflowed true-class probability is a real
+    divergence signal: its log is left unclamped (its divide warning is
+    silenced), the loss comes out non-finite and the epoch halts before
+    that step's update.
     """
     if not batches:
         raise ValueError("train_epoch needs at least one batch")
+    sizes = [len(batch) for batch in batches]
+    if 0 in sizes:
+        raise ValueError(f"train_epoch got an empty batch at position {sizes.index(0)}")
     rows = np.concatenate(batches)
     labels = table.labels[rows]
     columns = _head_columns(state, labels)
@@ -248,31 +191,66 @@ def train_epoch(
         for batch in batches:
             ensure_classes(state, table.labels[batch].tolist())
         columns = _head_columns(state, labels)
-    buffers = StepBuffers(state, max(map(len, batches)))
-    n_classes = len(state.class_order)
-    offsets: dict[int, np.ndarray] = {}
+    w1, b1, w2, b2, params = state.w1, state.b1, state.w2, state.b2, state.params
+    w2_t = w2.T
+    hidden_width = w1.shape[1]
+    n_classes = w2.shape[1]
+    grads = np.empty_like(params)
+    dw1, db1, dw2, db2 = _param_views(grads, *w1.shape, n_classes)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    true = (np.arange(len(rows)) - np.repeat(starts, sizes)) * n_classes + columns
+    widest = max(sizes)
+    hidden_rows = np.empty((widest, hidden_width))
+    logit_rows = np.empty((widest, n_classes))
+    row_sums = np.empty((widest, 1))
+    dz1_rows = np.empty((widest, hidden_width))
+    views = {}
+    for n in set(sizes):
+        logits = logit_rows[:n]
+        # dividing by a power of two is exact, so multiplying by its inverse
+        # gives the same bits
+        scale = (np.multiply, 1.0 / n) if n & (n - 1) == 0 else (np.divide, n)
+        views[n] = (hidden_rows[:n], logits, logits.reshape(-1), row_sums[:n], dz1_rows[:n], *scale)
+    steps = list(zip(sizes, starts.tolist(), ends.tolist(), map(views.get, sizes)))
     total = 0.0
-    start = 0
     with np.errstate(divide="ignore"):
-        for first in range(0, len(batches), GATHER_BATCHES):
-            group = batches[first : first + GATHER_BATCHES]
-            group_start = start
-            group_end = start + sum(map(len, group))
-            x = table.features.take(rows[start:group_end], axis=0).astype(np.float64, copy=False)
-            for batch in group:
-                n = len(batch)
-                end = start + n
-                row_offsets = offsets.get(n)
-                if row_offsets is None:
-                    row_offsets = offsets[n] = np.arange(n) * n_classes
-                batch_x = x[start - group_start : end - group_start]
-                loss, _ = loss_and_grads(state, batch_x, columns[start:end], row_offsets, buffers)
+        for first in range(0, len(steps), GATHER_BATCHES):
+            group = steps[first : first + GATHER_BATCHES]
+            base = group[0][1]
+            x = table.features.take(rows[base : group[-1][2]], axis=0).astype(np.float64, copy=False)
+            for n, start, end, (hidden, logits, flat, row, dz1, scale, by) in group:
+                bx = x[start - base : end - base]
+                at = true[start:end]
+                np.dot(bx, w1, out=hidden)
+                hidden += b1
+                np.tanh(hidden, out=hidden)
+                np.dot(hidden, w2, out=logits)
+                logits += b2
+                np.maximum.reduce(logits, axis=1, keepdims=True, out=row)
+                logits -= row
+                np.exp(logits, out=logits)
+                np.add.reduce(logits, axis=1, keepdims=True, out=row)
+                logits /= row
+                p = flat.take(at)
+                flat.put(at, p - 1.0)
+                np.log(p, out=p)
+                loss = -float(np.add.reduce(p)) / n
+                scale(logits, by, out=logits)
+                np.dot(hidden.T, logits, out=dw2)
+                np.add.reduce(logits, axis=0, out=db2)
+                np.dot(logits, w2_t, out=dz1)
+                # tanh' = 1 - tanh^2, over the activations dw2 no longer needs
+                np.multiply(hidden, hidden, out=hidden)
+                np.subtract(1.0, hidden, out=hidden)
+                dz1 *= hidden
+                np.dot(bx.T, dz1, out=dw1)
+                np.add.reduce(dz1, axis=0, out=db1)
                 if not math.isfinite(loss):
                     raise LearnerDiverged(f"non-finite loss {loss}")
-                state.params -= np.multiply(buffers.grads, learning_rate, out=buffers.grads)
+                params -= np.multiply(grads, learning_rate, out=grads)
                 total += loss * n
-                start = end
-    return state, total / start
+    return state, total / len(rows)
 
 
 @dataclass(frozen=True)
@@ -357,7 +335,10 @@ class CostModel:
             "io_active_watts",
             "ram_watts_per_1k_samples",
         ):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.seconds_per_sample_step == 0:
             raise ValueError("seconds_per_sample_step must be positive")

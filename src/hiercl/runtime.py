@@ -19,6 +19,7 @@ per-class feature blocks once per task.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -107,6 +108,8 @@ class RunConfig:
             raise ValueError(f"budget_samples must hold at least one step ({self.step})")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be > 0")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate!r}")
         if not (0.0 < self.cutline <= 1.0):
             raise ValueError("cutline must be a fraction in (0, 1]")
         if self.selection_mode not in (HIGHEST_UTILITY, LOWEST_ENERGY):

@@ -327,6 +327,16 @@ def test_value_a_section_rejects_exits_with_one_line(tmp_path):
     assert_config_error(result, "config cost: gpu_dynamic_watts must be the largest dynamic term")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_cost_exits_with_one_line(tmp_path, value):
+    # a NaN static_watts used to exit 0 with NaN joules in the summary
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["cost"]["static_watts"] = value
+    _, result = invoke_run(tmp_path, cfg, "--strategy", "static")
+    assert_config_error(result, f"config cost: static_watts must be finite, got {value!r}")
+    assert len(result.output.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "run, args, message",
     [
@@ -344,6 +354,7 @@ def test_value_a_section_rejects_exits_with_one_line(tmp_path):
         ({"initial_swap_ratio": -0.1}, [], "initial_swap_ratio must be in [0, 1]"),
         ({}, ["--fixed-ratio", "1.5"], "fixed_swap_ratio must be in [0, 1]"),
         ({}, ["--bandwidth", "0"], "io_bandwidth_bytes_per_s must be > 0"),
+        ({"learning_rate": float("inf")}, [], "learning_rate must be finite, got inf"),
     ],
 )
 def test_out_of_range_run_setting_exits_with_one_line(tmp_path, run, args, message):

@@ -13,7 +13,6 @@ from hiercl.learner import (
     ensure_classes,
     evaluate,
     init_learner,
-    loss_and_grads,
     probe_blocks,
     train_epoch,
 )
@@ -65,12 +64,21 @@ class TestTrainEpoch:
 
 
 def test_gradients_match_central_finite_differences():
+    """The step ``train_epoch`` takes is the loss gradient: at learning rate
+    1 it moves the weights by the gradient, which central differences of
+    the loss (a copy's epoch at learning rate 0) confirm."""
     state = init_learner(3, hidden_width=5, seed=7)
     ensure_classes(state, [0, 1, 2])
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(5, 3))
-    y = np.array([0, 1, 2, 1, 0])
-    _, grads = loss_and_grads(state, x, y)
+    table, rows = packed(Task(1, rng.normal(size=(5, 3)), np.array([0, 1, 2, 1, 0]), 16))
+
+    def loss() -> float:
+        return train_epoch(copy_state(state), [rows], 0.0, table)[1]
+
+    stepped = copy_state(state)
+    train_epoch(stepped, [rows], 1.0, table)
+    grads = copy_state(state)
+    grads.params[:] = state.params - stepped.params
 
     eps = 1e-6
     for name in ("w1", "b1", "w2", "b2"):
@@ -81,15 +89,31 @@ def test_gradients_match_central_finite_differences():
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + eps
-            lo_plus, _ = loss_and_grads(state, x, y)
+            lo_plus = loss()
             param[idx] = orig - eps
-            lo_minus, _ = loss_and_grads(state, x, y)
+            lo_minus = loss()
             param[idx] = orig
             numeric[idx] = (lo_plus - lo_minus) / (2 * eps)
             it.iternext()
         denom = np.maximum(np.abs(numeric), 1e-8)
-        rel = np.abs(grads[name] - numeric) / denom
+        rel = np.abs(getattr(grads, name) - numeric) / denom
         assert rel.max() < 1e-4, f"{name}: max rel err {rel.max():.2e}"
+
+
+@pytest.mark.parametrize(
+    "cut, position",
+    [(lambda rows: [rows[:0]], 0), (lambda rows: [rows[:4], rows[:0], rows[4:]], 1)],
+    ids=["only-batch", "middle-batch"],
+)
+def test_empty_batch_is_refused_before_any_change(cut, position):
+    # these used to end in a TypeError and a ZeroDivisionError
+    table, rows = packed(labeled(np.arange(10) % 3))
+    state = init_learner(4, hidden_width=8, seed=0)
+    before = copy_state(state)
+    with pytest.raises(ValueError, match=f"empty batch at position {position}$"):
+        train_epoch(state, cut(rows), 0.1, table)
+    assert params_equal(state, before)
+    assert state.rng.bit_generator.state == before.rng.bit_generator.state
 
 
 class TestEvaluate:
@@ -283,6 +307,17 @@ class TestCostModel:
         t = cost.epoch_seconds(2000)
         charge_epoch(cost, 2000, t, ledger)
         assert ledger.io / ledger.gpu_dynamic < 0.03
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "name",
+        ["seconds_per_sample_step", "gpu_dynamic_watts", "static_watts", "io_active_watts",
+         "ram_watts_per_1k_samples"],
+    )
+    def test_non_finite_value_is_refused(self, name, value):
+        # NaN passed the "< 0" checks and billed NaN joules
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            CostModel(**{name: value})
 
     def test_gpu_must_dominate(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from hiercl.domain import Task
 from hiercl.learner import (
+    GATHER_BATCHES,
     LearnerDiverged,
     copy_state,
     ensure_classes,
@@ -149,6 +150,26 @@ def test_kernel_equals_textbook_step_bit_for_bit(plan, dim, hidden, dtype, learn
     per_class, average = reference_evaluate(reference, blocks)
     assert repr(result.per_class) == repr(per_class)
     assert result.average == average
+
+
+@pytest.mark.parametrize("short", [1, 7], ids=["last-batch-1", "last-batch-7"])
+def test_kernel_equals_textbook_step_at_the_bench_shapes(short):
+    """BLAS takes other code paths at the bench's sizes than at the property
+    test's: 32 features, 32 hidden units, batches of 32 over 100 classes,
+    more batches than one feature gather holds and a short last batch."""
+    dim, hidden, batch_size, n_classes = 32, 32, 32, 100
+    n_rows = batch_size * (GATHER_BATCHES + 3) + short
+    labels = np.random.default_rng(short).integers(n_classes, size=2 * n_rows)
+    table, rows = packed(make_task(labels, dim, np.float32, short))
+    kernel = init_learner(dim, hidden, short)
+    reference = copy_state(kernel)
+    for epoch_rows in (rows[:n_rows], rows[n_rows:]):
+        batches = [epoch_rows[i : i + batch_size] for i in range(0, n_rows, batch_size)]
+        _, loss = train_epoch(kernel, batches, 0.1, table)
+        _, expected = reference_train_epoch(reference, batches, 0.1, table)
+        assert loss == expected
+        assert exact_state(kernel) == exact_state(reference)
+    assert len(kernel.class_order) == n_classes
 
 
 def test_mid_epoch_divergence_keeps_the_last_finite_weights():

@@ -172,6 +172,12 @@ def test_run_config_int_fields_refuse_floats(name):
     assert getattr(RunConfig(**{name: np.int64(value)}), name) == value
 
 
+def test_run_config_refuses_infinite_learning_rate():
+    # it used to construct, and the run ended at the first step as divergence
+    with pytest.raises(ValueError, match="^learning_rate must be finite, got inf$"):
+        RunConfig(learning_rate=float("inf"))
+
+
 def test_budget_schedule_accepts_numpy_integers():
     schedule = ((np.int64(2), np.int64(600)),)
     assert RunConfig(budget_schedule=schedule).budget_schedule == ((2, 600),)

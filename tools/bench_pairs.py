@@ -11,9 +11,11 @@ specs, run with ``--trace 0``; ``--traced`` workloads get one
 first, so a drift in host speed weighs on both sides alike. Runs go one at
 a time, in this process's order, and nothing else is started.
 
-The summary gives, per spec, each side's median of every end-to-end
-metric, BEFORE's quartiles, how many pairs AFTER won on ``run_s``, and
-whether the modeled metrics were identical in every pair.
+The summary gives, per spec, each side's median and quartiles of every
+end-to-end metric, how many pairs AFTER won on ``run_s``, whether the
+modeled metrics were identical in every pair, and ``claim_met``: AFTER
+won ``run_s`` in at least 9 of 10 pairs, a tie counting as no win, and
+its median gap exceeds BEFORE's interquartile range.
 """
 
 from __future__ import annotations
@@ -68,17 +70,30 @@ def run_pairs(sides: dict[str, Path], workload: str, seed: int, pairs: int,
     return rows
 
 
+def quartiles(xs: list[float]) -> tuple[float, float]:
+    if len(xs) == 1:
+        return xs[0], xs[0]
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return q1, q3
+
+
 def summarize(rows: list[dict]) -> dict:
+    """Each side's median and quartiles of every metric, and whether AFTER
+    meets the claim gate on ``run_s``: faster in at least 9 of 10 pairs (a
+    tie is not a win) by a median gap wider than BEFORE's interquartile
+    range."""
     before = [values(r["before"]) for r in rows]
     after = [values(r["after"]) for r in rows]
     medians = {}
     for name in before[0]:
         b = [v[name] for v in before]
         a = [v[name] for v in after]
-        q1, _, q3 = statistics.quantiles(b, n=4) if len(b) > 1 else (b[0], None, b[0])
+        (bq1, bq3), (aq1, aq3) = quartiles(b), quartiles(a)
         medians[name] = {"before": statistics.median(b), "after": statistics.median(a),
-                         "before_q1": q1, "before_q3": q3}
+                         "before_q1": bq1, "before_q3": bq3, "after_q1": aq1, "after_q3": aq3}
     run_s = medians["run_s"]
+    won = sum(a["run_s"] < b["run_s"] for b, a in zip(before, after))
+    gap_exceeds_iqr = run_s["before"] - run_s["after"] > run_s["before_q3"] - run_s["before_q1"]
     return {
         "pairs": len(rows),
         "all_correct": all(r[s]["correct"] and r[s]["failed"] == 0
@@ -87,10 +102,9 @@ def summarize(rows: list[dict]) -> dict:
             {k: b[k] for k in MODELED} == {k: a[k] for k in MODELED}
             for b, a in zip(before, after)
         ),
-        "run_s_pairs_won": sum(a["run_s"] < b["run_s"] for b, a in zip(before, after)),
-        "run_s_median_gap_exceeds_before_iqr": (
-            run_s["before"] - run_s["after"] > run_s["before_q3"] - run_s["before_q1"]
-        ),
+        "run_s_pairs_won": won,
+        "run_s_median_gap_exceeds_before_iqr": gap_exceeds_iqr,
+        "claim_met": 10 * won >= 9 * len(rows) and gap_exceeds_iqr,
         "medians": medians,
     }
 
