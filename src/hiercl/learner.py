@@ -208,10 +208,7 @@ def train_epoch(
     views = {}
     for n in set(sizes):
         logits = logit_rows[:n]
-        # dividing by a power of two is exact, so multiplying by its inverse
-        # gives the same bits
-        scale = (np.multiply, 1.0 / n) if n & (n - 1) == 0 else (np.divide, n)
-        views[n] = (hidden_rows[:n], logits, logits.reshape(-1), row_sums[:n], dz1_rows[:n], *scale)
+        views[n] = (hidden_rows[:n], logits, logits.reshape(-1), row_sums[:n], dz1_rows[:n])
     steps = list(zip(sizes, starts.tolist(), ends.tolist(), map(views.get, sizes)))
     total = 0.0
     with np.errstate(divide="ignore"):
@@ -219,7 +216,7 @@ def train_epoch(
             group = steps[first : first + GATHER_BATCHES]
             base = group[0][1]
             x = table.features.take(rows[base : group[-1][2]], axis=0).astype(np.float64, copy=False)
-            for n, start, end, (hidden, logits, flat, row, dz1, scale, by) in group:
+            for n, start, end, (hidden, logits, flat, row, dz1) in group:
                 bx = x[start - base : end - base]
                 at = true[start:end]
                 np.dot(bx, w1, out=hidden)
@@ -236,7 +233,7 @@ def train_epoch(
                 flat.put(at, p - 1.0)
                 np.log(p, out=p)
                 loss = -float(np.add.reduce(p)) / n
-                scale(logits, by, out=logits)
+                logits /= n
                 np.dot(hidden.T, logits, out=dw2)
                 np.add.reduce(logits, axis=0, out=db2)
                 np.dot(logits, w2_t, out=dz1)

@@ -2,20 +2,24 @@
 write one ``BENCH_*.json`` with every run and a summary per workload.
 
     python3 tools/bench_pairs.py BEFORE AFTER --out BENCH_name.json \\
-        --runs desk-adaptive:0:10 desk-static:0:5 --traced desk-adaptive
+        --runs desk-adaptive:0:10 desk-static:0:5 --traced desk-adaptive:3
 
 BEFORE and AFTER are checkout directories; each run imports the library
 from the checkout it runs in. ``--runs`` takes ``workload:seed:pairs``
-specs, run with ``--trace 0``; ``--traced`` workloads get one
-``--trace 1`` pair each, on seed 0. The pairs alternate which side runs
-first, so a drift in host speed weighs on both sides alike. Runs go one at
-a time, in this process's order, and nothing else is started.
+specs, run with ``--trace 0``; ``--traced`` takes ``workload[:pairs]``
+specs (one pair by default), run with ``--trace 1`` on seed 0. The pairs
+alternate which side runs first, so a drift in host speed weighs on both
+sides alike. Runs go one at a time, in this process's order, and nothing
+else is started.
 
 The summary gives, per spec, each side's median and quartiles of every
 end-to-end metric, how many pairs AFTER won on ``run_s``, whether the
-modeled metrics were identical in every pair, and ``claim_met``: AFTER
-won ``run_s`` in at least 9 of 10 pairs, a tie counting as no win, and
-its median gap exceeds BEFORE's interquartile range.
+modeled metrics were identical in every pair, and ``claim_met``: at least
+10 pairs, every run correct with no failed operation, the modeled metrics
+identical in every pair, AFTER faster on ``run_s`` in at least 9 of 10
+pairs (a tie counting as no win), and its median gap wider than BEFORE's
+interquartile range. A traced spec gives each side's median of every
+per-layer metric over its pairs.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ import sys
 from pathlib import Path
 
 MODELED = ("final_accuracy", "total_joules", "device_s", "run_utility")
+# fewest pairs a claim may rest on
+MIN_PAIRS = 10
 
 
 def git_state(checkout: Path) -> dict[str, object]:
@@ -79,9 +85,10 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
 
 def summarize(rows: list[dict]) -> dict:
     """Each side's median and quartiles of every metric, and whether AFTER
-    meets the claim gate on ``run_s``: faster in at least 9 of 10 pairs (a
-    tie is not a win) by a median gap wider than BEFORE's interquartile
-    range."""
+    meets the claim gate on ``run_s``: at least ``MIN_PAIRS`` pairs, all
+    runs correct and the modeled metrics equal in each, faster in at least
+    9 of 10 pairs (a tie is not a win) by a median gap wider than BEFORE's
+    interquartile range."""
     before = [values(r["before"]) for r in rows]
     after = [values(r["after"]) for r in rows]
     medians = {}
@@ -94,19 +101,27 @@ def summarize(rows: list[dict]) -> dict:
     run_s = medians["run_s"]
     won = sum(a["run_s"] < b["run_s"] for b, a in zip(before, after))
     gap_exceeds_iqr = run_s["before"] - run_s["after"] > run_s["before_q3"] - run_s["before_q1"]
+    all_correct = all(r[s]["correct"] and r[s]["failed"] == 0
+                      for r in rows for s in ("before", "after"))
+    modeled_identical = all({k: b[k] for k in MODELED} == {k: a[k] for k in MODELED}
+                            for b, a in zip(before, after))
     return {
         "pairs": len(rows),
-        "all_correct": all(r[s]["correct"] and r[s]["failed"] == 0
-                           for r in rows for s in ("before", "after")),
-        "modeled_identical": all(
-            {k: b[k] for k in MODELED} == {k: a[k] for k in MODELED}
-            for b, a in zip(before, after)
-        ),
+        "all_correct": all_correct,
+        "modeled_identical": modeled_identical,
         "run_s_pairs_won": won,
         "run_s_median_gap_exceeds_before_iqr": gap_exceeds_iqr,
-        "claim_met": 10 * won >= 9 * len(rows) and gap_exceeds_iqr,
+        "claim_met": (len(rows) >= MIN_PAIRS and all_correct and modeled_identical
+                      and 10 * won >= 9 * len(rows) and gap_exceeds_iqr),
         "medians": medians,
     }
+
+
+def layer_medians(rows: list[dict]) -> dict[str, dict[str, float]]:
+    """Each side's median of every per-layer metric over traced pairs."""
+    return {name: {side: statistics.median(values(r[side])[name] for r in rows)
+                   for side in ("before", "after")}
+            for name in values(rows[0]["before"])}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -115,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("after", type=Path)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--runs", nargs="+", required=True, metavar="WORKLOAD:SEED:PAIRS")
-    parser.add_argument("--traced", nargs="*", default=[], metavar="WORKLOAD")
+    parser.add_argument("--traced", nargs="*", default=[], metavar="WORKLOAD[:PAIRS]")
     parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
@@ -127,11 +142,11 @@ def main(argv: list[str] | None = None) -> int:
         untraced.append({"workload": workload, "seed": int(seed),
                          "summary": summarize(rows), "runs": rows})
     traced = []
-    for workload in args.traced:
-        (row,) = run_pairs(sides, workload, 0, 1, args.seconds, 1)
-        layers = {name: {"before": value, "after": values(row["after"])[name]}
-                  for name, value in values(row["before"]).items()}
-        traced.append({"workload": workload, "seed": 0, "layers": layers, "run": row})
+    for spec in args.traced:
+        workload, _, pairs = spec.partition(":")
+        rows = run_pairs(sides, workload, 0, int(pairs or 1), args.seconds, 1)
+        traced.append({"workload": workload, "seed": 0, "pairs": len(rows),
+                       "layers": layer_medians(rows), "runs": rows})
 
     report = {
         # as run from the directory that holds both checkouts
