@@ -187,23 +187,32 @@ def main():
     """Replay-based continual learning over a two-level memory hierarchy."""
 
 
-stream_options = [
-    click.option("--tasks", "n_tasks", type=int, default=None, help="Number of tasks"),
-    click.option("--classes-per-task", type=int, default=None),
-    click.option("--samples-per-class", type=int, default=None),
-    click.option("--dim", "feature_dim", type=int, default=None, help="Feature dimensionality"),
-    click.option("--separation", type=float, default=None, help="Class cluster separation"),
-    click.option("--stream-seed", type=int, default=None, help="Stream generation seed"),
-]
+def _stream_flag(field: str, *decls, **attrs):
+    """A stream flag that the command gets in its ``stream`` mapping, under
+    the ``StreamSpec`` field it sets."""
+
+    def collect(ctx, param, value):
+        ctx.params.setdefault("stream", {})[field] = value
+
+    return click.option(*decls, default=None, expose_value=False, callback=collect, **attrs)
 
 
-def _apply(options):
-    def wrap(f):
-        for opt in reversed(options):
-            f = opt(f)
-        return f
+_STREAM_FLAGS = (
+    _stream_flag("n_tasks", "--tasks", type=int, help="Number of tasks"),
+    _stream_flag("classes_per_task", "--classes-per-task", type=int),
+    _stream_flag("samples_per_class", "--samples-per-class", type=int),
+    _stream_flag("feature_dim", "--dim", type=int, help="Feature dimensionality"),
+    _stream_flag("separation", "--separation", type=float, help="Class cluster separation"),
+    _stream_flag("seed", "--stream-seed", type=int, help="Stream generation seed"),
+)
 
-    return wrap
+
+def stream_flags(command):
+    """Give a command the stream flags, as one ``stream`` mapping of
+    ``StreamSpec`` field to value (None where a flag is not given)."""
+    for flag in reversed(_STREAM_FLAGS):
+        command = flag(command)
+    return command
 
 
 @main.command()
@@ -220,21 +229,12 @@ def _apply(options):
               help="CSV of time,bytes_per_s external load steps")
 @click.option("--outdir", type=click.Path(), default="out")
 @click.option("--label", default=None, help="Output file prefix")
-@_apply(stream_options)
+@stream_flags
 def run(config_path, strategy, budget, cutline, mode, epochs, seed, fixed_ratio,
-        bandwidth, congestion_trace, outdir, label, n_tasks, classes_per_task,
-        samples_per_class, feature_dim, separation, stream_seed):
+        bandwidth, congestion_trace, outdir, label, stream):
     """Run one strategy over one synthetic stream and write reports."""
     cfg = _load_config(config_path)
-    spec = _build_spec(
-        cfg,
-        n_tasks=n_tasks,
-        classes_per_task=classes_per_task,
-        samples_per_class=samples_per_class,
-        feature_dim=feature_dim,
-        separation=separation,
-        seed=stream_seed,
-    )
+    spec = _build_spec(cfg, **stream)
     config = _build_run_config(
         cfg,
         spec,
@@ -268,20 +268,11 @@ def run(config_path, strategy, budget, cutline, mode, epochs, seed, fixed_ratio,
               help="Comma-separated budgets")
 @click.option("--seeds", default="0,1,2", callback=_int_list, help="Comma-separated run seeds")
 @click.option("--outdir", type=click.Path(), default="out")
-@_apply(stream_options)
-def sweep_cmd(config_path, strategies, budgets, seeds, outdir, n_tasks,
-              classes_per_task, samples_per_class, feature_dim, separation, stream_seed):
+@stream_flags
+def sweep_cmd(config_path, strategies, budgets, seeds, outdir, stream):
     """Run a (strategy x budget x seed) grid and write combined scatter data."""
     cfg = _load_config(config_path)
-    spec = _build_spec(
-        cfg,
-        n_tasks=n_tasks,
-        classes_per_task=classes_per_task,
-        samples_per_class=samples_per_class,
-        feature_dim=feature_dim,
-        separation=separation,
-        seed=stream_seed,
-    )
+    spec = _build_spec(cfg, **stream)
     config = _build_run_config(cfg, spec)
     for budget in budgets:
         for seed in seeds:
@@ -300,20 +291,11 @@ def sweep_cmd(config_path, strategies, budgets, seeds, outdir, n_tasks,
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@_apply(stream_options)
-def validate(config_path, n_tasks, classes_per_task, samples_per_class,
-             feature_dim, separation, stream_seed):
+@stream_flags
+def validate(config_path, stream):
     """Generate the stream and check its structural invariants."""
     cfg = _load_config(config_path)
-    spec = _build_spec(
-        cfg,
-        n_tasks=n_tasks,
-        classes_per_task=classes_per_task,
-        samples_per_class=samples_per_class,
-        feature_dim=feature_dim,
-        separation=separation,
-        seed=stream_seed,
-    )
+    spec = _build_spec(cfg, **stream)
     stream = generate_stream(spec)
     report = validate_stream(stream.tasks, spec.domain_incremental)
     if report.ok:

@@ -1,5 +1,5 @@
-"""Experiment harness: synthetic task streams, baseline conf strategies,
-and trace/report emission.
+"""Experiment harness: synthetic task streams, baseline conf strategies
+(resolved by ``make_policies``), and trace/report emission.
 
 Streams are Gaussian class clusters, disjoint classes per task by default
 (class-incremental); a domain-incremental mode reuses the class set and
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -53,6 +53,9 @@ class StreamSpec:
                 raise ValueError(f"{name} must be >= 1")
         if self.size_bytes is not None and self.size_bytes < 1:
             raise ValueError("size_bytes must be None or >= 1")
+        for name in ("separation", "drift", "test_fraction"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -176,21 +179,14 @@ class SchedulePolicy:
         return self.confs[task_index - 1]
 
 
-@dataclass
-class StaticExploration:
-    """Full-run grid exploration backing the best-static baselines."""
-
-    winner: Conf
-    halfway_winner: Conf
-
-
-def explore_static_confs(stream: Stream, config: RunConfig) -> StaticExploration:
+def explore_static_confs(stream: Stream, config: RunConfig) -> tuple[Conf, Conf]:
     """Run every grid conf over the whole stream and rank the outcomes.
 
-    The winner is picked with the same cutline-plus-metric rule the adaptive
-    runtime uses (``config.cutline`` and ``config.selection_mode``), on
-    (final accuracy, total joules). The halfway winner uses the standings
-    after ceil(n/2) tasks. Exploration cost is not billed.
+    Returns ``(winner, halfway_winner)``. The winner is picked with the same
+    cutline-plus-metric rule the adaptive runtime uses (``config.cutline``
+    and ``config.selection_mode``), on (final accuracy, total joules). The
+    halfway winner uses the standings after ceil(n/2) tasks. Exploration
+    cost is not billed.
     """
     from .profiler import build_search_space
 
@@ -227,58 +223,50 @@ def explore_static_confs(stream: Stream, config: RunConfig) -> StaticExploration
         )
 
     rule = (config.cutline, config.selection_mode, baseline)
-    return StaticExploration(
-        winner=select_record(final_records, *rule).conf,
-        halfway_winner=select_record(halfway_records, *rule).conf,
+    return (
+        select_record(final_records, *rule).conf,
+        select_record(halfway_records, *rule).conf,
     )
 
 
-def best_static_policy(exploration: StaticExploration) -> StaticConfPolicy:
-    return StaticConfPolicy(exploration.winner)
+_HEURISTIC_FRACTIONS = {"heuristic": 1.0, "heuristic-50": 0.5, "heuristic-20": 0.2}
+STRATEGY_NAMES = ("adaptive", "static", *_HEURISTIC_FRACTIONS, "best-static", "best-history")
 
 
-def best_history_policy(exploration: StaticExploration, n_tasks: int) -> SchedulePolicy:
-    """Mirrors the best static conf through the first half of the stream,
-    then freezes the halfway standings' winner for the remaining tasks."""
-    half = math.ceil(n_tasks / 2)
-    confs = tuple(
-        exploration.winner if t <= half else exploration.halfway_winner
-        for t in range(1, n_tasks + 1)
-    )
-    return SchedulePolicy(confs)
+def make_policies(
+    strategies: Sequence[str], stream: Stream, config: RunConfig
+) -> list[ConfPolicy | None]:
+    """Resolve strategy names into policies, in order (None means adaptive
+    profiling). Every name is checked before any work is done.
 
-
-STRATEGY_NAMES = (
-    "adaptive",
-    "static",
-    "heuristic",
-    "heuristic-50",
-    "heuristic-20",
-    "best-static",
-    "best-history",
-)
+    ``best-static`` keeps the exploration's winner for every task;
+    ``best-history`` keeps it through the first half of the stream, then
+    freezes the halfway standings' winner. The two share one exploration.
+    """
+    for strategy in strategies:
+        if strategy not in STRATEGY_NAMES:
+            raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGY_NAMES}")
+    policies: dict[str, ConfPolicy | None] = {
+        "adaptive": None,
+        "static": StaticConfPolicy(
+            default_static_conf(config.budget_samples, stream.spec.task_size, config.step)
+        ),
+    }
+    policies.update((name, HeuristicPolicy(f)) for name, f in _HEURISTIC_FRACTIONS.items())
+    if {"best-static", "best-history"} & set(strategies):
+        winner, halfway_winner = explore_static_confs(stream, config)
+        n_tasks = len(stream.tasks)
+        half = math.ceil(n_tasks / 2)
+        policies["best-static"] = StaticConfPolicy(winner)
+        policies["best-history"] = SchedulePolicy(
+            tuple(winner if t <= half else halfway_winner for t in range(1, n_tasks + 1))
+        )
+    return [policies[strategy] for strategy in strategies]
 
 
 def make_policy(strategy: str, stream: Stream, config: RunConfig) -> ConfPolicy | None:
-    """Resolve a strategy name into a policy (None means adaptive profiling)."""
-    if strategy == "adaptive":
-        return None
-    if strategy == "static":
-        return StaticConfPolicy(
-            default_static_conf(config.budget_samples, stream.spec.task_size, config.step)
-        )
-    if strategy == "heuristic":
-        return HeuristicPolicy(1.0)
-    if strategy == "heuristic-50":
-        return HeuristicPolicy(0.5)
-    if strategy == "heuristic-20":
-        return HeuristicPolicy(0.2)
-    if strategy in ("best-static", "best-history"):
-        exploration = explore_static_confs(stream, config)
-        if strategy == "best-static":
-            return best_static_policy(exploration)
-        return best_history_policy(exploration, len(stream.tasks))
-    raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGY_NAMES}")
+    """Resolve one strategy name into a policy (see ``make_policies``)."""
+    return make_policies((strategy,), stream, config)[0]
 
 
 # --- report emission -------------------------------------------------------
@@ -318,36 +306,14 @@ def emit_report(report: RunReport, outdir: str | Path, label: str = "run") -> di
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     trace_path = outdir / f"{label}_trace.csv"
+    # an EpochRow's fields are the trace columns, in order
     lines = [",".join(TRACE_COLUMNS)]
-    for row in report.epoch_rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.task_id,
-                    row.epoch,
-                    row.loss,
-                    row.swap_ratio,
-                    row.io_state,
-                    row.em_size,
-                    row.sb_size,
-                    row.joules_cum,
-                )
-            )
-        )
+    lines.extend(",".join(map(_fmt, astuple(row))) for row in report.epoch_rows)
     trace_path.write_text("\n".join(lines) + "\n")
 
     decisions = {
         "controller": [
-            {
-                "epoch": d.epoch,
-                "state": d.state.value,
-                "old_ratio": d.old_ratio,
-                "new_ratio": d.new_ratio,
-                "interval_epochs": d.interval_epochs,
-                "percent_per_firing": d.percent_per_firing,
-            }
-            for d in report.controller_decisions
+            {**asdict(d), "state": d.state.value} for d in report.controller_decisions
         ],
         "selections": [
             {
@@ -421,7 +387,8 @@ def sweep(
     seeds: Sequence[int],
 ) -> list[SweepPoint]:
     """Grid of (strategy, budget, seed) runs on a shared stream spec. Every
-    budget and seed passes the run config's checks before the first run."""
+    budget, seed and strategy name passes its checks before the first run,
+    and each (budget, seed) explores the grid at most once."""
     configs = [
         replace(
             base_config,
@@ -435,8 +402,7 @@ def sweep(
     points: list[SweepPoint] = []
     for config in configs:
         stream = generate_stream(replace(spec, seed=spec.seed + config.seed))
-        for strategy in strategies:
-            policy = make_policy(strategy, stream, config)
+        for strategy, policy in zip(strategies, make_policies(strategies, stream, config)):
             report = run_stream(stream.tasks, stream.probe_sets, config, policy)
             points.append(
                 SweepPoint(

@@ -185,9 +185,13 @@ class RunReport:
     abort_reason: str | None = None
 
 
-def _largest_grid_conf(budget: int, task_size: int, step: int) -> Conf:
+def _largest_grid_conf(budget: int, task_size: int, step: int, reason: str) -> Conf:
+    """The fallback when a shrunk budget leaves no chosen conf that fits:
+    the largest grid conf within it, with a warning that gives ``reason``."""
     space = build_search_space(budget, task_size, step)
-    return max(space, key=lambda c: (c.total, c.sb_size))
+    conf = max(space, key=lambda c: (c.total, c.sb_size))
+    warnings.warn(f"{reason}; falling back to grid conf {conf}")
+    return conf
 
 
 class Runtime:
@@ -238,17 +242,21 @@ class Runtime:
         """Decide this task's conf: profile-and-select, or ask the policy.
 
         ``rows`` are the task's table rows and ``probes`` the per-class probe
-        blocks of every task so far."""
+        blocks of every task so far. A policy conf over the live budget is an
+        error, unless a schedule shrank the budget below the run's own: then
+        the largest grid conf stands in, as for a shrink mid-task."""
         cfg = self.config
         self._records_this_task = []
         self._baseline_accuracy = 1.0 / classes_seen if classes_seen else 0.0
 
         if self.policy is not None:
-            conf = self.policy.conf_for_task(task_index, len(task), self.budget_samples, cfg.step)
-            if conf.total > self.budget_samples:
-                raise ValueError(
-                    f"policy conf {conf} exceeds budget {self.budget_samples}"
-                )
+            budget = self.budget_samples
+            conf = self.policy.conf_for_task(task_index, len(task), budget, cfg.step)
+            if conf.total > budget:
+                reason = f"policy conf {conf} exceeds budget {budget}"
+                if budget >= cfg.budget_samples:
+                    raise ValueError(reason)
+                conf = _largest_grid_conf(budget, len(task), cfg.step, reason)
             self.report.chosen_confs.append((task.task_id, conf))
             return conf
 
@@ -327,10 +335,8 @@ class Runtime:
                 self._baseline_accuracy,
             ).conf
         else:
-            conf = _largest_grid_conf(new, len(task), self.config.step)
-            warnings.warn(
-                f"no profiled conf fits budget {new}; falling back to grid conf {conf}"
-            )
+            reason = f"no profiled conf fits budget {new}"
+            conf = _largest_grid_conf(new, len(task), self.config.step, reason)
         self._apply_conf(conf)
         self.report.budget_events.append(
             BudgetEvent(task.task_id, epoch, old, new, "reselect", conf)

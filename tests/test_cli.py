@@ -365,6 +365,26 @@ def test_out_of_range_run_setting_exits_with_one_line(tmp_path, run, args, messa
     assert len(result.output.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("strategy", ["static", "best-static"])
+def test_fixed_conf_strategy_meets_a_schedule_shrink(tmp_path, strategy):
+    # each used to end in a "policy conf ... exceeds budget 60" traceback at task 3
+    cfg = {
+        "stream": {"n_tasks": 3, "classes_per_task": 3, "samples_per_class": 30, "feature_dim": 8},
+        "run": {"epochs_per_task": 3, "step": 30, "budget_samples": 180,
+                "budget_schedule": [[4, 60]]},
+    }
+    with pytest.warns(UserWarning, match="budget 60; falling back to grid conf") as caught:
+        _, result = invoke_run(tmp_path, cfg, "--strategy", strategy)
+    assert result.exit_code == 0, result.output
+    assert any("exceeds budget 60" in str(w.message) for w in caught)
+    rows = (tmp_path / "out" / f"{strategy}_trace.csv").read_text().splitlines()[1:]
+    live = [180] * 3 + [60] * 6
+    assert len(rows) == len(live)
+    for line, budget in zip(rows, live):
+        em, sb = map(int, line.split(",")[5:7])
+        assert em + sb <= budget
+
+
 def test_sweep_budget_below_one_step_exits_before_any_run(tmp_path):
     result = CliRunner().invoke(
         main,
@@ -487,6 +507,34 @@ def test_empty_stream_setting_exits_with_one_line(tmp_path, command, source, fla
     assert_config_error(result, f"config stream: {key} must be >= 1")
     assert len(result.output.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("run", "test_fraction", float("nan")),
+        ("run", "separation", float("nan")),
+        ("run", "drift", float("inf")),
+        ("validate", "test_fraction", float("-inf")),
+    ],
+)
+def test_non_finite_stream_setting_exits_with_one_line(tmp_path, command, key, value):
+    # test_fraction: .nan used to end in a "cannot convert float NaN to integer"
+    # traceback, and separation: .nan in a diverged run after its reports
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["stream"][key] = value
+    path = tmp_path / "exp_edit.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    outdir = [] if command == "validate" else ["--outdir", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, [command, "--config", str(path), *outdir])
+    assert_config_error(result, f"config stream: {key} must be finite, got {value!r}")
+    assert len(result.output.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_separation_flag_exits_with_one_line(tmp_path):
+    result = CliRunner().invoke(main, ["validate", *MICRO, "--separation", "nan"])
+    assert_config_error(result, "config stream: separation must be finite, got nan")
 
 
 @pytest.mark.parametrize("size_bytes", [0, -64])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,15 +6,15 @@ import pytest
 
 from hiercl.domain import Conf, validate_stream
 from hiercl.harness import (
+    STRATEGY_NAMES,
     HeuristicPolicy,
     StaticConfPolicy,
     StreamSpec,
-    best_history_policy,
-    best_static_policy,
     default_static_conf,
     emit_report,
     explore_static_confs,
     generate_stream,
+    make_policies,
     make_policy,
     run_utility,
     sweep,
@@ -50,6 +51,14 @@ def test_stream_spec_int_fields_refuse_floats(name):
     # numpy integers are integers, and generate a stream
     spec = StreamSpec(**{"n_tasks": 1, "samples_per_class": 5, name: np.int32(value)})
     assert validate_stream(generate_stream(spec).tasks).ok
+
+
+@pytest.mark.parametrize("name", ["separation", "drift", "test_fraction"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_stream_spec_refuses_non_finite_floats(name, value):
+    # a NaN test_fraction used to fail inside generate_stream
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        StreamSpec(**{name: value})
 
 
 class TestGenerateStream:
@@ -179,14 +188,13 @@ class TestStaticBaselines:
                           feature_dim=8, seed=4)
         stream = generate_stream(spec)
         cfg = small_config(budget_samples=300, epochs_per_task=3)
-        exploration = explore_static_confs(stream, cfg)
-        bs = best_static_policy(exploration)
-        bh = best_history_policy(exploration, n_tasks=4)
+        winner, halfway_winner = explore_static_confs(stream, cfg)
+        bs, bh = make_policies(("best-static", "best-history"), stream, cfg)
         for t in (1, 2):
             assert bh.conf_for_task(t, 60, 300, 100) == bs.conf_for_task(t, 60, 300, 100)
         for t in (3, 4):
-            assert bh.conf_for_task(t, 60, 300, 100) == exploration.halfway_winner
-        assert exploration.winner.total <= 300
+            assert bh.conf_for_task(t, 60, 300, 100) == halfway_winner
+        assert winner.total <= 300
 
 
 class TestReports:
@@ -271,3 +279,74 @@ def test_unknown_strategy_rejected():
     stream = generate_stream(spec)
     with pytest.raises(ValueError):
         make_policy("galactic", stream, small_config())
+
+
+# sha256 of sweep_scatter.csv over every strategy, budgets (400, 600) and
+# seeds (0, 1), recorded before the sweep shared one exploration per point
+PINNED_SWEEP = "6001dfca94729970b956fb2bf8b445280e6102a98a1f6c27ffffd7b1ae6848d5"
+
+
+def test_sweep_explores_once_per_stream_and_config(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].budget_samples)
+        return run_stream(*args, **kwargs)
+
+    monkeypatch.setattr("hiercl.harness.run_stream", counted)
+    spec = StreamSpec(n_tasks=3, classes_per_task=3, samples_per_class=40, feature_dim=8, seed=3)
+    points = sweep(spec, small_config(), STRATEGY_NAMES, budgets=(400, 600), seeds=(0, 1))
+    digest = hashlib.sha256(write_sweep(points, tmp_path).read_bytes()).hexdigest()
+    assert digest == PINNED_SWEEP
+    # per seed, 7 strategy runs plus one full run per grid conf (7 at 400, 11 at 600)
+    assert len(calls) == 64
+    assert calls.count(400) == 2 * (7 + 7) and calls.count(600) == 2 * (7 + 11)
+
+
+def test_sweep_checks_every_strategy_before_its_first_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("hiercl.harness.run_stream", no_run)
+    spec = StreamSpec(n_tasks=1, classes_per_task=2, samples_per_class=20, seed=0)
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        sweep(spec, small_config(), strategies=["static", "bogus"], budgets=[600], seeds=[0])
+
+
+# sha256 of each emit_report file, recorded before trace rows and controller
+# entries were written straight from their records
+PINNED_REPORTS = {
+    "adaptive": {
+        "summary": "dedd04d3e85621eb747413b4eeb05bb60868dc2a9a7ed49c74436ae9944ae257",
+        "trace": "dacaf4d36688b50fb8efc3cf7891509a58ef07c049ef6840ade3f14d1a2a9482",
+        "decisions": "6dd41bfcce23a36340d5ae0fb4f1849ed82ef169b588344259b2cc291161e225",
+        "scatter": "618ad29d0cefb90ecacbc4091c1e49aa78f69873190d9acab96453f9a99efc47",
+    },
+    "congested": {
+        "summary": "cf7ee266e447efb34c4695b56f312ea06c94b53c9ea671108e97b86994722bd0",
+        "trace": "d6ec6aeb0172b697fef1fcd579accd1c46796b51b5d94582b5052f9b44020bbb",
+        "decisions": "3f79bf615658288cd8dca1d2ad6de3415cf05dd80c13efefdf76f25d0e394b6d",
+        "scatter": "6cfcb4d5181de0a140facff8332ea2b863ad312fe067bd78af6f456d4083e78a",
+    },
+}
+
+
+def _pinned_runs():
+    stream = generate_stream(
+        StreamSpec(n_tasks=2, classes_per_task=3, samples_per_class=40, feature_dim=8, seed=3)
+    )
+    yield "adaptive", run_stream(stream.tasks, stream.probe_sets, small_config())
+    stream = generate_stream(
+        StreamSpec(n_tasks=3, classes_per_task=3, samples_per_class=60, feature_dim=8, seed=5)
+    )
+    cfg = small_config(epochs_per_task=8, io_bandwidth_bytes_per_s=300.0)
+    report = run_stream(stream.tasks, stream.probe_sets, cfg, StaticConfPolicy(Conf(200, 200)))
+    assert len(report.controller_decisions) >= 5
+    yield "congested", report
+
+
+def test_emit_report_files_are_pinned(tmp_path):
+    for label, report in _pinned_runs():
+        paths = emit_report(report, tmp_path, label=label)
+        digests = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}
+        assert digests == PINNED_REPORTS[label]

@@ -375,6 +375,29 @@ class TestStaticPolicy:
             )
 
 
+    def test_fixed_conf_meets_a_schedule_shrink_with_the_grid_conf(self):
+        # task 3 used to end in "policy conf ... exceeds budget 60"
+        stream = generate_stream(
+            StreamSpec(n_tasks=3, classes_per_task=3, samples_per_class=30, feature_dim=8)
+        )
+        cfg = RunConfig(epochs_per_task=3, step=30, budget_samples=180, budget_schedule=((4, 60),))
+        policy = make_policy("static", stream, cfg)
+        with pytest.warns(UserWarning) as caught:
+            report = run_stream(stream.tasks, stream.probe_sets, cfg, policy)
+        # the shrink within task 2, then task 3's policy conf
+        assert [str(w.message) for w in caught] == [
+            "no profiled conf fits budget 60; falling back to grid conf Conf(sb_size=60, em_size=0)",
+            "policy conf Conf(sb_size=90, em_size=90) exceeds budget 60; "
+            "falling back to grid conf Conf(sb_size=60, em_size=0)",
+        ]
+        assert sorted(report.accuracy_matrix) == [1, 2, 3] and not report.aborted
+        fixed, fallback = Conf(90, 90), Conf(60, 0)
+        assert report.chosen_confs == [(1, fixed), (2, fixed), (2, fallback), (3, fallback)]
+        live = [180] * 3 + [60] * 6
+        assert len(report.epoch_rows) == len(live)
+        assert all(r.sb_size + r.em_size <= b for r, b in zip(report.epoch_rows, live))
+
+
 class TestAbort:
     def test_divergence_yields_partial_report(self):
         stream = tiny_stream(n_tasks=2)
