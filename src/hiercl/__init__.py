@@ -15,7 +15,7 @@ from .domain import (
 )
 from .control import ControllerConfig, SwapController, adjust_ratio, classify_io, plan_from_ratio
 from .learner import CostModel, LearnerState, charge_epoch, copy_state, evaluate, init_learner, probe_blocks, train_epoch
-from .memory import EpisodicMemory, StorageArchive, StreamBuffer, compose_epoch_batches, flush
+from .memory import EpisodicMemory, StorageArchive, compose_epoch_batches, flush
 from .profiler import ProfilerConfig, build_search_space, profile_task, sample_confs
 from .runtime import RunConfig, RunReport, Runtime, run_stream
 from .selector import apply_cutline, select_record, utility

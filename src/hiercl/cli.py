@@ -22,7 +22,7 @@ from .harness import (
     sweep,
     write_sweep,
 )
-from .learner import CostModel
+from .learner import CostModel, LearnerDiverged
 from .runtime import RunConfig, check_load_step, run_stream
 
 
@@ -248,7 +248,10 @@ def run(config_path, strategy, budget, cutline, mode, epochs, seed, fixed_ratio,
         external_io_load=_load_congestion_trace(congestion_trace) or None,
     )
     stream = generate_stream(spec)
-    policy = make_policy(strategy, stream, config)
+    try:
+        policy = make_policy(strategy, stream, config)
+    except LearnerDiverged as exc:
+        raise click.ClickException(f"learner diverged: {exc}") from None
     report = run_stream(stream.tasks, stream.probe_sets, config, policy)
     paths = emit_report(report, outdir, label or strategy)
     click.echo(f"final average accuracy: {report.final_average_accuracy:.4f}")
@@ -278,13 +281,10 @@ def sweep_cmd(config_path, strategies, budgets, seeds, outdir, stream):
         for seed in seeds:
             # each run of the grid must pass the run section's own checks
             _build_run_config(cfg, spec, budget_samples=budget, seed=seed)
-    points = sweep(
-        spec,
-        config,
-        strategies=strategies,
-        budgets=budgets,
-        seeds=seeds,
-    )
+    try:
+        points = sweep(spec, config, strategies=strategies, budgets=budgets, seeds=seeds)
+    except LearnerDiverged as exc:
+        raise click.ClickException(f"learner diverged: {exc}") from None
     path = write_sweep(points, outdir)
     click.echo(f"wrote {len(points)} points to {path}")
 
@@ -297,14 +297,13 @@ def validate(config_path, stream):
     cfg = _load_config(config_path)
     spec = _build_spec(cfg, **stream)
     stream = generate_stream(spec)
-    report = validate_stream(stream.tasks, spec.domain_incremental)
-    if report.ok:
-        click.echo(f"stream ok: {len(stream.tasks)} tasks, "
-                   f"{sum(len(t) for t in stream.tasks)} samples")
-    else:
-        for issue in report.issues:
-            click.echo(f"{issue.kind} (task {issue.task_id}): {issue.detail}")
+    issues = validate_stream(stream.tasks, spec.domain_incremental)
+    for issue in issues:
+        click.echo(issue)
+    if issues:
         sys.exit(1)
+    click.echo(f"stream ok: {len(stream.tasks)} tasks, "
+               f"{sum(len(t) for t in stream.tasks)} samples")
 
 
 if __name__ == "__main__":

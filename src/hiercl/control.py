@@ -148,7 +148,7 @@ class SwapController:
         self._empty_run = self._empty_run + 1 if queue_empty else 0
         sent = sum(i for i, _ in self._window)
         rate = min(sum(s for _, s in self._window) / sent, 1.0) if sent else None
-        self.io_state = self.classify(rate, self._empty_run)
+        self.io_state = classify_io(rate, self._empty_run, self.ratio, self.cfg)
         return None if self.pinned or self.io_state is IoState.STABLE else self.io_state
 
     def fire_due(self) -> bool:
@@ -161,9 +161,6 @@ class SwapController:
             return False
         self._since_firing = 0
         return True
-
-    def classify(self, rate: float | None, empty_epochs: int) -> IoState:
-        return classify_io(rate, empty_epochs, self.ratio, self.cfg)
 
     def react(self, state: IoState, epoch: int) -> ControllerDecision | None:
         """Adjust the ratio for a non-stable state and record the decision.

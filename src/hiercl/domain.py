@@ -202,29 +202,9 @@ class EnergyLedger:
         return d
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    kind: str
-    task_id: int
-    detail: str
-
-
-@dataclass
-class ValidationReport:
-    issues: list[ValidationIssue] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def add(self, kind: str, task_id: int, detail: str) -> None:
-        self.issues.append(ValidationIssue(kind, task_id, detail))
-
-
-def validate_stream(
-    tasks: Sequence[Task], domain_incremental: bool = False
-) -> ValidationReport:
-    """Check a task stream for structural defects before running it.
+def validate_stream(tasks: Sequence[Task], domain_incremental: bool = False) -> list[str]:
+    """Check a task stream for structural defects before running it; returns
+    one ``"<kind> (task <id>): <detail>"`` line per defect, none when valid.
 
     Flags empty tasks, class overlap between tasks (unless the stream is
     declared domain-incremental), and a feature dimension or sample byte
@@ -233,37 +213,35 @@ def validate_stream(
     if not tasks:
         raise ValueError("stream must contain at least one task")
 
-    report = ValidationReport()
+    issues: list[str] = []
     first: Task | None = None
     seen_classes: dict[int, int] = {}
 
     for task in tasks:
+        where = f"(task {task.task_id})"
         if len(task) == 0:
-            report.add("empty_task", task.task_id, "task has zero samples")
+            issues.append(f"empty_task {where}: task has zero samples")
             continue
         if first is None:
             first = task
         dim, stream_dim = task.features.shape[1], first.features.shape[1]
         if dim != stream_dim:
-            report.add("dim_mismatch", task.task_id, f"task has dim {dim}, stream dim {stream_dim}")
+            issues.append(f"dim_mismatch {where}: task has dim {dim}, stream dim {stream_dim}")
         if task.size_bytes != first.size_bytes:
-            report.add(
-                "size_bytes_mismatch",
-                task.task_id,
-                f"task has {task.size_bytes}-byte samples, stream uses {first.size_bytes}",
+            issues.append(
+                f"size_bytes_mismatch {where}: task has {task.size_bytes}-byte samples, "
+                f"stream uses {first.size_bytes}"
             )
         if not domain_incremental:
-            for c in sorted(task.class_set):
-                if c in seen_classes:
-                    report.add(
-                        "class_overlap",
-                        task.task_id,
-                        f"class {c} already appeared in task {seen_classes[c]}",
-                    )
+            issues.extend(
+                f"class_overlap {where}: class {c} already appeared in task {seen_classes[c]}"
+                for c in sorted(task.class_set)
+                if c in seen_classes
+            )
         for c in task.class_set:
             seen_classes.setdefault(c, task.task_id)
 
-    return report
+    return issues
 
 
 def round_up_to_step(n: int, step: int) -> int:

@@ -28,6 +28,7 @@ from .domain import (
     round_down_to_step,
     round_up_to_step,
 )
+from .learner import LearnerDiverged
 from .runtime import ConfPolicy, RunConfig, RunReport, run_stream
 from .selector import select_record
 
@@ -186,7 +187,8 @@ def explore_static_confs(stream: Stream, config: RunConfig) -> tuple[Conf, Conf]
     cutline-plus-metric rule the adaptive runtime uses (``config.cutline``
     and ``config.selection_mode``), on (final accuracy, total joules). The
     halfway winner uses the standings after ceil(n/2) tasks. Exploration
-    cost is not billed.
+    cost is not billed. A grid conf whose run diverges raises
+    ``LearnerDiverged``: it has no standings to rank.
     """
     from .profiler import build_search_space
 
@@ -201,6 +203,8 @@ def explore_static_confs(stream: Stream, config: RunConfig) -> tuple[Conf, Conf]
         report = run_stream(
             stream.tasks, stream.probe_sets, config, StaticConfPolicy(conf)
         )
+        if report.aborted:
+            raise LearnerDiverged(f"exploring {conf}: {report.abort_reason}")
         final_records.append(
             ProfileRecord(
                 conf=conf,
@@ -388,7 +392,8 @@ def sweep(
 ) -> list[SweepPoint]:
     """Grid of (strategy, budget, seed) runs on a shared stream spec. Every
     budget, seed and strategy name passes its checks before the first run,
-    and each (budget, seed) explores the grid at most once."""
+    and each (budget, seed) explores the grid at most once. A run that
+    diverges raises ``LearnerDiverged``: it has no point to plot."""
     configs = [
         replace(
             base_config,
@@ -404,6 +409,9 @@ def sweep(
         stream = generate_stream(replace(spec, seed=spec.seed + config.seed))
         for strategy, policy in zip(strategies, make_policies(strategies, stream, config)):
             report = run_stream(stream.tasks, stream.probe_sets, config, policy)
+            if report.aborted:
+                where = f"{strategy} at budget {config.budget_samples}, seed {config.seed}"
+                raise LearnerDiverged(f"{where}: {report.abort_reason}")
             points.append(
                 SweepPoint(
                     strategy=strategy,

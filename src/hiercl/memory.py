@@ -1,12 +1,13 @@
 """The two-level sample store: stream buffer (SB) and episodic memory (EM)
 in fast memory, backed by a storage archive holding everything seen so far.
 
-Every layer holds row indices into the run's one ``SampleTable``. SB is the
-current task's rows in arrival order, cut at ``capacity``: the rest of the
-task is overflow, kept for the archive and for replay, and resizing SB only
-moves the cut. The archive keeps one row array per class. EM keeps one row
-array per class (its slots) and a row-indexed slot array, so membership and
-replacement are array lookups rather than scans.
+Every layer holds row indices into the run's one ``SampleTable``. SB is a
+slice, not a store: the current task's rows in arrival order, cut at the
+chosen conf's ``sb_size``, so resizing SB only moves the cut. Only SB's rows
+and EM's rows are replayed; the rest of the task waits for the archive,
+which takes every task row at flush. The archive keeps one row array per
+class. EM keeps one row array per class (its slots) and a row-indexed slot
+array, so membership and replacement are array lookups rather than scans.
 
 EM is kept class-balanced: capacity is split into per-class quotas
 (floor of capacity / classes, remainders to the lowest class ids) and every
@@ -44,41 +45,6 @@ def class_runs(class_ids: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, 
     classes, starts = np.unique(class_ids[order], return_index=True)
     ends = np.append(starts[1:], len(order))
     return order, list(zip(classes.tolist(), starts.tolist(), ends.tolist()))
-
-
-class StreamBuffer:
-    """The current task's rows in arrival order, cut at ``capacity``.
-
-    Rows past capacity are not dropped: they are the overflow, destined for
-    the archive at flush time and available for replay.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = capacity
-        self.rows = NO_ROWS
-
-    @property
-    def contents(self) -> np.ndarray:
-        return self.rows[: self.capacity]
-
-    def __len__(self) -> int:
-        return min(self.capacity, len(self.rows))
-
-    def fill(self, rows: ArrayLike) -> None:
-        if len(self.rows):
-            raise RuntimeError("stream buffer must be empty at task start")
-        self.rows = np.asarray(rows, dtype=np.intp)
-
-    def resize(self, new_capacity: int) -> None:
-        """Shrink moves the arrival-order tail to overflow; grow pulls it back."""
-        if new_capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = new_capacity
-
-    def clear(self) -> None:
-        self.rows = NO_ROWS
 
 
 class StorageArchive:
@@ -227,36 +193,32 @@ class EpisodicMemory:
 
 
 def flush(
-    sb: StreamBuffer,
+    task_rows: ArrayLike,
     em: EpisodicMemory,
     archive: StorageArchive,
     rng: np.random.Generator,
 ) -> None:
-    """End-of-task reorganization.
-
-    Appends every task row (SB contents plus overflow) to the archive,
-    rebalances EM so the new classes get their quota share, and clears SB
-    for the next task.
-    """
-    archive.append(sb.rows)
+    """End-of-task reorganization: appends every task row (SB's and the
+    rest) to the archive, then rebalances EM so the new classes get their
+    quota share."""
+    archive.append(task_rows)
     em.rebalance(archive, rng)
-    sb.clear()
 
 
 def compose_epoch_batches(
-    sb: StreamBuffer,
+    sb_rows: np.ndarray,
     em: EpisodicMemory,
     batch_size: int,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
-    """One epoch's mini-batches of rows: a random permutation of SB contents
+    """One epoch's mini-batches of rows: a random permutation of SB's rows
     then EM (by class and slot), chunked.
 
     Every in-memory row appears exactly once.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    union = np.concatenate([sb.contents, em.rows()])
+    union = np.concatenate([sb_rows, em.rows()])
     if not len(union):
         raise ValueError("cannot compose batches from empty SB and EM")
     return shuffled_batches(union, batch_size, rng)

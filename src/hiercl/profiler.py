@@ -275,13 +275,11 @@ def profile_task(
         ref_data = np.concatenate([ref_data, _balanced_take(em_pool_by_class, ref_em, rng)])
     # warmup_epochs == 0 is ablation mode: confs ride on the raw live weights
     # and inherit the noisy early-epoch loss landscape
-    warmup_units = 0
-    if cfg.warmup_epochs > 0:
-        for _ in range(cfg.warmup_epochs):
-            batches = shuffled_batches(ref_data, config.batch_size, rng)
-            train_epoch(warm, batches, config.learning_rate, table)
-        warmup_units = len(ref_data) * cfg.warmup_epochs
-        charge_profiling(config.cost, len(ref_data), cfg.warmup_epochs, ledger)
+    for _ in range(cfg.warmup_epochs):
+        batches = shuffled_batches(ref_data, config.batch_size, rng)
+        train_epoch(warm, batches, config.learning_rate, table)
+    warmup_units = len(ref_data) * cfg.warmup_epochs
+    charge_profiling(config.cost, len(ref_data), cfg.warmup_epochs, ledger)
 
     records: list[ProfileRecord] = []
     eval_units = 0

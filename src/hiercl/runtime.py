@@ -12,8 +12,10 @@ task's last epoch fires nothing: the task boundary would cancel the batch.
 
 A run copies each task's feature block and label array into one
 ``SampleTable``, allocated at its final size when the run starts and filled
-task by task on arrival; from then on SB, EM, the archive, the swap channel,
-the batches and the profiler all hold rows of it. Probe sets become
+task by task on arrival; from then on EM, the archive, the swap channel, the
+batches and the profiler all hold rows of it. SB is no store of its own: it
+is the current task's rows cut at the chosen conf's ``sb_size``, sliced
+afresh each epoch, so a resize only moves the cut. Probe sets become
 per-class feature blocks once per task.
 """
 
@@ -49,13 +51,7 @@ from .learner import (
     probe_blocks,
     train_epoch,
 )
-from .memory import (
-    EpisodicMemory,
-    StorageArchive,
-    StreamBuffer,
-    compose_epoch_batches,
-    flush,
-)
+from .memory import NO_ROWS, EpisodicMemory, StorageArchive, compose_epoch_batches, flush
 from .profiler import ProfilerConfig, build_search_space, profile_task
 from .selector import DEFAULT_CUTLINE, HIGHEST_UTILITY, LOWEST_ENERGY, select_record, utility
 from .swap import IoChannel, SwapEngine
@@ -211,7 +207,6 @@ class Runtime:
         self.ledger = EnergyLedger()
         self.table = SampleTable()
         self.archive = StorageArchive(self.table)
-        self.sb = StreamBuffer(0)
         self.em = EpisodicMemory(0, self.table)
         self.channel = IoChannel(
             config.io_bandwidth_bytes_per_s, config.external_io_load
@@ -234,6 +229,8 @@ class Runtime:
         self._records_this_task: list[ProfileRecord] = []
         self._baseline_accuracy = 0.0
         self._chosen: Conf | None = None
+        # the current task's rows; none between tasks
+        self._task_rows = NO_ROWS
 
     # --- conf decision ---------------------------------------------------
 
@@ -322,7 +319,7 @@ class Runtime:
     def _adapt_budget(self, task: Task, epoch: int, old: int, new: int) -> None:
         """Keep the conf while SB+EM fits the new budget (always so on
         growth); otherwise re-select among this task's profiled records."""
-        usage = self.sb.capacity + self.em.capacity
+        usage = self._chosen.sb_size + self.em.capacity
         if usage <= new:
             self.report.budget_events.append(BudgetEvent(task.task_id, epoch, old, new, "kept"))
             return
@@ -345,7 +342,6 @@ class Runtime:
 
     def _apply_conf(self, conf: Conf) -> None:
         self._chosen = conf
-        self.sb.resize(conf.sb_size)
         self.em.resize(conf.em_size, self.archive, self._em_rng)
 
     # --- the run loop -----------------------------------------------------
@@ -354,9 +350,9 @@ class Runtime:
         cfg = self.config
         if len(self.table):
             raise RuntimeError("a Runtime runs one stream; create a new one")
-        stream_check = validate_stream(tasks, cfg.domain_incremental)
-        if not stream_check.ok:
-            raise ValueError(f"invalid stream: {stream_check.issues[:3]}")
+        issues = validate_stream(tasks, cfg.domain_incremental)
+        if issues:
+            raise ValueError("invalid stream: " + "; ".join(issues[:3]))
         report = self.report
         dim = tasks[0].features.shape[1]
         dtype = np.result_type(*(task.features.dtype for task in tasks))
@@ -378,7 +374,7 @@ class Runtime:
             try:
                 conf = self.on_new_task(task, rows, task_index, probes, len(classes_seen))
                 self._apply_conf(conf)
-                self.sb.fill(rows)
+                self._task_rows = rows
                 self.controller.start_task()
                 self._train_task(task)
             except LearnerDiverged as exc:
@@ -386,7 +382,8 @@ class Runtime:
                 report.abort_reason = str(exc)
 
             self.engine.drop_pending(self.ledger.wall_time_seconds)
-            flush(self.sb, self.em, self.archive, self._em_rng)
+            flush(self._task_rows, self.em, self.archive, self._em_rng)
+            self._task_rows = NO_ROWS
 
             row = {}
             if self.state.class_order:
@@ -417,10 +414,9 @@ class Runtime:
         cfg = self.config
         for epoch in range(1, cfg.epochs_per_task + 1):
             self._global_epoch += 1
-            batches = compose_epoch_batches(
-                self.sb, self.em, cfg.batch_size, self._batch_rng
-            )
-            n_inuse = len(self.sb) + self.em.total
+            sb_rows = self._task_rows[: self._chosen.sb_size]
+            batches = compose_epoch_batches(sb_rows, self.em, cfg.batch_size, self._batch_rng)
+            n_inuse = len(sb_rows) + self.em.total
             self.state, loss = train_epoch(self.state, batches, cfg.learning_rate, self.table)
 
             t0 = self.ledger.wall_time_seconds
@@ -433,7 +429,7 @@ class Runtime:
             if io is not None or budget is not None:
                 self.estimate_and_adapt(task, epoch, io, budget)
 
-            if self.sb.capacity + self.em.capacity > self.budget_samples:
+            if self._chosen.sb_size + self.em.capacity > self.budget_samples:
                 raise RuntimeError("memory invariant violated: conf exceeds budget")
 
             ctl = self.controller
@@ -448,7 +444,7 @@ class Runtime:
                     swap_ratio=ctl.ratio,
                     io_state=ctl.io_state.value,
                     em_size=self.em.capacity,
-                    sb_size=self.sb.capacity,
+                    sb_size=self._chosen.sb_size,
                     joules_cum=self.ledger.total,
                 )
             )

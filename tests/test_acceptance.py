@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from hiercl.control import SwapController, plan_from_ratio
+from hiercl.control import SwapController, classify_io, plan_from_ratio
 from hiercl.domain import Conf, ProfileRecord
 from hiercl.harness import (
     HeuristicPolicy,
@@ -25,12 +25,7 @@ from hiercl.harness import (
     run_utility,
 )
 from hiercl.learner import init_learner, probe_blocks
-from hiercl.memory import (
-    EpisodicMemory,
-    StorageArchive,
-    StreamBuffer,
-    flush,
-)
+from hiercl.memory import EpisodicMemory, StorageArchive, flush
 from hiercl.profiler import ProfilerConfig, build_search_space, profile_task
 from hiercl.runtime import RunConfig, run_stream
 from hiercl.selector import HIGHEST_UTILITY, LOWEST_ENERGY, select_record
@@ -77,7 +72,7 @@ def test_criterion_1_aimd_exactness():
         ctl = SwapController(ratio=1.0)
         trace = [ctl.ratio]
         for epoch in (1, 2):
-            state = ctl.classify(rate=0.5, empty_epochs=0)
+            state = classify_io(0.5, 0, ctl.ratio, ctl.cfg)
             ctl.react(state, epoch)
             trace.append(ctl.ratio)
         assert trace == [1.0, 0.5, 0.25]
@@ -141,7 +136,6 @@ def test_criterion_5_class_balance_property():
         table = reserved(20_000)
         archive = StorageArchive(table)
         em = EpisodicMemory(120, table)
-        sb = StreamBuffer(100_000)
         task_id = 0
         ops = 0
         while ops < 10_000:
@@ -149,8 +143,7 @@ def test_criterion_5_class_balance_property():
                 task_id += 1
                 per_class = int(rng.integers(3, 30))
                 labels = np.repeat(range((task_id - 1) * 2, task_id * 2), per_class)
-                sb.fill(table.add(labeled(labels, task_id=task_id)))
-                flush(sb, em, archive, rng)
+                flush(table.add(labeled(labels, task_id=task_id)), em, archive, rng)
             else:
                 em.resize(int(rng.integers(0, 30)) * 10, archive, rng)
             ops += 1

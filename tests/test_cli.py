@@ -234,6 +234,33 @@ def test_run_exits_nonzero_when_learner_diverges(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, message",
+    [
+        (["sweep", "--strategies", "static", "--budgets", "180", "--seeds", "0"],
+         "learner diverged: static at budget 180, seed 0: non-finite loss"),
+        (["sweep", "--strategies", "adaptive", "--budgets", "180", "--seeds", "0"],
+         "learner diverged: adaptive at budget 180, seed 0: non-finite loss"),
+        (["run", "--strategy", "best-static"],
+         "learner diverged: exploring Conf(sb_size=30, em_size=0): non-finite loss"),
+    ],
+    ids=["sweep-static", "sweep-adaptive", "run-best-static"],
+)
+def test_diverging_sweep_or_exploration_ends_in_one_line(tmp_path, command, message):
+    path = tmp_path / "diverge.yaml"
+    path.write_text(yaml.safe_dump({
+        "stream": {"n_tasks": 2, "classes_per_task": 3, "samples_per_class": 30, "feature_dim": 8},
+        "run": {"epochs_per_task": 3, "step": 30, "budget_samples": 180, "learning_rate": 1.0e6},
+    }))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [*command, "--config", str(path), "--outdir", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {message}" in result.output
+    assert "Traceback" not in result.output
+    assert not (out / "sweep_scatter.csv").exists()
+
+
+@pytest.mark.parametrize(
     "section, key, value",
     [
         ("stream", "n_taks", 3),

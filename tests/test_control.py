@@ -185,7 +185,7 @@ class TestController:
         ctl = SwapController(ratio=1.0)
         trace = [ctl.ratio]
         for epoch in (1, 2):
-            state = ctl.classify(rate=0.5, empty_epochs=0)
+            state = classify_io(0.5, 0, ctl.ratio, ctl.cfg)
             ctl.react(state, epoch)
             trace.append(ctl.ratio)
         assert trace == [1.0, 0.5, 0.25]
@@ -370,7 +370,7 @@ class TestAimdProperty:
             zip(history, reference_aimd(ratio, cfg, history)), start=1
         ):
             old_ratio = ctl.ratio
-            assert ctl.classify(rate, empty_epochs) is state
+            assert classify_io(rate, empty_epochs, ctl.ratio, ctl.cfg) is state
             decision = ctl.react(state, epoch)
             assert ctl.ratio == new_ratio
             assert (ctl.interval_epochs, ctl.percent_per_firing) == plan

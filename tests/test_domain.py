@@ -105,25 +105,24 @@ class TestValidateStream:
             make_task(t, range((t - 1) * 3, t * 3), per_class=4, seed=t)
             for t in range(1, 11)
         ]
-        assert validate_stream(tasks).ok
+        assert validate_stream(tasks) == []
 
     def test_shared_class_reported(self):
         t1 = make_task(1, [1, 2, 3], per_class=2)
         t2 = make_task(2, [3, 4, 5], per_class=2)
-        report = validate_stream([t1, t2])
-        assert not report.ok
-        assert any(i.kind == "class_overlap" and "class 3" in i.detail for i in report.issues)
+        issues = validate_stream([t1, t2])
+        assert issues
+        assert any(i.startswith("class_overlap (task 2): ") and "class 3" in i for i in issues)
 
     def test_shared_class_ok_when_domain_incremental(self):
         t1 = make_task(1, [1, 2], per_class=2)
         t2 = make_task(2, [1, 2], per_class=2)
-        assert validate_stream([t1, t2], domain_incremental=True).ok
+        assert validate_stream([t1, t2], domain_incremental=True) == []
 
     def test_empty_task_rejected(self):
         t1 = make_task(1, [1], per_class=2)
         empty = Task(2, features(0), np.empty(0, np.intp), 64)
-        report = validate_stream([t1, empty])
-        assert [(i.kind, i.task_id) for i in report.issues] == [("empty_task", 2)]
+        assert validate_stream([t1, empty]) == ["empty_task (task 2): task has zero samples"]
 
     def test_empty_sequence_raises(self):
         with pytest.raises(ValueError):
@@ -135,10 +134,9 @@ class TestValidateStream:
             labeled([2], dim=6, task_id=2),
             labeled([3], dim=4, size_bytes=999, task_id=3),
         ]
-        report = validate_stream(tasks)
-        assert [(i.kind, i.task_id, i.detail) for i in report.issues] == [
-            ("dim_mismatch", 2, "task has dim 6, stream dim 4"),
-            ("size_bytes_mismatch", 3, "task has 999-byte samples, stream uses 64"),
+        assert validate_stream(tasks) == [
+            "dim_mismatch (task 2): task has dim 6, stream dim 4",
+            "size_bytes_mismatch (task 3): task has 999-byte samples, stream uses 64",
         ]
 
     def test_stream_shape_comes_from_the_first_non_empty_task(self):
@@ -148,9 +146,8 @@ class TestValidateStream:
             labeled([3], dim=4, size_bytes=128, task_id=3),
             labeled([4], dim=5, task_id=4),
         ]
-        report = validate_stream(tasks)
-        assert [(i.kind, i.task_id) for i in report.issues] == [
-            ("empty_task", 1), ("size_bytes_mismatch", 3), ("dim_mismatch", 4),
+        assert [i.split(":")[0] for i in validate_stream(tasks)] == [
+            "empty_task (task 1)", "size_bytes_mismatch (task 3)", "dim_mismatch (task 4)",
         ]
 
 

@@ -20,7 +20,7 @@ from hiercl.harness import (
     sweep,
     write_sweep,
 )
-from hiercl.learner import evaluate, init_learner, probe_blocks, train_epoch
+from hiercl.learner import LearnerDiverged, evaluate, init_learner, probe_blocks, train_epoch
 from hiercl.profiler import ProfilerConfig
 from hiercl.runtime import RunConfig, run_stream
 from conftest import packed
@@ -50,7 +50,7 @@ def test_stream_spec_int_fields_refuse_floats(name):
         StreamSpec(**{name: value + 0.5})
     # numpy integers are integers, and generate a stream
     spec = StreamSpec(**{"n_tasks": 1, "samples_per_class": 5, name: np.int32(value)})
-    assert validate_stream(generate_stream(spec).tasks).ok
+    assert validate_stream(generate_stream(spec).tasks) == []
 
 
 @pytest.mark.parametrize("name", ["separation", "drift", "test_fraction"])
@@ -68,7 +68,7 @@ class TestGenerateStream:
         )
         assert sum(len(t) for t in stream.tasks) == 10_000
         assert all(len(t) == 1000 for t in stream.tasks)
-        assert validate_stream(stream.tasks).ok
+        assert validate_stream(stream.tasks) == []
 
     def test_probe_sets_are_held_out(self):
         stream = generate_stream(StreamSpec(n_tasks=2, samples_per_class=50, seed=0))
@@ -128,8 +128,8 @@ class TestGenerateStream:
         )
         sets = [t.class_set for t in stream.tasks]
         assert sets[0] == sets[1] == sets[2]
-        assert not validate_stream(stream.tasks).ok
-        assert validate_stream(stream.tasks, domain_incremental=True).ok
+        assert validate_stream(stream.tasks) != []
+        assert validate_stream(stream.tasks, domain_incremental=True) == []
 
 
 class TestHeuristicPolicy:
@@ -301,6 +301,25 @@ def test_sweep_explores_once_per_stream_and_config(tmp_path, monkeypatch):
     # per seed, 7 strategy runs plus one full run per grid conf (7 at 400, 11 at 600)
     assert len(calls) == 64
     assert calls.count(400) == 2 * (7 + 7) and calls.count(600) == 2 * (7 + 11)
+
+
+# every run of this stream and config diverges in its first task
+DIVERGING_SPEC = StreamSpec(n_tasks=2, classes_per_task=3, samples_per_class=30, feature_dim=8)
+DIVERGING = dict(epochs_per_task=3, step=30, budget_samples=180, learning_rate=1.0e6)
+
+
+@pytest.mark.parametrize(
+    "strategy, message",
+    [
+        ("static", r"^static at budget 180, seed 0: non-finite loss"),
+        ("adaptive", r"^adaptive at budget 180, seed 0: non-finite loss"),
+        ("best-static", r"^exploring Conf\(sb_size=30, em_size=0\): non-finite loss"),
+    ],
+    ids=["static", "adaptive", "best-static"],
+)
+def test_sweep_raises_on_a_diverging_run(strategy, message):
+    with pytest.raises(LearnerDiverged, match=message):
+        sweep(DIVERGING_SPEC, small_config(**DIVERGING), [strategy], budgets=[180], seeds=[0])
 
 
 def test_sweep_checks_every_strategy_before_its_first_run(monkeypatch):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiercl.memory import (
+    NO_ROWS,
     EpisodicMemory,
     StorageArchive,
-    StreamBuffer,
     class_quotas,
     compose_epoch_batches,
     flush,
@@ -17,11 +17,7 @@ from conftest import labeled, make_task, reserved, spread_ok
 
 def fresh(capacity_em=100):
     table = reserved()
-    return StreamBuffer(0), EpisodicMemory(capacity_em, table), StorageArchive(table)
-
-
-def overflow(sb):
-    return sb.rows[sb.capacity :]
+    return EpisodicMemory(capacity_em, table), StorageArchive(table)
 
 
 class TestQuotas:
@@ -38,62 +34,22 @@ class TestQuotas:
         assert q == {1: 1, 2: 1, 4: 1, 7: 0, 9: 0}
 
 
-class TestStreamBuffer:
-    def test_exact_fit(self):
-        sb = StreamBuffer(5000)
-        sb.fill(reserved().add(make_task(1, range(10), per_class=500)))
-        assert len(sb) == 5000 and len(overflow(sb)) == 0
-
-    def test_overflow_routed_past_buffer(self):
-        sb = StreamBuffer(1000)
-        sb.fill(reserved().add(make_task(1, range(10), per_class=500)))
-        assert len(sb) == 1000
-        assert len(overflow(sb)) == 4000
-        assert sb.rows.tolist() == list(range(5000))
-
-    def test_underfill(self):
-        sb = StreamBuffer(1000)
-        sb.fill(reserved().add(make_task(1, [0], per_class=100)))
-        assert len(sb) == 100 and len(overflow(sb)) == 0
-
-    def test_must_be_empty_at_task_start(self):
-        sb = StreamBuffer(10)
-        table = reserved()
-        sb.fill(table.add(labeled([0])))
-        with pytest.raises(RuntimeError):
-            sb.fill(table.add(labeled([0])))
-
-    def test_resize_round_trip(self):
-        sb = StreamBuffer(6)
-        sb.fill(reserved().add(labeled([0] * 6)))
-        sb.resize(2)
-        assert sb.contents.tolist() == [0, 1]
-        assert overflow(sb).tolist() == [2, 3, 4, 5]
-        sb.resize(5)
-        assert sb.contents.tolist() == [0, 1, 2, 3, 4]
-        assert overflow(sb).tolist() == [5]
-
-
 class TestFlush:
     def test_growing_class_count_rebalances(self):
-        sb, em, archive = fresh(capacity_em=100)
+        em, archive = fresh(capacity_em=100)
         rng = np.random.default_rng(0)
-        sb.resize(10_000)
-        sb.fill(archive.table.add(make_task(1, range(10), per_class=20)))
-        flush(sb, em, archive, rng)
+        flush(archive.table.add(make_task(1, range(10), per_class=20)), em, archive, rng)
         assert em.counts() == {c: 10 for c in range(10)}
 
-        sb.fill(archive.table.add(make_task(2, range(10, 20), per_class=20)))
-        flush(sb, em, archive, rng)
+        flush(archive.table.add(make_task(2, range(10, 20), per_class=20)), em, archive, rng)
         assert em.counts() == {c: 5 for c in range(20)}
 
     def test_uneven_quota_spread_at_most_one(self):
-        sb, em, archive = fresh(capacity_em=100)
+        em, archive = fresh(capacity_em=100)
         rng = np.random.default_rng(1)
-        sb.resize(10_000)
         for t in range(1, 4):
-            sb.fill(archive.table.add(make_task(t, range((t - 1) * 10, t * 10), per_class=20)))
-            flush(sb, em, archive, rng)
+            rows = archive.table.add(make_task(t, range((t - 1) * 10, t * 10), per_class=20))
+            flush(rows, em, archive, rng)
         counts = em.counts()
         assert len(counts) == 30
         # brute count: every class holds 3 or 4 and the tens place is exact
@@ -101,34 +57,29 @@ class TestFlush:
         assert spread_ok(em, archive)
 
     def test_zero_capacity_em_stays_empty(self):
-        sb, em, archive = fresh(capacity_em=0)
+        em, archive = fresh(capacity_em=0)
         rng = np.random.default_rng(2)
-        sb.resize(100)
-        sb.fill(archive.table.add(make_task(1, range(5), per_class=10)))
-        flush(sb, em, archive, rng)
+        flush(archive.table.add(make_task(1, range(5), per_class=10)), em, archive, rng)
         assert em.total == 0
         assert sum(map(archive.class_count, archive.classes())) == 50
 
     def test_overflow_reaches_archive(self):
-        sb, em, archive = fresh()
+        em, archive = fresh()
         rng = np.random.default_rng(3)
-        sb.resize(10)
-        sb.fill(archive.table.add(make_task(1, range(5), per_class=10)))
-        assert len(overflow(sb)) == 40
-        flush(sb, em, archive, rng)
+        rows = archive.table.add(make_task(1, range(5), per_class=10))
+        assert len(rows[10:]) == 40  # the rows past an SB cut at 10
+        flush(rows, em, archive, rng)
         assert sum(map(archive.class_count, archive.classes())) == 50
-        assert len(sb) == 0 and len(overflow(sb)) == 0
+        archived = {r for c in archive.classes() for r in archive.class_rows(c).tolist()}
+        assert archived == set(rows.tolist())
 
     def test_archive_is_append_only_per_task(self):
-        sb, em, archive = fresh()
+        em, archive = fresh()
         rng = np.random.default_rng(4)
-        sb.resize(1000)
         table = archive.table
-        sb.fill(table.add(make_task(1, range(3), per_class=5)))
-        flush(sb, em, archive, rng)
+        flush(table.add(make_task(1, range(3), per_class=5)), em, archive, rng)
         after_t1 = {r for c in archive.classes() for r in archive.class_rows(c).tolist()}
-        sb.fill(table.add(make_task(2, range(3, 6), per_class=5)))
-        flush(sb, em, archive, rng)
+        flush(table.add(make_task(2, range(3, 6), per_class=5)), em, archive, rng)
         after_t2 = {r for c in archive.classes() for r in archive.class_rows(c).tolist()}
         assert after_t1 <= after_t2
 
@@ -203,9 +154,7 @@ class TestComposeBatches:
     def _filled(self, n_sb, n_em, batch, seed=0):
         rng = np.random.default_rng(seed)
         table = reserved()
-        sb = StreamBuffer(n_sb)
-        if n_sb:
-            sb.fill(table.add(labeled([0] * n_sb)))
+        sb = table.add(labeled([0] * n_sb)) if n_sb else NO_ROWS
         archive = StorageArchive(table)
         em = EpisodicMemory(n_em, table)
         if n_em:
@@ -235,7 +184,7 @@ class TestComposeBatches:
         sb, em, rng = self._filled(17, 23, 5)
         batches = compose_epoch_batches(sb, em, 5, rng)
         emitted = sorted(r for b in batches for r in b.tolist())
-        expected = sorted(sb.contents.tolist() + em.rows().tolist())
+        expected = sorted(sb.tolist() + em.rows().tolist())
         assert emitted == expected
 
     def test_empty_union_rejected(self):
@@ -251,11 +200,10 @@ def test_randomized_balance_survives_operations():
     table = reserved()
     archive = StorageArchive(table)
     em = EpisodicMemory(90, table)
-    sb = StreamBuffer(10_000)
     for t in range(1, 13):
         per_class = int(rng.integers(5, 40))
-        sb.fill(table.add(labeled(np.repeat(range((t - 1) * 3, t * 3), per_class), task_id=t)))
-        flush(sb, em, archive, rng)
+        rows = table.add(labeled(np.repeat(range((t - 1) * 3, t * 3), per_class), task_id=t))
+        flush(rows, em, archive, rng)
         assert spread_ok(em, archive)
         if t % 3 == 0:
             em.resize(int(rng.integers(0, 40)) * 10, archive, rng)

@@ -17,7 +17,7 @@ from hiercl.harness import (
 from hiercl.learner import CostModel
 from hiercl.profiler import ProfilerConfig
 from hiercl.runtime import RunConfig, Runtime, run_stream
-from conftest import spread_ok
+from conftest import make_task, spread_ok
 
 
 def tiny_stream(n_tasks=2, classes_per_task=3, per_class=40, dim=8, seed=5):
@@ -138,6 +138,50 @@ class TestLoopShape:
         tasks = [stream.tasks[0], stream.tasks[0]]
         with pytest.raises(ValueError):
             run_stream(tasks, stream.probe_sets, tiny_config())
+
+    def test_invalid_stream_error_is_one_readable_line(self):
+        tasks = [make_task(1, [1, 2, 3], per_class=2), make_task(2, [3, 4, 5], per_class=2)]
+        with pytest.raises(ValueError) as exc:
+            run_stream(tasks, {}, tiny_config())
+        assert str(exc.value) == (
+            "invalid stream: class_overlap (task 2): class 3 already appeared in task 1"
+        )
+
+    def test_sb_is_the_task_rows_cut_at_the_conf(self, monkeypatch):
+        """A conf that cuts SB below the task size: every epoch replays
+        exactly the task's first ``sb_size`` rows plus EM's rows, and each
+        flush archives every row of the task, cut or not."""
+        import hiercl.runtime as runtime_module
+
+        stream = tiny_stream(n_tasks=3)
+        task_size, conf = len(stream.tasks[0]), Conf(sb_size=50, em_size=60)
+        assert conf.sb_size < task_size
+        rt = Runtime(tiny_config(), StaticConfPolicy(conf))
+        compose, flush = runtime_module.compose_epoch_batches, runtime_module.flush
+        epochs, flushes = [], []
+
+        def checked_compose(*args):
+            batches = compose(*args)
+            start = len(rt.table) - task_size
+            expected = list(range(start, start + conf.sb_size)) + rt.em.rows().tolist()
+            assert sorted(r for b in batches for r in b.tolist()) == sorted(expected)
+            epochs.append(start)
+            return batches
+
+        def checked_flush(*args):
+            flush(*args)
+            archived = {r for c in rt.archive.classes() for r in rt.archive.class_rows(c).tolist()}
+            assert archived == set(range(len(rt.table)))
+            flushes.append(len(rt.table))
+
+        monkeypatch.setattr(runtime_module, "compose_epoch_batches", checked_compose)
+        monkeypatch.setattr(runtime_module, "flush", checked_flush)
+        report = rt.run(stream.tasks, stream.probe_sets)
+        assert not report.aborted
+        assert len(epochs) == len(report.epoch_rows) == 3 * rt.config.epochs_per_task
+        assert flushes == [task_size, 2 * task_size, 3 * task_size]
+        assert {r.sb_size for r in report.epoch_rows} == {conf.sb_size}
+        assert len(rt._task_rows) == 0
 
 
 @pytest.mark.parametrize(
@@ -276,14 +320,13 @@ class TestBudgetChannel:
             ProfileRecord(Conf(100, 100), 0.45, 20.0, 4),
             ProfileRecord(Conf(100, 0), 0.2, 10.0, 4),
         ]
-        rt.sb.resize(200)
-        rt.em.capacity = 200  # usage 400 exceeds the shrunk budget
+        rt._apply_conf(Conf(200, 200))  # usage 400 exceeds the shrunk budget
         rt.estimate_and_adapt(task, epoch=3, io=None, budget=(600, 250))
         event = rt.report.budget_events[-1]
         assert event.action == "reselect"
         # the surviving profiled confs are re-ranked without re-profiling
         assert event.conf == Conf(100, 100)
-        assert rt.sb.capacity + rt.em.capacity <= 250
+        assert rt._chosen.sb_size + rt.em.capacity <= 250
 
     def test_shrink_without_feasible_records_falls_back_to_grid(self):
         from hiercl.domain import ProfileRecord
@@ -293,8 +336,7 @@ class TestBudgetChannel:
         rt = Runtime(cfg)
         task = stream.tasks[0]
         rt._records_this_task = [ProfileRecord(Conf(300, 300), 0.5, 40.0, 4)]
-        rt.sb.resize(300)
-        rt.em.capacity = 300
+        rt._apply_conf(Conf(300, 300))
         with pytest.warns(UserWarning):
             rt.estimate_and_adapt(task, epoch=3, io=None, budget=(600, 150))
         event = rt.report.budget_events[-1]
