@@ -14,7 +14,7 @@ from .domain import (
     validate_stream,
 )
 from .control import ControllerConfig, SwapController, adjust_ratio, classify_io, plan_from_ratio
-from .learner import CostModel, LearnerState, charge_epoch, copy_state, evaluate, init_learner, probe_blocks, train_epoch
+from .learner import CostModel, LearnerState, charge_epoch, copy_state, evaluate, init_learner, probe_arrays, train_epoch
 from .memory import EpisodicMemory, StorageArchive, compose_epoch_batches, flush
 from .profiler import ProfilerConfig, build_search_space, profile_task, sample_confs
 from .runtime import RunConfig, RunReport, Runtime, run_stream

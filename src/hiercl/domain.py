@@ -33,7 +33,7 @@ class Sample:
     """One held-out probe: a class label and its feature vector.
 
     Probes are only ever evaluated on, never trained on, archived or
-    swapped; ``learner.probe_blocks`` groups them into per-class blocks.
+    swapped; ``learner.probe_arrays`` turns a run's probes into one table.
     """
 
     class_label: int
@@ -206,9 +206,9 @@ def validate_stream(tasks: Sequence[Task], domain_incremental: bool = False) -> 
     """Check a task stream for structural defects before running it; returns
     one ``"<kind> (task <id>): <detail>"`` line per defect, none when valid.
 
-    Flags empty tasks, class overlap between tasks (unless the stream is
-    declared domain-incremental), and a feature dimension or sample byte
-    size that differs from the first non-empty task's.
+    Flags repeated task ids, empty tasks, class overlap (unless the stream
+    is domain-incremental), and a feature dimension or sample byte size
+    that differs from the first non-empty task's.
     """
     if not tasks:
         raise ValueError("stream must contain at least one task")
@@ -216,9 +216,13 @@ def validate_stream(tasks: Sequence[Task], domain_incremental: bool = False) -> 
     issues: list[str] = []
     first: Task | None = None
     seen_classes: dict[int, int] = {}
+    seen_ids: set[int] = set()
 
     for task in tasks:
         where = f"(task {task.task_id})"
+        if task.task_id in seen_ids:
+            issues.append(f"duplicate_task_id {where}: task id {task.task_id} is already in the stream")
+        seen_ids.add(task.task_id)
         if len(task) == 0:
             issues.append(f"empty_task {where}: task has zero samples")
             continue

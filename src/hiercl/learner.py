@@ -13,9 +13,9 @@ loop: it gathers features, cast to float64, once per ``GATHER_BATCHES``
 batches, builds every index, buffer and view a step needs once per epoch,
 and each step then makes only its arithmetic calls, in place, with the
 same operations in the same order as the textbook step (the tests hold it
-to that bit for bit). Evaluation reads probes as per-class
-feature blocks (``probe_blocks``), built once, and runs one forward pass
-over all scored blocks stacked together. ``copy_state`` gives an
+to that bit for bit). Evaluation reads probes as one table, a float64
+feature matrix and a label array (``probe_arrays``), built once per run,
+and runs one forward pass over its rows. ``copy_state`` gives an
 independent copy of a state, weights and generator alike, for the profiler
 to train on. Any object honoring train_epoch / evaluate /
 copy_state semantics can be substituted; the runtime only moves rows and
@@ -256,47 +256,47 @@ class EvalResult:
     average: float
 
 
-def probe_blocks(samples: Iterable[Sample]) -> dict[int, np.ndarray]:
-    """Test samples as one feature block per class, rows in sample order,
-    in the samples' own dtype."""
-    by_class: dict[int, list[np.ndarray]] = {}
-    for s in samples:
-        by_class.setdefault(s.class_label, []).append(s.features)
-    return {c: np.stack(rows) for c, rows in by_class.items()}
+def probe_arrays(samples: Iterable[Sample]) -> tuple[np.ndarray, np.ndarray]:
+    """Test samples as one float64 feature matrix and one label array,
+    rows in sample order."""
+    samples = list(samples)
+    x = np.array([s.features for s in samples], dtype=np.float64)
+    return x, np.array([s.class_label for s in samples], dtype=np.intp)
 
 
 def evaluate(
     state: LearnerState,
-    blocks: dict[int, np.ndarray],
+    probes: tuple[np.ndarray, np.ndarray],
     classes: Iterable[int] | None = None,
 ) -> EvalResult:
     """Per-class accuracies and their macro average over seen classes.
 
-    ``blocks`` maps a class to its test features (see ``probe_blocks``).
+    ``probes`` is a feature matrix and its labels (see ``probe_arrays``).
     ``classes`` restricts the average to a subset (e.g. one task's classes);
     by default every seen class is expected, and seen classes with no test
     samples are excluded with a warning rather than dragging the average to
-    zero. Prediction always runs over the full seen-class head, in one
-    forward pass over the scored blocks stacked in class order; one
-    ``np.add.reduceat`` counts each block's hits.
+    zero. Prediction runs over the full seen-class head, in one forward pass
+    over every row; rows of a class the head lacks never count. Two
+    ``np.bincount`` calls over the label codes count hits and rows per class.
     """
     if not state.class_order:
         raise ValueError("learner has not seen any classes")
+    x, labels = probes
     column = {c: i for i, c in enumerate(state.class_order)}
     expected = column.keys() if classes is None else column.keys() & set(classes)
-    scored = sorted(c for c in blocks if c in expected and len(blocks[c]))
+    found, codes = np.unique(labels, return_inverse=True)
+    present = found.tolist()
+    scored = [c for c in present if c in expected]
     missing = sorted(expected - set(scored))
     if missing:
         warnings.warn(f"no test samples for classes {missing}; excluded from average")
     if not scored:
         raise ValueError("test set covers none of the seen classes")
-    sizes = np.array([len(blocks[c]) for c in scored])
-    x = np.concatenate([blocks[c] for c in scored]).astype(np.float64, copy=False)
     _, logits = _forward(state, x)
-    truth = np.repeat([column[c] for c in scored], sizes)
-    starts = np.cumsum(sizes) - sizes
-    hits = np.add.reduceat(logits.argmax(axis=1) == truth, starts, dtype=np.intp)
-    per_class = {c: hit / size for c, hit, size in zip(scored, hits.tolist(), sizes.tolist())}
+    truth = np.array([column.get(c, -1) for c in present])[codes]
+    hits = np.bincount(codes[logits.argmax(axis=1) == truth], minlength=len(present))
+    rates = (hits / np.bincount(codes)).tolist()
+    per_class = {c: rate for c, rate in zip(present, rates) if c in expected}
     return EvalResult(per_class=per_class, average=float(np.mean(list(per_class.values()))))
 
 

@@ -9,11 +9,11 @@ estimate is the cost model's projection of a full-length run at that conf.
 
 Profiling works entirely on copies and row arrays: every subsample is a
 row-index array into the run's ``SampleTable``, drawn with the same
-generator calls as a draw over sample lists, and the probes are per-class
-feature blocks, scored in one forward pass. The live model and the live
-buffers are never touched. Old rows are split by EM's ``class_quotas``,
-and batches and joules come from the run's own ``shuffled_batches`` and
-``train_joules``.
+generator calls as a draw over sample lists, and the probes are a prefix
+view of the run's probe table, scored in one forward pass. The live model
+and the live buffers are never touched. Old rows are split by EM's
+``class_quotas``, and batches and joules come from the run's own
+``shuffled_batches`` and ``train_joules``.
 
 Settings come from the run's ``RunConfig`` and old rows from its
 ``StorageArchive``, whose ``table`` every row indexes. Only the live budget
@@ -181,7 +181,7 @@ def evaluate_conf(
     conf: Conf,
     task_rows: np.ndarray,
     em_pool_by_class: dict[int, np.ndarray],
-    probes: dict[int, np.ndarray],
+    probes: tuple[np.ndarray, np.ndarray],
     config: RunConfig,
     rng: np.random.Generator,
     ledger: EnergyLedger,
@@ -192,8 +192,8 @@ def evaluate_conf(
     Returns the record plus the compute units (sample-epochs) it consumed.
     The data is a masked view: the first min(sb, task) stream rows and a
     balanced old-row selection capped at the conf's EM size, both
-    subsampled and coverage-checked. ``probes`` are per-class feature
-    blocks. From ``config`` it reads ``profiler`` (subsample, profile and
+    subsampled and coverage-checked. ``probes`` are probe features and
+    labels. From ``config`` it reads ``profiler`` (subsample, profile and
     warmup epochs), ``batch_size`` and ``learning_rate`` for the short
     training, and ``cost`` and ``epochs_per_task`` for the energy estimate
     of a full-length run.
@@ -237,7 +237,7 @@ def profile_task(
     live_state: LearnerState,
     task_rows: np.ndarray,
     archive: StorageArchive,
-    probes: dict[int, np.ndarray],
+    probes: tuple[np.ndarray, np.ndarray],
     budget_samples: int,
     reference_target: Conf | None,
     config: RunConfig,
@@ -247,7 +247,7 @@ def profile_task(
     """Profile one incoming task and return records for every sampled conf.
 
     ``task_rows`` are rows of ``archive.table``, and the old rows are the
-    archive's, by class; ``probes`` are per-class feature blocks. The grid
+    archive's, by class; ``probes`` are probe features and labels. The grid
     fills ``budget_samples`` (the live budget) in ``config.step`` steps, and
     the sample always carries the grid conf nearest ``reference_target``
     (the current conf, None on the first task). ``config.profiler`` sets the

@@ -15,8 +15,8 @@ A run copies each task's feature block and label array into one
 task by task on arrival; from then on EM, the archive, the swap channel, the
 batches and the profiler all hold rows of it. SB is no store of its own: it
 is the current task's rows cut at the chosen conf's ``sb_size``, sliced
-afresh each epoch, so a resize only moves the cut. Probe sets become
-per-class feature blocks once per task.
+afresh each epoch, so a resize only moves the cut. The probes are one table
+in task order: a task's probes are a row range, the probes so far a prefix.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .learner import (
     charge_epoch,
     evaluate,
     init_learner,
-    probe_blocks,
+    probe_arrays,
     train_epoch,
 )
 from .memory import NO_ROWS, EpisodicMemory, StorageArchive, compose_epoch_batches, flush
@@ -235,13 +235,13 @@ class Runtime:
     # --- conf decision ---------------------------------------------------
 
     def on_new_task(self, task: Task, rows: np.ndarray, task_index: int,
-                    probes: dict[int, np.ndarray], classes_seen: int) -> Conf:
+                    probes: tuple[np.ndarray, np.ndarray], classes_seen: int) -> Conf:
         """Decide this task's conf: profile-and-select, or ask the policy.
 
-        ``rows`` are the task's table rows and ``probes`` the per-class probe
-        blocks of every task so far. A policy conf over the live budget is an
-        error, unless a schedule shrank the budget below the run's own: then
-        the largest grid conf stands in, as for a shrink mid-task."""
+        ``rows`` are the task's table rows and ``probes`` the features and
+        labels of every probe so far. A policy conf over the live budget is
+        an error, unless a schedule shrank the budget below the run's own:
+        then the largest grid conf stands in, as for a shrink mid-task."""
         cfg = self.config
         self._records_this_task = []
         self._baseline_accuracy = 1.0 / classes_seen if classes_seen else 0.0
@@ -355,20 +355,27 @@ class Runtime:
             raise ValueError("invalid stream: " + "; ".join(issues[:3]))
         report = self.report
         dim = tasks[0].features.shape[1]
+        ids = {task.task_id for task in tasks}
+        for key, samples in probe_sets.items():
+            if key not in ids:
+                raise ValueError(f"invalid probes: no task has id {key}")
+            if any(len(s.features) != dim for s in samples):
+                raise ValueError(f"invalid probes: task {key} has a probe not of the stream dim {dim}")
+        if not any(map(len, probe_sets.values())):
+            raise ValueError("invalid probes: the stream has no probe")
         dtype = np.result_type(*(task.features.dtype for task in tasks))
         self.table.reserve(sum(len(task) for task in tasks), dim, dtype)
         self.state = init_learner(dim, cfg.hidden_width, self._learner_seed)
 
-        # per-class probe blocks: of each task, and of every task so far
-        task_probes: dict[int, dict[int, np.ndarray]] = {}
-        probes: dict[int, np.ndarray] = {}
+        # every probe, task by task: task k's are rows ends[k-1]:ends[k]
+        sets = [probe_sets.get(task.task_id, ()) for task in tasks]
+        x, labels = probe_arrays(s for samples in sets for s in samples)
+        ends = np.cumsum([0] + [len(samples) for samples in sets]).tolist()
         classes_seen: set[int] = set()
 
         for task_index, task in enumerate(tasks, start=1):
             rows = self.table.add(task)
-            blocks = task_probes[task.task_id] = probe_blocks(probe_sets.get(task.task_id, ()))
-            for c, block in blocks.items():
-                probes[c] = np.concatenate([probes[c], block]) if c in probes else block
+            probes = x[: ends[task_index]], labels[: ends[task_index]]
             classes_seen |= task.class_set
 
             try:
@@ -387,11 +394,10 @@ class Runtime:
 
             row = {}
             if self.state.class_order:
-                for seen in tasks[:task_index]:
-                    blocks = task_probes[seen.task_id]
-                    if blocks and not seen.class_set.isdisjoint(self.state.class_order):
+                for seen, start, end in zip(tasks[:task_index], ends, ends[1:]):
+                    if start < end and not seen.class_set.isdisjoint(self.state.class_order):
                         row[seen.task_id] = evaluate(
-                            self.state, blocks, classes=seen.class_set
+                            self.state, (x[start:end], labels[start:end]), classes=seen.class_set
                         ).average
             report.accuracy_matrix[task.task_id] = row
             if report.aborted:

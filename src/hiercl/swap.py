@@ -6,10 +6,10 @@ training never waits on the channel. Each swapped slot moves twice its
 sample size (replacement read plus write-back accounting), so ratio changes
 translate linearly into channel load.
 
-A swap batch is arithmetic, not one object per transfer: the channel queues
-each batch as an array of table rows and one of completion times, and
-computes those times in closed form (a running sum of durations per stretch
-of constant external load).
+A swap batch is arithmetic, not one object per transfer: the channel keeps
+every pending transfer in one array of table rows and one of completion
+times, and computes those times in closed form (a running sum of durations
+per stretch of constant external load).
 
 The engine sends a class at most as many transfers as it has archive rows
 outside EM, and applies landed transfers with one draw per class over those
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -44,15 +43,16 @@ class IoChannel:
     load schedule. Busy intervals are tracked so energy accounting can bill
     I/O-active seconds per epoch.
 
-    The queue is a FIFO of batches, each two parallel arrays (rows and
-    completion times), and every transfer of a batch moves the same bytes.
-    Transfer k of a batch starts when transfer k-1 completes, so within a
-    stretch of constant external load its completion time is
+    The pending transfers are two arrays in service order, their table rows
+    and their completion times, and every transfer of a batch moves the
+    same bytes. Transfer k of a batch starts when transfer k-1 completes,
+    so within a stretch of constant external load its completion time is
     ``start + d_0 + ... + d_k``; ``np.cumsum`` adds left to right, which
     makes the times bit-identical to serving the transfers one at a time.
     A stretch ends at the first transfer that starts at or after the next
     load step, where the bandwidth is read again. Completion times never
-    decrease along the queue, so ``pop_completed`` is a binary search.
+    decrease along the queue, so ``pop_completed`` is one binary search and
+    two slices.
     """
 
     def __init__(
@@ -67,11 +67,8 @@ class IoChannel:
         self.external_load = sorted((float(t), float(b)) for t, b in external_load)
         self._step_times = [t for t, _ in self.external_load]
         self.busy_until = 0.0
-        self.pending_count = 0
-        # (rows, completes_at) per batch; the head batch is served from
-        # index _head on
-        self._queue: deque[tuple[np.ndarray, np.ndarray]] = deque()
-        self._head = 0
+        self._rows = np.empty(0, dtype=np.intp)
+        self._completes_at = np.empty(0)
         self._busy_segments: list[tuple[float, float]] = []
 
     def load_at(self, t: float) -> float:
@@ -110,33 +107,27 @@ class IoChannel:
             self._busy_segments[-1] = (self._busy_segments[-1][0], start)
         else:
             self._busy_segments.append((first_start, start))
-        self._queue.append((rows, completes_at))
-        self.pending_count += n
+        self._rows = np.concatenate([self._rows, rows])
+        self._completes_at = np.concatenate([self._completes_at, completes_at])
         return completes_at
+
+    @property
+    def pending_count(self) -> int:
+        return len(self._rows)
 
     def pop_completed(self, now: float) -> np.ndarray:
         """Dequeue the transfers completed by ``now`` (a FIFO prefix); returns
         their rows."""
-        rows: list[np.ndarray] = []
-        while self._queue:
-            batch_rows, completes_at = self._queue[0]
-            end = int(np.searchsorted(completes_at, now, side="right"))
-            if end > self._head:
-                rows.append(batch_rows[self._head : end])
-                self.pending_count -= end - self._head
-            if end < len(completes_at):
-                self._head = max(self._head, end)
-                break
-            self._queue.popleft()
-            self._head = 0
-        return np.concatenate(rows) if rows else np.empty(0, dtype=np.intp)
+        end = int(np.searchsorted(self._completes_at, now, side="right"))
+        rows, self._rows = self._rows[:end], self._rows[end:]
+        self._completes_at = self._completes_at[end:]
+        return rows
 
     def clear_pending(self, now: float) -> int:
         """Cancel queued transfers; the channel goes idle from ``now`` on."""
         n = self.pending_count
-        self._queue.clear()
-        self._head = 0
-        self.pending_count = 0
+        self._rows = self._rows[:0]
+        self._completes_at = self._completes_at[:0]
         if self.busy_until > now:
             self.busy_until = now
             self._busy_segments = [

@@ -24,7 +24,7 @@ from hiercl.harness import (
     generate_stream,
     run_utility,
 )
-from hiercl.learner import init_learner, probe_blocks
+from hiercl.learner import init_learner, probe_arrays
 from hiercl.memory import EpisodicMemory, StorageArchive, flush
 from hiercl.profiler import ProfilerConfig, build_search_space, profile_task
 from hiercl.runtime import RunConfig, run_stream
@@ -250,7 +250,7 @@ def test_criterion_9_profiler_cost_ratio():
             live_state=state,
             task_rows=task_rows,
             archive=archive,
-            probes=probe_blocks(probe),
+            probes=probe_arrays(probe),
             budget_samples=5000,
             reference_target=None,
             config=RunConfig(

@@ -139,6 +139,17 @@ class TestValidateStream:
             "size_bytes_mismatch (task 3): task has 999-byte samples, stream uses 64",
         ]
 
+    def test_repeated_task_id_reported_in_stream_order(self):
+        tasks = [
+            make_task(1, [1, 2], per_class=2),
+            make_task(1, [1, 2], per_class=2),
+            labeled([3], dim=6, task_id=2),
+        ]
+        assert validate_stream(tasks, domain_incremental=True) == [
+            "duplicate_task_id (task 1): task id 1 is already in the stream",
+            "dim_mismatch (task 2): task has dim 6, stream dim 4",
+        ]
+
     def test_stream_shape_comes_from_the_first_non_empty_task(self):
         tasks = [
             Task(1, features(0, dim=9), np.empty(0, np.intp), 7),

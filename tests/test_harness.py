@@ -20,7 +20,7 @@ from hiercl.harness import (
     sweep,
     write_sweep,
 )
-from hiercl.learner import LearnerDiverged, evaluate, init_learner, probe_blocks, train_epoch
+from hiercl.learner import LearnerDiverged, evaluate, init_learner, probe_arrays, train_epoch
 from hiercl.profiler import ProfilerConfig
 from hiercl.runtime import RunConfig, run_stream
 from conftest import packed
@@ -103,7 +103,7 @@ class TestGenerateStream:
             order = rows[rng.permutation(len(rows))]
             batches = [order[k : k + 16] for k in range(0, len(order), 16)]
             train_epoch(state, batches, 0.2, table)
-        assert evaluate(state, probe_blocks(stream.probe_sets[1])).average > 0.95
+        assert evaluate(state, probe_arrays(stream.probe_sets[1])).average > 0.95
 
     def test_zero_separation_is_chance(self):
         stream = generate_stream(
@@ -118,7 +118,7 @@ class TestGenerateStream:
             order = rows[rng.permutation(len(rows))]
             batches = [order[k : k + 16] for k in range(0, len(order), 16)]
             train_epoch(state, batches, 0.1, table)
-        acc = evaluate(state, probe_blocks(stream.probe_sets[1])).average
+        acc = evaluate(state, probe_arrays(stream.probe_sets[1])).average
         assert abs(acc - 0.25) < 0.15
 
     def test_domain_incremental_mode_shares_classes(self):

@@ -13,7 +13,7 @@ from hiercl.learner import (
     ensure_classes,
     evaluate,
     init_learner,
-    probe_blocks,
+    probe_arrays,
     train_epoch,
 )
 from conftest import as_probes, labeled, packed, params_equal, train_on
@@ -125,7 +125,7 @@ class TestEvaluate:
 
     def test_perfect_classifier_scores_one(self):
         state = self._trained()
-        result = evaluate(state, probe_blocks(as_probes(toy_task(seed=5))))
+        result = evaluate(state, probe_arrays(as_probes(toy_task(seed=5))))
         assert result.average == 1.0
 
     def test_uniform_random_is_chance(self):
@@ -135,7 +135,7 @@ class TestEvaluate:
         state = init_learner(dim, hidden_width=4, seed=3)
         ensure_classes(state, range(C))
         probes = as_probes(labeled(rng.integers(C, size=4000), dim=dim))
-        result = evaluate(state, probe_blocks(probes))
+        result = evaluate(state, probe_arrays(probes))
         assert abs(result.average - 1.0 / C) < 0.05
 
     def test_macro_average_of_known_per_class(self):
@@ -155,7 +155,7 @@ class TestEvaluate:
             mk(1, -1, +1),
             mk(1, +1, +0.99),  # first hidden unit edges it out: predicted 0
         ]
-        result = evaluate(state, probe_blocks(tests))
+        result = evaluate(state, probe_arrays(tests))
         assert result.per_class[0] == 1.0
         assert result.per_class[1] == 0.5
         assert result.average == 0.75
@@ -164,13 +164,13 @@ class TestEvaluate:
         state = self._trained()
         only_zero = [p for p in as_probes(toy_task(seed=5)) if p.class_label == 0]
         with pytest.warns(UserWarning):
-            result = evaluate(state, probe_blocks(only_zero))
+            result = evaluate(state, probe_arrays(only_zero))
         assert set(result.per_class) == {0}
 
     def test_class_restriction_skips_warning(self):
         state = self._trained()
         only_zero = [p for p in as_probes(toy_task(seed=5)) if p.class_label == 0]
-        result = evaluate(state, probe_blocks(only_zero), classes={0})
+        result = evaluate(state, probe_arrays(only_zero), classes={0})
         assert set(result.per_class) == {0}
 
 

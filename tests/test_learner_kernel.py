@@ -22,7 +22,7 @@ from hiercl.learner import (
     ensure_classes,
     evaluate,
     init_learner,
-    probe_blocks,
+    probe_arrays,
     train_epoch,
 )
 from conftest import as_probes, packed
@@ -145,8 +145,13 @@ def test_kernel_equals_textbook_step_bit_for_bit(plan, dim, hidden, dtype, learn
         _, expected = reference_train_epoch(reference, batches, learning_rate, table)
         assert loss == expected
         assert exact_state(kernel) == exact_state(reference)
-    blocks = probe_blocks(as_probes(task))
-    result = evaluate(kernel, blocks)
+    probes = as_probes(task)
+    result = evaluate(kernel, probe_arrays(probes))
+    # the reference forwards one class block at a time
+    rows_by_class = {}
+    for s in probes:
+        rows_by_class.setdefault(s.class_label, []).append(s.features)
+    blocks = {c: np.stack(rows) for c, rows in rows_by_class.items()}
     per_class, average = reference_evaluate(reference, blocks)
     assert repr(result.per_class) == repr(per_class)
     assert result.average == average

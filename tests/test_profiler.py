@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiercl.domain import Conf, EnergyLedger
-from hiercl.learner import init_learner, probe_blocks, train_epoch
+from hiercl.learner import init_learner, probe_arrays, train_epoch
 from hiercl.memory import StorageArchive
 from hiercl.profiler import (
     COVERAGE_ATTEMPTS,
@@ -194,7 +194,7 @@ def small_profile_setup(seed=0, with_old=True):
         step=500,
         profiler=ProfilerConfig(conf_sample_size=6, warmup_epochs=2, profile_epochs=2, subsample=0.1),
     )
-    return state, task, archive, probe_blocks(probe), config
+    return state, task, archive, probe_arrays(probe), config
 
 
 def run_profile(state, task, archive, probe, config, seed=7, budget=2000, ledger=None):

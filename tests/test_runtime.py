@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hiercl.domain import LEDGER_COMPONENTS, Conf, Task
+from hiercl.domain import LEDGER_COMPONENTS, Conf, Sample, Task
 from hiercl.harness import (
     StaticConfPolicy,
     StreamSpec,
@@ -145,6 +145,17 @@ class TestLoopShape:
             run_stream(tasks, {}, tiny_config())
         assert str(exc.value) == (
             "invalid stream: class_overlap (task 2): class 3 already appeared in task 1"
+        )
+
+    def test_repeated_task_id_is_rejected(self):
+        """Two tasks with one id would share one accuracy-matrix row and one
+        probe set."""
+        tasks = [make_task(1, [1, 2], per_class=4), make_task(1, [1, 2], per_class=4, seed=1)]
+        probes = {1: [Sample(1, np.zeros(4, np.float32))]}
+        with pytest.raises(ValueError) as exc:
+            run_stream(tasks, probes, tiny_config(domain_incremental=True))
+        assert str(exc.value) == (
+            "invalid stream: duplicate_task_id (task 1): task id 1 is already in the stream"
         )
 
     def test_sb_is_the_task_rows_cut_at_the_conf(self, monkeypatch):
@@ -455,6 +466,49 @@ class TestAbort:
         assert len(report.accuracy_matrix) <= 1
 
 
+class TestProbeSets:
+    """A run checks its probe sets before it trains: every key names a task,
+    every probe has the stream's dimension, and some task has a probe."""
+
+    def _setup(self, strategy, edit):
+        """A runtime, the tasks of a small stream and its probe sets after
+        ``edit``."""
+        stream = generate_stream(
+            StreamSpec(n_tasks=3, classes_per_task=3, samples_per_class=40, feature_dim=8)
+        )
+        cfg = RunConfig(epochs_per_task=3, step=30, budget_samples=180)
+        probe_sets = dict(stream.probe_sets)
+        edit(probe_sets)
+        policy = None if strategy == "adaptive" else make_policy(strategy, stream, cfg)
+        return Runtime(cfg, policy), stream.tasks, probe_sets
+
+    @pytest.mark.parametrize("strategy", ["adaptive", "static"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda sets: sets.update({2: [Sample(s.class_label, s.features[:5]) for s in sets[2]]}),
+                "invalid probes: task 2 has a probe not of the stream dim 8",
+            ),
+            (lambda sets: sets.update({7: sets[1]}), "invalid probes: no task has id 7"),
+            (lambda sets: sets.clear(), "invalid probes: the stream has no probe"),
+        ],
+        ids=["short-probe", "unknown-key", "no-probes"],
+    )
+    def test_bad_probe_sets_fail_before_training(self, strategy, edit, message):
+        runtime, tasks, probe_sets = self._setup(strategy, edit)
+        with pytest.raises(ValueError) as exc:
+            runtime.run(tasks, probe_sets)
+        assert str(exc.value) == message
+        assert runtime.state is None and len(runtime.table) == 0
+
+    def test_task_without_probes_is_scored_on_the_others(self):
+        runtime, tasks, probe_sets = self._setup("static", lambda sets: sets.pop(2))
+        with pytest.warns(UserWarning, match=r"no test samples for classes \[3, 4, 5\]"):
+            report = runtime.run(tasks, probe_sets)
+        assert [sorted(row) for row in report.accuracy_matrix.values()] == [[1], [1], [1, 3]]
+
+
 def _rows_digest(rows) -> str:
     return hashlib.sha256(",".join(map(str, rows.tolist())).encode()).hexdigest()
 
@@ -605,6 +659,42 @@ class TestLearnerPathPinned:
         assert _weights_digest(runtime.state) == (
             "58550a2799015dd79d5f1defb55ce5d95340cc55e9b97f7e1d5df350f6ddd239"
         )
+
+
+    @pytest.mark.parametrize(
+        "strategy, report_digest, weights_digest",
+        [
+            (
+                "adaptive",
+                "d3159296390a51328ccb369c9f6e39badbc24849df8232de88a7047aa4533b29",
+                "2058286b9b0207888f36430259f195dd64dbd342c6e078a2dc58d4c1dff3c0bc",
+            ),
+            (
+                "static",
+                "71b6d9214c22bc1ce62cf87a1cb564326e51ae43be5868ddfe3c8d826199ce37",
+                "fc22ca9626325998bdd08ef59cffcfdf21c04e716ebdedfe5256014277a814b0",
+            ),
+        ],
+    )
+    def test_domain_incremental_runs_pinned(self, strategy, report_digest, weights_digest):
+        """Every task of a domain-incremental stream holds every class, so
+        its probes in stream order interleave the classes of every task."""
+        stream = generate_stream(
+            StreamSpec(
+                n_tasks=3,
+                classes_per_task=4,
+                samples_per_class=60,
+                feature_dim=8,
+                domain_incremental=True,
+                drift=0.5,
+            )
+        )
+        cfg = RunConfig(epochs_per_task=4, step=60, budget_samples=480, domain_incremental=True)
+        policy = None if strategy == "adaptive" else make_policy(strategy, stream, cfg)
+        runtime = Runtime(cfg, policy)
+        report = runtime.run(stream.tasks, stream.probe_sets)
+        assert hashlib.sha256(repr(report).encode()).hexdigest() == report_digest
+        assert _weights_digest(runtime.state) == weights_digest
 
 
 class BudgetStaticPolicy:
