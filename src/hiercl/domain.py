@@ -152,7 +152,6 @@ class ProfileRecord:
     conf: Conf
     accuracy_estimate: float
     energy_estimate: float
-    epoch_measured: int
 
     def __post_init__(self):
         if not (0.0 <= self.accuracy_estimate <= 1.0):

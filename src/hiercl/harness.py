@@ -1,5 +1,6 @@
 """Experiment harness: synthetic task streams, baseline conf strategies
-(resolved by ``make_policies``), and trace/report emission.
+(resolved by ``make_policies``), and the output files, every record in them
+written through the one naming rule of ``output_fields``.
 
 Streams are Gaussian class clusters, disjoint classes per task by default
 (class-incremental); a domain-incremental mode reuses the class set and
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +31,7 @@ from .domain import (
     round_up_to_step,
 )
 from .learner import LearnerDiverged
-from .runtime import ConfPolicy, RunConfig, RunReport, run_stream
+from .runtime import ConfPolicy, EpochRow, RunConfig, RunReport, run_stream
 from .selector import select_record
 
 
@@ -206,25 +208,13 @@ def explore_static_confs(stream: Stream, config: RunConfig) -> tuple[Conf, Conf]
         if report.aborted:
             raise LearnerDiverged(f"exploring {conf}: {report.abort_reason}")
         final_records.append(
-            ProfileRecord(
-                conf=conf,
-                accuracy_estimate=report.final_average_accuracy,
-                energy_estimate=report.ledger.total,
-                epoch_measured=config.epochs_per_task * len(stream.tasks),
-            )
+            ProfileRecord(conf, report.final_average_accuracy, report.ledger.total)
         )
         half_task_id = stream.tasks[half - 1].task_id
         half_row = report.accuracy_matrix[half_task_id]
         half_acc = float(np.mean(list(half_row.values())))
         half_joules = report.epoch_rows[half * config.epochs_per_task - 1].joules_cum
-        halfway_records.append(
-            ProfileRecord(
-                conf=conf,
-                accuracy_estimate=half_acc,
-                energy_estimate=half_joules,
-                epoch_measured=config.epochs_per_task * half,
-            )
-        )
+        halfway_records.append(ProfileRecord(conf, half_acc, half_joules))
 
     rule = (config.cutline, config.selection_mode, baseline)
     return (
@@ -275,8 +265,32 @@ def make_policy(strategy: str, stream: Stream, config: RunConfig) -> ConfPolicy 
 
 # --- report emission -------------------------------------------------------
 
-TRACE_COLUMNS = ("task", "epoch", "loss", "swap_ratio", "io_state", "em_size", "sb_size", "joules_cum")
 TRACE_VERSION = 1
+
+
+def _column(name: str) -> str:
+    return "task" if name == "task_id" else name
+
+
+def output_fields(record) -> dict:
+    """The one rule from a record to its output fields: a dataclass's fields
+    keep their names and order, except that ``task_id`` is written as
+    ``task``, a ``Conf`` as ``sb`` and ``em``, an enum as its value, and a
+    ``None`` field not at all. A ``(task_id, record)`` pair is the record
+    plus ``task``."""
+    if isinstance(record, tuple):
+        task_id, record = record
+        return {"task": task_id, **output_fields(record)}
+    if isinstance(record, Conf):
+        return {"sb": record.sb_size, "em": record.em_size}
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, Conf):
+            out.update(output_fields(value))
+        elif value is not None:
+            out[_column(f.name)] = value.value if isinstance(value, Enum) else value
+    return out
 
 
 def _fmt(value) -> str:
@@ -285,85 +299,63 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(path: Path, record_type: type, records: Sequence) -> Path:
+    """A header of the record type's columns, then one line per record; the
+    type's fields are plain values (no ``Conf``, never ``None``)."""
+    lines = [",".join(_column(f.name) for f in fields(record_type))]
+    lines.extend(",".join(map(_fmt, output_fields(r).values())) for r in records)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _write_json(path: Path, value: dict) -> Path:
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+@dataclass(frozen=True)
+class ScatterPoint:
+    """A run's one energy/accuracy point, its scatter file's one row."""
+
+    label: str
+    total_joules: float
+    final_average_accuracy: float
+
+
 def emit_report(report: RunReport, outdir: str | Path, label: str = "run") -> dict[str, Path]:
-    """Write summary, per-epoch trace, decision log, and scatter files.
+    """Write summary, per-epoch trace, decision log, and scatter files, each
+    record through ``output_fields``.
 
     Column order is fixed and versioned; reruns with the same seed produce
     byte-identical files.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
     summary = {
         "label": label,
         "final_average_accuracy": report.final_average_accuracy,
         "energy_joules": report.ledger.as_dict(),
-        "chosen_confs": [
-            {"task": t, "sb": c.sb_size, "em": c.em_size} for t, c in report.chosen_confs
-        ],
+        "chosen_confs": list(map(output_fields, report.chosen_confs)),
         "swap_totals": report.swap_totals,
         "n_classes": report.n_classes,
         "aborted": report.aborted,
         "trace_version": TRACE_VERSION,
     }
-    summary_path = outdir / f"{label}_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-    trace_path = outdir / f"{label}_trace.csv"
-    # an EpochRow's fields are the trace columns, in order
-    lines = [",".join(TRACE_COLUMNS)]
-    lines.extend(",".join(map(_fmt, astuple(row))) for row in report.epoch_rows)
-    trace_path.write_text("\n".join(lines) + "\n")
-
-    decisions = {
-        "controller": [
-            {**asdict(d), "state": d.state.value} for d in report.controller_decisions
-        ],
-        "selections": [
-            {
-                "task": s.task_id,
-                "mode": s.mode,
-                "cutline": s.cutline,
-                "sb": s.conf.sb_size,
-                "em": s.conf.em_size,
-                "utility": s.utility,
-            }
-            for s in report.selections
-        ],
-        "profiles": [
-            {
-                "task": t,
-                "sb": r.conf.sb_size,
-                "em": r.conf.em_size,
-                "accuracy_estimate": r.accuracy_estimate,
-                "energy_estimate": r.energy_estimate,
-            }
-            for t, r in report.profile_trace
-        ],
-        "budget_events": [
-            {
-                "task": e.task_id,
-                "epoch": e.epoch,
-                "old_budget": e.old_budget,
-                "new_budget": e.new_budget,
-                "action": e.action,
-            }
-            for e in report.budget_events
-        ],
+    logs = {
+        "controller": report.controller_decisions,
+        "selections": report.selections,
+        "profiles": report.profile_trace,
+        "budget_events": report.budget_events,
     }
-    decisions_path = outdir / f"{label}_decisions.json"
-    decisions_path.write_text(json.dumps(decisions, indent=2, sort_keys=True) + "\n")
-
-    scatter_path = outdir / f"{label}_scatter.csv"
-    scatter_path.write_text(
-        "label,total_joules,final_average_accuracy\n"
-        f"{label},{_fmt(report.ledger.total)},{_fmt(report.final_average_accuracy)}\n"
-    )
+    point = ScatterPoint(label, report.ledger.total, report.final_average_accuracy)
     return {
-        "summary": summary_path,
-        "trace": trace_path,
-        "decisions": decisions_path,
-        "scatter": scatter_path,
+        "summary": _write_json(outdir / f"{label}_summary.json", summary),
+        "trace": _write_csv(outdir / f"{label}_trace.csv", EpochRow, report.epoch_rows),
+        "decisions": _write_json(
+            outdir / f"{label}_decisions.json",
+            {key: list(map(output_fields, records)) for key, records in logs.items()},
+        ),
+        "scatter": _write_csv(outdir / f"{label}_scatter.csv", ScatterPoint, [point]),
     }
 
 
@@ -378,8 +370,8 @@ class SweepPoint:
     strategy: str
     budget: int
     seed: int
-    accuracy: float
-    joules: float
+    final_average_accuracy: float
+    total_joules: float
     utility: float
 
 
@@ -417,8 +409,8 @@ def sweep(
                     strategy=strategy,
                     budget=config.budget_samples,
                     seed=config.seed,
-                    accuracy=report.final_average_accuracy,
-                    joules=report.ledger.total,
+                    final_average_accuracy=report.final_average_accuracy,
+                    total_joules=report.ledger.total,
                     utility=run_utility(report),
                 )
             )
@@ -428,11 +420,4 @@ def sweep(
 def write_sweep(points: Sequence[SweepPoint], outdir: str | Path) -> Path:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "sweep_scatter.csv"
-    lines = ["strategy,budget,seed,final_average_accuracy,total_joules,utility"]
-    for p in points:
-        lines.append(
-            f"{p.strategy},{p.budget},{p.seed},{_fmt(p.accuracy)},{_fmt(p.joules)},{_fmt(p.utility)}"
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_csv(outdir / "sweep_scatter.csv", SweepPoint, points)

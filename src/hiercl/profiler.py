@@ -224,13 +224,7 @@ def evaluate_conf(
     energy = config.cost.train_joules(sb_inuse + em_inuse, epochs=config.epochs_per_task)
     units = len(data) * cfg.profile_epochs
     charge_profiling(config.cost, len(data), cfg.profile_epochs, ledger)
-    record = ProfileRecord(
-        conf=conf,
-        accuracy_estimate=acc,
-        energy_estimate=energy,
-        epoch_measured=cfg.warmup_epochs + cfg.profile_epochs,
-    )
-    return record, units
+    return ProfileRecord(conf=conf, accuracy_estimate=acc, energy_estimate=energy), units
 
 
 def profile_task(

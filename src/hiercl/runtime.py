@@ -165,7 +165,6 @@ class RunReport:
     """The record of one run; the runtime appends to it as the run goes."""
 
     final_average_accuracy: float = 0.0
-    final_per_class: dict[int, float] = field(default_factory=dict)
     accuracy_matrix: dict[int, dict[int, float]] = field(default_factory=dict)
     ledger: EnergyLedger = field(default_factory=EnergyLedger)
     chosen_confs: list[tuple[int, Conf]] = field(default_factory=list)
@@ -363,6 +362,11 @@ class Runtime:
                 raise ValueError(f"invalid probes: task {key} has a probe not of the stream dim {dim}")
         if not any(map(len, probe_sets.values())):
             raise ValueError("invalid probes: the stream has no probe")
+        # profiling scores the first task on its own probes alone
+        first = tasks[0]
+        own = [s.class_label for s in probe_sets.get(first.task_id, ())]
+        if self.policy is None and first.class_set.isdisjoint(own):
+            raise ValueError(f"invalid probes: task {first.task_id} has no probe of its own classes to profile on")
         dtype = np.result_type(*(task.features.dtype for task in tasks))
         self.table.reserve(sum(len(task) for task in tasks), dim, dtype)
         self.state = init_learner(dim, cfg.hidden_width, self._learner_seed)
@@ -404,9 +408,7 @@ class Runtime:
                 break
 
         if self.state.class_order:
-            final = evaluate(self.state, probes)
-            report.final_average_accuracy = final.average
-            report.final_per_class = final.per_class
+            report.final_average_accuracy = evaluate(self.state, probes).average
         report.swap_totals = {
             "issued": self.engine.issued_total,
             "applied": self.engine.applied_total,

@@ -113,7 +113,7 @@ def test_criterion_3_selector_oracle_equivalence():
                 assert got == want, f"trial {trial}, mode {mode}"
         # deliberate tie fixture: identical accuracy and energy everywhere
         ties = [
-            ProfileRecord(Conf(sb, em), 0.5, 100.0, 5)
+            ProfileRecord(Conf(sb, em), 0.5, 100.0)
             for sb in (500, 1000)
             for em in (0, 500, 1000)
         ]

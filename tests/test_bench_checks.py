@@ -17,20 +17,22 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # (RunReport repr, final weights) of stream 0 of each workload. The repr
 # digests were re-recorded when RunReport.phase_log and
-# SelectionRecord.deferred_profiling_seen were deleted: each new repr is the
-# old one with those fields cut out, and the weights digests did not move.
+# SelectionRecord.deferred_profiling_seen were deleted, and again when
+# RunReport.final_per_class and ProfileRecord.epoch_measured were deleted:
+# each new repr is the old one with those fields cut out, and the weights
+# digests did not move.
 PINNED = {
     "desk-adaptive": (
-        "abbed7bd0ec4cad757a3c5a6e443ee209380aa0a9e7f69c8a9082a5cda6f9cf2",
+        "4d85e327e4c54a0f8896a8c76222b95e79f26875ec4acab95cabdceb2bc57a40",
         "aed512a8389be1a8e0eb2a08035d095ba39dfd2f451a86c3732809950f13f607",
     ),
     "desk-static": (
-        "067c8e1cbef585ab1b7930a0a0090e0bf59cce07738d2ec2a74c5df97d5d22d5",
+        "50ada78c4becbca20505e30f96df6902e8d306b68e94d89a082aa8cc381858cf",
         "5dcac38d2dedbbda9ae1ef873693e65024d88ef36d0659351edd3be60acd58fc",
     ),
     # re-recorded when swap picks were capped at each class's fresh count
     "edge-congested": (
-        "f06a6cd77b6bc3adc4306ebf67568ad34bf821d71c525c00704da1957f67bd85",
+        "dec8928a4691c5655c11e988d5296f90b94ed144d244ae369eb3bc96e1cbba8f",
         "14b47dba4674510e4f1922856ed11158b47f634782a8f92a74c5899d882c248a",
     ),
 }

@@ -364,6 +364,44 @@ def _pinned_runs():
     yield "congested", report
 
 
+# the budget events of a run whose schedule keeps, reselects and keeps,
+# recorded before a reselect event carried the conf it applied
+PINNED_BUDGET_EVENTS = [
+    {"action": "kept", "epoch": 2, "new_budget": 500, "old_budget": 600, "task": 1},
+    {"action": "reselect", "epoch": 4, "new_budget": 300, "old_budget": 500, "task": 1},
+    {"action": "kept", "epoch": 2, "new_budget": 200, "old_budget": 300, "task": 2},
+]
+
+
+def test_reselect_events_carry_the_conf_they_applied(tmp_path):
+    stream = generate_stream(
+        StreamSpec(n_tasks=2, classes_per_task=3, samples_per_class=40, feature_dim=8, seed=3)
+    )
+    cfg = small_config(budget_schedule=((2, 500), (4, 300), (7, 200)))
+    paths = emit_report(run_stream(stream.tasks, stream.probe_sets, cfg), tmp_path)
+    events = json.loads(paths["decisions"].read_text())["budget_events"]
+    assert [{k: v for k, v in e.items() if k not in ("sb", "em")} for e in events] == (
+        PINNED_BUDGET_EVENTS
+    )
+    # chosen_confs lists each task's first conf, then one entry per reselect
+    chosen = json.loads(paths["summary"].read_text())["chosen_confs"]
+    reselected = [c for i, c in enumerate(chosen) if c["task"] in {d["task"] for d in chosen[:i]}]
+    assert [(e["task"], e["sb"], e["em"]) for e in events if e["action"] == "reselect"] == [
+        (c["task"], c["sb"], c["em"]) for c in reselected
+    ]
+    assert not any("sb" in e or "em" in e for e in events if e["action"] == "kept")
+
+
+def test_run_diverging_before_its_first_epoch_writes_the_trace_header(tmp_path):
+    stream = generate_stream(DIVERGING_SPEC)
+    report = run_stream(stream.tasks, stream.probe_sets, small_config(**DIVERGING))
+    paths = emit_report(report, tmp_path)
+    assert paths["trace"].read_text() == (
+        "task,epoch,loss,swap_ratio,io_state,em_size,sb_size,joules_cum\n"
+    )
+    assert json.loads(paths["summary"].read_text())["aborted"] is True
+
+
 def test_emit_report_files_are_pinned(tmp_path):
     for label, report in _pinned_runs():
         paths = emit_report(report, tmp_path, label=label)

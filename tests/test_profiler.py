@@ -227,7 +227,6 @@ class TestProfileTask:
             assert r.conf.total <= 2000
             assert r.energy_estimate > 0
             assert 0.0 <= r.accuracy_estimate <= 1.0
-            assert r.epoch_measured == cfg.warmup_epochs + cfg.profile_epochs
 
     def test_same_seed_same_records(self):
         state, task, archive, probe, config = small_profile_setup()

@@ -327,9 +327,9 @@ class TestBudgetChannel:
         rt = Runtime(cfg)
         task = stream.tasks[0]
         rt._records_this_task = [
-            ProfileRecord(Conf(200, 200), 0.5, 40.0, 4),
-            ProfileRecord(Conf(100, 100), 0.45, 20.0, 4),
-            ProfileRecord(Conf(100, 0), 0.2, 10.0, 4),
+            ProfileRecord(Conf(200, 200), 0.5, 40.0),
+            ProfileRecord(Conf(100, 100), 0.45, 20.0),
+            ProfileRecord(Conf(100, 0), 0.2, 10.0),
         ]
         rt._apply_conf(Conf(200, 200))  # usage 400 exceeds the shrunk budget
         rt.estimate_and_adapt(task, epoch=3, io=None, budget=(600, 250))
@@ -346,7 +346,7 @@ class TestBudgetChannel:
         cfg = tiny_config(budget_samples=600)
         rt = Runtime(cfg)
         task = stream.tasks[0]
-        rt._records_this_task = [ProfileRecord(Conf(300, 300), 0.5, 40.0, 4)]
+        rt._records_this_task = [ProfileRecord(Conf(300, 300), 0.5, 40.0)]
         rt._apply_conf(Conf(300, 300))
         with pytest.warns(UserWarning):
             rt.estimate_and_adapt(task, epoch=3, io=None, budget=(600, 150))
@@ -468,7 +468,8 @@ class TestAbort:
 
 class TestProbeSets:
     """A run checks its probe sets before it trains: every key names a task,
-    every probe has the stream's dimension, and some task has a probe."""
+    every probe has the stream's dimension, some task has a probe, and an
+    adaptive run's first task has a probe of its own classes."""
 
     def _setup(self, strategy, edit):
         """A runtime, the tasks of a small stream and its probe sets after
@@ -507,6 +508,19 @@ class TestProbeSets:
         with pytest.warns(UserWarning, match=r"no test samples for classes \[3, 4, 5\]"):
             report = runtime.run(tasks, probe_sets)
         assert [sorted(row) for row in report.accuracy_matrix.values()] == [[1], [1], [1, 3]]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda sets: sets.pop(1), lambda sets: sets.update({1: sets[2]})],
+        ids=["no-probes", "other-classes"],
+    )
+    def test_adaptive_run_needs_probes_of_its_first_task(self, edit):
+        # profiling scores the first task on that task's probes alone
+        runtime, tasks, probe_sets = self._setup("adaptive", edit)
+        with pytest.raises(ValueError) as exc:
+            runtime.run(tasks, probe_sets)
+        assert str(exc.value) == "invalid probes: task 1 has no probe of its own classes to profile on"
+        assert runtime.ledger.total == 0
 
 
 def _rows_digest(rows) -> str:
@@ -611,19 +625,18 @@ class TestLearnerPathPinned:
             0.24317926431852604, 0.19354327281438521, 0.1668203638197856,
         ]
         records = [
-            (t, r.conf.sb_size, r.conf.em_size, r.accuracy_estimate,
-             r.energy_estimate, r.epoch_measured)
+            (t, r.conf.sb_size, r.conf.em_size, r.accuracy_estimate, r.energy_estimate)
             for t, r in report.profile_trace
         ]
         assert records == [
-            (1, 100, 100, 1.0, 0.5703, 4),
-            (1, 100, 300, 1.0, 0.5703, 4),
-            (1, 200, 200, 1.0, 0.6844320000000002, 4),
-            (1, 200, 300, 1.0, 0.6844320000000002, 4),
-            (2, 100, 0, 0.9166666666666666, 0.5703, 4),
-            (2, 100, 300, 0.9583333333333334, 1.255452, 4),
-            (2, 200, 300, 0.9583333333333334, 1.3697280000000003, 4),
-            (2, 100, 100, 0.9583333333333334, 1.1412, 4),
+            (1, 100, 100, 1.0, 0.5703),
+            (1, 100, 300, 1.0, 0.5703),
+            (1, 200, 200, 1.0, 0.6844320000000002),
+            (1, 200, 300, 1.0, 0.6844320000000002),
+            (2, 100, 0, 0.9166666666666666, 0.5703),
+            (2, 100, 300, 0.9583333333333334, 1.255452),
+            (2, 200, 300, 0.9583333333333334, 1.3697280000000003),
+            (2, 100, 100, 0.9583333333333334, 1.1412),
         ]
         assert _weights_digest(runtime.state) == (
             "5d71b75e675cb41ab8ac09f2921847014224be2bb859ac964b12d9fd2184ec10"
@@ -661,17 +674,20 @@ class TestLearnerPathPinned:
         )
 
 
+    # the report digests were re-recorded when RunReport.final_per_class and
+    # ProfileRecord.epoch_measured were deleted: each is the old repr with
+    # those fields cut out
     @pytest.mark.parametrize(
         "strategy, report_digest, weights_digest",
         [
             (
                 "adaptive",
-                "d3159296390a51328ccb369c9f6e39badbc24849df8232de88a7047aa4533b29",
+                "ed9f6e0903b1d0895912cd7db9f27e5ec3dad89a6da246c72a62ed08c9bf0115",
                 "2058286b9b0207888f36430259f195dd64dbd342c6e078a2dc58d4c1dff3c0bc",
             ),
             (
                 "static",
-                "71b6d9214c22bc1ce62cf87a1cb564326e51ae43be5868ddfe3c8d826199ce37",
+                "bcbd7f750859fe576e12052dfd811f13402412388dfdb65014155b63112e08bd",
                 "fc22ca9626325998bdd08ef59cffcfdf21c04e716ebdedfe5256014277a814b0",
             ),
         ],

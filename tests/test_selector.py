@@ -14,7 +14,7 @@ from hiercl.selector import (
 
 
 def rec(sb, em, acc, energy):
-    return ProfileRecord(Conf(sb, em), acc, energy, epoch_measured=15)
+    return ProfileRecord(Conf(sb, em), acc, energy)
 
 
 def energy_accuracy_table():
@@ -81,7 +81,7 @@ class TestUtility:
         records = energy_accuracy_table()
         best = select_record(records, cutline=1.0, mode=HIGHEST_UTILITY).conf
         scaled = [
-            ProfileRecord(r.conf, r.accuracy_estimate, r.energy_estimate * 7.5, 15)
+            ProfileRecord(r.conf, r.accuracy_estimate, r.energy_estimate * 7.5)
             for r in records
         ]
         assert select_record(scaled, cutline=1.0, mode=HIGHEST_UTILITY).conf == best
