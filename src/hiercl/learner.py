@@ -127,17 +127,6 @@ def ensure_classes(state: LearnerState, labels: Iterable[int]) -> None:
     state._adopt(params, state.w1.shape)
 
 
-def _forward(state: LearnerState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and logits of ``x``; each bias add and the tanh
-    run in place on the product they follow."""
-    hidden = np.dot(x, state.w1)
-    hidden += state.b1
-    np.tanh(hidden, out=hidden)
-    logits = np.dot(hidden, state.w2)
-    logits += state.b2
-    return hidden, logits
-
-
 def _head_columns(state: LearnerState, labels: np.ndarray) -> np.ndarray | None:
     """Each label's head column (its rank among the sorted classes, mapped
     back to class_order), or None if some label has no column yet."""
@@ -250,12 +239,6 @@ def train_epoch(
     return state, total / len(rows)
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    per_class: dict[int, float]
-    average: float
-
-
 def probe_arrays(samples: Iterable[Sample]) -> tuple[np.ndarray, np.ndarray]:
     """Test samples as one float64 feature matrix and one label array,
     rows in sample order."""
@@ -268,8 +251,8 @@ def evaluate(
     state: LearnerState,
     probes: tuple[np.ndarray, np.ndarray],
     classes: Iterable[int] | None = None,
-) -> EvalResult:
-    """Per-class accuracies and their macro average over seen classes.
+) -> float:
+    """Macro average of the per-class accuracies over seen classes.
 
     ``probes`` is a feature matrix and its labels (see ``probe_arrays``).
     ``classes`` restricts the average to a subset (e.g. one task's classes);
@@ -292,12 +275,16 @@ def evaluate(
         warnings.warn(f"no test samples for classes {missing}; excluded from average")
     if not scored:
         raise ValueError("test set covers none of the seen classes")
-    _, logits = _forward(state, x)
+    # each bias add and the tanh run in place on the product they follow
+    hidden = np.dot(x, state.w1)
+    hidden += state.b1
+    np.tanh(hidden, out=hidden)
+    logits = np.dot(hidden, state.w2)
+    logits += state.b2
     truth = np.array([column.get(c, -1) for c in present])[codes]
     hits = np.bincount(codes[logits.argmax(axis=1) == truth], minlength=len(present))
     rates = (hits / np.bincount(codes)).tolist()
-    per_class = {c: rate for c, rate in zip(present, rates) if c in expected}
-    return EvalResult(per_class=per_class, average=float(np.mean(list(per_class.values()))))
+    return float(np.mean([rate for c, rate in zip(present, rates) if c in expected]))
 
 
 def copy_state(state: LearnerState) -> LearnerState:

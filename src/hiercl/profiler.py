@@ -220,7 +220,7 @@ def evaluate_conf(
         batches = shuffled_batches(data, config.batch_size, rng)
         train_epoch(state, batches, config.learning_rate, table)
 
-    acc = evaluate(state, probes).average
+    acc = evaluate(state, probes)
     energy = config.cost.train_joules(sb_inuse + em_inuse, epochs=config.epochs_per_task)
     units = len(data) * cfg.profile_epochs
     charge_profiling(config.cost, len(data), cfg.profile_epochs, ledger)

@@ -402,13 +402,13 @@ class Runtime:
                     if start < end and not seen.class_set.isdisjoint(self.state.class_order):
                         row[seen.task_id] = evaluate(
                             self.state, (x[start:end], labels[start:end]), classes=seen.class_set
-                        ).average
+                        )
             report.accuracy_matrix[task.task_id] = row
             if report.aborted:
                 break
 
         if self.state.class_order:
-            report.final_average_accuracy = evaluate(self.state, probes).average
+            report.final_average_accuracy = evaluate(self.state, probes)
         report.swap_totals = {
             "issued": self.engine.issued_total,
             "applied": self.engine.applied_total,

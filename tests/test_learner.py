@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,8 +127,7 @@ class TestEvaluate:
 
     def test_perfect_classifier_scores_one(self):
         state = self._trained()
-        result = evaluate(state, probe_arrays(as_probes(toy_task(seed=5))))
-        assert result.average == 1.0
+        assert evaluate(state, probe_arrays(as_probes(toy_task(seed=5)))) == 1.0
 
     def test_uniform_random_is_chance(self):
         # an untrained head with symmetric logits lands near 1/C
@@ -135,8 +136,7 @@ class TestEvaluate:
         state = init_learner(dim, hidden_width=4, seed=3)
         ensure_classes(state, range(C))
         probes = as_probes(labeled(rng.integers(C, size=4000), dim=dim))
-        result = evaluate(state, probe_arrays(probes))
-        assert abs(result.average - 1.0 / C) < 0.05
+        assert abs(evaluate(state, probe_arrays(probes)) - 1.0 / C) < 0.05
 
     def test_macro_average_of_known_per_class(self):
         # hand-built state: class 0 always right, class 1 right half the time
@@ -155,23 +155,25 @@ class TestEvaluate:
             mk(1, -1, +1),
             mk(1, +1, +0.99),  # first hidden unit edges it out: predicted 0
         ]
-        result = evaluate(state, probe_arrays(tests))
-        assert result.per_class[0] == 1.0
-        assert result.per_class[1] == 0.5
-        assert result.average == 0.75
+        probes = probe_arrays(tests)
+        assert evaluate(state, probes, classes=[0]) == 1.0
+        assert evaluate(state, probes, classes=[1]) == 0.5
+        assert evaluate(state, probes) == 0.75
 
     def test_missing_class_excluded_with_warning(self):
         state = self._trained()
         only_zero = [p for p in as_probes(toy_task(seed=5)) if p.class_label == 0]
         with pytest.warns(UserWarning):
             result = evaluate(state, probe_arrays(only_zero))
-        assert set(result.per_class) == {0}
+        # class 1 is left out of the average, not scored zero
+        assert result == evaluate(state, probe_arrays(only_zero), classes=[0]) == 1.0
 
     def test_class_restriction_skips_warning(self):
         state = self._trained()
         only_zero = [p for p in as_probes(toy_task(seed=5)) if p.class_label == 0]
-        result = evaluate(state, probe_arrays(only_zero), classes={0})
-        assert set(result.per_class) == {0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate(state, probe_arrays(only_zero), classes={0}) == 1.0
 
 
 class TestCheckpoint:
