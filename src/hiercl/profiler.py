@@ -8,10 +8,9 @@ accuracy is the raw short-horizon value, not an extrapolation; the energy
 estimate is the cost model's projection of a full-length run at that conf.
 
 Profiling works entirely on copies and row arrays: every subsample is a
-row-index array into the run's ``SampleTable``, drawn with the same
-generator calls as a draw over sample lists, and the probes are a prefix
+row-index array into the run's ``SampleTable``, and the probes are a prefix
 view of the run's probe table, scored in one forward pass. The live model
-and the live buffers are never touched. Old rows are split by EM's
+and the live buffers are never touched. Every draw splits its rows by EM's
 ``class_quotas``, and batches and joules come from the run's own
 ``shuffled_batches`` and ``train_joules``.
 
@@ -32,14 +31,10 @@ from .domain import (
     Conf, EnergyLedger, ProfileRecord, SampleTable, check_ints, round_down_to_step, round_up_to_step,
 )
 from .learner import LearnerState, charge_profiling, copy_state, evaluate, train_epoch
-from .memory import StorageArchive, class_quotas, shuffled_batches
+from .memory import StorageArchive, class_quotas, class_runs, shuffled_batches
 
 if TYPE_CHECKING:  # runtime imports this module
     from .runtime import RunConfig
-
-
-# Redraws of a profiling subsample before missing classes are topped up.
-COVERAGE_ATTEMPTS = 50
 
 
 @dataclass(frozen=True)
@@ -130,34 +125,6 @@ def _draw(pool: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     return pool[np.sort(rng.choice(len(pool), size=n, replace=False))]
 
 
-def draw_covered_subsample(
-    pool: np.ndarray, n: int, rng: np.random.Generator, labels: np.ndarray
-) -> np.ndarray:
-    """Random subsample of distinct rows, re-drawn until every class in the
-    pool is represented (``labels[row]`` is a row's class).
-
-    If the draw count cannot cover all classes (or luck runs out), the draw
-    is topped up with one random row per missing class so no class silently
-    reports zero accuracy. Coverage is tested on the drawn positions, and
-    only the accepted or final draw is sorted and gathered; every attempt
-    still makes its one ``rng.choice``.
-    """
-    if n >= len(pool):
-        return pool
-    classes, codes = np.unique(labels[pool], return_inverse=True)
-    for _ in range(COVERAGE_ATTEMPTS + 1):
-        at = rng.choice(len(pool), size=n, replace=False)
-        # n rows cannot cover more than n classes
-        if n >= len(classes) and np.bincount(codes[at], minlength=len(classes)).all():
-            return pool[np.sort(at)]
-    missing = np.bincount(codes[at], minlength=len(classes)) == 0
-    extras = []
-    for code in np.flatnonzero(missing).tolist():
-        cands = pool[codes == code]
-        extras.append(cands[int(rng.integers(len(cands)))])
-    return np.concatenate([pool[np.sort(at)], np.asarray(extras, dtype=np.intp)])
-
-
 def _balanced_take(
     by_class: dict[int, np.ndarray], total: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -165,6 +132,16 @@ def _balanced_take(
     pools by EM's own quotas; a pool short of its quota is taken whole."""
     quotas = class_quotas(total, [c for c, pool in by_class.items() if len(pool)])
     return np.concatenate([_draw(by_class[c], q, rng) for c, q in quotas.items()])
+
+
+def draw_subsample(
+    by_class: dict[int, np.ndarray], inuse: int, fraction: float, rng: np.random.Generator
+) -> np.ndarray:
+    """The class-balanced take of ``fraction`` of ``inuse`` rows, rounded,
+    but at least one row per class and at most ``inuse`` rows, so that no
+    class silently reports zero accuracy when ``inuse`` covers them all."""
+    n = min(inuse, max(round(fraction * inuse), len(by_class)))
+    return _balanced_take(by_class, n, rng)
 
 
 @dataclass
@@ -190,13 +167,13 @@ def evaluate_conf(
     """Short training of one conf from a copy of the shared warm state.
 
     Returns the record plus the compute units (sample-epochs) it consumed.
-    The data is a masked view: the first min(sb, task) stream rows and a
-    balanced old-row selection capped at the conf's EM size, both
-    subsampled and coverage-checked. ``probes`` are probe features and
-    labels. From ``config`` it reads ``profiler`` (subsample, profile and
-    warmup epochs), ``batch_size`` and ``learning_rate`` for the short
-    training, and ``cost`` and ``epochs_per_task`` for the energy estimate
-    of a full-length run.
+    The conf holds the first min(sb, task) stream rows and min(em, archive)
+    old rows, and the data is a ``draw_subsample`` of each part: of the
+    stream rows grouped by class, and of the archive's own class pools.
+    ``probes`` are probe features and labels. From ``config`` it reads
+    ``profiler`` (subsample, profile and warmup epochs), ``batch_size`` and
+    ``learning_rate`` for the short training, and ``cost`` and
+    ``epochs_per_task`` for the energy estimate of a full-length run.
     """
     cfg = config.profiler
     state = copy_state(warm)
@@ -206,12 +183,12 @@ def evaluate_conf(
 
     parts = []
     if sb_inuse > 0:
-        n_sb = max(1, round(cfg.subsample * sb_inuse))
-        parts.append(draw_covered_subsample(task_rows[:sb_inuse], n_sb, rng, table.labels))
+        sb_rows = task_rows[:sb_inuse]
+        order, runs = class_runs(table.labels[sb_rows])
+        sb_by_class = {c: sb_rows[order[start:end]] for c, start, end in runs}
+        parts.append(draw_subsample(sb_by_class, sb_inuse, cfg.subsample, rng))
     if em_inuse > 0:
-        em_view = _balanced_take(em_pool_by_class, em_inuse, rng)
-        n_em = max(1, round(cfg.subsample * em_inuse))
-        parts.append(draw_covered_subsample(em_view, n_em, rng, table.labels))
+        parts.append(draw_subsample(em_pool_by_class, em_inuse, cfg.subsample, rng))
     if not parts:
         raise ValueError(f"conf {conf} yields no profiling data")
     data = np.concatenate(parts)

@@ -282,8 +282,10 @@ def test_unknown_strategy_rejected():
 
 
 # sha256 of sweep_scatter.csv over every strategy, budgets (400, 600) and
-# seeds (0, 1), recorded before the sweep shared one exploration per point
-PINNED_SWEEP = "6001dfca94729970b956fb2bf8b445280e6102a98a1f6c27ffffd7b1ae6848d5"
+# seeds (0, 1), recorded before the sweep shared one exploration per point;
+# re-recorded when every profiling subsample became EM's class-quota draw,
+# which moved only the adaptive rows
+PINNED_SWEEP = "a15992f838be241391235f6ff819fb3ae18eeec7e8d696b8663be371e5088b25"
 
 
 def test_sweep_explores_once_per_stream_and_config(tmp_path, monkeypatch):
@@ -335,11 +337,12 @@ def test_sweep_checks_every_strategy_before_its_first_run(monkeypatch):
 # sha256 of each emit_report file, recorded before trace rows and controller
 # entries were written straight from their records
 PINNED_REPORTS = {
+    # re-recorded when every profiling subsample became EM's class-quota draw
     "adaptive": {
-        "summary": "dedd04d3e85621eb747413b4eeb05bb60868dc2a9a7ed49c74436ae9944ae257",
-        "trace": "dacaf4d36688b50fb8efc3cf7891509a58ef07c049ef6840ade3f14d1a2a9482",
-        "decisions": "6dd41bfcce23a36340d5ae0fb4f1849ed82ef169b588344259b2cc291161e225",
-        "scatter": "618ad29d0cefb90ecacbc4091c1e49aa78f69873190d9acab96453f9a99efc47",
+        "summary": "d7a792cdbc9e02f6822257835ff55f1cc5eabee5b64f22082616ae932fb2bfc4",
+        "trace": "6ee0efb52220edfb9bc9e66277b2e8e38aebf6cc084aef1db3e83191a9aaae48",
+        "decisions": "5f7b1b9603c05bb837f0a11daf9f9dd7742d322c541b57ef91ffceac79862767",
+        "scatter": "ac5a0d1fd88d684e3bbe55240402429edb340b68aeabf8d44710b6071da70fdd",
     },
     "congested": {
         "summary": "cf7ee266e447efb34c4695b56f312ea06c94b53c9ea671108e97b86994722bd0",
@@ -365,11 +368,13 @@ def _pinned_runs():
 
 
 # the budget events of a run whose schedule keeps, reselects and keeps,
-# recorded before a reselect event carried the conf it applied
+# recorded before a reselect event carried the conf it applied; re-recorded
+# when the middle step fell to 100, below every conf but (100, 0), so that it
+# reselects whatever profiling picks
 PINNED_BUDGET_EVENTS = [
     {"action": "kept", "epoch": 2, "new_budget": 500, "old_budget": 600, "task": 1},
-    {"action": "reselect", "epoch": 4, "new_budget": 300, "old_budget": 500, "task": 1},
-    {"action": "kept", "epoch": 2, "new_budget": 200, "old_budget": 300, "task": 2},
+    {"action": "reselect", "epoch": 4, "new_budget": 100, "old_budget": 500, "task": 1},
+    {"action": "kept", "epoch": 2, "new_budget": 200, "old_budget": 100, "task": 2},
 ]
 
 
@@ -377,8 +382,10 @@ def test_reselect_events_carry_the_conf_they_applied(tmp_path):
     stream = generate_stream(
         StreamSpec(n_tasks=2, classes_per_task=3, samples_per_class=40, feature_dim=8, seed=3)
     )
-    cfg = small_config(budget_schedule=((2, 500), (4, 300), (7, 200)))
-    paths = emit_report(run_stream(stream.tasks, stream.probe_sets, cfg), tmp_path)
+    cfg = small_config(budget_schedule=((2, 500), (4, 100), (7, 200)))
+    with pytest.warns(UserWarning, match="no profiled conf fits budget 100"):
+        report = run_stream(stream.tasks, stream.probe_sets, cfg)
+    paths = emit_report(report, tmp_path)
     events = json.loads(paths["decisions"].read_text())["budget_events"]
     assert [{k: v for k, v in e.items() if k not in ("sb", "em")} for e in events] == (
         PINNED_BUDGET_EVENTS

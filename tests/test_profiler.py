@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from hiercl.domain import Conf, EnergyLedger
 from hiercl.learner import init_learner, probe_arrays, train_epoch
-from hiercl.memory import StorageArchive
+from hiercl.memory import StorageArchive, class_quotas
 from hiercl.profiler import (
-    COVERAGE_ATTEMPTS,
     ProfilerConfig,
+    _balanced_take,
     build_search_space,
-    draw_covered_subsample,
+    draw_subsample,
     evaluate_conf,
     first_task_reference,
     nearest_conf,
@@ -108,67 +108,67 @@ class TestReferenceConf:
         )
 
 
-def draw_covered(labels, n, rng):
-    """``draw_covered_subsample`` over a table of one row per label: the
-    picked rows and their labels."""
-    table, rows = packed(labeled(labels))
-    picked = draw_covered_subsample(rows, n, rng, table.labels)
-    return picked, set(table.labels[picked].tolist())
+def class_pools(sizes, seed=0):
+    """Per-class pools of distinct rows, ``sizes[c]`` rows for class ``c``,
+    with the rows of all classes shuffled together."""
+    rows = np.random.default_rng(seed).permutation(sum(sizes))
+    ends = np.cumsum(sizes)
+    return {c: rows[end - size : end] for c, (size, end) in enumerate(zip(sizes, ends))}
+
+
+def classes_of(picked, pools):
+    return [c for row in picked.tolist() for c, pool in pools.items() if row in pool]
 
 
 class TestCoverage:
-    def test_every_pool_class_represented(self):
-        rng = np.random.default_rng(0)
-        for n in (3, 7, 10, 50):
-            _, classes = draw_covered(np.arange(140) % 7, n, rng)
-            assert classes == set(range(7))
+    """A profiling subsample is ``draw_subsample``'s one class-quota take."""
 
-    def test_topup_when_draw_too_small(self):
+    def test_every_pool_class_represented(self):
+        pools = class_pools([20] * 7)
         rng = np.random.default_rng(0)
-        picked, classes = draw_covered(np.arange(100) % 10, 2, rng)
-        assert classes == set(range(10))
-        assert len(picked) >= 10
+        for fraction in (0.01, 0.05, 0.1, 0.5):
+            assert set(classes_of(draw_subsample(pools, 140, fraction, rng), pools)) == set(range(7))
+
+    def test_one_row_per_class_when_the_fraction_is_too_small(self):
+        # round(0.02 * 100) = 2 rows cannot cover 10 classes: one row each
+        pools = class_pools([10] * 10)
+        for seed in range(20):
+            picked = draw_subsample(pools, 100, 0.02, np.random.default_rng(seed))
+            assert sorted(classes_of(picked, pools)) == list(range(10))
 
     def test_no_duplicates(self):
-        rng = np.random.default_rng(1)
-        picked, _ = draw_covered(np.arange(50) % 5, 20, rng)
-        assert len(picked) == len(set(picked.tolist()))
+        pools = class_pools([10] * 5, seed=1)
+        picked = draw_subsample(pools, 50, 0.4, np.random.default_rng(1))
+        assert len(picked) == 20
+        assert len(set(picked.tolist())) == 20
+        assert set(picked.tolist()) <= set(np.concatenate(list(pools.values())).tolist())
 
     @given(
-        n_pool=st.integers(1, 120),
-        n_classes=st.integers(1, 12),
-        n=st.integers(1, 130),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+        inuse_at=st.floats(0.0, 1.0),
+        fraction=st.sampled_from([0.01, 0.05, 0.1, 0.3, 1.0]),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=150, deadline=None)
-    def test_same_picks_and_generator_calls_as_the_redraw_loop(self, n_pool, n_classes, n, seed):
-        # the loop as first written: sort, gather and np.unique every attempt
-        def reference(pool, n, rng, labels):
-            def draw():
-                if n >= len(pool):
-                    return pool
-                return pool[np.sort(rng.choice(len(pool), size=n, replace=False))]
+    def test_class_quota_take_of_the_rule_size(self, sizes, inuse_at, fraction, seed):
+        pools = class_pools(sizes, seed)
+        inuse = 1 + round(inuse_at * (sum(sizes) - 1))
+        n = min(inuse, max(round(fraction * inuse), len(sizes)))
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        picked = draw_subsample(pools, inuse, fraction, rng)
 
-            classes = np.unique(labels[pool])
-            picked = draw()
-            for _ in range(COVERAGE_ATTEMPTS):
-                if len(np.unique(labels[picked])) == len(classes):
-                    return picked
-                picked = draw()
-            extras = []
-            for c in np.setdiff1d(classes, labels[picked]).tolist():
-                cands = pool[labels[pool] == c]
-                extras.append(cands[int(rng.integers(len(cands)))])
-            return np.concatenate([picked, np.asarray(extras, dtype=np.intp)])
-
-        g = np.random.default_rng(seed)
-        labels = g.integers(0, n_classes, size=n_pool + 30) * 3
-        pool = g.permutation(n_pool + 30)[:n_pool]
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = draw_covered_subsample(pool, n, ours, labels)
-        expected = reference(pool, n, theirs, labels)
-        assert got.tolist() == expected.tolist()
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert len(set(picked.tolist())) == len(picked)
+        counts = np.bincount(classes_of(picked, pools), minlength=len(sizes))
+        assert counts.sum() == len(picked)  # every row comes from a pool
+        quotas = class_quotas(n, range(len(sizes)))
+        assert len(picked) == sum(min(q, size) for q, size in zip(quotas.values(), sizes))
+        full = [counts[c] for c, q in quotas.items() if sizes[c] >= q]
+        assert max(full) - min(full) <= 1
+        if inuse >= len(sizes):
+            assert counts.all()
+        # one class-quota take and nothing else: no redraws
+        assert picked.tolist() == _balanced_take(pools, n, twin).tolist()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def small_profile_setup(seed=0, with_old=True):

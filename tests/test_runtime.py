@@ -680,10 +680,11 @@ class TestLearnerPathPinned:
     @pytest.mark.parametrize(
         "strategy, report_digest, weights_digest",
         [
+            # re-recorded when every profiling subsample became EM's class-quota draw
             (
                 "adaptive",
-                "ed9f6e0903b1d0895912cd7db9f27e5ec3dad89a6da246c72a62ed08c9bf0115",
-                "2058286b9b0207888f36430259f195dd64dbd342c6e078a2dc58d4c1dff3c0bc",
+                "2b088106ea4d27a55387ef6aff20c220a80efdd59d4779c3a7c97521dd0148d2",
+                "59a0507a1ec88d434ac861a1725f608d2f529cf521c7ce6dbfc5107fa250705d",
             ),
             (
                 "static",
@@ -691,6 +692,7 @@ class TestLearnerPathPinned:
                 "fc22ca9626325998bdd08ef59cffcfdf21c04e716ebdedfe5256014277a814b0",
             ),
         ],
+        ids=["adaptive", "static"],
     )
     def test_domain_incremental_runs_pinned(self, strategy, report_digest, weights_digest):
         """Every task of a domain-incremental stream holds every class, so
