@@ -19,7 +19,7 @@ from hiercl.profiler import (
     sample_confs,
 )
 from hiercl.runtime import RunConfig
-from conftest import as_probes, exhaustive_units, labeled, make_task, packed, reserved, state_digest
+from conftest import as_probes, exhaustive_units, labeled, make_task, reserved, state_digest
 
 
 class TestSearchSpace:
