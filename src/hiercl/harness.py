@@ -28,9 +28,9 @@ from .domain import (
     Task,
     check_ints,
     round_down_to_step,
-    round_up_to_step,
 )
 from .learner import LearnerDiverged
+from .profiler import build_search_space, default_static_conf
 from .runtime import ConfPolicy, EpochRow, RunConfig, RunReport, run_stream
 from .selector import select_record
 
@@ -141,19 +141,6 @@ class StaticConfPolicy:
         return self.conf
 
 
-def default_static_conf(budget: int, task_size: int, step: int) -> Conf:
-    """The conventional static split: half the budget to EM, the rest to SB
-    capped by the task size (all new samples in memory when they fit)."""
-    if budget < step:
-        raise ValueError(f"budget {budget} cannot hold even one step of {step}")
-    em = round_down_to_step(budget // 2, step)
-    sb = min(round_up_to_step(task_size, step), budget - em)
-    if sb < step:
-        sb = step
-        em = round_down_to_step(budget - sb, step)
-    return Conf(sb_size=sb, em_size=em)
-
-
 @dataclass(frozen=True)
 class HeuristicPolicy:
     """Memory proportional to task counts: SB serves the 1 new task, EM the
@@ -192,8 +179,6 @@ def explore_static_confs(stream: Stream, config: RunConfig) -> tuple[Conf, Conf]
     cost is not billed. A grid conf whose run diverges raises
     ``LearnerDiverged``: it has no standings to rank.
     """
-    from .profiler import build_search_space
-
     max_task = max(len(t) for t in stream.tasks)
     space = build_search_space(config.budget_samples, max_task, config.step)
     half = math.ceil(len(stream.tasks) / 2)

@@ -73,6 +73,19 @@ def build_search_space(budget_samples: int, task_size: int, step: int) -> list[C
     return space
 
 
+def default_static_conf(budget: int, task_size: int, step: int) -> Conf:
+    """The static split, the one rule for a fixed conf: half the budget,
+    rounded down to a step, to EM, and the rest to SB, capped by the task
+    size rounded up to a step (all new samples in memory when they fit).
+    Budget 2500, task 2000, step 500 gives (1500, 1000); a budget under two
+    steps gives EM nothing. It sizes the ``static`` baseline and the
+    fallback when a shrunk budget no longer fits a run's conf."""
+    if budget < step:
+        raise ValueError(f"budget {budget} cannot hold even one step of {step}")
+    em = round_down_to_step(budget // 2, step)
+    return Conf(sb_size=min(round_up_to_step(task_size, step), budget - em), em_size=em)
+
+
 def sample_confs(
     space: Sequence[Conf],
     k: int,
@@ -97,7 +110,7 @@ def first_task_reference(task_size: int, budget_samples: int, step: int) -> Conf
     to a step but at least one step, caps both buffers: SB takes the task
     size rounded up to a step, within that half, and EM takes the half,
     within what SB leaves. A budget under two steps gives SB one step and EM
-    the rest. Unlike ``harness.default_static_conf``, SB does not take what
+    the rest. Unlike ``default_static_conf``, SB does not take what
     EM leaves over: budget 2500, task 2000, step 500 gives (1000, 1000)."""
     half = max(step, round_down_to_step(budget_samples // 2, step))
     sb = min(round_up_to_step(task_size, step), half)

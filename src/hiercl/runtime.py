@@ -52,7 +52,7 @@ from .learner import (
     train_epoch,
 )
 from .memory import NO_ROWS, EpisodicMemory, StorageArchive, compose_epoch_batches, flush
-from .profiler import ProfilerConfig, build_search_space, profile_task
+from .profiler import ProfilerConfig, default_static_conf, profile_task
 from .selector import DEFAULT_CUTLINE, HIGHEST_UTILITY, LOWEST_ENERGY, select_record, utility
 from .swap import IoChannel, SwapEngine
 
@@ -180,12 +180,11 @@ class RunReport:
     abort_reason: str | None = None
 
 
-def _largest_grid_conf(budget: int, task_size: int, step: int, reason: str) -> Conf:
-    """The fallback when a shrunk budget leaves no chosen conf that fits:
-    the largest grid conf within it, with a warning that gives ``reason``."""
-    space = build_search_space(budget, task_size, step)
-    conf = max(space, key=lambda c: (c.total, c.sb_size))
-    warnings.warn(f"{reason}; falling back to grid conf {conf}")
+def _static_split_fallback(budget: int, task_size: int, step: int, reason: str) -> Conf:
+    """The fallback when a shrunk budget no longer fits a run's conf: the
+    static split of the live budget, with a warning that gives ``reason``."""
+    conf = default_static_conf(budget, task_size, step)
+    warnings.warn(f"{reason}; falling back to the static split {conf}")
     return conf
 
 
@@ -240,7 +239,8 @@ class Runtime:
         ``rows`` are the task's table rows and ``probes`` the features and
         labels of every probe so far. A policy conf over the live budget is
         an error, unless a schedule shrank the budget below the run's own:
-        then the largest grid conf stands in, as for a shrink mid-task."""
+        then the static split of the live budget stands in, as for a shrink
+        mid-task."""
         cfg = self.config
         self._records_this_task = []
         self._baseline_accuracy = 1.0 / classes_seen if classes_seen else 0.0
@@ -252,7 +252,7 @@ class Runtime:
                 reason = f"policy conf {conf} exceeds budget {budget}"
                 if budget >= cfg.budget_samples:
                     raise ValueError(reason)
-                conf = _largest_grid_conf(budget, len(task), cfg.step, reason)
+                conf = _static_split_fallback(budget, len(task), cfg.step, reason)
             self.report.chosen_confs.append((task.task_id, conf))
             return conf
 
@@ -317,7 +317,9 @@ class Runtime:
 
     def _adapt_budget(self, task: Task, epoch: int, old: int, new: int) -> None:
         """Keep the conf while SB+EM fits the new budget (always so on
-        growth); otherwise re-select among this task's profiled records."""
+        growth); otherwise re-select among this task's profiled records, or
+        fall back to the static split of the new budget when none fits (a
+        policy run profiles none)."""
         usage = self._chosen.sb_size + self.em.capacity
         if usage <= new:
             self.report.budget_events.append(BudgetEvent(task.task_id, epoch, old, new, "kept"))
@@ -331,8 +333,11 @@ class Runtime:
                 self._baseline_accuracy,
             ).conf
         else:
-            reason = f"no profiled conf fits budget {new}"
-            conf = _largest_grid_conf(new, len(task), self.config.step, reason)
+            if self.policy is None:
+                reason = f"no profiled conf fits budget {new}"
+            else:
+                reason = f"conf {self._chosen} exceeds budget {new}"
+            conf = _static_split_fallback(new, len(task), self.config.step, reason)
         self._apply_conf(conf)
         self.report.budget_events.append(
             BudgetEvent(task.task_id, epoch, old, new, "reselect", conf)

@@ -400,7 +400,7 @@ def test_fixed_conf_strategy_meets_a_schedule_shrink(tmp_path, strategy):
         "run": {"epochs_per_task": 3, "step": 30, "budget_samples": 180,
                 "budget_schedule": [[4, 60]]},
     }
-    with pytest.warns(UserWarning, match="budget 60; falling back to grid conf") as caught:
+    with pytest.warns(UserWarning, match="budget 60; falling back to the static split") as caught:
         _, result = invoke_run(tmp_path, cfg, "--strategy", strategy)
     assert result.exit_code == 0, result.output
     assert any("exceeds budget 60" in str(w.message) for w in caught)

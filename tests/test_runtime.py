@@ -352,7 +352,7 @@ class TestBudgetChannel:
             rt.estimate_and_adapt(task, epoch=3, io=None, budget=(600, 150))
         event = rt.report.budget_events[-1]
         assert event.action == "reselect"
-        assert event.conf == Conf(100, 0)
+        assert event.conf == Conf(150, 0)
 
     def test_full_run_shrink_event_respects_new_budget(self):
         stream = tiny_stream(n_tasks=2, per_class=60)
@@ -439,12 +439,13 @@ class TestStaticPolicy:
             report = run_stream(stream.tasks, stream.probe_sets, cfg, policy)
         # the shrink within task 2, then task 3's policy conf
         assert [str(w.message) for w in caught] == [
-            "no profiled conf fits budget 60; falling back to grid conf Conf(sb_size=60, em_size=0)",
+            "conf Conf(sb_size=90, em_size=90) exceeds budget 60; "
+            "falling back to the static split Conf(sb_size=30, em_size=30)",
             "policy conf Conf(sb_size=90, em_size=90) exceeds budget 60; "
-            "falling back to grid conf Conf(sb_size=60, em_size=0)",
+            "falling back to the static split Conf(sb_size=30, em_size=30)",
         ]
         assert sorted(report.accuracy_matrix) == [1, 2, 3] and not report.aborted
-        fixed, fallback = Conf(90, 90), Conf(60, 0)
+        fixed, fallback = Conf(90, 90), Conf(30, 30)
         assert report.chosen_confs == [(1, fixed), (2, fixed), (2, fallback), (3, fallback)]
         live = [180] * 3 + [60] * 6
         assert len(report.epoch_rows) == len(live)
