@@ -78,8 +78,9 @@ def default_static_conf(budget: int, task_size: int, step: int) -> Conf:
     rounded down to a step, to EM, and the rest to SB, capped by the task
     size rounded up to a step (all new samples in memory when they fit).
     Budget 2500, task 2000, step 500 gives (1500, 1000); a budget under two
-    steps gives EM nothing. It sizes the ``static`` baseline and the
-    fallback when a shrunk budget no longer fits a run's conf."""
+    steps gives EM nothing. It sizes the ``static`` baseline, the grid conf
+    nearest it warms up adaptive's first task, and it is the fallback when
+    a shrunk budget no longer fits a run's conf."""
     if budget < step:
         raise ValueError(f"budget {budget} cannot hold even one step of {step}")
     em = round_down_to_step(budget // 2, step)
@@ -103,20 +104,6 @@ def sample_confs(
     if reference is not None and reference in space and reference not in picked:
         picked[-1] = reference
     return picked
-
-
-def first_task_reference(task_size: int, budget_samples: int, step: int) -> Conf:
-    """Bootstrap conf for the very first task. Half the budget, rounded down
-    to a step but at least one step, caps both buffers: SB takes the task
-    size rounded up to a step, within that half, and EM takes the half,
-    within what SB leaves. A budget under two steps gives SB one step and EM
-    the rest. Unlike ``default_static_conf``, SB does not take what
-    EM leaves over: budget 2500, task 2000, step 500 gives (1000, 1000)."""
-    half = max(step, round_down_to_step(budget_samples // 2, step))
-    sb = min(round_up_to_step(task_size, step), half)
-    sb = max(step, min(sb, budget_samples - min(half, budget_samples - step)))
-    em = min(half, budget_samples - sb)
-    return Conf(sb_size=sb, em_size=em)
 
 
 def nearest_conf(space: Sequence[Conf], target: Conf) -> Conf:
@@ -233,12 +220,13 @@ def profile_task(
     ``task_rows`` are rows of ``archive.table``, and the old rows are the
     archive's, by class; ``probes`` are probe features and labels. The grid
     fills ``budget_samples`` (the live budget) in ``config.step`` steps, and
-    the sample always carries the grid conf nearest ``reference_target``
-    (the current conf, None on the first task). ``config.profiler`` sets the
-    sample size and the warmup, which trains with ``config.batch_size`` and
-    ``config.learning_rate``. The live model is copied once for the warmup,
-    and the warm state once per conf evaluation; the caller's state is
-    never mutated.
+    the sample always carries the reference, the grid conf nearest
+    ``reference_target``: the current conf, or on the first task (None) the
+    static split ``default_static_conf``. ``config.profiler`` sets the
+    sample size and the warmup, which trains at the reference with
+    ``config.batch_size`` and ``config.learning_rate``. The live model is
+    copied once for the warmup, and the warm state once per conf
+    evaluation; the caller's state is never mutated.
     """
     cfg = config.profiler
     table = archive.table
@@ -246,7 +234,7 @@ def profile_task(
     task_size = len(task_rows)
     space = build_search_space(budget_samples, task_size, config.step)
     if reference_target is None:
-        reference_target = first_task_reference(task_size, budget_samples, config.step)
+        reference_target = default_static_conf(budget_samples, task_size, config.step)
     reference = nearest_conf(space, reference_target)
     confs = sample_confs(space, cfg.conf_sample_size, rng, reference)
 

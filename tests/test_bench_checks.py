@@ -22,10 +22,10 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # each new repr is the old one with those fields cut out, and the weights
 # digests did not move.
 PINNED = {
-    # re-recorded when every profiling subsample became EM's class-quota draw
+    # re-recorded when the first task's warmup moved to the grid conf nearest the static split
     "desk-adaptive": (
-        "e7aa101af05b298643a3491309740e58c8d99e9e3b92c7ed5a6834bc2df320a2",
-        "41c4528829c8cd7a0734cf116af18eceae5f2028de2c59fc5fece501a1e02f50",
+        "c61229ac3c51aa41a98bbf633f1e3b8d2e220be33cc614cf1b36e45759f02126",
+        "2787690397f3effe60e7d0f05f65a781d55601499cd30712cd9c79310c66c4fb",
     ),
     "desk-static": (
         "50ada78c4becbca20505e30f96df6902e8d306b68e94d89a082aa8cc381858cf",

@@ -13,12 +13,12 @@ from hiercl.profiler import (
     build_search_space,
     draw_subsample,
     evaluate_conf,
-    first_task_reference,
     nearest_conf,
     profile_task,
     sample_confs,
 )
-from hiercl.runtime import RunConfig
+from hiercl.harness import StreamSpec, generate_stream, make_policy
+from hiercl.runtime import RunConfig, run_stream
 from conftest import as_probes, exhaustive_units, labeled, make_task, reserved, state_digest
 
 
@@ -89,13 +89,21 @@ class TestSampleConfs:
 
 
 class TestReferenceConf:
-    def test_first_task_splits_budget(self):
-        ref = first_task_reference(task_size=2000, budget_samples=5000, step=500)
-        assert ref == Conf(2000, 2500)
-
-    def test_first_task_small_task(self):
-        ref = first_task_reference(task_size=300, budget_samples=5000, step=500)
-        assert ref == Conf(500, 2500)
+    def test_first_task_reference_is_the_static_baselines_conf(self):
+        # an even split of this budget is (200, 200); the static split is (300, 200)
+        stream = generate_stream(
+            StreamSpec(n_tasks=1, classes_per_task=4, samples_per_class=100, feature_dim=8)
+        )
+        cfg = RunConfig(
+            epochs_per_task=2, step=100, budget_samples=500,
+            profiler=ProfilerConfig(conf_sample_size=1, warmup_epochs=1, profile_epochs=1),
+        )
+        assert len(stream.tasks[0]) == 400
+        report = run_stream(stream.tasks, stream.probe_sets, cfg)
+        # one conf to sample, so the only record is the carried reference
+        assert [r.conf for _, r in report.profile_trace] == [
+            make_policy("static", stream, cfg).conf
+        ]
 
     def test_nearest_prefers_l1_distance(self):
         space = build_search_space(3000, task_size=3000, step=500)
