@@ -4,6 +4,7 @@ faster in at least 9 of 10 pairs, a tie counting as no win, by a median gap
 wider than the parent's interquartile range."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -88,3 +89,67 @@ def test_traced_layers_are_medians_over_pairs():
     layers = bench_pairs.layer_medians(pairs)
     assert layers["learner.train_s"] == {"before": 0.63, "after": 0.58}
     assert layers["swap.issued"] == {"before": 7.0, "after": 7.0}
+
+
+def never_run(*args, **kwargs):
+    raise AssertionError("a bench run started before the inputs were checked")
+
+
+def git_repo(path):
+    path.mkdir()
+    for args in (["init", "-q"], ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+                                 "--allow-empty", "-m", "empty"]):
+        subprocess.run(["git", *args], cwd=path, check=True, capture_output=True)
+    return path
+
+
+@pytest.fixture
+def no_runs(monkeypatch, tmp_path):
+    # git looks no higher than tmp_path for a repository
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "run_once", never_run)
+    return tmp_path
+
+
+def main_args(before, after, *specs):
+    return [str(before), str(after), "--out", str(before.parent / "BENCH_x.json"), *specs]
+
+
+def test_a_checkout_that_is_not_a_git_work_tree_fails_before_any_run(no_runs):
+    before = git_repo(no_runs / "before")
+    after = no_runs / "after"
+    after.mkdir()
+    with pytest.raises(SystemExit, match=r"git rev-parse HEAD failed in .*after: fatal: "):
+        bench_pairs.main(main_args(before, after, "--runs", "desk-static:0:3"))
+    assert not (no_runs / "BENCH_x.json").exists()
+
+
+def test_a_missing_checkout_fails_before_any_run(no_runs):
+    before = git_repo(no_runs / "before")
+    with pytest.raises(SystemExit, match="after checkout .* is not a directory"):
+        bench_pairs.main(main_args(before, no_runs / "after", "--runs", "desk-static:0:3"))
+
+
+@pytest.mark.parametrize(
+    "specs, bad",
+    [
+        (["--runs", "desk-static:0"], "'desk-static:0' is not WORKLOAD:SEED:PAIRS"),
+        (["--runs", "desk-static:0:3", "desk-static:x:3"], "'desk-static:x:3'"),
+        (["--runs", "desk-static:0:0"], "'desk-static:0:0'"),
+        (["--runs", ":0:3"], "':0:3'"),
+        (["--runs", "desk-static:0:3", "--traced", "desk-adaptive:1:2"],
+         "'desk-adaptive:1:2' is not WORKLOAD\\[:PAIRS\\]"),
+        (["--runs", "desk-static:0:3", "--traced", "desk-adaptive:-1"], "'desk-adaptive:-1'"),
+    ],
+)
+def test_a_malformed_spec_fails_before_any_run(no_runs, specs, bad):
+    before, after = git_repo(no_runs / "before"), git_repo(no_runs / "after")
+    with pytest.raises(SystemExit, match=f"^bench_pairs: spec {bad}") as caught:
+        bench_pairs.main(main_args(before, after, *specs))
+    assert "\n" not in str(caught.value)
+
+
+def test_well_formed_specs_parse():
+    assert bench_pairs.parse_spec("desk-static:2:10", traced=False) == ("desk-static", 2, 10)
+    assert bench_pairs.parse_spec("desk-adaptive", traced=True) == ("desk-adaptive", 0, 1)
+    assert bench_pairs.parse_spec("desk-adaptive:3", traced=True) == ("desk-adaptive", 0, 3)

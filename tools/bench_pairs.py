@@ -10,7 +10,9 @@ specs, run with ``--trace 0``; ``--traced`` takes ``workload[:pairs]``
 specs (one pair by default), run with ``--trace 1`` on seed 0. The pairs
 alternate which side runs first, so a drift in host speed weighs on both
 sides alike. Runs go one at a time, in this process's order, and nothing
-else is started.
+else is started. Every spec is parsed and both checkouts' git state read
+before the first run, so a malformed spec or a checkout that is not a git
+work tree with a commit exits with one line before any run is spent.
 
 The summary gives, per spec, each side's median and quartiles of every
 end-to-end metric, how many pairs AFTER won on ``run_s``, whether the
@@ -37,11 +39,31 @@ MODELED = ("final_accuracy", "total_joules", "device_s", "run_utility")
 MIN_PAIRS = 10
 
 
+def parse_spec(spec: str, traced: bool) -> tuple[str, int, int]:
+    """A ``--runs`` spec ``workload:seed:pairs``, or a ``--traced`` spec
+    ``workload[:pairs]`` (seed 0, one pair by default), as ``(workload, seed,
+    pairs)``; a malformed one exits with one line."""
+    if traced:
+        workload, _, pairs = spec.partition(":")
+        parts = [workload, "0", pairs or "1"]
+    else:
+        parts = spec.split(":")
+    if not (len(parts) == 3 and parts[0] and all(p.isdecimal() for p in parts[1:])
+            and int(parts[2]) >= 1):
+        form = "WORKLOAD[:PAIRS]" if traced else "WORKLOAD:SEED:PAIRS"
+        raise SystemExit(f"bench_pairs: spec {spec!r} is not {form} with pairs >= 1")
+    return parts[0], int(parts[1]), int(parts[2])
+
+
 def git_state(checkout: Path) -> dict[str, object]:
+    """The checkout's commit and whether its tree has changes; a checkout
+    that is not a git work tree with a commit exits with one line."""
     def git(*args: str) -> str:
-        return subprocess.run(
-            ["git", *args], cwd=checkout, capture_output=True, text=True, check=True
-        ).stdout.strip()
+        done = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        if done.returncode:
+            why = (done.stderr.strip().splitlines() or [f"exit {done.returncode}"])[0]
+            raise SystemExit(f"bench_pairs: git {' '.join(args)} failed in {checkout}: {why}")
+        return done.stdout.strip()
 
     return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
 
@@ -134,18 +156,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
+    runs = [parse_spec(spec, traced=False) for spec in args.runs]
+    traced_runs = [parse_spec(spec, traced=True) for spec in args.traced]
+    for side, checkout in sides.items():
+        if not checkout.is_dir():
+            raise SystemExit(f"bench_pairs: {side} checkout {checkout} is not a directory")
+    states = {side: git_state(checkout) for side, checkout in sides.items()}
 
     untraced = []
-    for spec in args.runs:
-        workload, seed, pairs = spec.split(":")
-        rows = run_pairs(sides, workload, int(seed), int(pairs), args.seconds, 0)
-        untraced.append({"workload": workload, "seed": int(seed),
+    for workload, seed, pairs in runs:
+        rows = run_pairs(sides, workload, seed, pairs, args.seconds, 0)
+        untraced.append({"workload": workload, "seed": seed,
                          "summary": summarize(rows), "runs": rows})
     traced = []
-    for spec in args.traced:
-        workload, _, pairs = spec.partition(":")
-        rows = run_pairs(sides, workload, 0, int(pairs or 1), args.seconds, 1)
-        traced.append({"workload": workload, "seed": 0, "pairs": len(rows),
+    for workload, seed, pairs in traced_runs:
+        rows = run_pairs(sides, workload, seed, pairs, args.seconds, 1)
+        traced.append({"workload": workload, "seed": seed, "pairs": len(rows),
                        "layers": layer_medians(rows), "runs": rows})
 
     report = {
@@ -155,8 +181,8 @@ def main(argv: list[str] | None = None) -> int:
             "--out", args.out.name, "--seconds", f"{args.seconds:g}",
             "--runs", *args.runs, *(["--traced", *args.traced] if args.traced else []),
         ]),
-        "before": {"checkout": args.before.name, **git_state(sides["before"])},
-        "after": {"checkout": args.after.name, **git_state(sides["after"])},
+        "before": {"checkout": args.before.name, **states["before"]},
+        "after": {"checkout": args.after.name, **states["after"]},
         "seconds": args.seconds,
         "host": {"platform": platform.platform(), "processor": platform.machine()},
         "untraced": untraced,
