@@ -180,14 +180,6 @@ class RunReport:
     abort_reason: str | None = None
 
 
-def _static_split_fallback(budget: int, task_size: int, step: int, reason: str) -> Conf:
-    """The fallback when a shrunk budget no longer fits a run's conf: the
-    static split of the live budget, with a warning that gives ``reason``."""
-    conf = default_static_conf(budget, task_size, step)
-    warnings.warn(f"{reason}; falling back to the static split {conf}")
-    return conf
-
-
 class Runtime:
     """Owns all mutable run state; single-threaded over simulated time."""
 
@@ -252,7 +244,8 @@ class Runtime:
                 reason = f"policy conf {conf} exceeds budget {budget}"
                 if budget >= cfg.budget_samples:
                     raise ValueError(reason)
-                conf = _static_split_fallback(budget, len(task), cfg.step, reason)
+                conf = default_static_conf(budget, len(task), cfg.step)
+                warnings.warn(f"{reason}; falling back to the static split {conf}")
             self.report.chosen_confs.append((task.task_id, conf))
             return conf
 
@@ -333,11 +326,10 @@ class Runtime:
                 self._baseline_accuracy,
             ).conf
         else:
-            if self.policy is None:
-                reason = f"no profiled conf fits budget {new}"
-            else:
-                reason = f"conf {self._chosen} exceeds budget {new}"
-            conf = _static_split_fallback(new, len(task), self.config.step, reason)
+            reason = (f"no profiled conf fits budget {new}" if self.policy is None
+                      else f"conf {self._chosen} exceeds budget {new}")
+            conf = default_static_conf(new, len(task), self.config.step)
+            warnings.warn(f"{reason}; falling back to the static split {conf}")
         self._apply_conf(conf)
         self.report.budget_events.append(
             BudgetEvent(task.task_id, epoch, old, new, "reselect", conf)
