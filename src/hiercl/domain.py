@@ -2,9 +2,10 @@
 memory configurations, I/O states, profiling records, and the energy ledger.
 
 A task is arrays: an ``(n, dim)`` feature block, one integer label per row
-and the stream's one transfer size. Everything here except the table is an
-immutable value safe to share between modules; all mutation happens inside
-the owning module (buffers, engine, runtime). The table only ever gains rows.
+and the stream's one transfer size. Everything here is an immutable value
+safe to share between modules (a run builds its table whole, and it never
+changes); all mutation happens inside the owning module (buffers, engine,
+runtime).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from numpy.typing import DTypeLike
 
 
 def check_ints(obj, names: Sequence[str]) -> None:
@@ -78,47 +78,31 @@ class Task:
         return len(self.labels)
 
 
+@dataclass(frozen=True, eq=False)
 class SampleTable:
     """Every training sample of a run, one row each: the layers above hold
     row indices into it, and a row is a sample's only identity.
 
-    :meth:`reserve` allocates the storage once, at the run's final size, and
-    :meth:`add` copies each task's arrays into the next rows. ``features``
-    keeps the reserved dtype (callers cast at use): a task whose features
-    that dtype cannot hold exactly is rejected rather than rounded.
+    A run builds it once, from the whole stream, when it starts (:meth:`of`).
     ``size_bytes`` is the stream's one transfer size (``validate_stream``
     rejects a stream that mixes sizes).
     """
 
-    def __init__(self) -> None:
-        self.features = np.empty((0, 0), np.float32)
-        self.labels = np.empty(0, np.intp)
-        self.size_bytes = 0
-        self._filled = 0
+    features: np.ndarray
+    labels: np.ndarray
+    size_bytes: int
 
-    def __len__(self) -> int:
-        return self._filled
-
-    def reserve(self, n_rows: int, dim: int, dtype: DTypeLike) -> None:
-        """Allocate ``n_rows`` rows of ``dim`` features in ``dtype``."""
-        if len(self.labels):
-            raise RuntimeError("a sample table is reserved once")
-        self.features = np.empty((n_rows, dim), dtype)
-        self.labels = np.empty(n_rows, np.intp)
-
-    def add(self, task: Task) -> np.ndarray:
-        """Fill the next rows with the task's rows, in order; returns them."""
-        start, end = self._filled, self._filled + len(task)
-        if end > len(self.labels):
-            raise ValueError(f"table reserved for {len(self.labels)} rows, not {end}")
-        dim = self.features.shape[1]
-        if task.features.shape[1] != dim:
-            raise ValueError(f"task {task.task_id} has dim {task.features.shape[1]}, table dim {dim}")
-        np.copyto(self.features[start:end], task.features, casting="safe")
-        self.labels[start:end] = task.labels
-        self.size_bytes = self.size_bytes or task.size_bytes
-        self._filled = end
-        return np.arange(start, end)
+    @classmethod
+    def of(cls, tasks: Sequence[Task]) -> SampleTable:
+        """The tasks' rows in task order, features in their common dtype;
+        no tasks give an empty table."""
+        if not tasks:
+            return cls(np.empty((0, 0), np.float32), np.empty(0, np.intp), 0)
+        return cls(
+            np.concatenate([task.features for task in tasks]),
+            np.concatenate([task.labels for task in tasks]).astype(np.intp, copy=False),
+            tasks[0].size_bytes,
+        )
 
 
 @dataclass(frozen=True, order=True)

@@ -59,6 +59,8 @@ class StreamSpec:
         for name in ("separation", "drift", "test_fraction"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not self.test_fraction > 0:
+            raise ValueError(f"test_fraction must be > 0, got {self.test_fraction!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

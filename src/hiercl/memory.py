@@ -86,7 +86,8 @@ class EpisodicMemory:
     ``_pools[c]`` is class ``c``'s slots, a row array. ``_slot[row]`` is the
     row's position in its class's slots, or -1 when EM does not hold it; it
     is the one record of which rows are held, so a membership test or a
-    replacement is an array lookup. It spans the table's reserved rows.
+    replacement is an array lookup. It spans the table's rows, sized once
+    at construction: a run builds its table whole before it builds EM.
     """
 
     def __init__(self, capacity: int, table: SampleTable):
@@ -104,21 +105,13 @@ class EpisodicMemory:
     def counts(self) -> dict[int, int]:
         return {c: len(pool) for c, pool in sorted(self._pools.items()) if len(pool)}
 
-    def _slots(self) -> np.ndarray:
-        """``_slot``, first sized to the table's rows (a table is reserved
-        once, so a shorter ``_slot`` is the empty one of an EM made before
-        the reservation)."""
-        if len(self._slot) < len(self.table.labels):
-            self._slot = np.full(len(self.table.labels), -1, np.intp)
-        return self._slot
-
     def holds(self, rows: ArrayLike) -> np.ndarray:
         """Whether EM holds each row."""
-        return self._slots()[rows] >= 0
+        return self._slot[rows] >= 0
 
     def held(self) -> np.ndarray:
         """Whether EM holds each row of the table, indexed by row."""
-        return self._slots() >= 0
+        return self._slot >= 0
 
     def class_rows(self, class_id: int) -> np.ndarray:
         """The class's held rows in slot order."""

@@ -10,13 +10,13 @@ requests never target slots that were just replaced. Since every in-memory
 sample is drawn once per epoch, that view is exactly the drawn set. The
 task's last epoch fires nothing: the task boundary would cancel the batch.
 
-A run copies each task's feature block and label array into one
-``SampleTable``, allocated at its final size when the run starts and filled
-task by task on arrival; from then on EM, the archive, the swap channel, the
-batches and the profiler all hold rows of it. SB is no store of its own: it
-is the current task's rows cut at the chosen conf's ``sb_size``, sliced
-afresh each epoch, so a resize only moves the cut. The probes are one table
-in task order: a task's probes are a row range, the probes so far a prefix.
+A run builds one ``SampleTable`` from the whole stream when it starts: every
+task's features and labels in task order, so a task's rows are a row range.
+EM, the archive, the swap channel, the batches and the profiler all hold
+rows of it. SB is no store of its own: it is the current task's rows cut at
+the chosen conf's ``sb_size``, sliced afresh each epoch, so a resize only
+moves the cut. The probes are one table in task order too: a task's probes
+are a row range, the probes so far a prefix.
 """
 
 from __future__ import annotations
@@ -125,6 +125,12 @@ class RunConfig:
                     f"budget_schedule[{i}]: expected an integer epoch >= 0 and an integer "
                     f"budget >= step ({self.step}), got [{epoch!r}, {budget!r}]"
                 )
+        # two entries at one point would apply in value order, not as written
+        for name, unit in (("external_io_load", "time"), ("budget_schedule", "epoch")):
+            points = [at for at, _ in getattr(self, name)]
+            for i, at in enumerate(points):
+                if (j := points.index(at)) < i:
+                    raise ValueError(f"{name}[{j}] and {name}[{i}] are both at {unit} {at}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -181,11 +187,20 @@ class RunReport:
 
 
 class Runtime:
-    """Owns all mutable run state; single-threaded over simulated time."""
+    """Owns all mutable run state; single-threaded over simulated time.
+
+    ``run`` builds that state afresh from its stream, so a Runtime may run
+    again, and a second run of one stream reproduces the first."""
 
     def __init__(self, config: RunConfig, policy: ConfPolicy | None = None):
         self.config = config
         self.policy = policy
+        self._start(())
+
+    def _start(self, tasks: Sequence[Task]) -> None:
+        """Build every per-run store and generator afresh, the table from
+        ``tasks``: a run starts from these alone."""
+        config = self.config
         root = np.random.SeedSequence(config.seed)
         learner_seed, batch_seed, swap_seed, em_seed, profile_seed = root.spawn(5)
         self._batch_rng = np.random.default_rng(batch_seed)
@@ -195,7 +210,7 @@ class Runtime:
         self._learner_seed = learner_seed
 
         self.ledger = EnergyLedger()
-        self.table = SampleTable()
+        self.table = SampleTable.of(tasks)
         self.archive = StorageArchive(self.table)
         self.em = EpisodicMemory(0, self.table)
         self.channel = IoChannel(
@@ -344,12 +359,9 @@ class Runtime:
 
     def run(self, tasks: Sequence[Task], probe_sets: dict[int, list[Sample]]) -> RunReport:
         cfg = self.config
-        if len(self.table):
-            raise RuntimeError("a Runtime runs one stream; create a new one")
         issues = validate_stream(tasks, cfg.domain_incremental)
         if issues:
             raise ValueError("invalid stream: " + "; ".join(issues[:3]))
-        report = self.report
         dim = tasks[0].features.shape[1]
         ids = {task.task_id for task in tasks}
         for key, samples in probe_sets.items():
@@ -364,18 +376,20 @@ class Runtime:
         own = [s.class_label for s in probe_sets.get(first.task_id, ())]
         if self.policy is None and first.class_set.isdisjoint(own):
             raise ValueError(f"invalid probes: task {first.task_id} has no probe of its own classes to profile on")
-        dtype = np.result_type(*(task.features.dtype for task in tasks))
-        self.table.reserve(sum(len(task) for task in tasks), dim, dtype)
+        self._start(tasks)
+        report = self.report
         self.state = init_learner(dim, cfg.hidden_width, self._learner_seed)
 
-        # every probe, task by task: task k's are rows ends[k-1]:ends[k]
+        # every task's rows and every probe, task by task: task k's are table
+        # rows starts[k-1]:starts[k] and probe rows ends[k-1]:ends[k]
+        starts = np.cumsum([0] + [len(task) for task in tasks]).tolist()
         sets = [probe_sets.get(task.task_id, ()) for task in tasks]
         x, labels = probe_arrays(s for samples in sets for s in samples)
         ends = np.cumsum([0] + [len(samples) for samples in sets]).tolist()
         classes_seen: set[int] = set()
 
         for task_index, task in enumerate(tasks, start=1):
-            rows = self.table.add(task)
+            rows = np.arange(starts[task_index - 1], starts[task_index])
             probes = x[: ends[task_index]], labels[: ends[task_index]]
             classes_seen |= task.class_set
 

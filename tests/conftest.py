@@ -26,17 +26,24 @@ def make_task(task_id: int, classes, per_class: int, dim: int = 4, seed: int = 0
     return labeled(np.tile(list(classes), per_class), dim, seed, task_id=task_id)
 
 
-def reserved(n_rows: int = 10_000, dim: int = 4, dtype=np.float32) -> SampleTable:
-    """An empty table reserved for ``n_rows`` rows."""
-    table = SampleTable()
-    table.reserve(n_rows, dim, dtype)
-    return table
+def packed(*tasks: Task) -> tuple:
+    """A new table of ``tasks``' rows in order, then each task's rows."""
+    ends = np.cumsum([0] + [len(task) for task in tasks])
+    return SampleTable.of(tasks), *(np.arange(a, b) for a, b in zip(ends, ends[1:]))
 
 
-def packed(task: Task) -> tuple[SampleTable, np.ndarray]:
-    """A new table holding just ``task``'s rows, and those rows."""
-    table = reserved(len(task), task.features.shape[1], task.features.dtype)
-    return table, table.add(task)
+def reserved(n_rows: int = 10_000, dim: int = 4) -> SampleTable:
+    """A table of ``n_rows`` zero float32 rows of 64-byte samples, for a test
+    whose tasks arrive between memory operations: ``fill`` writes them."""
+    return SampleTable(np.zeros((n_rows, dim), np.float32), np.zeros(n_rows, np.intp), 64)
+
+
+def fill(table: SampleTable, start: int, task: Task) -> np.ndarray:
+    """Write ``task``'s rows into ``table`` from row ``start``; returns them."""
+    rows = np.arange(start, start + len(task))
+    table.features[rows] = task.features
+    table.labels[rows] = task.labels
+    return rows
 
 
 def as_probes(task: Task) -> list[Sample]:

@@ -31,7 +31,7 @@ from hiercl.runtime import RunConfig, run_stream
 from hiercl.selector import HIGHEST_UTILITY, LOWEST_ENERGY, select_record
 
 from test_selector import energy_accuracy_table, oracle_select, random_records
-from conftest import as_probes, exhaustive_units, labeled, make_task, reserved, spread_ok
+from conftest import as_probes, exhaustive_units, fill, labeled, make_task, packed, reserved, spread_ok
 
 
 @contextlib.contextmanager
@@ -136,14 +136,15 @@ def test_criterion_5_class_balance_property():
         table = reserved(20_000)
         archive = StorageArchive(table)
         em = EpisodicMemory(120, table)
-        task_id = 0
+        task_id = filled = 0
         ops = 0
         while ops < 10_000:
             if not archive.classes() or rng.random() < 0.04:
                 task_id += 1
                 per_class = int(rng.integers(3, 30))
                 labels = np.repeat(range((task_id - 1) * 2, task_id * 2), per_class)
-                flush(table.add(labeled(labels, task_id=task_id)), em, archive, rng)
+                flush(fill(table, filled, labeled(labels, task_id=task_id)), em, archive, rng)
+                filled += len(labels)
             else:
                 em.resize(int(rng.integers(0, 30)) * 10, archive, rng)
             ops += 1
@@ -230,9 +231,11 @@ def test_criterion_9_profiler_cost_ratio():
     with criterion(9, "profiling cost reduction matches (|space|/14)(E/5)(1/0.05) within 20%"):
         # task-2 style scenario: 10 old classes archived, 10 new arriving
         rng = np.random.default_rng(7)
-        table = reserved(4000, dim=16)
-        task_rows = table.add(make_task(2, range(10, 20), per_class=200, dim=16))
-        em_pool = {c: table.add(labeled([c] * 200, dim=16, seed=c + 1)) for c in range(10)}
+        table, task_rows, *pool_rows = packed(
+            make_task(2, range(10, 20), per_class=200, dim=16),
+            *(labeled([c] * 200, dim=16, seed=c + 1) for c in range(10)),
+        )
+        em_pool = dict(enumerate(pool_rows))
         probe = as_probes(labeled(np.arange(400) % 20, dim=16, seed=99))
         state = init_learner(16, hidden_width=16, seed=0)
         from hiercl.learner import train_epoch

@@ -440,6 +440,11 @@ def test_sweep_budget_below_one_step_exits_before_any_run(tmp_path):
         ("budget_schedule", [[2, 400], [4, 50]],
          ": budget_schedule[1]: expected an integer epoch >= 0 and an integer budget >= step (100), "
          "got [4, 50]"),
+        # two entries at one point used to apply in value order, not as written
+        ("budget_schedule", [[3, 400], [3, 300]],
+         ": budget_schedule[0] and budget_schedule[1] are both at epoch 3"),
+        ("external_io_load", [[5.0, 9.0e7], [5.0, 0.0]],
+         ": external_io_load[0] and external_io_load[1] are both at time 5.0"),
     ],
 )
 def test_bad_load_or_schedule_entry_names_it(tmp_path, key, value, message):
@@ -557,6 +562,18 @@ def test_non_finite_stream_setting_exits_with_one_line(tmp_path, command, key, v
     assert_config_error(result, f"config stream: {key} must be finite, got {value!r}")
     assert len(result.output.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [-0.5, 0.0])
+def test_nonpositive_test_fraction_exits_with_one_line(tmp_path, value):
+    # it used to validate a stream of one probe per class
+    cfg = yaml.safe_load(write_config(tmp_path).read_text())
+    cfg["stream"]["test_fraction"] = value
+    path = tmp_path / "exp_edit.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+    assert_config_error(result, f"config stream: test_fraction must be > 0, got {value!r}")
+    assert len(result.output.strip().splitlines()) == 1
 
 
 def test_non_finite_separation_flag_exits_with_one_line(tmp_path):

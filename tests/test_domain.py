@@ -164,45 +164,20 @@ class TestValidateStream:
 
 class TestSampleTable:
     def test_rows_follow_arrival(self):
-        table = SampleTable()
-        table.reserve(7, 4, np.float32)
         first = labeled([0, 1, 0], seed=1)
         second = labeled([5, 5, 5, 5], seed=2)
-        assert table.add(first).tolist() == [0, 1, 2]
-        assert table.add(second).tolist() == [3, 4, 5, 6]
-        assert len(table) == 7
+        table = SampleTable.of([first, second])
         assert table.labels.tolist() == [0, 1, 0, 5, 5, 5, 5]
+        assert table.labels.dtype == np.intp
         expected = np.concatenate([first.features, second.features])
         assert table.features.tobytes() == expected.tobytes()
         assert table.features.dtype == np.float32
         assert table.size_bytes == 64
 
-    def test_reserved_storage_is_filled_in_place(self):
-        table = SampleTable()
-        table.reserve(10, 4, np.float32)
-        storage = table.features
-        table.add(labeled([0] * 10))
-        assert table.features is storage and len(table) == 10
-
-    def test_reserved_once_and_never_grown_or_rounded(self):
-        table = SampleTable()
-        table.reserve(2, 4, np.float64)
-        wide = Task(1, np.linspace(0.0, 1.0, 4).reshape(1, 4), np.zeros(1, np.intp), 64)
-        table.add(labeled([0]))
-        table.add(wide)
-        assert table.features[1].tolist() == wide.features[0].tolist()
-        with pytest.raises(ValueError):
-            table.add(labeled([0]))
-        with pytest.raises(RuntimeError):
-            table.reserve(4, 4, np.float64)
-        narrow = SampleTable()
-        narrow.reserve(2, 4, np.float32)
-        with pytest.raises(TypeError):
-            narrow.add(wide)
-
-    def test_rejects_a_task_of_another_dim(self):
-        table = SampleTable()
-        table.reserve(4, 4, np.float32)
-        with pytest.raises(ValueError, match="task 1 has dim 1, table dim 4"):
-            table.add(labeled([0, 1], dim=1))
-        assert len(table) == 0
+    def test_mixed_dtypes_widen_exactly(self):
+        narrow = labeled([0, 1], seed=1)
+        wide = Task(2, np.linspace(0.0, 1.0, 12).reshape(3, 4), np.full(3, 2, np.intp), 64)
+        table = SampleTable.of([narrow, wide])
+        assert table.features.dtype == np.float64
+        assert table.features[:2].tolist() == narrow.features.tolist()
+        assert table.features[2:].tolist() == wide.features.tolist()

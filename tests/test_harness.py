@@ -61,6 +61,16 @@ def test_stream_spec_refuses_non_finite_floats(name, value):
         StreamSpec(**{name: value})
 
 
+@pytest.mark.parametrize("value", [-0.5, 0.0])
+def test_stream_spec_refuses_a_test_fraction_of_zero_or_less(value):
+    # it used to give one probe per class, as a small positive fraction does
+    with pytest.raises(ValueError) as exc:
+        StreamSpec(test_fraction=value)
+    assert str(exc.value) == f"test_fraction must be > 0, got {value!r}"
+    spec = StreamSpec(n_tasks=1, classes_per_task=2, samples_per_class=20, test_fraction=0.001)
+    assert [len(samples) for samples in generate_stream(spec).probe_sets.values()] == [2]
+
+
 class TestGenerateStream:
     def test_sample_counts(self):
         stream = generate_stream(

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiercl.memory import (
-    NO_ROWS,
     EpisodicMemory,
     StorageArchive,
     class_quotas,
     compose_epoch_batches,
     flush,
 )
-from conftest import labeled, make_task, reserved, spread_ok
+from conftest import fill, labeled, make_task, packed, reserved, spread_ok
 
 
-def fresh(capacity_em=100):
-    table = reserved()
-    return EpisodicMemory(capacity_em, table), StorageArchive(table)
+def fresh(*tasks, capacity_em=100):
+    """EM and an archive over a table of ``tasks``, then each task's rows."""
+    table, *rows = packed(*tasks)
+    return EpisodicMemory(capacity_em, table), StorageArchive(table), *rows
 
 
 class TestQuotas:
@@ -36,19 +36,24 @@ class TestQuotas:
 
 class TestFlush:
     def test_growing_class_count_rebalances(self):
-        em, archive = fresh(capacity_em=100)
+        em, archive, first, second = fresh(
+            make_task(1, range(10), per_class=20), make_task(2, range(10, 20), per_class=20),
+            capacity_em=100,
+        )
         rng = np.random.default_rng(0)
-        flush(archive.table.add(make_task(1, range(10), per_class=20)), em, archive, rng)
+        flush(first, em, archive, rng)
         assert em.counts() == {c: 10 for c in range(10)}
 
-        flush(archive.table.add(make_task(2, range(10, 20), per_class=20)), em, archive, rng)
+        flush(second, em, archive, rng)
         assert em.counts() == {c: 5 for c in range(20)}
 
     def test_uneven_quota_spread_at_most_one(self):
-        em, archive = fresh(capacity_em=100)
+        em, archive, *task_rows = fresh(
+            *(make_task(t, range((t - 1) * 10, t * 10), per_class=20) for t in range(1, 4)),
+            capacity_em=100,
+        )
         rng = np.random.default_rng(1)
-        for t in range(1, 4):
-            rows = archive.table.add(make_task(t, range((t - 1) * 10, t * 10), per_class=20))
+        for rows in task_rows:
             flush(rows, em, archive, rng)
         counts = em.counts()
         assert len(counts) == 30
@@ -57,16 +62,15 @@ class TestFlush:
         assert spread_ok(em, archive)
 
     def test_zero_capacity_em_stays_empty(self):
-        em, archive = fresh(capacity_em=0)
+        em, archive, rows = fresh(make_task(1, range(5), per_class=10), capacity_em=0)
         rng = np.random.default_rng(2)
-        flush(archive.table.add(make_task(1, range(5), per_class=10)), em, archive, rng)
+        flush(rows, em, archive, rng)
         assert em.total == 0
         assert sum(map(archive.class_count, archive.classes())) == 50
 
     def test_overflow_reaches_archive(self):
-        em, archive = fresh()
+        em, archive, rows = fresh(make_task(1, range(5), per_class=10))
         rng = np.random.default_rng(3)
-        rows = archive.table.add(make_task(1, range(5), per_class=10))
         assert len(rows[10:]) == 40  # the rows past an SB cut at 10
         flush(rows, em, archive, rng)
         assert sum(map(archive.class_count, archive.classes())) == 50
@@ -74,12 +78,13 @@ class TestFlush:
         assert archived == set(rows.tolist())
 
     def test_archive_is_append_only_per_task(self):
-        em, archive = fresh()
+        em, archive, first, second = fresh(
+            make_task(1, range(3), per_class=5), make_task(2, range(3, 6), per_class=5)
+        )
         rng = np.random.default_rng(4)
-        table = archive.table
-        flush(table.add(make_task(1, range(3), per_class=5)), em, archive, rng)
+        flush(first, em, archive, rng)
         after_t1 = {r for c in archive.classes() for r in archive.class_rows(c).tolist()}
-        flush(table.add(make_task(2, range(3, 6), per_class=5)), em, archive, rng)
+        flush(second, em, archive, rng)
         after_t2 = {r for c in archive.classes() for r in archive.class_rows(c).tolist()}
         assert after_t1 <= after_t2
 
@@ -87,10 +92,10 @@ class TestFlush:
 class TestResize:
     def _em_with_archive(self, classes, per_class_archive, capacity, seed=0):
         rng = np.random.default_rng(seed)
-        table = reserved()
+        table, *class_rows = packed(*(labeled([c] * per_class_archive[c]) for c in classes))
         archive = StorageArchive(table)
-        for c in classes:
-            archive.append(table.add(labeled([c] * per_class_archive[c])))
+        for rows in class_rows:
+            archive.append(rows)
         em = EpisodicMemory(capacity, table)
         em.rebalance(archive, rng)
         return em, archive, rng
@@ -153,12 +158,11 @@ class TestReplace:
 class TestComposeBatches:
     def _filled(self, n_sb, n_em, batch, seed=0):
         rng = np.random.default_rng(seed)
-        table = reserved()
-        sb = table.add(labeled([0] * n_sb)) if n_sb else NO_ROWS
+        table, sb, em_rows = packed(labeled([0] * n_sb), labeled([1] * n_em))
         archive = StorageArchive(table)
         em = EpisodicMemory(n_em, table)
         if n_em:
-            archive.append(table.add(labeled([1] * n_em)))
+            archive.append(em_rows)
             em.rebalance(archive, rng)
         return sb, em, rng
 
@@ -200,9 +204,11 @@ def test_randomized_balance_survives_operations():
     table = reserved()
     archive = StorageArchive(table)
     em = EpisodicMemory(90, table)
+    filled = 0
     for t in range(1, 13):
         per_class = int(rng.integers(5, 40))
-        rows = table.add(labeled(np.repeat(range((t - 1) * 3, t * 3), per_class), task_id=t))
+        rows = fill(table, filled, labeled(np.repeat(range((t - 1) * 3, t * 3), per_class), task_id=t))
+        filled += len(rows)
         flush(rows, em, archive, rng)
         assert spread_ok(em, archive)
         if t % 3 == 0:
@@ -238,11 +244,11 @@ def test_slot_map_tracks_churn(seed, ops):
     table = reserved()
     archive = StorageArchive(table)
     em = EpisodicMemory(40, table)
-    next_class = 0
+    next_class = filled = 0
     for op, arg in ops:
         if op == "task":
-            archive.append(table.add(labeled(np.repeat([next_class, next_class + 1], arg))))
-            next_class += 2
+            archive.append(fill(table, filled, labeled(np.repeat([next_class, next_class + 1], arg))))
+            next_class, filled = next_class + 2, filled + 2 * arg
             em.rebalance(archive, rng)
         elif op == "resize":
             em.resize(arg, archive, rng)
@@ -268,10 +274,10 @@ def test_replace_spans_many_classes():
     cross-class pairs mixed in: each same-class pair puts its new row in its
     old row's slot, and every cross-class pair is refused."""
     rng = np.random.default_rng(7)
-    table = reserved()
-    archive = StorageArchive(table)
     n_classes = 30
-    archive.append(table.add(labeled(np.arange(n_classes * 6) % n_classes)))
+    table, rows = packed(labeled(np.arange(n_classes * 6) % n_classes))
+    archive = StorageArchive(table)
+    archive.append(rows)
     em = EpisodicMemory(n_classes * 3, table)
     em.rebalance(archive, rng)
     expected = {c: em.class_rows(c).tolist() for c in range(n_classes)}

@@ -19,7 +19,7 @@ from hiercl.profiler import (
 )
 from hiercl.harness import StreamSpec, generate_stream, make_policy
 from hiercl.runtime import RunConfig, run_stream
-from conftest import as_probes, exhaustive_units, labeled, make_task, reserved, state_digest
+from conftest import as_probes, exhaustive_units, labeled, make_task, packed, state_digest
 
 
 class TestSearchSpace:
@@ -182,13 +182,13 @@ class TestCoverage:
 def small_profile_setup(seed=0, with_old=True):
     """A state, the task's rows, the archive of old rows, the probe blocks
     and a run config; the archive's table holds every row."""
-    table = reserved(560, dim=8)
-    task = table.add(make_task(1, range(4), per_class=100, dim=8))
+    old = [labeled([c] * 80, dim=8, seed=c) for c in (90, 91)] if with_old else []
+    table, task, *old_rows = packed(make_task(1, range(4), per_class=100, dim=8), *old)
     probe = as_probes(labeled(np.arange(40) % 4, dim=8, seed=1))
     archive = StorageArchive(table)
     if with_old:
-        for c in (90, 91):
-            archive.append(table.add(labeled([c] * 80, dim=8, seed=c)))
+        for rows in old_rows:
+            archive.append(rows)
         probe += as_probes(labeled(90 + np.arange(20) % 2, dim=8, seed=2))
     state = init_learner(8, hidden_width=8, seed=seed)
     if with_old:

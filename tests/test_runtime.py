@@ -17,7 +17,7 @@ from hiercl.harness import (
 from hiercl.learner import CostModel
 from hiercl.profiler import ProfilerConfig
 from hiercl.runtime import RunConfig, Runtime, run_stream
-from conftest import make_task, spread_ok
+from conftest import make_task, spread_ok, state_digest
 
 
 def tiny_stream(n_tasks=2, classes_per_task=3, per_class=40, dim=8, seed=5):
@@ -125,12 +125,13 @@ class TestLoopShape:
         t = report.swap_totals
         assert t["issued"] == t["applied"] + t["dropped"] + t["pending"]
 
-    def test_runtime_runs_one_stream(self):
-        stream = tiny_stream(n_tasks=1)
+    def test_second_run_reproduces_the_first(self):
+        stream = tiny_stream(n_tasks=2)
         runtime = Runtime(tiny_config())
-        runtime.run(stream.tasks, stream.probe_sets)
-        with pytest.raises(RuntimeError):
-            runtime.run(stream.tasks, stream.probe_sets)
+        first = repr(runtime.run(stream.tasks, stream.probe_sets))
+        weights = state_digest(runtime.state)
+        assert repr(runtime.run(stream.tasks, stream.probe_sets)) == first
+        assert state_digest(runtime.state) == weights
 
     def test_invalid_stream_rejected(self):
         stream = tiny_stream()
@@ -173,7 +174,7 @@ class TestLoopShape:
 
         def checked_compose(*args):
             batches = compose(*args)
-            start = len(rt.table) - task_size
+            start = len(flushes) * task_size
             expected = list(range(start, start + conf.sb_size)) + rt.em.rows().tolist()
             assert sorted(r for b in batches for r in b.tolist()) == sorted(expected)
             epochs.append(start)
@@ -182,8 +183,8 @@ class TestLoopShape:
         def checked_flush(*args):
             flush(*args)
             archived = {r for c in rt.archive.classes() for r in rt.archive.class_rows(c).tolist()}
-            assert archived == set(range(len(rt.table)))
-            flushes.append(len(rt.table))
+            assert archived == set(range(len(archived)))
+            flushes.append(len(archived))
 
         monkeypatch.setattr(runtime_module, "compose_epoch_batches", checked_compose)
         monkeypatch.setattr(runtime_module, "flush", checked_flush)
@@ -205,10 +206,15 @@ class TestLoopShape:
         ({"external_io_load": ((0.0, -5e8),)},
          r"external_io_load\[0\]: time and load must be >= 0, got \[0.0, -500000000.0\]"),
         ({"external_io_load": ((1.0, 0.0), (-1.0, 0.0))}, r"external_io_load\[1\]: time and load"),
+        # two entries at one point used to apply in value order, not as written
+        ({"budget_schedule": ((3, 600), (5, 400), (3, 300))},
+         r"^budget_schedule\[0\] and budget_schedule\[2\] are both at epoch 3$"),
+        ({"external_io_load": ((5.0, 9e7), (5.0, 0.0))},
+         r"^external_io_load\[0\] and external_io_load\[1\] are both at time 5.0$"),
         ({"seed": -1}, "seed must be >= 0"),
     ],
     ids=["budget-below-step", "negative-epoch", "float-epoch", "negative-load", "negative-time",
-         "negative-seed"],
+         "repeated-epoch", "repeated-time", "negative-seed"],
 )
 def test_run_config_rejects_bad_schedule_load_and_seed(fields, message):
     """The ranges hold for library callers too, not only behind the CLI."""
@@ -502,7 +508,7 @@ class TestProbeSets:
         with pytest.raises(ValueError) as exc:
             runtime.run(tasks, probe_sets)
         assert str(exc.value) == message
-        assert runtime.state is None and len(runtime.table) == 0
+        assert runtime.state is None and len(runtime.table.labels) == 0
 
     def test_task_without_probes_is_scored_on_the_others(self):
         runtime, tasks, probe_sets = self._setup("static", lambda sets: sets.pop(2))
@@ -735,14 +741,17 @@ class TestRunProperties:
         domain_incremental=st.booleans(),
         adaptive=st.booleans(),
         budget_steps=st.integers(2, 8),
-        schedule=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 8)), max_size=3),
+        # one entry per epoch: a config refuses two at one epoch
+        schedule=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(1, 8)), max_size=3, unique_by=lambda e: e[0]
+        ),
         bandwidth=st.sampled_from([1e3, 1e5, 1e8]),
         seed=st.integers(0, 2**16),
     )
-    # two steps due at one poll: 4 -> 1 -> 2 steps is a net shrink
+    # two steps due at the first poll (epoch 1): 4 -> 1 -> 2 steps is a net shrink
     @example(
         n_tasks=1, classes=2, per_class=10, domain_incremental=False, adaptive=False,
-        budget_steps=4, schedule=[(0, 1), (0, 2)], bandwidth=1e3, seed=0,
+        budget_steps=4, schedule=[(0, 1), (1, 2)], bandwidth=1e3, seed=0,
     )
     def test_invariants_hold_over_random_streams_and_budgets(
         self, n_tasks, classes, per_class, domain_incremental, adaptive,
@@ -818,8 +827,10 @@ class TestAsynchronyContract:
     @settings(max_examples=60, deadline=None)
     @given(
         bandwidth=st.floats(1e3, 1e7),
+        # one step per time: a config refuses two at one time
         load=st.lists(
-            st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 1e7)), max_size=3
+            st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 1e7)), max_size=3,
+            unique_by=lambda step: step[0],
         ),
     )
     def test_channel_moves_only_swaps_and_io(self, bandwidth, load):

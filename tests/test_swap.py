@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hiercl.learner import CostModel
 from hiercl.memory import EpisodicMemory, StorageArchive
 from hiercl.swap import SWAP_BYTES_FACTOR, IoChannel, SwapEngine
-from conftest import conserved, labeled, reserved
+from conftest import conserved, fill, labeled, packed, reserved
 
 
 def required_bandwidth_bytes_per_s(
@@ -23,10 +23,11 @@ def required_bandwidth_bytes_per_s(
 
 def setup_engine(bandwidth=1e9, n_classes=4, per_class=50, em_capacity=40, seed=0):
     rng = np.random.default_rng(seed)
+    # spare rows for a test's late arrivals
     table = reserved()
     archive = StorageArchive(table)
     for c in range(n_classes):
-        archive.append(table.add(labeled([c] * per_class, size_bytes=64)))
+        archive.append(fill(table, c * per_class, labeled([c] * per_class, size_bytes=64)))
     em = EpisodicMemory(em_capacity, table)
     em.rebalance(archive, rng)
     engine = SwapEngine(IoChannel(bandwidth), archive)
@@ -83,10 +84,10 @@ class TestIssue:
     )
     def test_each_class_sends_its_first_fresh_count_picks(self, pools, capacity, percent, seed):
         rng = np.random.default_rng(seed)
-        table = reserved()
+        table, *class_rows = packed(*(labeled([c] * n, size_bytes=64) for c, n in enumerate(pools)))
         archive = StorageArchive(table)
-        for c, n in enumerate(pools):
-            archive.append(table.add(labeled([c] * n, size_bytes=64)))
+        for rows in class_rows:
+            archive.append(rows)
         em = EpisodicMemory(capacity, table)
         em.rebalance(archive, rng)
         engine = SwapEngine(IoChannel(1e9), archive)
@@ -140,10 +141,11 @@ class TestApply:
         engine, em, rng = setup_engine(per_class=10, em_capacity=40)
         assert engine.issue(em, 1.0, now=0.0, rng=rng) == 0
         assert engine.issued_total == engine.pending_count == 0
-        # one fresh class-0 sample: of class 0's ten picked slots, only the
-        # first can take it, so one transfer is sent
+        # one fresh class-0 sample, in the row after the four classes' ten
+        # each: of class 0's ten picked slots, only the first can take it, so
+        # one transfer is sent
         table = engine.archive.table
-        engine.archive.append(table.add(labeled([0], size_bytes=64)))
+        engine.archive.append(fill(table, 4 * 10, labeled([0], size_bytes=64)))
         assert engine.issue(em, 1.0, now=0.0, rng=rng) == 1
         landed = engine.channel.pop_completed(math.inf)
         assert table.labels[landed].tolist() == [0]
@@ -169,11 +171,10 @@ class TestApplyOneDrawPerClass:
         self, pools, capacity, percents, resize_to, seed
     ):
         rng = np.random.default_rng(seed)
-        table = reserved()
+        table, *class_rows = packed(*(labeled([c] * n, size_bytes=64) for c, n in enumerate(pools)))
         archive = StorageArchive(table)
         class_of = {}
-        for c, n in enumerate(pools):
-            rows = table.add(labeled([c] * n, size_bytes=64))
+        for c, rows in enumerate(class_rows):
             archive.append(rows)
             class_of.update((r, c) for r in rows.tolist())
         em = EpisodicMemory(capacity, table)
@@ -264,10 +265,10 @@ class TestApplyEqualsPerClassLoop:
     )
     def test_same_slots_totals_and_generator_state(self, pools, capacity, ops, seed):
         rng = np.random.default_rng(seed)
-        table = reserved()
+        table, *class_rows = packed(*(labeled([c] * n, size_bytes=64) for c, n in enumerate(pools)))
         archive = StorageArchive(table)
-        for c, n in enumerate(pools):
-            archive.append(table.add(labeled([c] * n, size_bytes=64)))
+        for rows in class_rows:
+            archive.append(rows)
         em = EpisodicMemory(capacity, table)
         em.rebalance(archive, rng)
         # a slow channel, so batches queued by several issues land together
