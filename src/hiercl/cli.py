@@ -127,19 +127,26 @@ def _load_config(path: str | None) -> dict:
 
 def _load_congestion_trace(path: str | None) -> tuple[tuple[float, float], ...]:
     """CSV of time_seconds,bytes_per_second load steps, checked like
-    `run.external_io_load`; a bad row is an error naming its line."""
+    `run.external_io_load`; a bad row, or a second row at one time, is an
+    error naming its lines."""
     if path is None:
         return ()
     steps = []
+    lines_at: dict[float, int] = {}
     for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("time"):
             continue
         where = f"congestion trace {path}, line {n}"
         try:
-            steps.append(check_load_step(_read_pair(line.split(","), float, where), where))
+            step = check_load_step(_read_pair(line.split(","), float, where), where)
         except ValueError as exc:
             raise click.ClickException(str(exc)) from None
+        if (first := lines_at.setdefault(step[0], n)) != n:
+            raise click.ClickException(
+                f"congestion trace {path}, lines {first} and {n} are both at time {step[0]}"
+            )
+        steps.append(step)
     return tuple(steps)
 
 
@@ -252,7 +259,10 @@ def run(config_path, strategy, budget, cutline, mode, epochs, seed, fixed_ratio,
         policy = make_policy(strategy, stream, config)
     except LearnerDiverged as exc:
         raise click.ClickException(f"learner diverged: {exc}") from None
-    report = run_stream(stream.tasks, stream.probe_sets, config, policy)
+    try:
+        report = run_stream(stream.tasks, stream.probe_sets, config, policy)
+    except ValueError as exc:  # a run refuses bad input before it starts
+        raise click.ClickException(str(exc)) from None
     paths = emit_report(report, outdir, label or strategy)
     click.echo(f"final average accuracy: {report.final_average_accuracy:.4f}")
     click.echo(f"total energy: {report.ledger.total:.2f} J "
@@ -285,6 +295,8 @@ def sweep_cmd(config_path, strategies, budgets, seeds, outdir, stream):
         points = sweep(spec, config, strategies=strategies, budgets=budgets, seeds=seeds)
     except LearnerDiverged as exc:
         raise click.ClickException(f"learner diverged: {exc}") from None
+    except ValueError as exc:  # a run refuses bad input before it starts
+        raise click.ClickException(str(exc)) from None
     path = write_sweep(points, outdir)
     click.echo(f"wrote {len(points)} points to {path}")
 

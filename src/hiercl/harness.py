@@ -31,7 +31,7 @@ from .domain import (
 )
 from .learner import LearnerDiverged
 from .profiler import build_search_space, default_static_conf
-from .runtime import ConfPolicy, EpochRow, RunConfig, RunReport, run_stream
+from .runtime import ConfPolicy, EpochRow, RunConfig, RunReport, check_warm_start, run_stream
 from .selector import select_record
 
 
@@ -370,9 +370,12 @@ def sweep(
     seeds: Sequence[int],
 ) -> list[SweepPoint]:
     """Grid of (strategy, budget, seed) runs on a shared stream spec. Every
-    budget, seed and strategy name passes its checks before the first run,
-    and each (budget, seed) explores the grid at most once. A run that
-    diverges raises ``LearnerDiverged``: it has no point to plot."""
+    budget, seed and strategy name, and an adaptive run's warmup, passes its
+    checks before the first run, and each (budget, seed) explores the grid
+    at most once. A run that diverges raises ``LearnerDiverged``: it has no
+    point to plot."""
+    if "adaptive" in strategies:
+        check_warm_start(base_config)
     configs = [
         replace(
             base_config,

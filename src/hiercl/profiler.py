@@ -3,7 +3,9 @@
 Cost is cut from three directions: only a uniform sample of the search
 space is profiled (default 14 confs), each conf trains on a small random
 subsample of its data (default 5%), and all confs start from copies of one
-shared warmed-up state so nobody re-pays the noisy early epochs. The recorded
+shared warmed-up state so nobody re-pays the noisy early epochs. That warm
+state is no throwaway: the live task continues from it, so the warmup's
+epochs are the task's first epochs and are trained once. The recorded
 accuracy is the raw short-horizon value, not an extrapolation; the energy
 estimate is the cost model's projection of a full-length run at that conf.
 
@@ -146,8 +148,13 @@ def draw_subsample(
 
 @dataclass
 class ProfileOutcome:
+    """The sampled confs' records, the grid size and the warm state: the
+    live model after ``warmup_epochs`` at the reference conf, from which
+    every conf evaluation copied and the live task continues."""
+
     records: list[ProfileRecord]
     space_size: int
+    warm: LearnerState
     # simulated compute units (sample-epochs) spent per phase
     warmup_units: int = 0
     evaluation_units: int = 0
@@ -226,7 +233,8 @@ def profile_task(
     sample size and the warmup, which trains at the reference with
     ``config.batch_size`` and ``config.learning_rate``. The live model is
     copied once for the warmup, and the warm state once per conf
-    evaluation; the caller's state is never mutated.
+    evaluation; the caller's state is never mutated, and the warm state is
+    returned as ``ProfileOutcome.warm`` for the live task to continue from.
     """
     cfg = config.profiler
     table = archive.table
@@ -246,7 +254,8 @@ def profile_task(
     if ref_em > 0:
         ref_data = np.concatenate([ref_data, _balanced_take(em_pool_by_class, ref_em, rng)])
     # warmup_epochs == 0 is ablation mode: confs ride on the raw live weights
-    # and inherit the noisy early-epoch loss landscape
+    # and inherit the noisy early-epoch loss landscape, and the live task
+    # trains every epoch itself
     for _ in range(cfg.warmup_epochs):
         batches = shuffled_batches(ref_data, config.batch_size, rng)
         train_epoch(warm, batches, config.learning_rate, table)
@@ -265,6 +274,7 @@ def profile_task(
     return ProfileOutcome(
         records=records,
         space_size=len(space),
+        warm=warm,
         warmup_units=warmup_units,
         evaluation_units=eval_units,
     )

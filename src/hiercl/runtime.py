@@ -10,6 +10,13 @@ requests never target slots that were just replaced. Since every in-memory
 sample is drawn once per epoch, that view is exactly the drawn set. The
 task's last epoch fires nothing: the task boundary would cancel the batch.
 
+A profiled task continues from the profiler's warm state: its first
+``warmup_epochs`` epochs are the warmup, trained at the reference conf and
+billed to profiling, and the live loop trains the epochs after them at the
+chosen conf. Only live epochs write an ``EpochRow``; the global epoch clock
+counts the warmup too, so a budget schedule keeps its timing. A policy task
+is not profiled and trains every epoch live.
+
 A run builds one ``SampleTable`` from the whole stream when it starts: every
 task's features and labels in task order, so a task's rows are a row range.
 EM, the archive, the swap channel, the batches and the profiler all hold
@@ -133,6 +140,17 @@ class RunConfig:
                     raise ValueError(f"{name}[{j}] and {name}[{i}] are both at {unit} {at}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+
+def check_warm_start(config: RunConfig) -> None:
+    """A profiled task continues from the profiler's warmup, so the warmup
+    must leave it at least one live epoch."""
+    warmup, epochs = config.profiler.warmup_epochs, config.epochs_per_task
+    if warmup >= epochs:
+        raise ValueError(
+            f"profiler.warmup_epochs ({warmup}) must be below epochs_per_task ({epochs}): "
+            "a profiled task trains the epochs after its warmup"
+        )
 
 
 @dataclass
@@ -270,6 +288,8 @@ class Runtime:
             cfg, rng, self.ledger,
         )
         self._records_this_task = outcome.records
+        # the warmup is this task's first epochs: the live model continues from it
+        self.state = outcome.warm
         self.report.profile_trace.extend((task.task_id, r) for r in outcome.records)
         self.report.profiling_units[task.task_id] = {
             "space_size": outcome.space_size,
@@ -376,6 +396,8 @@ class Runtime:
         own = [s.class_label for s in probe_sets.get(first.task_id, ())]
         if self.policy is None and first.class_set.isdisjoint(own):
             raise ValueError(f"invalid probes: task {first.task_id} has no probe of its own classes to profile on")
+        if self.policy is None:
+            check_warm_start(cfg)
         self._start(tasks)
         report = self.report
         self.state = init_learner(dim, cfg.hidden_width, self._learner_seed)
@@ -430,8 +452,14 @@ class Runtime:
         return report
 
     def _train_task(self, task: Task) -> None:
+        """Train the task's live epochs at the chosen conf: every epoch for a
+        policy task, the epochs after the warmup for a profiled one. An
+        entry of the budget schedule due inside the warmup applies at the
+        first live epoch."""
         cfg = self.config
-        for epoch in range(1, cfg.epochs_per_task + 1):
+        warmed = 0 if self.policy is not None else cfg.profiler.warmup_epochs
+        self._global_epoch += warmed
+        for epoch in range(warmed + 1, cfg.epochs_per_task + 1):
             self._global_epoch += 1
             sb_rows = self._task_rows[: self._chosen.sb_size]
             batches = compose_epoch_batches(sb_rows, self.em, cfg.batch_size, self._batch_rng)

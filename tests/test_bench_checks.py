@@ -22,10 +22,12 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # each new repr is the old one with those fields cut out, and the weights
 # digests did not move.
 PINNED = {
-    # re-recorded when the first task's warmup moved to the grid conf nearest the static split
+    # re-recorded when the first task's warmup moved to the grid conf nearest
+    # the static split, and again when each profiled task began continuing
+    # from the profiler's warm state
     "desk-adaptive": (
-        "c61229ac3c51aa41a98bbf633f1e3b8d2e220be33cc614cf1b36e45759f02126",
-        "2787690397f3effe60e7d0f05f65a781d55601499cd30712cd9c79310c66c4fb",
+        "1650d7f6fa54bde9a01869474b148fb1e155068d260b3d105c51a26eed55d2d3",
+        "66a7259f35d324ce4d784f1cb8988170400dbebe854cc3a73f943f001ec38cbd",
     ),
     "desk-static": (
         "50ada78c4becbca20505e30f96df6902e8d306b68e94d89a082aa8cc381858cf",

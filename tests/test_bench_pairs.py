@@ -1,9 +1,11 @@
 """``tools/bench_pairs.py``'s summary states the claim gate it measures
-against: at least 10 pairs, every run correct and the modeled metrics equal,
-faster in at least 9 of 10 pairs, a tie counting as no win, by a median gap
-wider than the parent's interquartile range."""
+against: at least 10 pairs, every run correct, better on the claimed metric
+in at least 9 of 10 pairs, a tie counting as no win, by a median gap wider
+than the parent's interquartile range, and for a host-time claim the
+modeled metrics equal."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -58,11 +60,76 @@ def test_claim_gate(before, after, spoil, won, gap, met):
     pairs = rows(before, after)
     summary = bench_pairs.summarize(spoil(pairs) if spoil else pairs)
     assert summary["pairs"] == len(before)
-    assert summary["run_s_pairs_won"] == won
-    assert summary["run_s_median_gap_exceeds_before_iqr"] is gap
+    assert summary["claim"] == {"metric": "run_s", "better": "lower"}
+    assert summary["pairs_won"] == won
+    assert summary["median_gap_exceeds_before_iqr"] is gap
     assert summary["all_correct"] is (spoil is not failed_run)
     assert summary["modeled_identical"] is (spoil is not modeled_difference)
     assert summary["claim_met"] is met
+
+
+JOULES = [300.0 + i for i in range(10)]
+
+
+def modeled_rows(metric, before, after):
+    """Pairs whose run_s ties and whose ``metric`` moves from ``before`` to ``after``."""
+    return [{"before": result(1.0, **{metric: b}), "after": result(1.0, **{metric: a})}
+            for b, a in zip(before, after)]
+
+
+@pytest.mark.parametrize(
+    "metric, better, before, after, won, met",
+    [
+        ("total_joules", "lower", JOULES, [j - 50 for j in JOULES], 10, True),
+        ("total_joules", "lower", JOULES, [j + 50 for j in JOULES], 0, False),
+        ("total_joules", "lower", JOULES, JOULES[:8] + [j - 50 for j in JOULES[8:]], 2, False),
+        ("final_accuracy", "higher", [0.70] * 10, [0.75] * 10, 10, True),
+        ("final_accuracy", "higher", [0.75] * 10, [0.70] * 10, 0, False),
+    ],
+    ids=["joules-drop", "joules-rise", "joules-two-wins", "accuracy-rise", "accuracy-drop"],
+)
+def test_a_modeled_claim_is_judged_in_its_direction(metric, better, before, after, won, met):
+    """A claim on a modeled metric moves the modeled metrics on purpose, so
+    they need not be identical; run_s, tied in every pair, is not judged."""
+    summary = bench_pairs.summarize(modeled_rows(metric, before, after), metric, better)
+    assert summary["claim"] == {"metric": metric, "better": better}
+    assert summary["modeled_identical"] is False
+    assert summary["pairs_won"] == won
+    assert summary["claim_met"] is met
+
+
+def test_claim_directions_come_from_the_benchmark():
+    assert bench_pairs.claim_direction("total_joules") == "lower"
+    assert bench_pairs.claim_direction("run_utility") == "higher"
+
+
+def test_main_writes_a_modeled_claim_from_stubbed_runs(no_runs, monkeypatch):
+    """Every run stubbed: AFTER spends 50 J less in every pair at an equal
+    run_s, and the file names the claim and meets it."""
+    before, after = git_repo(no_runs / "before"), git_repo(no_runs / "after")
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, workload, seed, trace))
+        joules = 300.0 + len(calls) - (50.0 if checkout.name == "after" else 0.0)
+        return {**result(1.0, total_joules=joules), "rounds": 2, "machine": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    args = main_args(before, after, "--runs", "desk-adaptive:0:10", "--claim", "total_joules")
+    assert bench_pairs.main(args) == 0
+    report = json.loads((no_runs / "BENCH_x.json").read_text())
+    assert report["command"].endswith("--runs desk-adaptive:0:10 --claim total_joules")
+    summary = report["untraced"][0]["summary"]
+    assert summary["claim"] == {"metric": "total_joules", "better": "lower"}
+    assert (summary["pairs_won"], summary["claim_met"]) == (10, True)
+    assert len(calls) == 20 and {c[1:] for c in calls} == {("desk-adaptive", 0, 0)}
+
+
+def test_an_unknown_claim_fails_before_any_run(no_runs):
+    before, after = git_repo(no_runs / "before"), git_repo(no_runs / "after")
+    with pytest.raises(SystemExit, match="^bench_pairs: --claim 'speed' is not an end-to-end"):
+        bench_pairs.main(main_args(before, after, "--runs", "desk-static:0:3", "--claim", "speed"))
+    assert not (no_runs / "BENCH_x.json").exists()
 
 
 def test_both_sides_get_median_and_quartiles():

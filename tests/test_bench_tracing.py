@@ -17,6 +17,7 @@ def test_layer_tracer_installs_and_sees_every_layer(monkeypatch):
     tracer = layer_tracer()
     stream = tiny_stream()
     with tracer.installed():
-        run_stream(stream.tasks, stream.probe_sets, tiny_config())
+        # 6 live epochs after the 2 warmup ones, so that a swap is issued
+        run_stream(stream.tasks, stream.probe_sets, tiny_config(epochs_per_task=8))
     expected = {name for _, _, name, _ in tracer._targets}
     assert set(tracer.totals()) == expected

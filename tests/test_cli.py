@@ -59,8 +59,9 @@ def test_run_adaptive_with_flags(tmp_path):
     runner = CliRunner()
     result = runner.invoke(
         main,
+        # 12 epochs: a profiled task trains the epochs after the default 10 of warmup
         ["run", *MICRO, "--strategy", "adaptive", "--budget", "600",
-         "--epochs", "3", "--mode", "LE", "--cutline", "0.5",
+         "--epochs", "12", "--mode", "LE", "--cutline", "0.5",
          "--outdir", str(tmp_path), "--label", "mini"],
     )
     assert result.exit_code == 0, result.output
@@ -105,6 +106,43 @@ def test_bad_congestion_trace_row_names_its_line(tmp_path, row, message):
          "--outdir", str(tmp_path / "out")],
     )
     assert_config_error(result, f"congestion trace {trace}, {message}")
+
+
+def test_two_congestion_trace_rows_at_one_time_name_their_lines(tmp_path):
+    trace = tmp_path / "load.csv"
+    trace.write_text("time,bytes_per_s\n5.0,9e7\n# then idle\n5,0.0\n")
+    result = CliRunner().invoke(
+        main,
+        ["run", *MICRO, "--strategy", "static", "--congestion-trace", str(trace),
+         "--outdir", str(tmp_path / "out")],
+    )
+    assert_config_error(result, f"congestion trace {trace}, lines 2 and 4 are both at time 5.0")
+    assert len(result.output.strip().splitlines()) == 1
+
+
+WARMUP_REFUSED = (
+    "profiler.warmup_epochs (10) must be below epochs_per_task (3): "
+    "a profiled task trains the epochs after its warmup"
+)
+
+
+# write_config's 3 epochs per task under the default warmup of 10
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--strategy", "adaptive"],
+     # the sweep refuses before its static run starts
+     ["sweep", "--strategies", "static,adaptive", "--budgets", "500", "--seeds", "0"]],
+    ids=["run", "sweep"],
+)
+def test_a_warmup_without_a_live_epoch_ends_in_one_line(tmp_path, command):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, [*command, "--config", str(write_config(tmp_path)), "--outdir", str(out)]
+    )
+    assert_config_error(result, WARMUP_REFUSED)
+    assert len(result.output.strip().splitlines()) == 1
+    assert not out.exists()
+    # test_run_command_writes_reports runs this config's static strategy
 
 
 def test_sweep_command(tmp_path):
@@ -249,7 +287,9 @@ def test_diverging_sweep_or_exploration_ends_in_one_line(tmp_path, command, mess
     path = tmp_path / "diverge.yaml"
     path.write_text(yaml.safe_dump({
         "stream": {"n_tasks": 2, "classes_per_task": 3, "samples_per_class": 30, "feature_dim": 8},
-        "run": {"epochs_per_task": 3, "step": 30, "budget_samples": 180, "learning_rate": 1.0e6},
+        # a warmup below epochs_per_task, which a profiled run needs
+        "run": {"epochs_per_task": 3, "step": 30, "budget_samples": 180, "learning_rate": 1.0e6,
+                "profiler": {"warmup_epochs": 2}},
     }))
     out = tmp_path / "out"
     result = CliRunner().invoke(main, [*command, "--config", str(path), "--outdir", str(out)])

@@ -294,8 +294,9 @@ def test_unknown_strategy_rejected():
 # sha256 of sweep_scatter.csv over every strategy, budgets (400, 600) and
 # seeds (0, 1), recorded before the sweep shared one exploration per point;
 # re-recorded when every profiling subsample became EM's class-quota draw,
-# which moved only the adaptive rows
-PINNED_SWEEP = "a15992f838be241391235f6ff819fb3ae18eeec7e8d696b8663be371e5088b25"
+# which moved only the adaptive rows, and again, for the adaptive rows only,
+# when each profiled task began continuing from the profiler's warm state
+PINNED_SWEEP = "7fc282ca7ce7695ae78cb12bf49db32553b8b5e68a4d2029f7ca7a556746152d"
 
 
 def test_sweep_explores_once_per_stream_and_config(tmp_path, monkeypatch):
@@ -344,15 +345,27 @@ def test_sweep_checks_every_strategy_before_its_first_run(monkeypatch):
         sweep(spec, small_config(), strategies=["static", "bogus"], budgets=[600], seeds=[0])
 
 
+def test_sweep_refuses_a_warmup_without_a_live_epoch_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("hiercl.harness.run_stream", no_run)
+    spec = StreamSpec(n_tasks=1, classes_per_task=2, samples_per_class=20, seed=0)
+    with pytest.raises(ValueError, match=r"^profiler.warmup_epochs \(2\) must be below epochs_per_task \(2\)"):
+        sweep(spec, small_config(epochs_per_task=2), ["static", "adaptive"], budgets=[600], seeds=[0])
+
+
 # sha256 of each emit_report file, recorded before trace rows and controller
 # entries were written straight from their records
 PINNED_REPORTS = {
-    # re-recorded when every profiling subsample became EM's class-quota draw
+    # re-recorded when every profiling subsample became EM's class-quota draw,
+    # and again when each profiled task began continuing from the profiler's
+    # warm state (its decisions file did not move)
     "adaptive": {
-        "summary": "d7a792cdbc9e02f6822257835ff55f1cc5eabee5b64f22082616ae932fb2bfc4",
-        "trace": "6ee0efb52220edfb9bc9e66277b2e8e38aebf6cc084aef1db3e83191a9aaae48",
+        "summary": "70ea6246b6eec2bbb849e5b614d8aeffbcaa0c4971d843ba75f683823db15ee3",
+        "trace": "fa7253369db675608ec89cab3ed6ffa331f988ce71d0448b19ccb4b288004cdb",
         "decisions": "5f7b1b9603c05bb837f0a11daf9f9dd7742d322c541b57ef91ffceac79862767",
-        "scatter": "ac5a0d1fd88d684e3bbe55240402429edb340b68aeabf8d44710b6071da70fdd",
+        "scatter": "ffa07cd5573d14c23e918b6a14048878d18cf967b4897726757d6485a42855fa",
     },
     "congested": {
         "summary": "cf7ee266e447efb34c4695b56f312ea06c94b53c9ea671108e97b86994722bd0",
@@ -380,11 +393,13 @@ def _pinned_runs():
 # the budget events of a run whose schedule keeps, reselects and keeps,
 # recorded before a reselect event carried the conf it applied; re-recorded
 # when the middle step fell to 100, below every conf but (100, 0), so that it
-# reselects whatever profiling picks
+# reselects whatever profiling picks; re-recorded when each profiled task
+# began continuing from the profiler's warm state: global epochs 2 and 7 now
+# fall inside a task's 2 warmup epochs, so they apply at its first live epoch
 PINNED_BUDGET_EVENTS = [
-    {"action": "kept", "epoch": 2, "new_budget": 500, "old_budget": 600, "task": 1},
+    {"action": "kept", "epoch": 3, "new_budget": 500, "old_budget": 600, "task": 1},
     {"action": "reselect", "epoch": 4, "new_budget": 100, "old_budget": 500, "task": 1},
-    {"action": "kept", "epoch": 2, "new_budget": 200, "old_budget": 100, "task": 2},
+    {"action": "kept", "epoch": 3, "new_budget": 200, "old_budget": 100, "task": 2},
 ]
 
 

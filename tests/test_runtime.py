@@ -96,10 +96,11 @@ class TestLoopShape:
         stream = tiny_stream(n_tasks=3)
         cfg = tiny_config()
         report = run_stream(stream.tasks, stream.probe_sets, cfg)
+        # a profiled task writes rows for its live epochs, after the warmup
+        warmup = cfg.profiler.warmup_epochs
         for t in (1, 2, 3):
             rows = [r for r in report.epoch_rows if r.task_id == t]
-            assert len(rows) == cfg.epochs_per_task
-            assert [r.epoch for r in rows] == list(range(1, cfg.epochs_per_task + 1))
+            assert [r.epoch for r in rows] == list(range(warmup + 1, cfg.epochs_per_task + 1))
 
     def test_memory_invariant_every_epoch(self):
         stream = tiny_stream(n_tasks=3)
@@ -249,6 +250,8 @@ class TestPhaseDiscipline:
         log = record_phases(monkeypatch)
         stream = tiny_stream(n_tasks=2)
         cfg = tiny_config(
+            # 2 warmup epochs + 6 live ones: as many live epochs as before the warm start
+            epochs_per_task=8,
             io_bandwidth_bytes_per_s=500.0,  # guaranteed backlog once swaps start
             initial_swap_ratio=1.0,
         )
@@ -389,6 +392,84 @@ class TestBudgetChannel:
         assert len(task_one) == 1
         # the next task profiles over the grown grid
         assert any(r.conf.total > 400 for t, r in report.profile_trace if t == 2)
+
+
+class TestWarmStart:
+    """A profiled task continues from the profiler's warm state: it trains
+    and logs only the epochs after the warmup, and the global epoch clock
+    counts the warmup, so a budget schedule keeps its timing."""
+
+    def test_no_warmup_reproduces_the_run_before_the_warm_start(self):
+        """Recorded before the live task continued from the warm state; with
+        no warmup there is nothing to continue from, so nothing moves."""
+        stream = tiny_stream()
+        profiler = ProfilerConfig(conf_sample_size=4, warmup_epochs=0, profile_epochs=2, subsample=0.2)
+        runtime = Runtime(tiny_config(profiler=profiler))
+        report = runtime.run(stream.tasks, stream.probe_sets)
+        assert hashlib.sha256(repr(report).encode()).hexdigest() == (
+            "6cf8bde955b8c23024293444b93565cea7a30335e015c9418378c2c83e46788b"
+        )
+        assert _weights_digest(runtime.state) == (
+            "3a69b1684b38f1129ec114fe3509808e9419896618d0bb96e7c84389b8936a4d"
+        )
+
+    def test_live_model_is_the_warm_state_after_profiling(self, monkeypatch):
+        import hiercl.runtime as runtime_module
+
+        outcomes, adopted = [], []
+        profile = runtime_module.profile_task
+
+        def recorded(live_state, *args):
+            outcome = profile(live_state, *args)
+            outcomes.append((live_state.params.copy(), outcome.warm.params.copy()))
+            return outcome
+
+        monkeypatch.setattr(runtime_module, "profile_task", recorded)
+        runtime = Runtime(tiny_config())
+        on_new_task = runtime.on_new_task
+
+        def checked(*args):
+            conf = on_new_task(*args)
+            adopted.append(runtime.state.params.copy())
+            return conf
+
+        monkeypatch.setattr(runtime, "on_new_task", checked)
+        stream = tiny_stream()
+        runtime.run(stream.tasks, stream.probe_sets)
+        assert len(outcomes) == len(adopted) == 2
+        for (before, warm), params in zip(outcomes, adopted):
+            assert params.tobytes() == warm.tobytes()
+            # the warmup trained it: the live model moved
+            assert params.shape != before.shape or params.tobytes() != before.tobytes()
+
+    @pytest.mark.parametrize(
+        "at, task_epoch",
+        # global epoch 9 is task 2's epoch 3, as before the warm start;
+        # global epoch 7 is inside task 2's warmup (epochs 1-2 of 6)
+        [(9, 3), (7, 3)],
+        ids=["after-the-warmup", "inside-the-warmup"],
+    )
+    def test_schedule_keeps_its_timing(self, at, task_epoch):
+        stream = tiny_stream()
+        report = run_stream(stream.tasks, stream.probe_sets, tiny_config(budget_schedule=((at, 400),)))
+        assert [(e.task_id, e.epoch, e.new_budget) for e in report.budget_events] == [
+            (2, task_epoch, 400)
+        ]
+
+    def test_a_warmup_without_a_live_epoch_is_refused_before_the_run(self):
+        stream = tiny_stream()
+        cfg = tiny_config(epochs_per_task=2)
+        runtime = Runtime(cfg)
+        with pytest.raises(ValueError) as exc:
+            runtime.run(stream.tasks, stream.probe_sets)
+        assert str(exc.value) == (
+            "profiler.warmup_epochs (2) must be below epochs_per_task (2): "
+            "a profiled task trains the epochs after its warmup"
+        )
+        assert runtime.ledger.total == 0.0 and runtime.state is None
+        # a policy run profiles nothing, so the same config runs
+        report = run_stream(stream.tasks, stream.probe_sets, cfg, StaticConfPolicy(Conf(200, 200)))
+        assert len(report.epoch_rows) == 4 and not report.aborted
 
 
 class TestAsynchrony:
@@ -621,15 +702,16 @@ class TestLearnerPathPinned:
         stream = tiny_stream()
         runtime = Runtime(tiny_config())
         report = runtime.run(stream.tasks, stream.probe_sets)
-        assert report.final_average_accuracy == 0.9583333333333334
+        # re-recorded when each profiled task began continuing from the
+        # profiler's warm state: 4 live epochs per task after 2 of warmup
+        assert report.final_average_accuracy == 0.8333333333333334
         assert report.accuracy_matrix == {
-            1: {1: 1.0}, 2: {1: 0.9166666666666666, 2: 1.0}
+            1: {1: 1.0}, 2: {1: 0.6666666666666666, 2: 1.0}
         }
         assert [r.loss for r in report.epoch_rows] == [
-            0.5782655545321329, 0.19050914430266147, 0.1278182710626236,
-            0.08956372278375296, 0.06790752400556349, 0.05580173679910885,
-            0.9924415983004198, 0.45870675327102545, 0.3118040215698065,
-            0.24317926431852604, 0.19354327281438521, 0.1668203638197856,
+            0.1126683992452654, 0.07836673404920481, 0.06354226364221675,
+            0.051704149521409386, 0.2689806169116814, 0.13011115077223384,
+            0.0845903344515018, 0.06131881920265653,
         ]
         records = [
             (t, r.conf.sb_size, r.conf.em_size, r.accuracy_estimate, r.energy_estimate)
@@ -640,13 +722,13 @@ class TestLearnerPathPinned:
             (1, 100, 300, 1.0, 0.5703),
             (1, 200, 200, 1.0, 0.6844320000000002),
             (1, 200, 300, 1.0, 0.6844320000000002),
-            (2, 100, 0, 0.9166666666666666, 0.5703),
+            (2, 100, 0, 0.9583333333333334, 0.5703),
             (2, 100, 300, 0.9583333333333334, 1.255452),
             (2, 200, 300, 0.9583333333333334, 1.3697280000000003),
             (2, 100, 100, 0.9583333333333334, 1.1412),
         ]
         assert _weights_digest(runtime.state) == (
-            "5d71b75e675cb41ab8ac09f2921847014224be2bb859ac964b12d9fd2184ec10"
+            "1bf23ec625df9c252fe0d436c19e6b0574136e612b80309daad59394d999e548"
         )
 
     def test_static_desk_run_pinned(self):
@@ -687,11 +769,13 @@ class TestLearnerPathPinned:
     @pytest.mark.parametrize(
         "strategy, report_digest, weights_digest",
         [
-            # re-recorded when every profiling subsample became EM's class-quota draw
+            # re-recorded when every profiling subsample became EM's class-quota
+            # draw, and again when each profiled task began continuing from the
+            # profiler's warm state (and the config got a warmup below its epochs)
             (
                 "adaptive",
-                "2b088106ea4d27a55387ef6aff20c220a80efdd59d4779c3a7c97521dd0148d2",
-                "59a0507a1ec88d434ac861a1725f608d2f529cf521c7ce6dbfc5107fa250705d",
+                "db7eed5380b3054fced1e38cfd5a6fb6b8a20ad07baae33f0b7e1c96032ebcb7",
+                "40e94ce85d6aeb506347789852751623485d71e1810818b8282e09568a45dce7",
             ),
             (
                 "static",
@@ -714,7 +798,11 @@ class TestLearnerPathPinned:
                 drift=0.5,
             )
         )
-        cfg = RunConfig(epochs_per_task=4, step=60, budget_samples=480, domain_incremental=True)
+        # a warmup of 2 of the 4 epochs: a profiled run needs a live epoch after it
+        cfg = RunConfig(
+            epochs_per_task=4, step=60, budget_samples=480, domain_incremental=True,
+            profiler=ProfilerConfig(warmup_epochs=2),
+        )
         policy = None if strategy == "adaptive" else make_policy(strategy, stream, cfg)
         runtime = Runtime(cfg, policy)
         report = runtime.run(stream.tasks, stream.probe_sets)

@@ -2,7 +2,8 @@
 write one ``BENCH_*.json`` with every run and a summary per workload.
 
     python3 tools/bench_pairs.py BEFORE AFTER --out BENCH_name.json \\
-        --runs desk-adaptive:0:10 desk-static:0:5 --traced desk-adaptive:3
+        --runs desk-adaptive:0:10 desk-static:0:5 --traced desk-adaptive:3 \\
+        --claim total_joules
 
 BEFORE and AFTER are checkout directories; each run imports the library
 from the checkout it runs in. ``--runs`` takes ``workload:seed:pairs``
@@ -14,14 +15,17 @@ else is started. Every spec is parsed and both checkouts' git state read
 before the first run, so a malformed spec or a checkout that is not a git
 work tree with a commit exits with one line before any run is spent.
 
-The summary gives, per spec, each side's median and quartiles of every
-end-to-end metric, how many pairs AFTER won on ``run_s``, whether the
-modeled metrics were identical in every pair, and ``claim_met``: at least
-10 pairs, every run correct with no failed operation, the modeled metrics
-identical in every pair, AFTER faster on ``run_s`` in at least 9 of 10
-pairs (a tie counting as no win), and its median gap wider than BEFORE's
-interquartile range. A traced spec gives each side's median of every
-per-layer metric over its pairs.
+``--claim`` names the end-to-end metric a gain is claimed on (``run_s`` by
+default); its ``better`` direction is read from ``BENCHMARK.json``. The
+summary gives, per spec, each side's median and quartiles of every
+end-to-end metric, how many pairs AFTER won on the claimed metric, whether
+the modeled metrics were identical in every pair, and ``claim_met``: at
+least 10 pairs, every run correct with no failed operation, AFTER better on
+the claimed metric in at least 9 of 10 pairs (a tie counting as no win),
+and its median better by more than BEFORE's interquartile range. A claim
+on host time also needs the modeled metrics identical in every pair; a
+claim on a modeled metric moves them on purpose. A traced spec gives each
+side's median of every per-layer metric over its pairs.
 """
 
 from __future__ import annotations
@@ -37,6 +41,18 @@ from pathlib import Path
 MODELED = ("final_accuracy", "total_joules", "device_s", "run_utility")
 # fewest pairs a claim may rest on
 MIN_PAIRS = 10
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def claim_direction(metric: str) -> str:
+    """The ``better`` direction, ``lower`` or ``higher``, of an end-to-end
+    metric of ``BENCHMARK.json``; any other name exits with one line."""
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    directions = {m["name"]: m["better"] for m in metrics}
+    if metric not in directions:
+        raise SystemExit(f"bench_pairs: --claim {metric!r} is not an end-to-end metric of "
+                         f"{BENCHMARK.name}: {', '.join(directions)}")
+    return directions[metric]
 
 
 def parse_spec(spec: str, traced: bool) -> tuple[str, int, int]:
@@ -105,12 +121,13 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(rows: list[dict]) -> dict:
+def summarize(rows: list[dict], claim: str = "run_s", better: str = "lower") -> dict:
     """Each side's median and quartiles of every metric, and whether AFTER
-    meets the claim gate on ``run_s``: at least ``MIN_PAIRS`` pairs, all
-    runs correct and the modeled metrics equal in each, faster in at least
-    9 of 10 pairs (a tie is not a win) by a median gap wider than BEFORE's
-    interquartile range."""
+    meets the claim gate on ``claim``, whose ``better`` direction is
+    ``lower`` or ``higher``: at least ``MIN_PAIRS`` pairs, all runs correct,
+    better in at least 9 of 10 pairs (a tie is not a win) by a median gap
+    wider than BEFORE's interquartile range, and, for a host-time claim,
+    the modeled metrics equal in each pair."""
     before = [values(r["before"]) for r in rows]
     after = [values(r["after"]) for r in rows]
     medians = {}
@@ -120,9 +137,11 @@ def summarize(rows: list[dict]) -> dict:
         (bq1, bq3), (aq1, aq3) = quartiles(b), quartiles(a)
         medians[name] = {"before": statistics.median(b), "after": statistics.median(a),
                          "before_q1": bq1, "before_q3": bq3, "after_q1": aq1, "after_q3": aq3}
-    run_s = medians["run_s"]
-    won = sum(a["run_s"] < b["run_s"] for b, a in zip(before, after))
-    gap_exceeds_iqr = run_s["before"] - run_s["after"] > run_s["before_q3"] - run_s["before_q1"]
+    sign = 1 if better == "lower" else -1
+    claimed = medians[claim]
+    won = sum(sign * (b[claim] - a[claim]) > 0 for b, a in zip(before, after))
+    gap = sign * (claimed["before"] - claimed["after"])
+    gap_exceeds_iqr = gap > claimed["before_q3"] - claimed["before_q1"]
     all_correct = all(r[s]["correct"] and r[s]["failed"] == 0
                       for r in rows for s in ("before", "after"))
     modeled_identical = all({k: b[k] for k in MODELED} == {k: a[k] for k in MODELED}
@@ -131,9 +150,11 @@ def summarize(rows: list[dict]) -> dict:
         "pairs": len(rows),
         "all_correct": all_correct,
         "modeled_identical": modeled_identical,
-        "run_s_pairs_won": won,
-        "run_s_median_gap_exceeds_before_iqr": gap_exceeds_iqr,
-        "claim_met": (len(rows) >= MIN_PAIRS and all_correct and modeled_identical
+        "claim": {"metric": claim, "better": better},
+        "pairs_won": won,
+        "median_gap_exceeds_before_iqr": gap_exceeds_iqr,
+        "claim_met": (len(rows) >= MIN_PAIRS and all_correct
+                      and (modeled_identical or claim in MODELED)
                       and 10 * won >= 9 * len(rows) and gap_exceeds_iqr),
         "medians": medians,
     }
@@ -154,7 +175,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs", nargs="+", required=True, metavar="WORKLOAD:SEED:PAIRS")
     parser.add_argument("--traced", nargs="*", default=[], metavar="WORKLOAD[:PAIRS]")
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--claim", default="run_s", metavar="METRIC",
+                        help="end-to-end metric the gain is claimed on")
     args = parser.parse_args(argv)
+    better = claim_direction(args.claim)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     runs = [parse_spec(spec, traced=False) for spec in args.runs]
     traced_runs = [parse_spec(spec, traced=True) for spec in args.traced]
@@ -167,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload, seed, pairs in runs:
         rows = run_pairs(sides, workload, seed, pairs, args.seconds, 0)
         untraced.append({"workload": workload, "seed": seed,
-                         "summary": summarize(rows), "runs": rows})
+                         "summary": summarize(rows, args.claim, better), "runs": rows})
     traced = []
     for workload, seed, pairs in traced_runs:
         rows = run_pairs(sides, workload, seed, pairs, args.seconds, 1)
@@ -180,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
             "python3 tools/bench_pairs.py", args.before.name, args.after.name,
             "--out", args.out.name, "--seconds", f"{args.seconds:g}",
             "--runs", *args.runs, *(["--traced", *args.traced] if args.traced else []),
+            "--claim", args.claim,
         ]),
         "before": {"checkout": args.before.name, **states["before"]},
         "after": {"checkout": args.after.name, **states["after"]},
