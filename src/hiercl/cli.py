@@ -266,7 +266,8 @@ def run(config_path, strategy, budget, cutline, mode, epochs, seed, fixed_ratio,
     paths = emit_report(report, outdir, label or strategy)
     click.echo(f"final average accuracy: {report.final_average_accuracy:.4f}")
     click.echo(f"total energy: {report.ledger.total:.2f} J "
-               f"(profiling {report.ledger.profiling:.2f} J)")
+               f"(profiling {report.ledger.profiling:.2f} J, profiled "
+               f"{len(report.profiling_units)} of {len(report.accuracy_matrix)} tasks)")
     for name, path in paths.items():
         click.echo(f"  {name}: {path}")
     if report.aborted:

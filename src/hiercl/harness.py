@@ -332,6 +332,7 @@ def emit_report(report: RunReport, outdir: str | Path, label: str = "run") -> di
         "controller": report.controller_decisions,
         "selections": report.selections,
         "profiles": report.profile_trace,
+        "reuses": report.reuses,
         "budget_events": report.budget_events,
     }
     point = ScatterPoint(label, report.ledger.total, report.final_average_accuracy)

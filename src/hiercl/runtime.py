@@ -175,6 +175,14 @@ class SelectionRecord:
 
 
 @dataclass(frozen=True)
+class ReuseRecord:
+    """A profiled run's task that kept the conf in force without profiling."""
+
+    task_id: int
+    conf: Conf
+
+
+@dataclass(frozen=True)
 class BudgetEvent:
     task_id: int
     epoch: int
@@ -197,6 +205,7 @@ class RunReport:
     selections: list[SelectionRecord] = field(default_factory=list)
     profile_trace: list[tuple[int, ProfileRecord]] = field(default_factory=list)
     profiling_units: dict[int, dict[str, int]] = field(default_factory=dict)
+    reuses: list[ReuseRecord] = field(default_factory=list)
     swap_totals: dict[str, int] = field(default_factory=dict)
     budget_events: list[BudgetEvent] = field(default_factory=list)
     n_classes: int = 0

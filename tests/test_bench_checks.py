@@ -18,24 +18,25 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # (RunReport repr, final weights) of stream 0 of each workload. The repr
 # digests were re-recorded when RunReport.phase_log and
 # SelectionRecord.deferred_profiling_seen were deleted, and again when
-# RunReport.final_per_class and ProfileRecord.epoch_measured were deleted:
-# each new repr is the old one with those fields cut out, and the weights
+# RunReport.final_per_class and ProfileRecord.epoch_measured were deleted,
+# and again when RunReport.reuses was added: each new repr is the old one
+# with those fields cut out (or ``reuses=[]`` put in), and the weights
 # digests did not move.
 PINNED = {
     # re-recorded when the first task's warmup moved to the grid conf nearest
     # the static split, and again when each profiled task began continuing
     # from the profiler's warm state
     "desk-adaptive": (
-        "1650d7f6fa54bde9a01869474b148fb1e155068d260b3d105c51a26eed55d2d3",
+        "19515a6c10d973c9736cfac45ece93f5921104b0aa6b2b1bc47e97ec00cde603",
         "66a7259f35d324ce4d784f1cb8988170400dbebe854cc3a73f943f001ec38cbd",
     ),
     "desk-static": (
-        "50ada78c4becbca20505e30f96df6902e8d306b68e94d89a082aa8cc381858cf",
+        "7120efe7b3573d428c8eb25aab6876df24ece74d4ce9aeb9bd8029dd5510dd2f",
         "5dcac38d2dedbbda9ae1ef873693e65024d88ef36d0659351edd3be60acd58fc",
     ),
     # re-recorded when swap picks were capped at each class's fresh count
     "edge-congested": (
-        "dec8928a4691c5655c11e988d5296f90b94ed144d244ae369eb3bc96e1cbba8f",
+        "ebf03e68927ab9bf3d2dabde0f2efbbaddda859339a26668aed019d42eae9f33",
         "14b47dba4674510e4f1922856ed11158b47f634782a8f92a74c5899d882c248a",
     ),
 }

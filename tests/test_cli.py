@@ -51,6 +51,7 @@ def test_run_command_writes_reports(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert "final average accuracy" in result.output
+    assert "(profiling 0.00 J, profiled 0 of 2 tasks)" in result.output
     assert (tmp_path / "out" / "static_summary.json").exists()
     assert (tmp_path / "out" / "static_trace.csv").exists()
 
@@ -67,6 +68,9 @@ def test_run_adaptive_with_flags(tmp_path):
     assert result.exit_code == 0, result.output
     summary = json.loads((tmp_path / "mini_summary.json").read_text())
     assert summary["energy_joules"]["profiling"] > 0
+    # two tasks: the first pick never counts toward a reuse
+    assert "profiled 2 of 2 tasks)" in result.output
+    assert json.loads((tmp_path / "mini_decisions.json").read_text())["reuses"] == []
 
 
 def test_run_with_congestion_trace(tmp_path):

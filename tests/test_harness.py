@@ -356,7 +356,8 @@ def test_sweep_refuses_a_warmup_without_a_live_epoch_before_any_run(monkeypatch)
 
 
 # sha256 of each emit_report file, recorded before trace rows and controller
-# entries were written straight from their records
+# entries were written straight from their records; each decisions file was
+# re-recorded when it gained an empty ``reuses`` list
 PINNED_REPORTS = {
     # re-recorded when every profiling subsample became EM's class-quota draw,
     # and again when each profiled task began continuing from the profiler's
@@ -364,13 +365,13 @@ PINNED_REPORTS = {
     "adaptive": {
         "summary": "70ea6246b6eec2bbb849e5b614d8aeffbcaa0c4971d843ba75f683823db15ee3",
         "trace": "fa7253369db675608ec89cab3ed6ffa331f988ce71d0448b19ccb4b288004cdb",
-        "decisions": "5f7b1b9603c05bb837f0a11daf9f9dd7742d322c541b57ef91ffceac79862767",
+        "decisions": "24786aa03b003c66e525f682fa1b5de73baebf7f32eb6e2457953a3593a70ea2",
         "scatter": "ffa07cd5573d14c23e918b6a14048878d18cf967b4897726757d6485a42855fa",
     },
     "congested": {
         "summary": "cf7ee266e447efb34c4695b56f312ea06c94b53c9ea671108e97b86994722bd0",
         "trace": "d6ec6aeb0172b697fef1fcd579accd1c46796b51b5d94582b5052f9b44020bbb",
-        "decisions": "3f79bf615658288cd8dca1d2ad6de3415cf05dd80c13efefdf76f25d0e394b6d",
+        "decisions": "47db0cc87c829cc1aaa45c7111541dc2af12e57e88f33e99a4e76d8560dd6e3c",
         "scatter": "6cfcb4d5181de0a140facff8332ea2b863ad312fe067bd78af6f456d4083e78a",
     },
 }

@@ -401,13 +401,15 @@ class TestWarmStart:
 
     def test_no_warmup_reproduces_the_run_before_the_warm_start(self):
         """Recorded before the live task continued from the warm state; with
-        no warmup there is nothing to continue from, so nothing moves."""
+        no warmup there is nothing to continue from, so nothing moves. The
+        report digest was re-recorded when RunReport gained ``reuses``, for
+        that empty list alone."""
         stream = tiny_stream()
         profiler = ProfilerConfig(conf_sample_size=4, warmup_epochs=0, profile_epochs=2, subsample=0.2)
         runtime = Runtime(tiny_config(profiler=profiler))
         report = runtime.run(stream.tasks, stream.probe_sets)
         assert hashlib.sha256(repr(report).encode()).hexdigest() == (
-            "6cf8bde955b8c23024293444b93565cea7a30335e015c9418378c2c83e46788b"
+            "4e8679a863ab75e576ba5c5b3d0ff0323111dc1e8a2953854a09804dc2d9943b"
         )
         assert _weights_digest(runtime.state) == (
             "3a69b1684b38f1129ec114fe3509808e9419896618d0bb96e7c84389b8936a4d"
@@ -765,7 +767,8 @@ class TestLearnerPathPinned:
 
     # the report digests were re-recorded when RunReport.final_per_class and
     # ProfileRecord.epoch_measured were deleted: each is the old repr with
-    # those fields cut out
+    # those fields cut out; and again when RunReport gained an empty
+    # ``reuses`` list
     @pytest.mark.parametrize(
         "strategy, report_digest, weights_digest",
         [
@@ -774,12 +777,12 @@ class TestLearnerPathPinned:
             # profiler's warm state (and the config got a warmup below its epochs)
             (
                 "adaptive",
-                "db7eed5380b3054fced1e38cfd5a6fb6b8a20ad07baae33f0b7e1c96032ebcb7",
+                "c0ee9c504c1ff1894a4fe2ca323c1cbc06b0950485d247962b8246fe7e2b13b8",
                 "40e94ce85d6aeb506347789852751623485d71e1810818b8282e09568a45dce7",
             ),
             (
                 "static",
-                "bcbd7f750859fe576e12052dfd811f13402412388dfdb65014155b63112e08bd",
+                "cd72bc55e160cf92a6e16b18a706cf1fe9465e9e995f3fba4b66ef657256686a",
                 "fc22ca9626325998bdd08ef59cffcfdf21c04e716ebdedfe5256014277a814b0",
             ),
         ],
