@@ -15,7 +15,9 @@ A profiled task continues from the profiler's warm state: its first
 billed to profiling, and the live loop trains the epochs after them at the
 chosen conf. Only live epochs write an ``EpochRow``; the global epoch clock
 counts the warmup too, so a budget schedule keeps its timing. A policy task
-is not profiled and trains every epoch live.
+is not profiled and trains every epoch live. So does a reused task: once the
+last two profiles agreed on the conf in force, at the live budget and task
+size, the next task keeps it unprofiled (see ``Runtime.on_new_task``).
 
 A run builds one ``SampleTable`` from the whole stream when it starts: every
 task's features and labels in task order, so a task's rows are a row range.
@@ -62,6 +64,11 @@ from .memory import NO_ROWS, EpisodicMemory, StorageArchive, compose_epoch_batch
 from .profiler import ProfilerConfig, default_static_conf, profile_task
 from .selector import DEFAULT_CUTLINE, HIGHEST_UTILITY, LOWEST_ENERGY, select_record, utility
 from .swap import IoChannel, SwapEngine
+
+# a profiled task reuses the conf in force instead of profiling once this many
+# profiles in a row, each over a non-empty archive, picked it at the live
+# budget and task size
+AGREEING_PICKS = 2
 
 
 class ConfPolicy(Protocol):
@@ -258,8 +265,15 @@ class Runtime:
         self._schedule = sorted(config.budget_schedule)
         self._schedule_pos = 0
         self._global_epoch = 0
+        # the last profile's records, the chance level they were scored
+        # against and its (budget, task size); a reused task keeps them
         self._records_this_task: list[ProfileRecord] = []
         self._baseline_accuracy = 0.0
+        self._profiled_at: tuple[int, int] | None = None
+        # profiles in a row that picked the conf in force with no budget event
+        self._agreeing_picks = 0
+        # the current task's epochs that the profiler's warmup trained
+        self._warmed_epochs = 0
         self._chosen: Conf | None = None
         # the current task's rows; none between tasks
         self._task_rows = NO_ROWS
@@ -268,16 +282,24 @@ class Runtime:
 
     def on_new_task(self, task: Task, rows: np.ndarray, task_index: int,
                     probes: tuple[np.ndarray, np.ndarray], classes_seen: int) -> Conf:
-        """Decide this task's conf: profile-and-select, or ask the policy.
+        """Decide this task's conf: profile-and-select, reuse, or ask the policy.
 
         ``rows`` are the task's table rows and ``probes`` the features and
         labels of every probe so far. A policy conf over the live budget is
         an error, unless a schedule shrank the budget below the run's own:
         then the static split of the live budget stands in, as for a shrink
-        mid-task."""
+        mid-task.
+
+        A profiled run reuses the conf in force, without profiling, when the
+        live budget and the task size are those of the last profile and the
+        last ``AGREEING_PICKS`` profiles picked it over a non-empty archive
+        with no budget event since the first of them. The first task's pick
+        never counts: with nothing archived, every conf's EM part is empty.
+        A reused task keeps the last profile's records for a mid-task
+        shrink to reselect from, and adds nothing to the profile trace,
+        the selections or the profiling units."""
         cfg = self.config
-        self._records_this_task = []
-        self._baseline_accuracy = 1.0 / classes_seen if classes_seen else 0.0
+        self._warmed_epochs = 0
 
         if self.policy is not None:
             budget = self.budget_samples
@@ -291,7 +313,15 @@ class Runtime:
             self.report.chosen_confs.append((task.task_id, conf))
             return conf
 
+        # spawned before the reuse check, so task k always profiles with child k
         rng = np.random.default_rng(self._profile_root.spawn(1)[0])
+        profiled_at = (self.budget_samples, len(task))
+        if self._agreeing_picks >= AGREEING_PICKS and profiled_at == self._profiled_at:
+            self.report.reuses.append(ReuseRecord(task.task_id, self._chosen))
+            self.report.chosen_confs.append((task.task_id, self._chosen))
+            return self._chosen
+
+        self._baseline_accuracy = 1.0 / classes_seen if classes_seen else 0.0
         outcome = profile_task(
             self.state, rows, self.archive, probes, self.budget_samples, self._chosen,
             cfg, rng, self.ledger,
@@ -299,6 +329,7 @@ class Runtime:
         self._records_this_task = outcome.records
         # the warmup is this task's first epochs: the live model continues from it
         self.state = outcome.warm
+        self._warmed_epochs = cfg.profiler.warmup_epochs
         self.report.profile_trace.extend((task.task_id, r) for r in outcome.records)
         self.report.profiling_units[task.task_id] = {
             "space_size": outcome.space_size,
@@ -318,6 +349,13 @@ class Runtime:
             )
         )
         self.report.chosen_confs.append((task.task_id, chosen.conf))
+        if not self.archive.classes():
+            self._agreeing_picks = 0
+        elif self._agreeing_picks and profiled_at == self._profiled_at and chosen.conf == self._chosen:
+            self._agreeing_picks += 1
+        else:
+            self._agreeing_picks = 1
+        self._profiled_at = profiled_at
         return chosen.conf
 
     # --- probe / estimate / adapt -----------------------------------------
@@ -354,9 +392,11 @@ class Runtime:
 
     def _adapt_budget(self, task: Task, epoch: int, old: int, new: int) -> None:
         """Keep the conf while SB+EM fits the new budget (always so on
-        growth); otherwise re-select among this task's profiled records, or
+        growth); otherwise re-select among the last profile's records, or
         fall back to the static split of the new budget when none fits (a
-        policy run profiles none)."""
+        policy run profiles none). Every budget event restarts the count of
+        agreeing picks, so the next task profiles."""
+        self._agreeing_picks = 0
         usage = self._chosen.sb_size + self.em.capacity
         if usage <= new:
             self.report.budget_events.append(BudgetEvent(task.task_id, epoch, old, new, "kept"))
@@ -462,11 +502,11 @@ class Runtime:
 
     def _train_task(self, task: Task) -> None:
         """Train the task's live epochs at the chosen conf: every epoch for a
-        policy task, the epochs after the warmup for a profiled one. An
-        entry of the budget schedule due inside the warmup applies at the
-        first live epoch."""
+        policy task or a reused one, the epochs after the warmup for a
+        profiled one. An entry of the budget schedule due inside the warmup
+        applies at the first live epoch."""
         cfg = self.config
-        warmed = 0 if self.policy is not None else cfg.profiler.warmup_epochs
+        warmed = self._warmed_epochs
         self._global_epoch += warmed
         for epoch in range(warmed + 1, cfg.epochs_per_task + 1):
             self._global_epoch += 1

@@ -24,11 +24,12 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # digests did not move.
 PINNED = {
     # re-recorded when the first task's warmup moved to the grid conf nearest
-    # the static split, and again when each profiled task began continuing
-    # from the profiler's warm state
+    # the static split, when each profiled task began continuing from the
+    # profiler's warm state, and when a task began reusing the conf that the
+    # last two profiles agreed on (tasks 5-10 reuse (500, 500) unprofiled)
     "desk-adaptive": (
-        "19515a6c10d973c9736cfac45ece93f5921104b0aa6b2b1bc47e97ec00cde603",
-        "66a7259f35d324ce4d784f1cb8988170400dbebe854cc3a73f943f001ec38cbd",
+        "593db00fc7888ad6ae449a6f68e9c7a5221d76ac20cd2a7717b184ee1321c86b",
+        "e0539a0836d4f66d038966a549905c84cc6d59458e4c137a448b7b84d21c9a15",
     ),
     "desk-static": (
         "7120efe7b3573d428c8eb25aab6876df24ece74d4ce9aeb9bd8029dd5510dd2f",

@@ -16,7 +16,7 @@ from hiercl.harness import (
 )
 from hiercl.learner import CostModel
 from hiercl.profiler import ProfilerConfig
-from hiercl.runtime import RunConfig, Runtime, run_stream
+from hiercl.runtime import ReuseRecord, RunConfig, RunReport, Runtime, run_stream
 from conftest import make_task, spread_ok, state_digest
 
 
@@ -472,6 +472,183 @@ class TestWarmStart:
         # a policy run profiles nothing, so the same config runs
         report = run_stream(stream.tasks, stream.probe_sets, cfg, StaticConfPolicy(Conf(200, 200)))
         assert len(report.epoch_rows) == 4 and not report.aborted
+
+
+# a stream whose second and third profiles pick (100, 200) over a non-empty
+# archive: the fourth task reuses it (global epochs 19-24)
+REUSE_CONF = Conf(100, 200)
+
+
+def reuse_run(n_tasks=4, **over) -> tuple[Runtime, RunReport]:
+    stream = tiny_stream(n_tasks=n_tasks, seed=1)
+    runtime = Runtime(tiny_config(budget_samples=500, **over))
+    return runtime, runtime.run(stream.tasks, stream.probe_sets)
+
+
+class TestProfileReuse:
+    """A profiled task keeps the conf in force without profiling once the
+    last two profiles, each over a non-empty archive, picked it at the live
+    budget and task size with no budget event since; it trains every epoch
+    live."""
+
+    def test_after_two_agreeing_picks_the_next_task_is_not_profiled(self):
+        _, report = reuse_run()
+        assert [(s.task_id, s.conf) for s in report.selections][1:] == [
+            (2, REUSE_CONF), (3, REUSE_CONF)
+        ]
+        assert report.reuses == [ReuseRecord(4, REUSE_CONF)]
+        assert {t for t, _ in report.profile_trace} == {1, 2, 3}
+        assert sorted(report.profiling_units) == [1, 2, 3]
+        assert report.chosen_confs[-1] == (4, REUSE_CONF)
+
+    def test_a_reused_task_bills_no_profiling_and_trains_every_epoch(self, monkeypatch):
+        import hiercl.runtime as runtime_module
+
+        profiled, billed = [], {}
+        profile = runtime_module.profile_task
+
+        def counted(*args):
+            profiled.append(args[1][0])
+            return profile(*args)
+
+        monkeypatch.setattr(runtime_module, "profile_task", counted)
+        on_new_task = Runtime.on_new_task
+
+        def checked(self, task, *args):
+            billed[task.task_id] = self.ledger.profiling
+            return on_new_task(self, task, *args)
+
+        monkeypatch.setattr(Runtime, "on_new_task", checked)
+        runtime, report = reuse_run()
+        assert len(profiled) == 3
+        assert runtime.ledger.profiling == billed[4] > billed[3]
+        epochs = [(r.task_id, r.epoch) for r in report.epoch_rows]
+        assert epochs[-6:] == [(4, e) for e in range(1, 7)]
+        assert all(e >= 3 for t, e in epochs if t < 4)
+        # the live epochs bill the main loop's components
+        joules = [r.joules_cum for r in report.epoch_rows if r.task_id == 4]
+        assert all(b > a for a, b in zip(joules, joules[1:]))
+
+    def test_the_first_tasks_pick_does_not_count(self):
+        """Every task picks (100, 100) here; the third still profiles, as
+        only the second pick was made over a non-empty archive."""
+        stream = tiny_stream(n_tasks=3, seed=0)
+        report = run_stream(stream.tasks, stream.probe_sets, tiny_config())
+        assert [(s.task_id, s.conf) for s in report.selections] == [
+            (1, Conf(100, 100)), (2, Conf(100, 100)), (3, Conf(100, 100))
+        ]
+        assert report.reuses == []
+
+    def test_a_budget_event_between_tasks_makes_the_next_task_profile(self):
+        # a shrink and a growth back inside task 3, both kept: the budget at
+        # task 4 is the one task 3 profiled at, but the count starts over
+        _, report = reuse_run(budget_schedule=((15, 300), (17, 500)))
+        assert [(e.task_id, e.action) for e in report.budget_events] == [(3, "kept"), (3, "kept")]
+        assert [s.task_id for s in report.selections] == [1, 2, 3, 4]
+        assert report.reuses == []
+
+    def test_a_shrink_on_a_reused_task_reselects_from_the_reused_records(self):
+        from hiercl.selector import select_record
+
+        with warnings.catch_warnings():
+            # a fallback to the static split would warn
+            warnings.simplefilter("error", UserWarning)
+            runtime, report = reuse_run(budget_schedule=((20, 250),))
+        assert report.reuses == [ReuseRecord(4, REUSE_CONF)]
+        (event,) = report.budget_events
+        assert (event.task_id, event.epoch, event.action) == (4, 2, "reselect")
+        fitting = [r for t, r in report.profile_trace if t == 3 and r.conf.total <= 250]
+        expected = select_record(fitting, runtime.config.cutline, runtime.config.selection_mode, 1 / 9)
+        assert event.conf == expected.conf != default_static_conf(250, 120, 100)
+
+    def test_task_k_profiles_with_the_kth_generator(self, monkeypatch):
+        """A reused task spawns its profiling generator all the same, so the
+        task after it profiles as it would have after a profiled task."""
+        import hiercl.runtime as runtime_module
+
+        spawned = []
+        profile = runtime_module.profile_task
+
+        def recorded(*args):
+            spawned.append(args[-2].bit_generator.seed_seq.spawn_key[-1])
+            return profile(*args)
+
+        monkeypatch.setattr(runtime_module, "profile_task", recorded)
+        # the shrink inside reused task 4 restarts the count: task 5 profiles
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            _, report = reuse_run(n_tasks=5, budget_schedule=((20, 250),))
+        assert [r.task_id for r in report.reuses] == [4]
+        assert spawned == [0, 1, 2, 4]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_tasks=st.integers(2, 6),
+        per_class=st.integers(10, 30),
+        # rows cut from the end of each task, so task sizes may differ
+        trims=st.lists(st.sampled_from([0, 0, 0, 5]), min_size=6, max_size=6),
+        budget_steps=st.integers(1, 3),
+        schedule=st.lists(
+            st.tuples(st.integers(0, 24), st.integers(1, 3)), max_size=2, unique_by=lambda e: e[0]
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    # one conf fits one step, so every pick agrees: tasks 4-6 reuse it
+    @example(n_tasks=6, per_class=20, trims=[0] * 6, budget_steps=1, schedule=[], seed=0)
+    # smaller tasks 4-6: task 4 restarts the count, and a growth and a shrink
+    # back inside task 5 restart it again, so task 6 profiles at the budget and
+    # task size task 5 profiled at
+    @example(
+        n_tasks=6, per_class=20, trims=[0, 0, 0, 5, 5, 5], budget_steps=1,
+        schedule=[(17, 2), (19, 1)], seed=0,
+    )
+    def test_every_task_profiles_or_reuses_under_an_unchanged_state(
+        self, n_tasks, per_class, trims, budget_steps, schedule, seed
+    ):
+        stream = generate_stream(
+            StreamSpec(n_tasks=n_tasks, classes_per_task=2, samples_per_class=per_class,
+                       feature_dim=6, separation=2.0, seed=seed)
+        )
+        tasks = [
+            Task(t.task_id, t.features[: len(t) - cut], t.labels[: len(t) - cut], t.size_bytes)
+            for t, cut in zip(stream.tasks, trims)
+        ]
+        cfg = tiny_config(
+            epochs_per_task=4,
+            step=PROPERTY_STEP,
+            budget_samples=budget_steps * PROPERTY_STEP,
+            budget_schedule=tuple((e, b * PROPERTY_STEP) for e, b in schedule),
+            profiler=ProfilerConfig(conf_sample_size=3, warmup_epochs=1, profile_epochs=1, subsample=0.3),
+            seed=seed,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            report = run_stream(tasks, stream.probe_sets, cfg)
+
+        selected = {s.task_id: s.conf for s in report.selections}
+        reused = {r.task_id: r.conf for r in report.reuses}
+        decided = [t for t in tasks if any(c[0] == t.task_id for c in report.chosen_confs)]
+        budget, in_force, profiled_at, agreeing = cfg.budget_samples, None, None, 0
+        for i, task in enumerate(decided):
+            state = (budget, len(task))
+            assert (task.task_id in selected) != (task.task_id in reused)
+            if agreeing >= 2 and state == profiled_at:
+                assert reused.get(task.task_id) == in_force
+            else:
+                assert task.task_id in selected
+                pick = selected[task.task_id]
+                # the first task profiles over an empty archive
+                agreeing = 0 if i == 0 else (
+                    agreeing + 1 if agreeing and state == profiled_at and pick == in_force else 1
+                )
+                profiled_at = state
+            first = 1 if task.task_id in reused else cfg.profiler.warmup_epochs + 1
+            epochs = [r.epoch for r in report.epoch_rows if r.task_id == task.task_id]
+            assert epochs == list(range(first, cfg.epochs_per_task + 1)) or report.aborted
+            in_force = [c for t, c in report.chosen_confs if t == task.task_id][-1]
+            for event in report.budget_events:
+                if event.task_id == task.task_id:
+                    budget, agreeing = event.new_budget, 0
 
 
 class TestAsynchrony:
