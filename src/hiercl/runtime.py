@@ -315,8 +315,8 @@ class Runtime:
 
         # spawned before the reuse check, so task k always profiles with child k
         rng = np.random.default_rng(self._profile_root.spawn(1)[0])
-        profiled_at = (self.budget_samples, len(task))
-        if self._agreeing_picks >= AGREEING_PICKS and profiled_at == self._profiled_at:
+        resources = (self.budget_samples, len(task))
+        if self._agreeing_picks >= AGREEING_PICKS and resources == self._profiled_at:
             self.report.reuses.append(ReuseRecord(task.task_id, self._chosen))
             self.report.chosen_confs.append((task.task_id, self._chosen))
             return self._chosen
@@ -351,11 +351,11 @@ class Runtime:
         self.report.chosen_confs.append((task.task_id, chosen.conf))
         if not self.archive.classes():
             self._agreeing_picks = 0
-        elif self._agreeing_picks and profiled_at == self._profiled_at and chosen.conf == self._chosen:
+        elif resources == self._profiled_at and chosen.conf == self._chosen:
             self._agreeing_picks += 1
         else:
             self._agreeing_picks = 1
-        self._profiled_at = profiled_at
+        self._profiled_at = resources
         return chosen.conf
 
     # --- probe / estimate / adapt -----------------------------------------
