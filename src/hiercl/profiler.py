@@ -8,9 +8,9 @@ state is no throwaway: the live task continues from it, so the warmup's
 epochs are the task's first epochs and are trained once. The recorded
 accuracy is the raw short-horizon value, not an extrapolation; the energy
 estimate is the cost model's projection of a full-length run at that conf.
-Nor is every task profiled: the runtime skips ``profile_task`` for a task
-that reuses the conf the last two profiles agreed on, while the budget and
-the task size hold.
+Nor is every task profiled: the runtime's ``AdaptivePolicy`` skips
+``profile_task`` for a task that reuses the conf the last two profiles
+agreed on, while the budget and the task size hold.
 
 Profiling works entirely on copies and row arrays: every subsample is a
 row-index array into the run's ``SampleTable``, and the probes are a prefix

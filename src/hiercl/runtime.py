@@ -15,9 +15,8 @@ A profiled task continues from the profiler's warm state: its first
 billed to profiling, and the live loop trains the epochs after them at the
 chosen conf. Only live epochs write an ``EpochRow``; the global epoch clock
 counts the warmup too, so a budget schedule keeps its timing. A policy task
-is not profiled and trains every epoch live. So does a reused task: once the
-last two profiles agreed on the conf in force, at the live budget and task
-size, the next task keeps it unprofiled (see ``Runtime.on_new_task``).
+is not profiled and trains every epoch live, and so does a task that reuses
+the conf in force, unprofiled, by the rule of ``AdaptivePolicy``.
 
 A run builds one ``SampleTable`` from the whole stream when it starts: every
 task's features and labels in task order, so a task's rows are a row range.
@@ -220,6 +219,123 @@ class RunReport:
     abort_reason: str | None = None
 
 
+def static_split(reason: str, budget: int, task_size: int, step: int) -> Conf:
+    """The static split of ``budget`` in place of a conf over it; warns why."""
+    conf = default_static_conf(budget, task_size, step)
+    warnings.warn(f"{reason}; falling back to the static split {conf}")
+    return conf
+
+
+class FixedPolicy:
+    """A ``ConfPolicy``'s conf for every task, profiling nothing. A policy
+    conf over the live budget is an error, unless a schedule shrank the
+    budget below the run's own: then the static split of the live budget
+    stands in, as for a shrink mid-task."""
+
+    def __init__(self, policy: ConfPolicy, config: RunConfig):
+        self.policy = policy
+        self.config = config
+
+    def check(self, first: Task, probe_sets: dict[int, list[Sample]]) -> None:
+        """Any stream will do: nothing is profiled."""
+
+    def decide(self, task: Task, task_index: int, budget: int, state: LearnerState,
+               *_) -> tuple[Conf, LearnerState, int]:
+        cfg = self.config
+        conf = self.policy.conf_for_task(task_index, len(task), budget, cfg.step)
+        if conf.total > budget:
+            reason = f"policy conf {conf} exceeds budget {budget}"
+            if budget >= cfg.budget_samples:
+                raise ValueError(reason)
+            conf = static_split(reason, budget, len(task), cfg.step)
+        return conf, state, 0
+
+    def reselect(self, conf: Conf, budget: int, task_size: int) -> Conf:
+        return static_split(f"conf {conf} exceeds budget {budget}", budget, task_size, self.config.step)
+
+
+class AdaptivePolicy:
+    """Miro's conf decision: profile each task and select among its records,
+    or reuse the conf in force, unprofiled, when the last ``AGREEING_PICKS``
+    profiles picked it over a non-empty archive at the state the task meets:
+    the live budget, the task size and the count of budget events so far.
+    The first task's pick never counts: with nothing archived, every conf's
+    EM part is empty. A reused task keeps the last profile's records for a
+    shrink to reselect from, and adds nothing to the profile trace, the
+    selections or the profiling units."""
+
+    def __init__(self, config: RunConfig, seed: np.random.SeedSequence, report: RunReport,
+                 archive: StorageArchive, ledger: EnergyLedger):
+        self.config = config
+        self._seed = seed
+        self.report = report
+        self.archive = archive
+        self.ledger = ledger
+        # the last profile's records and the chance level they were scored
+        # against; a reused task keeps them
+        self.records: list[ProfileRecord] = []
+        self._baseline_accuracy = 0.0
+        # each profile's (budget, task size, budget events) and pick; None
+        # for a profile over an empty archive
+        self._picks: list[tuple[tuple[int, int, int], Conf] | None] = []
+
+    def check(self, first: Task, probe_sets: dict[int, list[Sample]]) -> None:
+        """Profiling needs the first task's own probes and a live epoch after the warmup."""
+        own = [s.class_label for s in probe_sets.get(first.task_id, ())]
+        if first.class_set.isdisjoint(own):
+            raise ValueError(f"invalid probes: task {first.task_id} has no probe of its own classes to profile on")
+        check_warm_start(self.config)
+
+    def decide(self, task: Task, task_index: int, budget: int, state: LearnerState,
+               in_force: Conf | None, rows: np.ndarray, probes: tuple[np.ndarray, np.ndarray],
+               classes_seen: int) -> tuple[Conf, LearnerState, int]:
+        """The task's conf, the model it starts from and how many of its
+        epochs that model trained. ``rows`` are the task's table rows and
+        ``probes`` the features and labels of every probe so far."""
+        cfg = self.config
+        # spawned before the reuse check, so task k always profiles with child k
+        rng = np.random.default_rng(self._seed.spawn(1)[0])
+        at = (budget, len(task), len(self.report.budget_events))
+        if self._picks[-AGREEING_PICKS:] == [(at, in_force)] * AGREEING_PICKS:
+            self.report.reuses.append(ReuseRecord(task.task_id, in_force))
+            return in_force, state, 0
+
+        self._baseline_accuracy = 1.0 / classes_seen
+        outcome = profile_task(
+            state, rows, self.archive, probes, budget, in_force, cfg, rng, self.ledger
+        )
+        self.records = outcome.records
+        self.report.profile_trace.extend((task.task_id, r) for r in outcome.records)
+        self.report.profiling_units[task.task_id] = {
+            "space_size": outcome.space_size,
+            "warmup_units": outcome.warmup_units,
+            "evaluation_units": outcome.evaluation_units,
+        }
+        chosen = select_record(
+            outcome.records, cfg.cutline, cfg.selection_mode, self._baseline_accuracy
+        )
+        self.report.selections.append(
+            SelectionRecord(
+                task_id=task.task_id,
+                mode=cfg.selection_mode,
+                cutline=cfg.cutline,
+                conf=chosen.conf,
+                utility=utility(chosen, self._baseline_accuracy),
+            )
+        )
+        self._picks.append((at, chosen.conf) if self.archive.classes() else None)
+        # the warmup is this task's first epochs: the live model continues from it
+        return chosen.conf, outcome.warm, cfg.profiler.warmup_epochs
+
+    def reselect(self, conf: Conf, budget: int, task_size: int) -> Conf:
+        """The best of the last profile's records that fit ``budget``, else its static split."""
+        cfg = self.config
+        feasible = [r for r in self.records if r.conf.total <= budget]
+        if feasible:
+            return select_record(feasible, cfg.cutline, cfg.selection_mode, self._baseline_accuracy).conf
+        return static_split(f"no profiled conf fits budget {budget}", budget, task_size, cfg.step)
+
+
 class Runtime:
     """Owns all mutable run state; single-threaded over simulated time.
 
@@ -240,7 +356,6 @@ class Runtime:
         self._batch_rng = np.random.default_rng(batch_seed)
         self._swap_rng = np.random.default_rng(swap_seed)
         self._em_rng = np.random.default_rng(em_seed)
-        self._profile_root = profile_seed
         self._learner_seed = learner_seed
 
         self.ledger = EnergyLedger()
@@ -260,103 +375,17 @@ class Runtime:
         self.report = RunReport(
             ledger=self.ledger, controller_decisions=self.controller.decisions
         )
+        # the one place a run is decided adaptive or fixed
+        self.sizing = (AdaptivePolicy(config, profile_seed, self.report, self.archive, self.ledger)
+                       if self.policy is None else FixedPolicy(self.policy, config))
         self.budget_samples = config.budget_samples
         self.state: LearnerState | None = None
         self._schedule = sorted(config.budget_schedule)
         self._schedule_pos = 0
         self._global_epoch = 0
-        # the last profile's records, the chance level they were scored
-        # against and its (budget, task size); a reused task keeps them
-        self._records_this_task: list[ProfileRecord] = []
-        self._baseline_accuracy = 0.0
-        self._profiled_at: tuple[int, int] | None = None
-        # profiles in a row that picked the conf in force with no budget event
-        self._agreeing_picks = 0
-        # the current task's epochs that the profiler's warmup trained
-        self._warmed_epochs = 0
         self._chosen: Conf | None = None
         # the current task's rows; none between tasks
         self._task_rows = NO_ROWS
-
-    # --- conf decision ---------------------------------------------------
-
-    def on_new_task(self, task: Task, rows: np.ndarray, task_index: int,
-                    probes: tuple[np.ndarray, np.ndarray], classes_seen: int) -> Conf:
-        """Decide this task's conf: profile-and-select, reuse, or ask the policy.
-
-        ``rows`` are the task's table rows and ``probes`` the features and
-        labels of every probe so far. A policy conf over the live budget is
-        an error, unless a schedule shrank the budget below the run's own:
-        then the static split of the live budget stands in, as for a shrink
-        mid-task.
-
-        A profiled run reuses the conf in force, without profiling, when the
-        live budget and the task size are those of the last profile and the
-        last ``AGREEING_PICKS`` profiles picked it over a non-empty archive
-        with no budget event since the first of them. The first task's pick
-        never counts: with nothing archived, every conf's EM part is empty.
-        A reused task keeps the last profile's records for a mid-task
-        shrink to reselect from, and adds nothing to the profile trace,
-        the selections or the profiling units."""
-        cfg = self.config
-        self._warmed_epochs = 0
-
-        if self.policy is not None:
-            budget = self.budget_samples
-            conf = self.policy.conf_for_task(task_index, len(task), budget, cfg.step)
-            if conf.total > budget:
-                reason = f"policy conf {conf} exceeds budget {budget}"
-                if budget >= cfg.budget_samples:
-                    raise ValueError(reason)
-                conf = default_static_conf(budget, len(task), cfg.step)
-                warnings.warn(f"{reason}; falling back to the static split {conf}")
-            self.report.chosen_confs.append((task.task_id, conf))
-            return conf
-
-        # spawned before the reuse check, so task k always profiles with child k
-        rng = np.random.default_rng(self._profile_root.spawn(1)[0])
-        resources = (self.budget_samples, len(task))
-        if self._agreeing_picks >= AGREEING_PICKS and resources == self._profiled_at:
-            self.report.reuses.append(ReuseRecord(task.task_id, self._chosen))
-            self.report.chosen_confs.append((task.task_id, self._chosen))
-            return self._chosen
-
-        self._baseline_accuracy = 1.0 / classes_seen if classes_seen else 0.0
-        outcome = profile_task(
-            self.state, rows, self.archive, probes, self.budget_samples, self._chosen,
-            cfg, rng, self.ledger,
-        )
-        self._records_this_task = outcome.records
-        # the warmup is this task's first epochs: the live model continues from it
-        self.state = outcome.warm
-        self._warmed_epochs = cfg.profiler.warmup_epochs
-        self.report.profile_trace.extend((task.task_id, r) for r in outcome.records)
-        self.report.profiling_units[task.task_id] = {
-            "space_size": outcome.space_size,
-            "warmup_units": outcome.warmup_units,
-            "evaluation_units": outcome.evaluation_units,
-        }
-        chosen = select_record(
-            outcome.records, cfg.cutline, cfg.selection_mode, self._baseline_accuracy
-        )
-        self.report.selections.append(
-            SelectionRecord(
-                task_id=task.task_id,
-                mode=cfg.selection_mode,
-                cutline=cfg.cutline,
-                conf=chosen.conf,
-                utility=utility(chosen, self._baseline_accuracy),
-            )
-        )
-        self.report.chosen_confs.append((task.task_id, chosen.conf))
-        if not self.archive.classes():
-            self._agreeing_picks = 0
-        elif resources == self._profiled_at and chosen.conf == self._chosen:
-            self._agreeing_picks += 1
-        else:
-            self._agreeing_picks = 1
-        self._profiled_at = resources
-        return chosen.conf
 
     # --- probe / estimate / adapt -----------------------------------------
 
@@ -392,33 +421,14 @@ class Runtime:
 
     def _adapt_budget(self, task: Task, epoch: int, old: int, new: int) -> None:
         """Keep the conf while SB+EM fits the new budget (always so on
-        growth); otherwise re-select among the last profile's records, or
-        fall back to the static split of the new budget when none fits (a
-        policy run profiles none). Every budget event restarts the count of
-        agreeing picks, so the next task profiles."""
-        self._agreeing_picks = 0
-        usage = self._chosen.sb_size + self.em.capacity
-        if usage <= new:
-            self.report.budget_events.append(BudgetEvent(task.task_id, epoch, old, new, "kept"))
-            return
-        feasible = [r for r in self._records_this_task if r.conf.total <= new]
-        if feasible:
-            conf = select_record(
-                feasible,
-                self.config.cutline,
-                self.config.selection_mode,
-                self._baseline_accuracy,
-            ).conf
-        else:
-            reason = (f"no profiled conf fits budget {new}" if self.policy is None
-                      else f"conf {self._chosen} exceeds budget {new}")
-            conf = default_static_conf(new, len(task), self.config.step)
-            warnings.warn(f"{reason}; falling back to the static split {conf}")
-        self._apply_conf(conf)
-        self.report.budget_events.append(
-            BudgetEvent(task.task_id, epoch, old, new, "reselect", conf)
-        )
-        self.report.chosen_confs.append((task.task_id, conf))
+        growth); otherwise the run's policy reselects."""
+        conf = None
+        if self._chosen.sb_size + self.em.capacity > new:
+            conf = self.sizing.reselect(self._chosen, new, len(task))
+            self._apply_conf(conf)
+            self.report.chosen_confs.append((task.task_id, conf))
+        action = "kept" if conf is None else "reselect"
+        self.report.budget_events.append(BudgetEvent(task.task_id, epoch, old, new, action, conf))
 
     def _apply_conf(self, conf: Conf) -> None:
         self._chosen = conf
@@ -440,14 +450,8 @@ class Runtime:
                 raise ValueError(f"invalid probes: task {key} has a probe not of the stream dim {dim}")
         if not any(map(len, probe_sets.values())):
             raise ValueError("invalid probes: the stream has no probe")
-        # profiling scores the first task on its own probes alone
-        first = tasks[0]
-        own = [s.class_label for s in probe_sets.get(first.task_id, ())]
-        if self.policy is None and first.class_set.isdisjoint(own):
-            raise ValueError(f"invalid probes: task {first.task_id} has no probe of its own classes to profile on")
-        if self.policy is None:
-            check_warm_start(cfg)
         self._start(tasks)
+        self.sizing.check(tasks[0], probe_sets)
         report = self.report
         self.state = init_learner(dim, cfg.hidden_width, self._learner_seed)
 
@@ -465,11 +469,15 @@ class Runtime:
             classes_seen |= task.class_set
 
             try:
-                conf = self.on_new_task(task, rows, task_index, probes, len(classes_seen))
+                conf, self.state, warmed = self.sizing.decide(
+                    task, task_index, self.budget_samples, self.state, self._chosen,
+                    rows, probes, len(classes_seen),
+                )
+                report.chosen_confs.append((task.task_id, conf))
                 self._apply_conf(conf)
                 self._task_rows = rows
                 self.controller.start_task()
-                self._train_task(task)
+                self._train_task(task, warmed)
             except LearnerDiverged as exc:
                 report.aborted = True
                 report.abort_reason = str(exc)
@@ -500,13 +508,11 @@ class Runtime:
         report.n_classes = len(classes_seen)
         return report
 
-    def _train_task(self, task: Task) -> None:
-        """Train the task's live epochs at the chosen conf: every epoch for a
-        policy task or a reused one, the epochs after the warmup for a
-        profiled one. An entry of the budget schedule due inside the warmup
-        applies at the first live epoch."""
+    def _train_task(self, task: Task, warmed: int) -> None:
+        """Train the task's live epochs, those after the ``warmed`` epochs its
+        warmup trained, at the chosen conf. An entry of the budget schedule
+        due inside the warmup applies at the first live epoch."""
         cfg = self.config
-        warmed = self._warmed_epochs
         self._global_epoch += warmed
         for epoch in range(warmed + 1, cfg.epochs_per_task + 1):
             self._global_epoch += 1

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -335,7 +336,7 @@ class TestBudgetChannel:
         cfg = tiny_config(budget_samples=600)
         rt = Runtime(cfg)
         task = stream.tasks[0]
-        rt._records_this_task = [
+        rt.sizing.records = [
             ProfileRecord(Conf(200, 200), 0.5, 40.0),
             ProfileRecord(Conf(100, 100), 0.45, 20.0),
             ProfileRecord(Conf(100, 0), 0.2, 10.0),
@@ -355,7 +356,7 @@ class TestBudgetChannel:
         cfg = tiny_config(budget_samples=600)
         rt = Runtime(cfg)
         task = stream.tasks[0]
-        rt._records_this_task = [ProfileRecord(Conf(300, 300), 0.5, 40.0)]
+        rt.sizing.records = [ProfileRecord(Conf(300, 300), 0.5, 40.0)]
         rt._apply_conf(Conf(300, 300))
         with pytest.warns(UserWarning):
             rt.estimate_and_adapt(task, epoch=3, io=None, budget=(600, 150))
@@ -428,14 +429,20 @@ class TestWarmStart:
 
         monkeypatch.setattr(runtime_module, "profile_task", recorded)
         runtime = Runtime(tiny_config())
-        on_new_task = runtime.on_new_task
+        decide, train_task = runtime_module.AdaptivePolicy.decide, Runtime._train_task
 
-        def checked(*args):
-            conf = on_new_task(*args)
-            adopted.append(runtime.state.params.copy())
-            return conf
+        def checked(self, *args):
+            decided = decide(self, *args)
+            adopted.append(decided[1].params.copy())
+            return decided
 
-        monkeypatch.setattr(runtime, "on_new_task", checked)
+        def trained(self, *args):
+            # the live loop starts from the state the policy handed back
+            assert self.state.params.tobytes() == adopted[-1].tobytes()
+            return train_task(self, *args)
+
+        monkeypatch.setattr(runtime_module.AdaptivePolicy, "decide", checked)
+        monkeypatch.setattr(Runtime, "_train_task", trained)
         stream = tiny_stream()
         runtime.run(stream.tasks, stream.probe_sets)
         assert len(outcomes) == len(adopted) == 2
@@ -512,13 +519,13 @@ class TestProfileReuse:
             return profile(*args)
 
         monkeypatch.setattr(runtime_module, "profile_task", counted)
-        on_new_task = Runtime.on_new_task
+        decide = runtime_module.AdaptivePolicy.decide
 
         def checked(self, task, *args):
             billed[task.task_id] = self.ledger.profiling
-            return on_new_task(self, task, *args)
+            return decide(self, task, *args)
 
-        monkeypatch.setattr(Runtime, "on_new_task", checked)
+        monkeypatch.setattr(runtime_module.AdaptivePolicy, "decide", checked)
         runtime, report = reuse_run()
         assert len(profiled) == 3
         assert runtime.ledger.profiling == billed[4] > billed[3]
@@ -685,13 +692,11 @@ class TestStaticPolicy:
 
     def test_infeasible_policy_conf_rejected(self):
         stream = tiny_stream(n_tasks=1)
-        with pytest.raises(ValueError):
-            run_stream(
-                stream.tasks,
-                stream.probe_sets,
-                tiny_config(budget_samples=400),
-                StaticConfPolicy(Conf(400, 400)),
-            )
+        runtime = Runtime(tiny_config(budget_samples=400), StaticConfPolicy(Conf(400, 400)))
+        refused = "policy conf Conf(sb_size=400, em_size=400) exceeds budget 400"
+        with pytest.raises(ValueError, match=re.escape(refused)):
+            runtime.run(stream.tasks, stream.probe_sets)
+        assert runtime.ledger.total == 0
 
 
     def test_fixed_conf_meets_a_schedule_shrink_with_the_grid_conf(self):
