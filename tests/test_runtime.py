@@ -1026,6 +1026,12 @@ class TestRunProperties:
         n_tasks=1, classes=2, per_class=10, domain_incremental=False, adaptive=False,
         budget_steps=4, schedule=[(0, 1), (1, 2)], bandwidth=1e3, seed=0,
     )
+    # a profiled task's first row is global epoch 2, after a 1-epoch warmup:
+    # its poll sees both steps, 6 -> 1 -> 2, and the row must fit 2 steps
+    @example(
+        n_tasks=1, classes=2, per_class=11, domain_incremental=False, adaptive=True,
+        budget_steps=6, schedule=[(0, 1), (2, 2)], bandwidth=1e3, seed=0,
+    )
     def test_invariants_hold_over_random_streams_and_budgets(
         self, n_tasks, classes, per_class, domain_incremental, adaptive,
         budget_steps, schedule, bandwidth, seed,
@@ -1060,8 +1066,12 @@ class TestRunProperties:
             warnings.simplefilter("ignore", UserWarning)
             report = runtime.run(stream.tasks, stream.probe_sets)
 
-        # the schedule is polled once per epoch, in sorted order
-        for epoch, row in enumerate(report.epoch_rows, start=1):
+        # the schedule is polled once per epoch, in sorted order; a row is
+        # written after its global epoch's poll, and a profiled task writes
+        # no row for its warmup epochs
+        position = {task.task_id: k for k, task in enumerate(stream.tasks)}
+        for row in report.epoch_rows:
+            epoch = position[row.task_id] * cfg.epochs_per_task + row.epoch
             budget = cfg.budget_samples
             for at, value in sorted(cfg.budget_schedule):
                 if at <= epoch:
