@@ -7,13 +7,17 @@ to exhibit catastrophic forgetting on disjoint-class streams.
 
 All weights live in one float64 vector, ``LearnerState.params``; the four
 parameter arrays are views of it, so a step updates every weight with one
-operation and a copy is one vector copy. Training reads batches as
-row-index arrays into the run's ``SampleTable`` and runs each epoch as one
-loop: it gathers features, cast to float64, once per ``GATHER_BATCHES``
-batches, builds every index, buffer and view a step needs once per epoch,
-and each step then makes only its arithmetic calls, in place, with the
-same operations in the same order as the textbook step (the tests hold it
-to that bit for bit). Evaluation reads probes as one table, a float64
+operation and a copy is one vector copy. Since ``w1, b1, w2, b2`` lie in
+that order, ``[w1; b1]`` and ``[w2; b2]`` are views too, and training
+steps each layer as one affine product: its input with a ones column
+appended, times its weights over its bias row (the bias trick). Training
+reads batches as row-index arrays into the run's ``SampleTable`` and runs
+each epoch as one loop: it gathers features, cast to float64, once per
+``GATHER_BATCHES`` batches, builds every index, buffer and view a step
+needs once per epoch, and each step then makes only its arithmetic calls,
+in place, with the same operations in the same order as the plain affine
+step (the tests hold it to that bit for bit, and to the step with separate
+bias terms within rounding). Evaluation reads probes as one table, a float64
 feature matrix and a label array (``probe_arrays``), built once per run,
 and runs one forward pass over its rows. ``copy_state`` gives an
 independent copy of a state, weights and generator alike, for the profiler
@@ -42,8 +46,9 @@ from .domain import EnergyLedger, Sample, SampleTable
 
 
 # Batches whose features train_epoch gathers with one call: few enough that
-# the float64 copy stays small (16 batches of 32 rows of 32 features is
-# 128 KiB), many enough that the gather's per-call cost is spread thin.
+# the float64 buffer stays small (16 batches of 32 rows of 32 features and
+# the ones column, 33 columns, is 132 KiB), many enough that the gather's
+# per-call cost is spread thin.
 GATHER_BATCHES = 16
 
 
@@ -154,19 +159,25 @@ def train_epoch(
     the head lacks, new classes grow the head batch by batch, in batch
     order, before any step: one draw per batch, so the new columns' values
     do not depend on how batches are grouped into calls. Features are
-    gathered, cast to float64, once per ``GATHER_BATCHES`` batches.
+    gathered, cast to float64, once per ``GATHER_BATCHES`` batches, into a
+    buffer whose last column is ones.
 
     Everything else a step needs is built once per epoch: each row's
-    true-class index into its batch's flattened logits, one set of buffer
-    views per batch size, the ``w2.T`` view and a gradient vector laid out
-    like ``params`` with views per parameter. A step then makes only its
-    arithmetic calls, in place: forward, a softmax that overwrites the
-    logits, the true-class probabilities taken out (and put back less one,
-    which turns the softmax into ``n`` times ``dlogits``), backward, and one
-    update of ``params``. An underflowed true-class probability is a real
-    divergence signal: its log is left unclamped (its divide warning is
-    silenced), the loss comes out non-finite and the epoch halts before
-    that step's update.
+    true-class index into its batch's flattened logits, the activation
+    buffer whose last column is ones, one set of buffer views and one step
+    scale ``learning_rate / n`` per batch size, the ``[w1; b1]``,
+    ``[w2; b2]`` and ``w2.T`` views of ``params`` and a gradient vector
+    laid out like it, with the same two stacked views. A step then makes
+    only its arithmetic calls, in place: the forward as two affine products
+    with ``tanh`` between them, written into the activations' first
+    columns; a softmax that overwrites the logits; the true-class
+    probabilities taken out (and put back less one, which turns the softmax
+    into ``n`` times ``dlogits``), then one scaling by the step scale; the
+    backward, where one product per layer gives its weight and bias steps
+    together; and ``params -= grads``. An underflowed true-class
+    probability is a real divergence signal: its log is left unclamped (its
+    divide warning is silenced), the loss comes out non-finite and the
+    epoch halts before that step's update.
     """
     if not batches:
         raise ValueError("train_epoch needs at least one batch")
@@ -180,39 +191,47 @@ def train_epoch(
         for batch in batches:
             ensure_classes(state, table.labels[batch].tolist())
         columns = _head_columns(state, labels)
-    w1, b1, w2, b2, params = state.w1, state.b1, state.w2, state.b2, state.params
-    w2_t = w2.T
-    hidden_width = w1.shape[1]
-    n_classes = w2.shape[1]
+    params = state.params
+    dim, hidden_width = state.w1.shape
+    n_classes = len(state.class_order)
+    # [w1; b1] and [w2; b2]: each layer's weights over its bias row
+    split = (dim + 1) * hidden_width
+    w1a = params[:split].reshape(dim + 1, hidden_width)
+    w2a = params[split:].reshape(hidden_width + 1, n_classes)
+    w2_t = w2a[:hidden_width].T
     grads = np.empty_like(params)
-    dw1, db1, dw2, db2 = _param_views(grads, *w1.shape, n_classes)
+    dw1a = grads[:split].reshape(dim + 1, hidden_width)
+    dw2a = grads[split:].reshape(hidden_width + 1, n_classes)
     ends = np.cumsum(sizes)
     starts = ends - sizes
     true = (np.arange(len(rows)) - np.repeat(starts, sizes)) * n_classes + columns
     widest = max(sizes)
+    # inputs and activations each end in a ones column, the bias rows' input
+    x_rows = np.ones((min(len(rows), GATHER_BATCHES * widest), dim + 1))
+    act_rows = np.ones((widest, hidden_width + 1))
     hidden_rows = np.empty((widest, hidden_width))
     logit_rows = np.empty((widest, n_classes))
     row_sums = np.empty((widest, 1))
     dz1_rows = np.empty((widest, hidden_width))
     views = {}
     for n in set(sizes):
-        logits = logit_rows[:n]
-        views[n] = (hidden_rows[:n], logits, logits.reshape(-1), row_sums[:n], dz1_rows[:n])
+        act, logits = act_rows[:n], logit_rows[:n]
+        views[n] = (hidden_rows[:n], act, act[:, :hidden_width], logits, logits.reshape(-1),
+                    row_sums[:n], dz1_rows[:n], learning_rate / n)
     steps = list(zip(sizes, starts.tolist(), ends.tolist(), map(views.get, sizes)))
     total = 0.0
     with np.errstate(divide="ignore"):
         for first in range(0, len(steps), GATHER_BATCHES):
             group = steps[first : first + GATHER_BATCHES]
             base = group[0][1]
-            x = table.features.take(rows[base : group[-1][2]], axis=0).astype(np.float64, copy=False)
-            for n, start, end, (hidden, logits, flat, row, dz1) in group:
+            x = x_rows[: group[-1][2] - base]
+            x[:, :dim] = table.features.take(rows[base : group[-1][2]], axis=0)
+            for n, start, end, (hidden, act, tanh, logits, flat, row, dz1, scale) in group:
                 bx = x[start - base : end - base]
                 at = true[start:end]
-                np.dot(bx, w1, out=hidden)
-                hidden += b1
-                np.tanh(hidden, out=hidden)
-                np.dot(hidden, w2, out=logits)
-                logits += b2
+                np.dot(bx, w1a, out=hidden)
+                np.tanh(hidden, out=tanh)
+                np.dot(act, w2a, out=logits)
                 np.maximum.reduce(logits, axis=1, keepdims=True, out=row)
                 logits -= row
                 np.exp(logits, out=logits)
@@ -222,19 +241,17 @@ def train_epoch(
                 flat.put(at, p - 1.0)
                 np.log(p, out=p)
                 loss = -float(np.add.reduce(p)) / n
-                logits /= n
-                np.dot(hidden.T, logits, out=dw2)
-                np.add.reduce(logits, axis=0, out=db2)
+                logits *= scale
+                np.dot(act.T, logits, out=dw2a)
                 np.dot(logits, w2_t, out=dz1)
-                # tanh' = 1 - tanh^2, over the activations dw2 no longer needs
-                np.multiply(hidden, hidden, out=hidden)
+                # tanh' = 1 - tanh^2, over the pre-activations tanh has consumed
+                np.multiply(tanh, tanh, out=hidden)
                 np.subtract(1.0, hidden, out=hidden)
                 dz1 *= hidden
-                np.dot(bx.T, dz1, out=dw1)
-                np.add.reduce(dz1, axis=0, out=db1)
+                np.dot(bx.T, dz1, out=dw1a)
                 if not math.isfinite(loss):
                     raise LearnerDiverged(f"non-finite loss {loss}")
-                params -= np.multiply(grads, learning_rate, out=grads)
+                params -= grads
                 total += loss * n
     return state, total / len(rows)
 

@@ -125,6 +125,28 @@ def test_main_writes_a_modeled_claim_from_stubbed_runs(no_runs, monkeypatch):
     assert len(calls) == 20 and {c[1:] for c in calls} == {("desk-adaptive", 0, 0)}
 
 
+def test_main_without_a_claim_names_none(no_runs, monkeypatch):
+    """Every run stubbed and no --claim: the command and the summaries name
+    no claim, and the medians and the modeled check are still written."""
+    before, after = git_repo(no_runs / "before"), git_repo(no_runs / "after")
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        return {**result(0.9 if checkout.name == "after" else 1.0), "rounds": 2, "machine": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    args = main_args(before, after, "--runs", "desk-static:0:3", "edge-congested:1:2")
+    assert bench_pairs.main(args) == 0
+    report = json.loads((no_runs / "BENCH_x.json").read_text())
+    assert "--claim" not in report["command"]
+    assert report["command"].endswith("--runs desk-static:0:3 edge-congested:1:2")
+    for spec in report["untraced"]:
+        summary = spec["summary"]
+        assert not {"claim", "claim_met", "pairs_won"} & summary.keys()
+        assert summary["modeled_identical"] is True
+        assert (summary["medians"]["run_s"]["before"], summary["medians"]["run_s"]["after"]) == (
+            1.0, 0.9)
+
+
 def test_an_unknown_claim_fails_before_any_run(no_runs):
     before, after = git_repo(no_runs / "before"), git_repo(no_runs / "after")
     with pytest.raises(SystemExit, match="^bench_pairs: --claim 'speed' is not an end-to-end"):

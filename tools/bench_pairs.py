@@ -15,16 +15,17 @@ else is started. Every spec is parsed and both checkouts' git state read
 before the first run, so a malformed spec or a checkout that is not a git
 work tree with a commit exits with one line before any run is spent.
 
-``--claim`` names the end-to-end metric a gain is claimed on (``run_s`` by
-default); its ``better`` direction is read from ``BENCHMARK.json``. The
-summary gives, per spec, each side's median and quartiles of every
-end-to-end metric, how many pairs AFTER won on the claimed metric, whether
-the modeled metrics were identical in every pair, and ``claim_met``: at
-least 10 pairs, every run correct with no failed operation, AFTER better on
+``--claim`` names the end-to-end metric a gain is claimed on; its
+``better`` direction is read from ``BENCHMARK.json``. The summary gives,
+per spec, each side's median and quartiles of every end-to-end metric and
+whether the modeled metrics were identical in every pair. With ``--claim``
+it also gives how many pairs AFTER won on the claimed metric and
+``claim_met``: at least 10 pairs, every run correct with no failed operation, AFTER better on
 the claimed metric in at least 9 of 10 pairs (a tie counting as no win),
 and its median better by more than BEFORE's interquartile range. A claim
 on host time also needs the modeled metrics identical in every pair; a
-claim on a modeled metric moves them on purpose. A traced spec gives each
+claim on a modeled metric moves them on purpose. Without ``--claim`` nothing is
+claimed: the command and the summaries name no claim. A traced spec gives each
 side's median of every per-layer metric over its pairs.
 """
 
@@ -121,13 +122,14 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(rows: list[dict], claim: str = "run_s", better: str = "lower") -> dict:
-    """Each side's median and quartiles of every metric, and whether AFTER
-    meets the claim gate on ``claim``, whose ``better`` direction is
-    ``lower`` or ``higher``: at least ``MIN_PAIRS`` pairs, all runs correct,
-    better in at least 9 of 10 pairs (a tie is not a win) by a median gap
-    wider than BEFORE's interquartile range, and, for a host-time claim,
-    the modeled metrics equal in each pair."""
+def summarize(rows: list[dict], claim: str | None = "run_s",
+              better: str | None = "lower") -> dict:
+    """Each side's median and quartiles of every metric, and, unless
+    ``claim`` is None, whether AFTER meets the claim gate on ``claim``, whose
+    ``better`` direction is ``lower`` or ``higher``: at least ``MIN_PAIRS``
+    pairs, all runs correct, better in at least 9 of 10 pairs (a tie is not
+    a win) by a median gap wider than BEFORE's interquartile range, and, for
+    a host-time claim, the modeled metrics equal in each pair."""
     before = [values(r["before"]) for r in rows]
     after = [values(r["after"]) for r in rows]
     medians = {}
@@ -137,27 +139,28 @@ def summarize(rows: list[dict], claim: str = "run_s", better: str = "lower") -> 
         (bq1, bq3), (aq1, aq3) = quartiles(b), quartiles(a)
         medians[name] = {"before": statistics.median(b), "after": statistics.median(a),
                          "before_q1": bq1, "before_q3": bq3, "after_q1": aq1, "after_q3": aq3}
-    sign = 1 if better == "lower" else -1
-    claimed = medians[claim]
-    won = sum(sign * (b[claim] - a[claim]) > 0 for b, a in zip(before, after))
-    gap = sign * (claimed["before"] - claimed["after"])
-    gap_exceeds_iqr = gap > claimed["before_q3"] - claimed["before_q1"]
     all_correct = all(r[s]["correct"] and r[s]["failed"] == 0
                       for r in rows for s in ("before", "after"))
     modeled_identical = all({k: b[k] for k in MODELED} == {k: a[k] for k in MODELED}
                             for b, a in zip(before, after))
-    return {
-        "pairs": len(rows),
-        "all_correct": all_correct,
-        "modeled_identical": modeled_identical,
-        "claim": {"metric": claim, "better": better},
-        "pairs_won": won,
-        "median_gap_exceeds_before_iqr": gap_exceeds_iqr,
-        "claim_met": (len(rows) >= MIN_PAIRS and all_correct
-                      and (modeled_identical or claim in MODELED)
-                      and 10 * won >= 9 * len(rows) and gap_exceeds_iqr),
-        "medians": medians,
-    }
+    summary = {"pairs": len(rows), "all_correct": all_correct,
+               "modeled_identical": modeled_identical}
+    if claim is not None:
+        sign = 1 if better == "lower" else -1
+        claimed = medians[claim]
+        won = sum(sign * (b[claim] - a[claim]) > 0 for b, a in zip(before, after))
+        gap = sign * (claimed["before"] - claimed["after"])
+        gap_exceeds_iqr = gap > claimed["before_q3"] - claimed["before_q1"]
+        summary.update({
+            "claim": {"metric": claim, "better": better},
+            "pairs_won": won,
+            "median_gap_exceeds_before_iqr": gap_exceeds_iqr,
+            "claim_met": (len(rows) >= MIN_PAIRS and all_correct
+                          and (modeled_identical or claim in MODELED)
+                          and 10 * won >= 9 * len(rows) and gap_exceeds_iqr),
+        })
+    summary["medians"] = medians
+    return summary
 
 
 def layer_medians(rows: list[dict]) -> dict[str, dict[str, float]]:
@@ -175,10 +178,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs", nargs="+", required=True, metavar="WORKLOAD:SEED:PAIRS")
     parser.add_argument("--traced", nargs="*", default=[], metavar="WORKLOAD[:PAIRS]")
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--claim", default="run_s", metavar="METRIC",
-                        help="end-to-end metric the gain is claimed on")
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="end-to-end metric a gain is claimed on (none by default)")
     args = parser.parse_args(argv)
-    better = claim_direction(args.claim)
+    better = claim_direction(args.claim) if args.claim else None
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     runs = [parse_spec(spec, traced=False) for spec in args.runs]
     traced_runs = [parse_spec(spec, traced=True) for spec in args.traced]
@@ -204,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
             "python3 tools/bench_pairs.py", args.before.name, args.after.name,
             "--out", args.out.name, "--seconds", f"{args.seconds:g}",
             "--runs", *args.runs, *(["--traced", *args.traced] if args.traced else []),
-            "--claim", args.claim,
+            *(["--claim", args.claim] if args.claim else []),
         ]),
         "before": {"checkout": args.before.name, **states["before"]},
         "after": {"checkout": args.after.name, **states["after"]},
