@@ -163,17 +163,15 @@ def train_epoch(
     buffer whose last column is ones.
 
     Everything else a step needs is built once per epoch: each row's
-    true-class index into its batch's flattened logits, the activation
-    buffer whose last column is ones, one set of buffer views and one step
-    scale ``learning_rate / n`` per batch size, the ``[w1; b1]``,
-    ``[w2; b2]`` and ``w2.T`` views of ``params`` and a gradient vector
-    laid out like it, with the same two stacked views. A step then makes
-    only its arithmetic calls, in place: the forward as two affine products
-    with ``tanh`` between them, written into the activations' first
-    columns; a softmax that overwrites the logits; the true-class
-    probabilities taken out (and put back less one, which turns the softmax
-    into ``n`` times ``dlogits``), then one scaling by the step scale; the
-    backward, where one product per layer gives its weight and bias steps
+    true-class index into its batch's flattened logits, an activation
+    buffer whose last column is ones, buffer views and the step scale
+    ``learning_rate / n`` per batch size, and a gradient vector laid out
+    like ``params``, with the same ``[w1; b1]`` and ``[w2; b2]`` views. A
+    step then makes only its arithmetic calls, in place: two affine
+    products with ``tanh`` between them; a softmax that overwrites the
+    logits; the true-class probabilities taken out (and put back less one,
+    which turns the softmax into ``n`` times ``dlogits``), then one scaling
+    by the step scale; one product per layer for its weight and bias steps
     together; and ``params -= grads``. An underflowed true-class
     probability is a real divergence signal: its log is left unclamped (its
     divide warning is silenced), the loss comes out non-finite and the
@@ -198,7 +196,7 @@ def train_epoch(
     split = (dim + 1) * hidden_width
     w1a = params[:split].reshape(dim + 1, hidden_width)
     w2a = params[split:].reshape(hidden_width + 1, n_classes)
-    w2_t = w2a[:hidden_width].T
+    w2_t = state.w2.T
     grads = np.empty_like(params)
     dw1a = grads[:split].reshape(dim + 1, hidden_width)
     dw2a = grads[split:].reshape(hidden_width + 1, n_classes)

@@ -20,13 +20,14 @@ work tree with a commit exits with one line before any run is spent.
 per spec, each side's median and quartiles of every end-to-end metric and
 whether the modeled metrics were identical in every pair. With ``--claim``
 it also gives how many pairs AFTER won on the claimed metric and
-``claim_met``: at least 10 pairs, every run correct with no failed operation, AFTER better on
-the claimed metric in at least 9 of 10 pairs (a tie counting as no win),
-and its median better by more than BEFORE's interquartile range. A claim
-on host time also needs the modeled metrics identical in every pair; a
-claim on a modeled metric moves them on purpose. Without ``--claim`` nothing is
-claimed: the command and the summaries name no claim. A traced spec gives each
-side's median of every per-layer metric over its pairs.
+``claim_met``: at least 10 pairs, every run correct with no failed
+operation, AFTER better on the claimed metric in at least 9 of 10 pairs (a
+tie counting as no win), and its median better by more than BEFORE's
+interquartile range. A claim on host time also needs the modeled metrics
+identical in every pair; a claim on a modeled metric moves them on
+purpose. Without ``--claim`` nothing is claimed: the command and the
+summaries name no claim. A traced spec gives each side's median of every
+per-layer metric over its pairs.
 """
 
 from __future__ import annotations
