@@ -15,9 +15,12 @@ reads batches as row-index arrays into the run's ``SampleTable`` and runs
 each epoch as one loop: it gathers features, cast to float64, once per
 ``GATHER_BATCHES`` batches, builds every index, buffer and view a step
 needs once per epoch, and each step then makes only its arithmetic calls,
-in place, with the same operations in the same order as the plain affine
-step (the tests hold it to that bit for bit, and to the step with separate
-bias terms within rounding). Evaluation reads probes as one table, a float64
+in place, with the hidden layer feature-major (one column per sample, so
+its rows are contiguous). The losses are checked once per gather group.
+The step runs the same operations in the same order as the plain
+feature-major affine step; the tests hold it to that bit for bit, and to
+the row-major step and the step with separate bias terms within rounding.
+Evaluation reads probes as one table, a float64
 feature matrix and a label array (``probe_arrays``), built once per run,
 and runs one forward pass over its rows. ``copy_state`` gives an
 independent copy of a state, weights and generator alike, for the profiler
@@ -35,6 +38,7 @@ component. Power defaults are sized like a small edge board with a roughly
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,10 +49,12 @@ import numpy as np
 from .domain import EnergyLedger, Sample, SampleTable
 
 
-# Batches whose features train_epoch gathers with one call: few enough that
+# Batches whose features train_epoch gathers with one call, and whose losses
+# it checks for divergence with one snapshot of the weights: few enough that
 # the float64 buffer stays small (16 batches of 32 rows of 32 features and
-# the ones column, 33 columns, is 132 KiB), many enough that the gather's
-# per-call cost is spread thin.
+# the ones column, 33 columns, is 132 KiB) and a diverging group replays
+# little, many enough that the gather's and the check's per-call costs are
+# spread thin.
 GATHER_BATCHES = 16
 
 
@@ -163,19 +169,29 @@ def train_epoch(
     buffer whose last column is ones.
 
     Everything else a step needs is built once per epoch: each row's
-    true-class index into its batch's flattened logits, an activation
-    buffer whose last column is ones, buffer views and the step scale
-    ``learning_rate / n`` per batch size, and a gradient vector laid out
-    like ``params``, with the same ``[w1; b1]`` and ``[w2; b2]`` views. A
-    step then makes only its arithmetic calls, in place: two affine
-    products with ``tanh`` between them; a softmax that overwrites the
-    logits; the true-class probabilities taken out (and put back less one,
-    which turns the softmax into ``n`` times ``dlogits``), then one scaling
-    by the step scale; one product per layer for its weight and bias steps
-    together; and ``params -= grads``. An underflowed true-class
-    probability is a real divergence signal: its log is left unclamped (its
-    divide warning is silenced), the loss comes out non-finite and the
-    epoch halts before that step's update.
+    true-class index into its batch's flattened logits, one feature-major
+    ``(h + 1, n)`` activation buffer per batch size whose last row is ones
+    (so the hidden layer's rows are contiguous), buffer views and the step
+    scale ``learning_rate / n`` per batch size, and a gradient vector laid
+    out like ``params``, with the same ``[w1; b1]`` and ``[w2; b2]`` views.
+    A step then makes only its arithmetic calls, in place: the transposed
+    first affine product and ``tanh`` into the activation buffer; the second
+    affine product; a softmax that overwrites the logits; the true-class
+    probabilities taken out into one per-epoch buffer (and put back less
+    one, which turns the softmax into ``n`` times ``dlogits``), then one
+    scaling by the step scale; one product per layer for its weight and
+    bias steps together; and ``params -= grads``. The step runs the same
+    operations in the same order as the plain feature-major affine step.
+
+    The losses are checked once per gather group: one ``log`` over the
+    group's probabilities and one row-wise sum per run of equal batch sizes
+    give each batch's loss, and the epoch loss adds ``loss * n`` in step
+    order. A group starts from a snapshot of ``params``. An underflowed
+    true-class probability is a real divergence signal: its log is left
+    unclamped (its divide warning is silenced) and the loss comes out
+    non-finite. A group with a non-finite loss restores its snapshot,
+    replays the steps before the first such loss and raises, so the weights
+    are those the step before it left.
     """
     if not batches:
         raise ValueError("train_epoch needs at least one batch")
@@ -194,63 +210,88 @@ def train_epoch(
     n_classes = len(state.class_order)
     # [w1; b1] and [w2; b2]: each layer's weights over its bias row
     split = (dim + 1) * hidden_width
-    w1a = params[:split].reshape(dim + 1, hidden_width)
+    w1a_t = params[:split].reshape(dim + 1, hidden_width).T
     w2a = params[split:].reshape(hidden_width + 1, n_classes)
-    w2_t = state.w2.T
+    w2 = state.w2
     grads = np.empty_like(params)
     dw1a = grads[:split].reshape(dim + 1, hidden_width)
     dw2a = grads[split:].reshape(hidden_width + 1, n_classes)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    snapshot = np.empty_like(params)
+    ends = np.cumsum(sizes).tolist()
+    starts = [end - n for end, n in zip(ends, sizes)]
     true = (np.arange(len(rows)) - np.repeat(starts, sizes)) * n_classes + columns
+    # each row's true-class probability, then its log; each batch's loss
+    probs = np.empty(len(rows))
+    losses = np.empty(len(sizes))
     widest = max(sizes)
-    # inputs and activations each end in a ones column, the bias rows' input
+    # the inputs end in a ones column, the first layer's bias rows' input
     x_rows = np.ones((min(len(rows), GATHER_BATCHES * widest), dim + 1))
-    act_rows = np.ones((widest, hidden_width + 1))
-    hidden_rows = np.empty((widest, hidden_width))
     logit_rows = np.empty((widest, n_classes))
     row_sums = np.empty((widest, 1))
-    dz1_rows = np.empty((widest, hidden_width))
     views = {}
     for n in set(sizes):
-        act, logits = act_rows[:n], logit_rows[:n]
-        views[n] = (hidden_rows[:n], act, act[:, :hidden_width], logits, logits.reshape(-1),
-                    row_sums[:n], dz1_rows[:n], learning_rate / n)
-    steps = list(zip(sizes, starts.tolist(), ends.tolist(), map(views.get, sizes)))
+        # feature-major: one row per hidden unit, then the ones row
+        act_t = np.ones((hidden_width + 1, n))
+        dz1 = np.empty((hidden_width, n))
+        logits = logit_rows[:n]
+        views[n] = (act_t, act_t[:hidden_width], act_t.T, dz1, dz1.T, np.empty((hidden_width, n)),
+                    logits, logits.reshape(-1), logits.T, row_sums[:n], learning_rate / n)
+    groups = []
+    for first in range(0, len(sizes), GATHER_BATCHES):
+        last = min(first + GATHER_BATCHES, len(sizes))
+        base = starts[first]
+        steps = [(x_rows[starts[i] - base : ends[i] - base].T, true[starts[i] : ends[i]],
+                  probs[starts[i] : ends[i]], views[sizes[i]]) for i in range(first, last)]
+        # each run of equal batch sizes: its log-probabilities, one row per
+        # batch, and its batches' losses
+        runs, i = [], first
+        for n, same in itertools.groupby(sizes[first:last]):
+            k = sum(1 for _ in same)
+            runs.append((probs[starts[i] : ends[i + k - 1]].reshape(k, n), losses[i : i + k], n))
+            i += k
+        groups.append((first, last, base, ends[last - 1], steps, runs))
+
+    def descend(steps):
+        for bx_t, at, p, (act_t, hidden, act, dz1, dz1_t, slope, logits, flat, logits_t, row,
+                          scale) in steps:
+            np.dot(w1a_t, bx_t, out=hidden)
+            np.tanh(hidden, out=hidden)
+            np.dot(act, w2a, out=logits)
+            np.maximum.reduce(logits, axis=1, keepdims=True, out=row)
+            logits -= row
+            np.exp(logits, out=logits)
+            np.add.reduce(logits, axis=1, keepdims=True, out=row)
+            logits /= row
+            flat.take(at, out=p, mode="clip")
+            flat.put(at, p - 1.0)
+            logits *= scale
+            np.dot(act_t, logits, out=dw2a)
+            np.dot(w2, logits_t, out=dz1)
+            # tanh' = 1 - tanh^2, over the pre-activations tanh has consumed
+            np.multiply(hidden, hidden, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            dz1 *= slope
+            np.dot(bx_t, dz1_t, out=dw1a)
+            np.subtract(params, grads, out=params)
+
     total = 0.0
     with np.errstate(divide="ignore"):
-        for first in range(0, len(steps), GATHER_BATCHES):
-            group = steps[first : first + GATHER_BATCHES]
-            base = group[0][1]
-            x = x_rows[: group[-1][2] - base]
-            x[:, :dim] = table.features.take(rows[base : group[-1][2]], axis=0)
-            for n, start, end, (hidden, act, tanh, logits, flat, row, dz1, scale) in group:
-                bx = x[start - base : end - base]
-                at = true[start:end]
-                np.dot(bx, w1a, out=hidden)
-                np.tanh(hidden, out=tanh)
-                np.dot(act, w2a, out=logits)
-                np.maximum.reduce(logits, axis=1, keepdims=True, out=row)
-                logits -= row
-                np.exp(logits, out=logits)
-                np.add.reduce(logits, axis=1, keepdims=True, out=row)
-                logits /= row
-                p = flat.take(at)
-                flat.put(at, p - 1.0)
-                np.log(p, out=p)
-                loss = -float(np.add.reduce(p)) / n
-                logits *= scale
-                np.dot(act.T, logits, out=dw2a)
-                np.dot(logits, w2_t, out=dz1)
-                # tanh' = 1 - tanh^2, over the pre-activations tanh has consumed
-                np.multiply(tanh, tanh, out=hidden)
-                np.subtract(1.0, hidden, out=hidden)
-                dz1 *= hidden
-                np.dot(bx.T, dz1, out=dw1a)
-                if not math.isfinite(loss):
-                    raise LearnerDiverged(f"non-finite loss {loss}")
-                params -= grads
+        for first, last, base, stop, steps, runs in groups:
+            x_rows[: stop - base, :dim] = table.features.take(rows[base:stop], axis=0)
+            np.copyto(snapshot, params)
+            descend(steps)
+            np.log(probs[base:stop], out=probs[base:stop])
+            for logs, run_losses, n in runs:
+                np.add.reduce(logs, axis=1, out=run_losses)
+                run_losses /= -n
+            for loss, n in zip(losses[first:last].tolist(), sizes[first:last]):
                 total += loss * n
+            # a loss is never negative, so the sum is finite iff every loss is
+            if not math.isfinite(total):
+                bad = int(np.argmin(np.isfinite(losses[first:last])))
+                np.copyto(params, snapshot)
+                descend(steps[:bad])
+                raise LearnerDiverged(f"non-finite loss {float(losses[first + bad])}")
     return state, total / len(rows)
 
 

@@ -359,20 +359,21 @@ def test_sweep_refuses_a_warmup_without_a_live_epoch_before_any_run(monkeypatch)
 # entries were written straight from their records; each decisions file was
 # re-recorded when it gained an empty ``reuses`` list, and each trace file
 # when the training step folded each layer's bias into its matrix product,
-# which moves the trace's loss column by rounding alone
+# and again when it moved to feature-major hidden activations, each of which
+# moves the trace's loss column by rounding alone
 PINNED_REPORTS = {
     # re-recorded when every profiling subsample became EM's class-quota draw,
     # and again when each profiled task began continuing from the profiler's
     # warm state (its decisions file did not move)
     "adaptive": {
         "summary": "70ea6246b6eec2bbb849e5b614d8aeffbcaa0c4971d843ba75f683823db15ee3",
-        "trace": "cc5ae4fa7faf206f1847846da2748026ef3b6468853395fab090bf7559c5091a",
+        "trace": "1a3e1453e1b5e6fd610311ebff929e20ba616db1983332510bc284d9b9fd3cd3",
         "decisions": "24786aa03b003c66e525f682fa1b5de73baebf7f32eb6e2457953a3593a70ea2",
         "scatter": "ffa07cd5573d14c23e918b6a14048878d18cf967b4897726757d6485a42855fa",
     },
     "congested": {
         "summary": "cf7ee266e447efb34c4695b56f312ea06c94b53c9ea671108e97b86994722bd0",
-        "trace": "5fae29a42a5a147aeeaa88641e973ec6dab29f14c70c25a1c0bef78b65d25b49",
+        "trace": "370e19986774945b61cc75694b37056ed2de2e9206e7d90572376430a0b9adf2",
         "decisions": "47db0cc87c829cc1aaa45c7111541dc2af12e57e88f33e99a4e76d8560dd6e3c",
         "scatter": "6cfcb4d5181de0a140facff8332ea2b863ad312fe067bd78af6f456d4083e78a",
     },

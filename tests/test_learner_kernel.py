@@ -1,19 +1,25 @@
-"""The learner's training kernel equals the plain affine step, bit for bit.
+"""The learner's training kernel equals the plain feature-major affine
+step, bit for bit.
 
 ``reference_train_epoch`` below is that step as plainly written: each layer
 is one product of its input, with a ones column appended, and its weights
-stacked over its bias row (``np.vstack`` copies); ``dlogits`` is scaled by
-``learning_rate / n`` once, and each layer's weight and bias gradients come
-from one product. It takes one ``ensure_classes`` per batch, a fresh
-temporary per operation, ``np.mean`` for the loss and the ``.max``/``.sum``
-wrappers for the softmax. The kernel in ``hiercl.learner`` reorders none of
-that arithmetic; it only maps labels once per epoch and reuses temporaries.
-These tests hold it to that: the same weights, head order, learner
-generator state, loss and evaluation, exactly.
+stacked over its bias row (``np.vstack`` copies); the hidden layer is
+feature-major, ``tanh([w1; b1].T @ x.T)`` with one column per sample and a
+ones row appended; ``dlogits`` is scaled by ``learning_rate / n`` once, and
+each layer's weight and bias gradients come from one product. It takes one
+``ensure_classes`` per batch, a fresh temporary per operation, ``np.mean``
+for the loss, the ``.max``/``.sum`` wrappers for the softmax and checks each
+loss before its update. The kernel in ``hiercl.learner`` reorders none of
+that arithmetic; it only maps labels once per epoch, reuses temporaries and
+checks the losses once per gather group. These tests hold it to that: the
+same weights, head order, learner generator state, loss and evaluation,
+exactly, and on divergence the same state wherever in a group the bad batch
+falls.
 
-``unfolded_train_epoch`` is the step before the bias rows were folded in:
+``row_major_train_epoch`` is the same step with one row per sample, and
+``unfolded_train_epoch`` the step before the bias rows were folded in:
 separate bias adds and bias reductions, and the step size applied to the
-gradients. It rounds differently, so the kernel is held to it within a
+gradients. Each rounds differently, so the kernel is held to each within a
 measured tolerance. Evaluation is still unfolded, and is held to
 ``unfolded_forward`` exactly.
 """
@@ -50,7 +56,56 @@ def with_ones(a):
 
 def reference_loss_and_grads(state, x, y_idx, learning_rate):
     """The loss and each layer's step, ``learning_rate`` times its gradient,
-    over the stacked weights ``[w1; b1]`` and ``[w2; b2]``."""
+    over the stacked weights ``[w1; b1]`` and ``[w2; b2]``; the hidden
+    layer's activations are feature-major, one column per sample."""
+    n = x.shape[0]
+    w1a = np.vstack([state.w1, state.b1])
+    w2a = np.vstack([state.w2, state.b2])
+    xa = with_ones(x)
+    hidden = np.tanh(w1a.T @ xa.T)
+    act = np.vstack([hidden, np.ones((1, n))])
+    probs = reference_softmax(act.T @ w2a)
+    with np.errstate(divide="ignore"):
+        loss = float(-np.mean(np.log(probs[np.arange(n), y_idx])))
+    dlogits = probs
+    dlogits[np.arange(n), y_idx] -= 1.0
+    dlogits *= learning_rate / n
+    dw2a = act @ dlogits
+    dz1 = (state.w2 @ dlogits.T) * (1.0 - hidden**2)
+    dw1a = xa.T @ dz1.T
+    return loss, dw1a, dw2a
+
+
+def descend(state, batches, learning_rate, table, loss_and_grads):
+    labels = [table.labels[batch] for batch in batches]
+    for batch_labels in labels:
+        ensure_classes(state, batch_labels.tolist())
+    by_rank = np.argsort(state.class_order)
+    ranked = np.asarray(state.class_order)[by_rank]
+    total = 0.0
+    count = 0
+    for batch, batch_labels in zip(batches, labels):
+        x = table.features[batch].astype(np.float64)
+        y = by_rank[np.searchsorted(ranked, batch_labels)]
+        loss, dw1a, dw2a = loss_and_grads(state, x, y, learning_rate)
+        if not np.isfinite(loss):
+            raise LearnerDiverged(f"non-finite loss {loss}")
+        state.w1 -= dw1a[:-1]
+        state.b1 -= dw1a[-1]
+        state.w2 -= dw2a[:-1]
+        state.b2 -= dw2a[-1]
+        total += loss * len(batch)
+        count += len(batch)
+    return state, total / count
+
+
+def reference_train_epoch(state, batches, learning_rate, table):
+    return descend(state, batches, learning_rate, table, reference_loss_and_grads)
+
+
+def row_major_loss_and_grads(state, x, y_idx, learning_rate):
+    """``reference_loss_and_grads`` with sample-major activations, one row
+    per sample."""
     n = x.shape[0]
     w1a = np.vstack([state.w1, state.b1])
     w2a = np.vstack([state.w2, state.b2])
@@ -69,27 +124,8 @@ def reference_loss_and_grads(state, x, y_idx, learning_rate):
     return loss, dw1a, dw2a
 
 
-def reference_train_epoch(state, batches, learning_rate, table):
-    labels = [table.labels[batch] for batch in batches]
-    for batch_labels in labels:
-        ensure_classes(state, batch_labels.tolist())
-    by_rank = np.argsort(state.class_order)
-    ranked = np.asarray(state.class_order)[by_rank]
-    total = 0.0
-    count = 0
-    for batch, batch_labels in zip(batches, labels):
-        x = table.features[batch].astype(np.float64)
-        y = by_rank[np.searchsorted(ranked, batch_labels)]
-        loss, dw1a, dw2a = reference_loss_and_grads(state, x, y, learning_rate)
-        if not np.isfinite(loss):
-            raise LearnerDiverged(f"non-finite loss {loss}")
-        state.w1 -= dw1a[:-1]
-        state.b1 -= dw1a[-1]
-        state.w2 -= dw2a[:-1]
-        state.b2 -= dw2a[-1]
-        total += loss * len(batch)
-        count += len(batch)
-    return state, total / count
+def row_major_train_epoch(state, batches, learning_rate, table):
+    return descend(state, batches, learning_rate, table, row_major_loss_and_grads)
 
 
 def unfolded_forward(state, x):
@@ -215,49 +251,69 @@ def test_kernel_equals_textbook_step_bit_for_bit(plan, dim, hidden, dtype, learn
     assert evaluate(kernel, probe_arrays(probes)) == average
 
 
-@pytest.mark.parametrize("short", [1, 7], ids=["last-batch-1", "last-batch-7"])
-def test_kernel_equals_textbook_step_at_the_bench_shapes(short):
-    """BLAS takes other code paths at the bench's sizes than at the property
-    test's: 32 features, 32 hidden units, batches of 32 over 100 classes,
-    more batches than one feature gather holds and a short last batch."""
+def bench_shape_epochs(short, other_train_epoch):
+    """Two epochs at the bench's shapes, where BLAS takes other code paths
+    than at the property test's: 32 features, 32 hidden units, batches of 32
+    over 100 classes, more batches than one feature gather holds and a last
+    batch of ``short`` rows. The kernel and ``other_train_epoch`` train from
+    one initial state; each epoch yields (kernel state, its loss, the other
+    state, its loss)."""
     dim, hidden, batch_size, n_classes = 32, 32, 32, 100
     n_rows = batch_size * (GATHER_BATCHES + 3) + short
     labels = np.random.default_rng(short).integers(n_classes, size=2 * n_rows)
     table, rows = packed(make_task(labels, dim, np.float32, short))
     kernel = init_learner(dim, hidden, short)
-    reference = copy_state(kernel)
+    other = copy_state(kernel)
     for epoch_rows in (rows[:n_rows], rows[n_rows:]):
         batches = [epoch_rows[i : i + batch_size] for i in range(0, n_rows, batch_size)]
         _, loss = train_epoch(kernel, batches, 0.1, table)
-        _, expected = reference_train_epoch(reference, batches, 0.1, table)
+        _, expected = other_train_epoch(other, batches, 0.1, table)
+        yield kernel, loss, other, expected
+
+
+BENCH_SHORT = pytest.mark.parametrize("short", [1, 7], ids=["last-batch-1", "last-batch-7"])
+
+
+@BENCH_SHORT
+def test_kernel_equals_textbook_step_at_the_bench_shapes(short):
+    for kernel, loss, reference, expected in bench_shape_epochs(short, reference_train_epoch):
         assert loss == expected
         assert exact_state(kernel) == exact_state(reference)
-    assert len(kernel.class_order) == n_classes
+    assert len(kernel.class_order) == 100
 
 
 # Folding the biases in moves the kernel off the unfolded step by rounding
-# alone. Over 40 seeds of the test below, two epochs moved a weight by at
-# most 3.3e-16 (weights reach about 0.8) and a loss by at most 1.9e-16 of
-# itself; the bounds leave thirty times that.
+# alone. Over 40 seeds of the test below, two epochs of the feature-major
+# kernel moved a weight by at most 3.3e-16 (weights reach about 0.8) and a
+# loss by at most 3.7e-16 of itself; the bounds leave about thirty times that.
 FOLDED_WEIGHT_ATOL = 1e-14
 FOLDED_LOSS_RTOL = 1e-14
 
 
-@pytest.mark.parametrize("short", [1, 7], ids=["last-batch-1", "last-batch-7"])
+@BENCH_SHORT
 def test_folded_step_stays_within_rounding_of_the_unfolded_step(short):
-    dim, hidden, batch_size, n_classes = 32, 32, 32, 100
-    n_rows = batch_size * (GATHER_BATCHES + 3) + short
-    labels = np.random.default_rng(short).integers(n_classes, size=2 * n_rows)
-    table, rows = packed(make_task(labels, dim, np.float32, short))
-    kernel = init_learner(dim, hidden, short)
-    unfolded = copy_state(kernel)
-    for epoch_rows in (rows[:n_rows], rows[n_rows:]):
-        batches = [epoch_rows[i : i + batch_size] for i in range(0, n_rows, batch_size)]
-        _, loss = train_epoch(kernel, batches, 0.1, table)
-        _, expected = unfolded_train_epoch(unfolded, batches, 0.1, table)
+    for kernel, loss, unfolded, expected in bench_shape_epochs(short, unfolded_train_epoch):
         assert loss == pytest.approx(expected, rel=FOLDED_LOSS_RTOL, abs=0)
         np.testing.assert_allclose(kernel.params, unfolded.params, rtol=0, atol=FOLDED_WEIGHT_ATOL)
         assert exact_state(kernel)[1:] == exact_state(unfolded)[1:]
+
+
+# Feature-major activations move the kernel off the row-major step by
+# rounding alone: BLAS sums the first layer's transposed product in another
+# order. Over 40 seeds of the test below, two epochs moved a weight by at
+# most 2.2e-16 (weights reach about 0.8) and a loss by at most 3.7e-16 of
+# itself; the bounds leave about thirty times that.
+FEATURE_MAJOR_WEIGHT_ATOL = 7e-15
+FEATURE_MAJOR_LOSS_RTOL = 1e-14
+
+
+@BENCH_SHORT
+def test_feature_major_step_stays_within_rounding_of_the_row_major_step(short):
+    for kernel, loss, row_major, expected in bench_shape_epochs(short, row_major_train_epoch):
+        assert loss == pytest.approx(expected, rel=FEATURE_MAJOR_LOSS_RTOL, abs=0)
+        np.testing.assert_allclose(kernel.params, row_major.params, rtol=0,
+                                   atol=FEATURE_MAJOR_WEIGHT_ATOL)
+        assert exact_state(kernel)[1:] == exact_state(row_major)[1:]
 
 
 def test_mid_epoch_divergence_keeps_the_last_finite_weights():
@@ -276,3 +332,35 @@ def test_mid_epoch_divergence_keeps_the_last_finite_weights():
             reference_train_epoch(reference, batches, 1e30, table)
     assert exact_state(kernel) == exact_state(reference)
     assert exact_state(kernel)[0] != initial[0]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [0, GATHER_BATCHES // 2, GATHER_BATCHES - 1, GATHER_BATCHES, GATHER_BATCHES + 3],
+    ids=["first-step", "mid-group", "last-of-group", "first-of-second-group", "short-last-batch"],
+)
+def test_divergence_anywhere_in_a_gather_group_keeps_the_reference_state(bad):
+    """A NaN feature gives its batch a NaN loss. The kernel checks losses
+    once per gather group, so wherever that batch falls, it must leave the
+    weights, head order and generator the reference leaves: those after the
+    step before it, with every head column the epoch grew."""
+    batch_size, n_batches = 3, GATHER_BATCHES + 4
+    n_rows = batch_size * (n_batches - 1) + 1
+    # classes keep arriving through the epoch, so the head grows batch by batch
+    labels = np.minimum(np.arange(n_rows) // 5, 9)
+    task = make_task(labels, 4, np.float32, bad)
+    task.features[bad * batch_size, 2] = np.nan
+    table, rows = packed(task)
+    batches = [rows[i : i + batch_size] for i in range(0, n_rows, batch_size)]
+    assert len(batches) == n_batches and len(batches[-1]) == 1
+    kernel = init_learner(4, 6, bad)
+    reference = copy_state(kernel)
+    initial = exact_state(kernel)
+    with pytest.raises(LearnerDiverged, match="non-finite loss nan"):
+        train_epoch(kernel, batches, 0.3, table)
+    with pytest.raises(LearnerDiverged, match="non-finite loss nan"):
+        reference_train_epoch(reference, batches, 0.3, table)
+    assert exact_state(kernel) == exact_state(reference)
+    assert len(kernel.class_order) == 10
+    # the steps before the bad one moved the weights
+    assert (exact_state(kernel)[0][:2] != initial[0][:2]) == (bad > 0)

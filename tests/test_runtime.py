@@ -405,17 +405,18 @@ class TestWarmStart:
         no warmup there is nothing to continue from, so nothing moves. The
         report digest was re-recorded when RunReport gained ``reuses``, for
         that empty list alone, and both digests when the training step
-        folded each layer's bias into its matrix product, for the losses and
-        weights it moves by rounding."""
+        folded each layer's bias into its matrix product, and again when it
+        moved to feature-major hidden activations, for the losses and
+        weights each moves by rounding."""
         stream = tiny_stream()
         profiler = ProfilerConfig(conf_sample_size=4, warmup_epochs=0, profile_epochs=2, subsample=0.2)
         runtime = Runtime(tiny_config(profiler=profiler))
         report = runtime.run(stream.tasks, stream.probe_sets)
         assert hashlib.sha256(repr(report).encode()).hexdigest() == (
-            "6a234e70fa3887d323f5a334744b163f69091b7bad4a6cf49be9091469a37d04"
+            "d86887882a02a7a0e9fc43f17a4ab1f900b985641d8756284e566ff0a8b50912"
         )
         assert _weights_digest(runtime.state) == (
-            "a4de6c06b1ff56d6e711322c8cf8f74329e141dd1a0d919ac233bc4bd20e0685"
+            "97e9fc8d71b7c2e3efd791732d4b32d797a4abf0feb27f369a7b84fd70928a74"
         )
 
     def test_live_model_is_the_warm_state_after_profiling(self, monkeypatch):
@@ -884,7 +885,8 @@ class TestLearnerPathPinned:
     packed into one table. A change to how batches, probes or the profiler's
     subsamples reach the learner that moves a single bit fails here. The
     losses and the digests were re-recorded when the training step folded
-    each layer's bias into its matrix product, which moves them by rounding
+    each layer's bias into its matrix product, and again when it moved to
+    feature-major hidden activations, each of which moves them by rounding
     alone; the accuracies and profile records held."""
 
     def test_tiny_adaptive_run_pinned(self):
@@ -898,9 +900,9 @@ class TestLearnerPathPinned:
             1: {1: 1.0}, 2: {1: 0.6666666666666666, 2: 1.0}
         }
         assert [r.loss for r in report.epoch_rows] == [
-            0.11266839924526538, 0.0783667340492048, 0.06354226364221675,
-            0.05170414952140939, 0.26898061691168146, 0.13011115077223384,
-            0.0845903344515018, 0.06131881920265652,
+            0.11266839924526538, 0.07836673404920483, 0.06354226364221675,
+            0.051704149521409386, 0.2689806169116814, 0.13011115077223384,
+            0.08459033445150178, 0.0613188192026565,
         ]
         records = [
             (t, r.conf.sb_size, r.conf.em_size, r.accuracy_estimate, r.energy_estimate)
@@ -917,7 +919,7 @@ class TestLearnerPathPinned:
             (2, 100, 100, 0.9583333333333334, 1.1412),
         ]
         assert _weights_digest(runtime.state) == (
-            "c13f70dd33a656e76d313e4aa1919590a152e1bd7c2c1375a8f0f182e2241857"
+            "d1fef5c805232a1371122db610f83e73fb27c91ec4d9ec3180ef8b1af641fb2a"
         )
 
     def test_static_desk_run_pinned(self):
@@ -942,13 +944,13 @@ class TestLearnerPathPinned:
         assert report.final_average_accuracy == 0.9525
         assert report.accuracy_matrix == {1: {1: 0.985}, 2: {1: 0.9349999999999999, 2: 0.97}}
         losses = [r.loss for r in report.epoch_rows]
-        assert len(losses) == 40 and losses[-1] == 0.15073277732500232
+        assert len(losses) == 40 and losses[-1] == 0.15073277732500234
         assert hashlib.sha256(repr(losses).encode()).hexdigest() == (
-            "31d61d0a312b3e5285d28646801bee8d47bb9ce9ee9a82726aa3fe2f2a0f8982"
+            "a465dd405de7f3e78512cf6d7d531ee75e96d64c3ab78b147adcbee7b48fa3ed"
         )
         assert report.profile_trace == []
         assert _weights_digest(runtime.state) == (
-            "89e5a3ea8ffecd56fb85bc4d6bc97cd330e6a8da0f25f411db569fbd9dd50fdb"
+            "039426813078f37220f0cd2a9076af8de846f220ee11428cd8e8d815a65c9118"
         )
 
 
@@ -964,13 +966,13 @@ class TestLearnerPathPinned:
             # profiler's warm state (and the config got a warmup below its epochs)
             (
                 "adaptive",
-                "20aa86a8acfca6a5993a320b1005eeb204c6496a679ac22fdd5bba8e40750405",
-                "03898b5b142a6095f9a64632caa54d7c0abb51867942ad731deb1d04504e5da1",
+                "6fd673cc3dc49f8ad862bb12af1607ead8f4e392973d11cbd7d7eacefb421ce5",
+                "fda078d03b195d819e796db62c5dd2cef21b4ef4db28310600f84cd960e50488",
             ),
             (
                 "static",
-                "4fbe3055062d8c27c47796d18a9729111e4a5c501a1b6a80df4330afbc521aa2",
-                "dcacaee2c0e0673ace1a9e97f976231f714d2ec306d4a71e42774765b9dfec97",
+                "98ce3b4440de15c31433a5656d0094f295150eec2e42e9384519034dd5ddd4b3",
+                "c3f9c39e5d2862b7827eadf3f35a74d0c9b78e6c6efac51c89fe712ed4ddc62f",
             ),
         ],
         ids=["adaptive", "static"],
