@@ -234,8 +234,8 @@ def train_epoch(
         act_t = np.ones((hidden_width + 1, n))
         dz1 = np.empty((hidden_width, n))
         logits = logit_rows[:n]
-        views[n] = (act_t, act_t[:hidden_width], act_t.T, dz1, dz1.T, np.empty((hidden_width, n)),
-                    logits, logits.reshape(-1), logits.T, row_sums[:n], learning_rate / n)
+        views[n] = (act_t, act_t[:hidden_width], act_t.T, dz1, dz1.T, logits, logits.reshape(-1),
+                    logits.T, row_sums[:n], learning_rate / n)
     groups = []
     for first in range(0, len(sizes), GATHER_BATCHES):
         last = min(first + GATHER_BATCHES, len(sizes))
@@ -252,7 +252,7 @@ def train_epoch(
         groups.append((first, last, base, ends[last - 1], steps, runs))
 
     def descend(steps):
-        for bx_t, at, p, (act_t, hidden, act, dz1, dz1_t, slope, logits, flat, logits_t, row,
+        for bx_t, at, p, (act_t, hidden, act, dz1, dz1_t, logits, flat, logits_t, row,
                           scale) in steps:
             np.dot(w1a_t, bx_t, out=hidden)
             np.tanh(hidden, out=hidden)
@@ -267,10 +267,11 @@ def train_epoch(
             logits *= scale
             np.dot(act_t, logits, out=dw2a)
             np.dot(w2, logits_t, out=dz1)
-            # tanh' = 1 - tanh^2, over the pre-activations tanh has consumed
-            np.multiply(hidden, hidden, out=slope)
-            np.subtract(1.0, slope, out=slope)
-            dz1 *= slope
+            # tanh' = 1 - tanh^2, over the activations: both products that
+            # read them are done, and the next step's first product rewrites them
+            np.multiply(hidden, hidden, out=hidden)
+            np.subtract(1.0, hidden, out=hidden)
+            dz1 *= hidden
             np.dot(bx_t, dz1_t, out=dw1a)
             np.subtract(params, grads, out=params)
 
