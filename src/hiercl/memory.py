@@ -6,8 +6,9 @@ slice, not a store: the current task's rows in arrival order, cut at the
 chosen conf's ``sb_size``, so resizing SB only moves the cut. Only SB's rows
 and EM's rows are replayed; the rest of the task waits for the archive,
 which takes every task row at flush. The archive keeps one row array per
-class. EM keeps one row array per class (its slots) and a row-indexed slot
-array, so membership and replacement are array lookups rather than scans.
+class. EM keeps one row array of its slots, ordered by class and then slot,
+with each class's bounds in it, and a row-indexed slot array, so membership
+and replacement are array lookups rather than scans.
 
 EM is kept class-balanced: capacity is split into per-class quotas
 (floor of capacity / classes, remainders to the lowest class ids) and every
@@ -83,11 +84,11 @@ class StorageArchive:
 class EpisodicMemory:
     """Bounded in-memory store of old samples, class-balanced by quota.
 
-    ``_pools[c]`` is class ``c``'s slots, a row array. ``_slot[row]`` is the
-    row's position in its class's slots, or -1 when EM does not hold it; it
-    is the one record of which rows are held, so a membership test or a
-    replacement is an array lookup. It spans the table's rows, sized once
-    at construction: a run builds its table whole before it builds EM.
+    ``_rows`` is every held row by ascending class id and then slot, and
+    ``_bounds[c]`` is class ``c``'s ``(start, end)`` in it. ``_slot[row]`` is
+    the row's position in ``_rows``, or -1 when EM does not hold it: the one
+    record of which rows are held, so a membership test or a replacement is
+    an array lookup. It spans the table's rows, sized once at construction.
     """
 
     def __init__(self, capacity: int, table: SampleTable):
@@ -95,15 +96,16 @@ class EpisodicMemory:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
         self.table = table
-        self._pools: dict[int, np.ndarray] = {}
+        self._rows = np.empty(0, np.intp)
+        self._bounds: dict[int, tuple[int, int]] = {}
         self._slot = np.full(len(table.labels), -1, np.intp)
 
     @property
     def total(self) -> int:
-        return sum(len(pool) for pool in self._pools.values())
+        return len(self._rows)
 
     def counts(self) -> dict[int, int]:
-        return {c: len(pool) for c, pool in sorted(self._pools.items()) if len(pool)}
+        return {c: end - start for c, (start, end) in self._bounds.items() if end > start}
 
     def holds(self, rows: ArrayLike) -> np.ndarray:
         """Whether EM holds each row."""
@@ -114,43 +116,32 @@ class EpisodicMemory:
         return self._slot >= 0
 
     def class_rows(self, class_id: int) -> np.ndarray:
-        """The class's held rows in slot order."""
-        return self._pools.get(class_id, NO_ROWS)
+        """The class's held rows in slot order, a read-only view."""
+        return self.rows()[slice(*self._bounds.get(class_id, (0, 0)))]
 
     def rows(self) -> np.ndarray:
-        """All held rows, ordered by class id then slot position."""
-        pools = [self._pools[c] for c in sorted(self._pools)]
-        return np.concatenate(pools) if pools else NO_ROWS
+        """All held rows, ordered by class id then slot position: a
+        read-only view that a later ``replace`` writes through."""
+        view = self._rows.view()
+        view.flags.writeable = False
+        return view
 
     def replace(self, old_rows: ArrayLike, new_rows: ArrayLike) -> int:
         """Swap held rows for same-class rows EM does not hold, pairwise and
         in place; returns how many pairs were applied. A pair whose old row
         is not held, whose new row is held, or whose rows differ in class is
-        refused. The rows of a call must be distinct. The applied pairs are
-        split by class once (``class_runs``), and each class's slots are
-        written with one assignment."""
+        refused. The rows of a call must be distinct. Each new row takes
+        its old row's position in ``_rows``, all in one assignment."""
         old = np.atleast_1d(np.asarray(old_rows, dtype=np.intp))
         new = np.atleast_1d(np.asarray(new_rows, dtype=np.intp))
         labels = self.table.labels
-        old_labels = labels[old]
-        ok = self.holds(old) & ~self.holds(new) & (old_labels == labels[new])
+        ok = self.holds(old) & ~self.holds(new) & (labels[old] == labels[new])
         old, new = old[ok], new[ok]
         pos = self._slot[old]
-        order, runs = class_runs(old_labels[ok])
-        for c, start, end in runs:
-            mine = order[start:end]
-            self._pools[c][pos[mine]] = new[mine]
+        self._rows[pos] = new
         self._slot[old] = -1
         self._slot[new] = pos
         return len(old)
-
-    def _evict_random(self, class_id: int, n: int, rng: np.random.Generator) -> None:
-        pool = self._pools[class_id]
-        gone = np.zeros(len(pool), dtype=bool)
-        gone[rng.choice(len(pool), size=n, replace=False)] = True
-        self._slot[pool[gone]] = -1
-        pool = self._pools[class_id] = pool[~gone]
-        self._slot[pool] = np.arange(len(pool))
 
     def rebalance(self, archive: StorageArchive, rng: np.random.Generator) -> None:
         """Re-split capacity across all archive classes and refill to quota.
@@ -158,25 +149,34 @@ class EpisodicMemory:
         Over-quota classes evict uniformly at random; under-quota classes pull
         uniformly random archive samples not already held. A class whose
         archive pool is smaller than its quota simply stays short; the slack
-        is not redistributed.
+        is not redistributed. Classes draw in ascending order, then EM is
+        rebuilt once.
         """
         classes = archive.classes()
         quotas = class_quotas(self.capacity, classes)
         # read before any eviction or refill: classes share no rows, so one
         # class's changes cannot change another's candidates
         held = self.held()
+        pools = []
         for c in classes:
-            pool = self._pools.setdefault(c, NO_ROWS)
-            q = quotas.get(c, 0)
+            pool = self.class_rows(c)
+            q = quotas[c]
             if len(pool) > q:
-                self._evict_random(c, len(pool) - q, rng)
+                keep = np.ones(len(pool), dtype=bool)
+                keep[rng.choice(len(pool), size=len(pool) - q, replace=False)] = False
+                pool = pool[keep]
             elif len(pool) < q:
                 cands = archive.candidates(c, held)
                 want = min(q - len(pool), len(cands))
                 if want > 0:
-                    take = cands[rng.choice(len(cands), size=want, replace=False)]
-                    self._slot[take] = np.arange(len(pool), len(pool) + want)
-                    self._pools[c] = np.concatenate([pool, take])
+                    take = rng.choice(len(cands), size=want, replace=False)
+                    pool = np.concatenate([pool, cands[take]])
+            pools.append(pool)
+        ends = np.cumsum([len(pool) for pool in pools]).tolist()
+        self._slot[self._rows] = -1
+        self._rows = np.concatenate([NO_ROWS, *pools])
+        self._bounds = {c: (end - len(pool), end) for c, pool, end in zip(classes, pools, ends)}
+        self._slot[self._rows] = np.arange(len(self._rows))
 
     def resize(self, new_capacity: int, archive: StorageArchive, rng: np.random.Generator) -> None:
         if new_capacity < 0:

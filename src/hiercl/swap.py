@@ -193,10 +193,10 @@ class SwapEngine:
         live = fresh > 0
         if not live.any():
             return 0
-        drawn = np.concatenate([em.class_rows(c) for c, ok in zip(counts, live.tolist()) if ok])
+        drawn = em.rows()[np.repeat(live, held)]
         at = np.sort(rng.choice(len(drawn), size=math.ceil(percent * len(drawn)), replace=False))
-        # drawn is one run of rows per class, so the sorted picks are too:
-        # keep each class's first fresh-count picks
+        # EM's rows are one run per class, so drawn and the sorted picks are
+        # too: keep each class's first fresh-count picks
         ends = np.cumsum(held[live])
         first = np.searchsorted(at, ends - held[live])
         per_class = np.searchsorted(at, ends) - first

@@ -154,6 +154,21 @@ class TestReplace:
         held = em.rows()
         assert not em.replace(held[0], held[1])
 
+    def test_rows_are_a_read_only_view(self):
+        """Neither ``rows()`` nor ``class_rows`` can be written through, and
+        both are views: a later replacement shows in them."""
+        em, archive, rng = TestResize()._em_with_archive([1, 2], {1: 10, 2: 10}, capacity=10)
+        rows, ones = em.rows(), em.class_rows(1)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = rows[1]
+        with pytest.raises(ValueError, match="read-only"):
+            ones[0] = ones[1]
+        victim = int(rows[0])
+        fresh_row = archive.candidates(archive.table.labels[victim], em.held())[0]
+        assert em.replace(victim, fresh_row)
+        assert rows[0] == ones[0] == fresh_row
+        assert_slot_map_exact(em)
+
 
 class TestComposeBatches:
     def _filled(self, n_sb, n_em, batch, seed=0):
@@ -220,10 +235,16 @@ def test_randomized_balance_survives_operations():
 
 
 def assert_slot_map_exact(em: EpisodicMemory) -> None:
-    """The row->slot array names every held row at its position, and nothing else."""
-    held = {r: i for pool in em._pools.values() for i, r in enumerate(pool.tolist())}
-    assert {r: i for r, i in enumerate(em._slot.tolist()) if i >= 0} == held
-    assert em.total == len(held) == len(em.rows())
+    """The row->slot array is the inverse of ``rows()``: it names every held
+    row at its position, and nothing else. ``rows()`` is each class's rows
+    concatenated in ascending class order."""
+    rows = em.rows()
+    assert em._slot[rows].tolist() == list(range(len(rows)))
+    assert int(em.held().sum()) == em.total == len(rows)
+    counts = em.counts()
+    assert list(counts) == sorted(counts)
+    assert rows.tolist() == [r for c in counts for r in em.class_rows(c).tolist()]
+    assert [len(em.class_rows(c)) for c in counts] == list(counts.values())
 
 
 @settings(max_examples=100, deadline=None)

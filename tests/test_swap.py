@@ -205,18 +205,17 @@ class TestApplyOneDrawPerClass:
 
 
 def reference_replace(em, old, new):
-    """``EpisodicMemory.replace`` as first written: the pairs' labels are
-    recomputed and masked once per class."""
+    """``EpisodicMemory.replace`` as a plain loop over the pairs: a held old
+    row whose new row is unheld and of its class hands that row its
+    position in ``_rows``."""
     labels = em.table.labels
-    ok = em.holds(old) & ~em.holds(new) & (labels[old] == labels[new])
-    old, new = old[ok], new[ok]
-    pos = em._slot[old]
-    for c in set(labels[old].tolist()):
-        mine = labels[old] == c
-        em._pools[c][pos[mine]] = new[mine]
-    em._slot[old] = -1
-    em._slot[new] = pos
-    return len(old)
+    applied = 0
+    for o, n in zip(old.tolist(), new.tolist()):
+        if em._slot[o] >= 0 and em._slot[n] < 0 and labels[o] == labels[n]:
+            em._rows[em._slot[o]] = n
+            em._slot[n], em._slot[o] = em._slot[o], -1
+            applied += 1
+    return applied
 
 
 def reference_apply_completions(engine, em, now, rng):
@@ -288,7 +287,7 @@ class TestApplyEqualsPerClassLoop:
                 applied = engine.apply_completions(em, now, rng)
                 expected = reference_apply_completions(twin_engine, twin_em, now, twin_rng)
                 assert applied == expected
-            classes = sorted(set(em._pools) | set(twin_em._pools))
+            classes = sorted(set(em.counts()) | set(twin_em.counts()))
             assert [em.class_rows(c).tolist() for c in classes] == [
                 twin_em.class_rows(c).tolist() for c in classes
             ]
