@@ -3,21 +3,21 @@
 Cost is cut from three directions: only a uniform sample of the search
 space is profiled (default 14 confs), each conf trains on a small random
 subsample of its data (default 5%), and all confs start from copies of one
-shared warmed-up state so nobody re-pays the noisy early epochs. That warm
-state is no throwaway: the live task continues from it, so the warmup's
-epochs are the task's first epochs and are trained once. The recorded
-accuracy is the raw short-horizon value, not an extrapolation; the energy
-estimate is the cost model's projection of a full-length run at that conf.
-Nor is every task profiled: the runtime's ``AdaptivePolicy`` skips
-``profile_task`` for a task that reuses the conf the last two profiles
-agreed on, while the budget and the task size hold.
+shared warmed-up state so nobody re-pays the noisy early epochs. The warmup
+trains the live model itself: its epochs are the task's first epochs,
+trained once, and the live task continues from them. The recorded accuracy
+is the raw short-horizon value, not an extrapolation; the energy estimate is
+the cost model's projection of a full-length run at that conf. Nor is every
+task profiled: the runtime's ``AdaptivePolicy`` skips ``profile_task`` for a
+task that reuses the conf the last two profiles agreed on, while the budget
+and the task size hold.
 
-Profiling works entirely on copies and row arrays: every subsample is a
+Conf evaluation works on copies and row arrays: every subsample is a
 row-index array into the run's ``SampleTable``, and the probes are a prefix
-view of the run's probe table, scored in one forward pass. The live model
-and the live buffers are never touched. Every draw splits its rows by EM's
-``class_quotas``, and batches and joules come from the run's own
-``shuffled_batches`` and ``train_joules``.
+view of the run's probe table, scored in one forward pass. Only the warmup
+trains the live model, and the live buffers are never touched. Every draw
+splits its rows by EM's ``class_quotas``, and batches and joules come from
+the run's own ``shuffled_batches`` and ``train_joules``.
 
 Settings come from the run's ``RunConfig`` and old rows from its
 ``StorageArchive``, whose ``table`` every row indexes. Only the live budget
@@ -151,13 +151,10 @@ def draw_subsample(
 
 @dataclass
 class ProfileOutcome:
-    """The sampled confs' records, the grid size and the warm state: the
-    live model after ``warmup_epochs`` at the reference conf, from which
-    every conf evaluation copied and the live task continues."""
+    """The sampled confs' records and the grid size."""
 
     records: list[ProfileRecord]
     space_size: int
-    warm: LearnerState
     # simulated compute units (sample-epochs) spent per phase
     warmup_units: int = 0
     evaluation_units: int = 0
@@ -233,11 +230,10 @@ def profile_task(
     the sample always carries the reference, the grid conf nearest
     ``reference_target``: the current conf, or on the first task (None) the
     static split ``default_static_conf``. ``config.profiler`` sets the
-    sample size and the warmup, which trains at the reference with
-    ``config.batch_size`` and ``config.learning_rate``. The live model is
-    copied once for the warmup, and the warm state once per conf
-    evaluation; the caller's state is never mutated, and the warm state is
-    returned as ``ProfileOutcome.warm`` for the live task to continue from.
+    sample size and the warmup, which trains ``live_state`` itself at the
+    reference with ``config.batch_size`` and ``config.learning_rate``, for
+    the live task to continue from; each conf evaluation trains a copy of
+    it. A divergence in the warmup leaves it at its last finite step.
     """
     cfg = config.profiler
     table = archive.table
@@ -249,8 +245,7 @@ def profile_task(
     reference = nearest_conf(space, reference_target)
     confs = sample_confs(space, cfg.conf_sample_size, rng, reference)
 
-    # shared warm state at the reference conf, trained on full views
-    warm = copy_state(live_state)
+    # the live model warms up at the reference conf, trained on full views
     ref_data = task_rows[: min(reference.sb_size, task_size)]
     em_avail = sum(len(v) for v in em_pool_by_class.values())
     ref_em = min(reference.em_size, em_avail)
@@ -261,7 +256,7 @@ def profile_task(
     # trains every epoch itself
     for _ in range(cfg.warmup_epochs):
         batches = shuffled_batches(ref_data, config.batch_size, rng)
-        train_epoch(warm, batches, config.learning_rate, table)
+        train_epoch(live_state, batches, config.learning_rate, table)
     warmup_units = len(ref_data) * cfg.warmup_epochs
     charge_profiling(config.cost, len(ref_data), cfg.warmup_epochs, ledger)
 
@@ -269,7 +264,7 @@ def profile_task(
     eval_units = 0
     for conf in confs:
         record, units = evaluate_conf(
-            warm, conf, task_rows, em_pool_by_class, probes, config, rng, ledger, table
+            live_state, conf, task_rows, em_pool_by_class, probes, config, rng, ledger, table
         )
         records.append(record)
         eval_units += units
@@ -277,7 +272,6 @@ def profile_task(
     return ProfileOutcome(
         records=records,
         space_size=len(space),
-        warm=warm,
         warmup_units=warmup_units,
         evaluation_units=eval_units,
     )

@@ -10,13 +10,13 @@ requests never target slots that were just replaced. Since every in-memory
 sample is drawn once per epoch, that view is exactly the drawn set. The
 task's last epoch fires nothing: the task boundary would cancel the batch.
 
-A profiled task continues from the profiler's warm state: its first
-``warmup_epochs`` epochs are the warmup, trained at the reference conf and
-billed to profiling, and the live loop trains the epochs after them at the
-chosen conf. Only live epochs write an ``EpochRow``; the global epoch clock
-counts the warmup too, so a budget schedule keeps its timing. A policy task
-is not profiled and trains every epoch live, and so does a task that reuses
-the conf in force, unprofiled, by the rule of ``AdaptivePolicy``.
+A profiled task's first ``warmup_epochs`` epochs are the profiler's warmup,
+which trains the live model at the reference conf, billed to profiling, and
+the live loop trains the epochs after them at the chosen conf. Only live
+epochs write an ``EpochRow``; the global epoch clock counts the warmup too,
+so a budget schedule keeps its timing. A policy task is not profiled and
+trains every epoch live, and so does a task that reuses the conf in force,
+unprofiled, by the rule of ``AdaptivePolicy``.
 
 A run builds one ``SampleTable`` from the whole stream when it starts: every
 task's features and labels in task order, so a task's rows are a row range.
@@ -239,8 +239,7 @@ class FixedPolicy:
     def check(self, first: Task, probe_sets: dict[int, list[Sample]]) -> None:
         """Any stream will do: nothing is profiled."""
 
-    def decide(self, task: Task, task_index: int, budget: int, state: LearnerState,
-               *_) -> tuple[Conf, LearnerState, int]:
+    def decide(self, task: Task, task_index: int, budget: int, *_) -> tuple[Conf, int]:
         cfg = self.config
         conf = self.policy.conf_for_task(task_index, len(task), budget, cfg.step)
         if conf.total > budget:
@@ -248,7 +247,7 @@ class FixedPolicy:
             if budget >= cfg.budget_samples:
                 raise ValueError(reason)
             conf = static_split(reason, budget, len(task), cfg.step)
-        return conf, state, 0
+        return conf, 0
 
     def reselect(self, conf: Conf, budget: int, task_size: int) -> Conf:
         return static_split(f"conf {conf} exceeds budget {budget}", budget, task_size, self.config.step)
@@ -288,9 +287,9 @@ class AdaptivePolicy:
 
     def decide(self, task: Task, task_index: int, budget: int, state: LearnerState,
                in_force: Conf | None, rows: np.ndarray, probes: tuple[np.ndarray, np.ndarray],
-               classes_seen: int) -> tuple[Conf, LearnerState, int]:
-        """The task's conf, the model it starts from and how many of its
-        epochs that model trained. ``rows`` are the task's table rows and
+               classes_seen: int) -> tuple[Conf, int]:
+        """The task's conf and how many of its epochs the profiler's warmup
+        trained ``state`` for. ``rows`` are the task's table rows and
         ``probes`` the features and labels of every probe so far."""
         cfg = self.config
         # spawned before the reuse check, so task k always profiles with child k
@@ -298,7 +297,7 @@ class AdaptivePolicy:
         at = (budget, len(task), len(self.report.budget_events))
         if self._picks[-AGREEING_PICKS:] == [(at, in_force)] * AGREEING_PICKS:
             self.report.reuses.append(ReuseRecord(task.task_id, in_force))
-            return in_force, state, 0
+            return in_force, 0
 
         self._baseline_accuracy = 1.0 / classes_seen
         outcome = profile_task(
@@ -324,8 +323,8 @@ class AdaptivePolicy:
             )
         )
         self._picks.append((at, chosen.conf) if self.archive.classes() else None)
-        # the warmup is this task's first epochs: the live model continues from it
-        return chosen.conf, outcome.warm, cfg.profiler.warmup_epochs
+        # the warmup trained the live model for this task's first epochs
+        return chosen.conf, cfg.profiler.warmup_epochs
 
     def reselect(self, conf: Conf, budget: int, task_size: int) -> Conf:
         """The best of the last profile's records that fit ``budget``, else its static split."""
@@ -469,7 +468,7 @@ class Runtime:
             classes_seen |= task.class_set
 
             try:
-                conf, self.state, warmed = self.sizing.decide(
+                conf, warmed = self.sizing.decide(
                     task, task_index, self.budget_samples, self.state, self._chosen,
                     rows, probes, len(classes_seen),
                 )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiercl.domain import Conf, EnergyLedger
-from hiercl.learner import init_learner, probe_arrays, train_epoch
+from hiercl.learner import LearnerDiverged, copy_state, init_learner, probe_arrays, train_epoch
 from hiercl.memory import StorageArchive, class_quotas
 from hiercl.profiler import (
     ProfilerConfig,
@@ -220,11 +220,58 @@ def run_profile(state, task, archive, probe, config, seed=7, budget=2000, ledger
 
 
 class TestProfileTask:
-    def test_live_model_untouched(self):
+    def test_warmup_trains_the_live_model_and_every_conf_copies_it(self, monkeypatch):
+        """The warmup trains the live model itself, and no conf evaluation
+        moves it: each starts from the warm live model and trains a copy."""
+        import hiercl.profiler as profiler_module
+
         state, task, archive, probe, config = small_profile_setup()
         before = state_digest(state)
-        run_profile(state, task, archive, probe, config)
+        starts = []
+        evaluate = profiler_module.evaluate_conf
+
+        def recorded(warm, *args):
+            assert warm is state
+            starts.append(state_digest(warm))
+            return evaluate(warm, *args)
+
+        monkeypatch.setattr(profiler_module, "evaluate_conf", recorded)
+        outcome = run_profile(state, task, archive, probe, config)
+        assert len(starts) == len(outcome.records)
+        assert set(starts) == {state_digest(state)} != {before}
+
+    def test_no_warmup_leaves_the_live_model_untouched(self):
+        state, task, archive, probe, config = small_profile_setup()
+        config = replace(config, profiler=replace(config.profiler, warmup_epochs=0))
+        before = state_digest(state)
+        outcome = run_profile(state, task, archive, probe, config)
+        assert outcome.warmup_units == 0
         assert state_digest(state) == before
+
+    def test_warmup_divergence_keeps_the_last_finite_step(self, monkeypatch):
+        """A warmup that diverges leaves the live model where ``train_epoch``
+        leaves it, at its last finite step, as a live epoch does."""
+        import hiercl.profiler as profiler_module
+
+        state, task, archive, probe, config = small_profile_setup()
+        config = replace(config, learning_rate=1.0e6)
+        before = state_digest(state)
+        calls = []
+        train = profiler_module.train_epoch
+
+        def recorded(live, batches, *args):
+            calls.append((copy_state(live), batches))
+            return train(live, batches, *args)
+
+        monkeypatch.setattr(profiler_module, "train_epoch", recorded)
+        with pytest.raises(LearnerDiverged):
+            run_profile(state, task, archive, probe, config)
+        assert len(calls) <= config.profiler.warmup_epochs
+        twin, batches = calls[-1]
+        with pytest.raises(LearnerDiverged):
+            train(twin, batches, config.learning_rate, archive.table)
+        assert state_digest(state) == state_digest(twin) != before
+        assert np.isfinite(state.params).all()
 
     def test_records_feasible_and_positive(self):
         state, task, archive, probe, config = small_profile_setup()
@@ -238,8 +285,9 @@ class TestProfileTask:
 
     def test_same_seed_same_records(self):
         state, task, archive, probe, config = small_profile_setup()
-        a = run_profile(state, task, archive, probe, config, seed=13)
-        b = run_profile(state, task, archive, probe, config, seed=13)
+        # the warmup trains the model it is given, so each call gets a copy
+        a = run_profile(copy_state(state), task, archive, probe, config, seed=13)
+        b = run_profile(copy_state(state), task, archive, probe, config, seed=13)
         assert a.records == b.records
 
     def test_profiling_charges_overhead_only(self):

@@ -349,7 +349,7 @@ class TestBudgetChannel:
         assert event.conf == Conf(100, 100)
         assert rt._chosen.sb_size + rt.em.capacity <= 250
 
-    def test_shrink_without_feasible_records_falls_back_to_grid(self):
+    def test_shrink_without_feasible_records_falls_back_to_the_static_split(self):
         from hiercl.domain import ProfileRecord
 
         stream = tiny_stream(n_tasks=1, per_class=60)
@@ -396,8 +396,8 @@ class TestBudgetChannel:
 
 
 class TestWarmStart:
-    """A profiled task continues from the profiler's warm state: it trains
-    and logs only the epochs after the warmup, and the global epoch clock
+    """A profiled task's warmup trains the live model: the task trains and
+    logs only the epochs after the warmup, and the global epoch clock
     counts the warmup, so a budget schedule keeps its timing."""
 
     def test_no_warmup_reproduces_the_run_before_the_warm_start(self):
@@ -422,36 +422,30 @@ class TestWarmStart:
     def test_live_model_is_the_warm_state_after_profiling(self, monkeypatch):
         import hiercl.runtime as runtime_module
 
-        outcomes, adopted = [], []
+        profiled, started = [], []
         profile = runtime_module.profile_task
 
         def recorded(live_state, *args):
+            before = live_state.params.copy()
             outcome = profile(live_state, *args)
-            outcomes.append((live_state.params.copy(), outcome.warm.params.copy()))
+            profiled.append((live_state, before, live_state.params.copy()))
             return outcome
 
         monkeypatch.setattr(runtime_module, "profile_task", recorded)
-        runtime = Runtime(tiny_config())
-        decide, train_task = runtime_module.AdaptivePolicy.decide, Runtime._train_task
-
-        def checked(self, *args):
-            decided = decide(self, *args)
-            adopted.append(decided[1].params.copy())
-            return decided
+        train_task = Runtime._train_task
 
         def trained(self, *args):
-            # the live loop starts from the state the policy handed back
-            assert self.state.params.tobytes() == adopted[-1].tobytes()
+            started.append((self.state, self.state.params.copy()))
             return train_task(self, *args)
 
-        monkeypatch.setattr(runtime_module.AdaptivePolicy, "decide", checked)
         monkeypatch.setattr(Runtime, "_train_task", trained)
         stream = tiny_stream()
-        runtime.run(stream.tasks, stream.probe_sets)
-        assert len(outcomes) == len(adopted) == 2
-        for (before, warm), params in zip(outcomes, adopted):
-            assert params.tobytes() == warm.tobytes()
-            # the warmup trained it: the live model moved
+        Runtime(tiny_config()).run(stream.tasks, stream.probe_sets)
+        assert len(profiled) == len(started) == 2
+        for (model, before, warm), (live, params) in zip(profiled, started):
+            # the warmup trained the live model itself, and the live loop
+            # starts where it stopped
+            assert live is model and params.tobytes() == warm.tobytes()
             assert params.shape != before.shape or params.tobytes() != before.tobytes()
 
     @pytest.mark.parametrize(
@@ -702,7 +696,7 @@ class TestStaticPolicy:
         assert runtime.ledger.total == 0
 
 
-    def test_fixed_conf_meets_a_schedule_shrink_with_the_grid_conf(self):
+    def test_fixed_conf_meets_a_schedule_shrink_with_the_static_split(self):
         # task 3 used to end in "policy conf ... exceeds budget 60"
         stream = generate_stream(
             StreamSpec(n_tasks=3, classes_per_task=3, samples_per_class=30, feature_dim=8)
