@@ -159,7 +159,7 @@ class EpisodicMemory:
         held = self.held()
         pools = []
         for c in classes:
-            pool = self.class_rows(c)
+            pool = self._rows[slice(*self._bounds.get(c, (0, 0)))]
             q = quotas[c]
             if len(pool) > q:
                 keep = np.ones(len(pool), dtype=bool)

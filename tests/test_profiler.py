@@ -240,14 +240,6 @@ class TestProfileTask:
         assert len(starts) == len(outcome.records)
         assert set(starts) == {state_digest(state)} != {before}
 
-    def test_no_warmup_leaves_the_live_model_untouched(self):
-        state, task, archive, probe, config = small_profile_setup()
-        config = replace(config, profiler=replace(config.profiler, warmup_epochs=0))
-        before = state_digest(state)
-        outcome = run_profile(state, task, archive, probe, config)
-        assert outcome.warmup_units == 0
-        assert state_digest(state) == before
-
     def test_warmup_divergence_keeps_the_last_finite_step(self, monkeypatch):
         """A warmup that diverges leaves the live model where ``train_epoch``
         leaves it, at its last finite step, as a live epoch does."""
