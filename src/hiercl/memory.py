@@ -120,8 +120,7 @@ class EpisodicMemory:
         return self.rows()[slice(*self._bounds.get(class_id, (0, 0)))]
 
     def rows(self) -> np.ndarray:
-        """All held rows, ordered by class id then slot position: a
-        read-only view that a later ``replace`` writes through."""
+        """All held rows by class id then slot: a read-only view, no copy."""
         view = self._rows.view()
         view.flags.writeable = False
         return view
@@ -162,9 +161,7 @@ class EpisodicMemory:
             pool = self._rows[slice(*self._bounds.get(c, (0, 0)))]
             q = quotas[c]
             if len(pool) > q:
-                keep = np.ones(len(pool), dtype=bool)
-                keep[rng.choice(len(pool), size=len(pool) - q, replace=False)] = False
-                pool = pool[keep]
+                pool = np.delete(pool, rng.choice(len(pool), size=len(pool) - q, replace=False))
             elif len(pool) < q:
                 cands = archive.candidates(c, held)
                 want = min(q - len(pool), len(cands))
